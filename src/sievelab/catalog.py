@@ -35,6 +35,7 @@ from importlib import resources
 
 from .regions import (
     PARAM_NAMES,
+    SPECIALS,
     AffineForm,
     BoolNode,
     Comparison,
@@ -233,7 +234,7 @@ class _Parser:
             return AffineForm.make(const=Fraction(tok))
         if re.fullmatch(r"t\d+", tok):
             return AffineForm.make(vars={int(tok[1:]): 1})
-        if tok in ("tsum", "tmin", "tmax"):
+        if tok in SPECIALS:
             return AffineForm.make(specials={tok: 1})
         if tok in PARAM_NAMES:
             return AffineForm.make(params={tok: 1})
@@ -281,6 +282,8 @@ class Catalog:
     ranges: dict[str, IntervalUnion] = field(default_factory=dict)
     integrals: dict[str, IntegralDef] = field(default_factory=dict)
     groups: dict[str, list[str]] = field(default_factory=dict)
+    # compiled region programs by (region, dimension), made on first use
+    programs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def region(self, name: str) -> RegionSpec:
         try:
@@ -414,14 +417,23 @@ def load_catalog(path: str) -> Catalog:
 
 
 _DEFAULT: Catalog | None = None
+_FROM_ENV: tuple[tuple, Catalog] | None = None  # ((path, inode, size, mtime), catalog)
 
 
 def default_catalog() -> Catalog:
-    """Catalog from SIEVELAB_CATALOG if set, else the packaged data file."""
-    global _DEFAULT
+    """Catalog from SIEVELAB_CATALOG if set, else the packaged data file.
+
+    The file named by SIEVELAB_CATALOG is parsed again only when its path,
+    inode, size or modification time changes (a rewrite that keeps all four
+    is not seen)."""
+    global _DEFAULT, _FROM_ENV
     env = os.environ.get(ENV_VAR)
     if env:
-        return load_catalog(env)
+        st = os.stat(env)
+        key = (env, st.st_ino, st.st_size, st.st_mtime_ns)
+        if _FROM_ENV is None or _FROM_ENV[0] != key:
+            _FROM_ENV = (key, load_catalog(env))
+        return _FROM_ENV[1]
     if _DEFAULT is None:
         text = resources.files("sievelab.data").joinpath("catalog.txt").read_text()
         _DEFAULT = loads(text)

@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
         cat = _catalog(args)
         for k in range(2, 7):
             res = qd.integrate(
-                cat.integrals[f"cal{k}"], {}, tol=1e-4, rel_tol=5e-4, seed=seed,
+                cat.integrals[f"cal{k}"], {}, tol=1e-9, rel_tol=5e-4, seed=seed,
                 budget=args.budget, cat=cat,
             )
             expected = 1.0 / _math.factorial(k)

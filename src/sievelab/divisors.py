@@ -13,6 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .regions import subset_sums
+
 __all__ = [
     "FactorizationPattern",
     "DegeneracyError",
@@ -63,12 +65,10 @@ class FactorizationPattern:
 
 def _subset_table(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Sums and signs (-1)^|S| over all 2^k subsets, doubling per entry."""
-    sums = np.zeros(1)
     signs = np.ones(1)
-    for a in alphas:
-        sums = np.concatenate([sums, sums + a])
+    for _ in alphas:
         signs = np.concatenate([signs, -signs])
-    return sums, signs
+    return subset_sums(np.array([alphas], dtype=float))[0], signs
 
 
 def mobius_half_sum(pattern: FactorizationPattern) -> int:

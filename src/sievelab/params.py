@@ -184,9 +184,6 @@ def theta_only(theta: float, eps: float = 0.0) -> ThetaParams:
 # Classification and Type-II assembly
 # ---------------------------------------------------------------------------
 
-CATALOG_GROUPS = {"a_catalog": "a_catalog", "e_catalog": "e_catalog", "master": "master"}
-
-
 def classify(params: ThetaParams, catalog_name: str, cat: Catalog | None = None) -> list[str]:
     """All regions of the named group containing (theta1, theta2)."""
     cat = cat or default_catalog()

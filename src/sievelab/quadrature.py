@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import buchstab
 from .catalog import Catalog, IntegralDef, default_catalog
@@ -101,6 +100,8 @@ class _Stream:
     """One (stratum, replicate) Sobol stream with running sums."""
 
     def __init__(self, dim: int, seed_key: tuple[int, int, int]):
+        from scipy.stats import qmc  # slow to import, and only sampling needs it
+
         rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
         self.engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
         self.n = 0
@@ -188,6 +189,12 @@ def integrate(
         boxes.append((slo, shi))
     if not boxes:
         return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-region")
+    if budget < REPLICATES * len(boxes):
+        # the budget is a hard cap, and every live stratum needs a point
+        raise SpecificationError(
+            f"budget {budget} is below one point per stratum and replicate "
+            f"({REPLICATES * len(boxes)} for {len(boxes)} strata of {region.name})"
+        )
 
     # Boundedness pilot: for singular weights the region must keep every
     # coordinate and the leftover 1 - sum(t) away from zero.
@@ -233,9 +240,18 @@ def integrate(
                 weights = 0.5 / n_strata + 0.5 * sigma / sigma.sum()
             else:
                 weights = np.ones(n_strata) / n_strata
+        batch = []
         for s in range(n_strata):
             m = int(round_total * weights[s] / REPLICATES)
-            m = max(MIN_BATCH, 1 << max(int(math.ceil(math.log2(max(m, 1)))), 0))
+            batch.append(max(MIN_BATCH, 1 << max(int(math.ceil(math.log2(max(m, 1)))), 0)))
+        # The budget is a hard cap: a round that would overshoot it is cut to
+        # what is left, shared by the same weights, and is the last round.
+        last = total_n + REPLICATES * sum(batch) > budget
+        if last:
+            batch = [int((budget - total_n) * w / REPLICATES) for w in weights]
+        for s, m in enumerate(batch):
+            if not m:
+                continue
             slo, shi = boxes[s]
             for r in range(REPLICATES):
                 st = streams[s][r]
@@ -266,7 +282,7 @@ def integrate(
         settled = total_n >= min(MIN_SAMPLES, budget)
         if settled and err <= target and not (value == 0.0 and err == 0.0):
             break
-        if total_n >= budget:
+        if last or total_n >= budget:
             break
         round_total = min(2 * round_total, max(budget - total_n, FIRST_ROUND))
 

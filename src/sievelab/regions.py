@@ -4,7 +4,12 @@ Everything here evaluates over exponent vectors (alpha vectors): points whose
 coordinates t1..tk live on the log-x scale.  Region predicates are boolean
 trees of affine comparisons plus two non-local atom kinds, membership of a
 grouped point in another region and exists-bipartition ("splits") into a
-two-dimensional region.  All evaluation is vectorised over (N, k) arrays.
+two-dimensional region.
+
+A region is evaluated through a program compiled once per (region, catalog,
+point dimension) and kept on the catalog.  The program answers two
+questions: membership of a batch of points, vectorised over (N, k) arrays,
+and a three-valued verdict over an axis-aligned box (interval mode).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "AffineForm",
-    "Atom",
     "Comparison",
     "Membership",
     "Splits",
@@ -28,8 +32,9 @@ __all__ = [
     "AlphaVector",
     "RegionError",
     "contains",
-    "contains_many",
+    "definitely",
     "partitions_into",
+    "subset_sums",
     "merge_intervals",
     "interval_contains",
 ]
@@ -53,8 +58,13 @@ PARAM_NAMES = (
     "nup",
 )
 
-# Pseudo-variables usable in dimension-generic regions.
-SPECIALS = ("tsum", "tmin", "tmax")
+# Pseudo-variables usable in dimension-generic regions, in the sorted order
+# AffineForm.make keeps them in.
+SPECIALS = ("tmax", "tmin", "tsum")
+
+MAX_SPLIT = 24  # bipartitions are enumerated over at most this many coordinates
+CHUNK_ROWS = 1 << 15  # rows evaluated together, to bound the temporaries
+BLOCK_PAIRS = 1 << 14  # rows x masks per block of a bipartition search
 
 
 class RegionError(ValueError):
@@ -119,57 +129,19 @@ class AffineForm:
 
     def param_part(self, params: dict[str, float]) -> float:
         """Evaluate the point-independent part (constant + parameters)."""
-        acc = float(self.const)
-        for name, coef in self.params:
-            if name not in params:
-                raise RegionError(f"missing parameter {name!r}")
-            acc += float(coef) * params[name]
-        return acc
+        return _base(float(self.const), ((p, float(w)) for p, w in self.params), params)
 
     def interval(self, lo: np.ndarray, hi: np.ndarray, params: dict[str, float]):
         """Range of the form over an axis-aligned box (interval arithmetic)."""
-        base = self.param_part(params)
-        a, b = base, base
-        for i, coef in self.vars:
-            c = float(coef)
-            if c >= 0:
-                a += c * lo[i - 1]
-                b += c * hi[i - 1]
-            else:
-                a += c * hi[i - 1]
-                b += c * lo[i - 1]
-        for name, coef in self.specials:
-            c = float(coef)
-            if name == "tsum":
-                v0, v1 = lo.sum(), hi.sum()
-            elif name == "tmin":
-                v0, v1 = lo.min(), hi.min()
-            else:
-                v0, v1 = lo.max(), hi.max()
-            if c >= 0:
-                a += c * v0
-                b += c * v1
-            else:
-                a += c * v1
-                b += c * v0
-        return a, b
+        ext = bool(self.specials)
+        terms = _terms(self, len(lo))
+        return _bounds(self.param_part(params), terms, _extend(lo, ext), _extend(hi, ext))
 
     def eval_points(self, x: np.ndarray, params: dict[str, float]) -> np.ndarray:
         """Evaluate on an (N, k) array of points; returns shape (N,)."""
-        n, k = x.shape
-        acc = np.full(n, self.param_part(params))
-        for i, coef in self.vars:
-            if i > k:
-                raise RegionError(f"variable t{i} out of range for dimension {k}")
-            acc += float(coef) * x[:, i - 1]
-        for name, coef in self.specials:
-            if name == "tsum":
-                acc += float(coef) * x.sum(axis=1)
-            elif name == "tmin":
-                acc += float(coef) * x.min(axis=1)
-            elif name == "tmax":
-                acc += float(coef) * x.max(axis=1)
-        return acc
+        out = np.empty(len(x))
+        out[:] = _values(self.param_part(params), _terms(self, x.shape[1]), x, [None] * 3)
+        return out
 
     def eval_scalar(self, params: dict[str, float]) -> float:
         """Evaluate a point-free form (interval endpoints)."""
@@ -179,7 +151,7 @@ class AffineForm:
 
 
 # ---------------------------------------------------------------------------
-# Region atoms and boolean tree
+# Region atoms and boolean tree (the parsed form; see _Program for evaluation)
 # ---------------------------------------------------------------------------
 
 
@@ -188,19 +160,6 @@ class Comparison:
     lhs: AffineForm
     rel: str  # one of '<', '<=', '>', '>='
     rhs: AffineForm
-
-    def eval(self, x, params, catalog):
-        a = self.lhs.eval_points(x, params)
-        b = self.rhs.eval_points(x, params)
-        if self.rel == "<":
-            return a < b
-        if self.rel == "<=":
-            return a <= b
-        if self.rel == ">":
-            return a > b
-        if self.rel == ">=":
-            return a >= b
-        raise RegionError(f"bad relation {self.rel!r}")
 
 
 @dataclass(frozen=True)
@@ -213,22 +172,6 @@ class Membership:
 
     region: str
     groups: tuple[tuple[int, ...], ...] = ()
-
-    def eval(self, x, params, catalog):
-        target = catalog.region(self.region)
-        if self.groups:
-            cols = []
-            for grp in self.groups:
-                col = np.zeros(x.shape[0])
-                for i in grp:
-                    if i > x.shape[1]:
-                        raise RegionError(f"group index t{i} out of range")
-                    col += x[:, i - 1]
-                cols.append(col)
-            pts = np.stack(cols, axis=1)
-        else:
-            pts = x
-        return target.eval(pts, params, catalog)
 
 
 @dataclass(frozen=True)
@@ -244,36 +187,10 @@ class Splits:
     region: str
     append: AffineForm | None = None
 
-    def eval(self, x, params, catalog):
-        target = catalog.region(self.region)
-        n, k = x.shape
-        if self.append is not None:
-            extra = np.full(n, self.append.eval_scalar(params))
-            x = np.concatenate([x, extra[:, None]], axis=1)
-            k += 1
-        if k > 24:
-            raise RegionError("bipartition enumeration capped at 24 coordinates")
-        total = x.sum(axis=1)
-        ok = np.zeros(n, dtype=bool)
-        for mask in range(1 << k):
-            sel = [i for i in range(k) if mask >> i & 1]
-            s = x[:, sel].sum(axis=1) if sel else np.zeros(n)
-            t = total - s
-            pts = np.stack([s, t], axis=1)
-            ok |= target.eval(pts, params, catalog)
-            if ok.all():
-                break
-        return ok
-
 
 @dataclass(frozen=True)
 class Descending:
     """Strictly decreasing coordinates (dimension-generic ordering atom)."""
-
-    def eval(self, x, params, catalog):
-        if x.shape[1] < 2:
-            return np.ones(x.shape[0], dtype=bool)
-        return (x[:, :-1] > x[:, 1:]).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -282,32 +199,6 @@ class BoolNode:
     children: tuple = ()
     atom: object = None
     value: bool = True
-
-    def eval(self, x, params, catalog):
-        if self.op == "atom":
-            return self.atom.eval(x, params, catalog)
-        if self.op == "const":
-            return np.full(x.shape[0], self.value, dtype=bool)
-        if self.op == "not":
-            return ~self.children[0].eval(x, params, catalog)
-        if self.op == "and":
-            out = np.ones(x.shape[0], dtype=bool)
-            for c in self.children:
-                if not out.any():
-                    break
-                out &= c.eval(x, params, catalog)
-            return out
-        if self.op == "or":
-            out = np.zeros(x.shape[0], dtype=bool)
-            for c in self.children:
-                if out.all():
-                    break
-                out |= c.eval(x, params, catalog)
-            return out
-        raise RegionError(f"bad node op {self.op!r}")
-
-
-Atom = (Comparison, Membership, Splits, Descending)
 
 
 @dataclass
@@ -321,11 +212,7 @@ class RegionSpec:
     bounds: dict[int, tuple[AffineForm, AffineForm]] = field(default_factory=dict)
 
     def eval(self, x: np.ndarray, params: dict[str, float], catalog) -> np.ndarray:
-        if self.dimension is not None and x.shape[1] > self.dimension:
-            raise RegionError(
-                f"region {self.name} has dimension {self.dimension}, got {x.shape[1]}"
-            )
-        return self.tree.eval(x, params, catalog)
+        return _bound(self, x.shape[1], params, catalog).eval(x)
 
     def referenced_regions(self) -> set[str]:
         out: set[str] = set()
@@ -357,68 +244,364 @@ def definitely(region: RegionSpec, lo: np.ndarray, hi: np.ndarray, params, catal
     """Tri-state box test: True/False when the region verdict is constant
     over the whole box [lo, hi], None when undecided.  Used to prune
     provably dead sampling cells without bias."""
-    return _definite_node(region.tree, lo, hi, params, catalog)
+    return _Bound(_program(region, catalog, len(lo)), params).decide(lo, hi)
 
 
-def _definite_node(node: BoolNode, lo, hi, params, catalog):
-    if node.op == "const":
-        return node.value
-    if node.op == "not":
-        sub = _definite_node(node.children[0], lo, hi, params, catalog)
-        return None if sub is None else not sub
-    if node.op in ("and", "or"):
-        want_all = node.op == "and"
-        results = [_definite_node(c, lo, hi, params, catalog) for c in node.children]
-        if want_all:
-            if any(r is False for r in results):
-                return False
-            return True if all(r is True for r in results) else None
-        if any(r is True for r in results):
-            return True
-        return False if all(r is False for r in results) else None
-    atom = node.atom
-    if isinstance(atom, Comparison):
-        la, lb = atom.lhs.interval(lo, hi, params)
-        ra, rb = atom.rhs.interval(lo, hi, params)
-        if atom.rel == "<":
-            return True if lb < ra else (False if la >= rb else None)
-        if atom.rel == "<=":
-            return True if lb <= ra else (False if la > rb else None)
-        if atom.rel == ">":
-            return True if la > rb else (False if lb <= ra else None)
-        if atom.rel == ">=":
-            return True if la >= rb else (False if lb < ra else None)
-    if isinstance(atom, Membership):
-        target = catalog.region(atom.region)
-        if atom.groups:
-            glo = np.array([sum(lo[i - 1] for i in grp) for grp in atom.groups])
-            ghi = np.array([sum(hi[i - 1] for i in grp) for grp in atom.groups])
+# ---------------------------------------------------------------------------
+# Compiled programs
+# ---------------------------------------------------------------------------
+
+# A compiled form is (constant, ((param, w), ...), ((key, w), ...)) with float
+# coefficients, its terms in the order the form adds them: variables by index
+# (key i - 1), then the specials (key dim + position in SPECIALS).
+_OPS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def _terms(form: AffineForm, dim: int) -> tuple[tuple[int, float], ...]:
+    if form.max_var > dim:
+        raise RegionError(f"variable t{form.max_var} out of range for dimension {dim}")
+    out = [(i - 1, float(c)) for i, c in form.vars]
+    return tuple(out + [(dim + SPECIALS.index(n), float(c)) for n, c in form.specials])
+
+
+def _compiled(form: AffineForm, dim: int) -> tuple:
+    return float(form.const), tuple((p, float(w)) for p, w in form.params), _terms(form, dim)
+
+
+def _base(const: float, weights, params: dict[str, float]) -> float:
+    """Constant plus weighted parameters, added in order."""
+    for name, w in weights:
+        if name not in params:
+            raise RegionError(f"missing parameter {name!r}")
+        const += w * params[name]
+    return const
+
+
+def _values(base: float, terms, x: np.ndarray, aggs: list):
+    """A form at every row of x: base, then each term in order.  aggs holds
+    the aggregate columns of x, filled on first use.  Multiplying by 1 and
+    adding a zero base are skipped; neither changes a value."""
+    dim, acc = x.shape[1], None
+    for key, w in terms:
+        if key >= dim and aggs[key - dim] is None:
+            aggs[key - dim] = getattr(x, SPECIALS[key - dim][1:])(axis=1)
+        v = x[:, key] if key < dim else aggs[key - dim]
+        if w != 1.0:
+            v = v * w
+        acc = (v + base if base else v) if acc is None else acc + v
+    return base if acc is None else acc
+
+
+def _extend(v, aggregates: bool) -> list[float]:
+    """A corner of a box as floats, with the aggregate values appended
+    (summed as numpy sums a row: pairwise from eight terms on)."""
+    v = np.asarray(v, dtype=float).tolist()
+    if aggregates and v:
+        v += [max(v), min(v), _sum(v) if len(v) < 8 else float(np.sum(v))]
+    return v
+
+
+def _bounds(base: float, terms, lo: list[float], hi: list[float]) -> tuple[float, float]:
+    """Interval of a form over a box, adding its terms in the same order."""
+    a = b = base
+    for key, w in terms:
+        if w >= 0:
+            a += w * lo[key]
+            b += w * hi[key]
         else:
-            glo, ghi = lo, hi
-        return _definite_node(target.tree, glo, ghi, params, catalog)
-    if isinstance(atom, Splits):
-        target = catalog.region(atom.region)
-        k = len(lo)
-        if atom.append is not None:
-            extra = atom.append.eval_scalar(params)
-            lo = np.append(lo, extra)
-            hi = np.append(hi, extra)
-            k += 1
-        total_lo, total_hi = lo.sum(), hi.sum()
-        any_maybe = False
-        for mask in range(1 << k):
-            sel = [i for i in range(k) if mask >> i & 1]
-            s_lo = sum(lo[i] for i in sel)
-            s_hi = sum(hi[i] for i in sel)
-            pair_lo = np.array([s_lo, total_lo - s_hi])
-            pair_hi = np.array([s_hi, total_hi - s_lo])
-            sub = _definite_node(target.tree, pair_lo, pair_hi, params, catalog)
-            if sub is True:
+            a += w * hi[key]
+            b += w * lo[key]
+    return a, b
+
+
+def _sum(values) -> float:
+    """Left-to-right sum, as numpy adds columns one at a time."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def subset_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over every subset of the columns of an (n, k) array, as (n, 2**k).
+
+    Column m sums the columns whose bits are set in m, added in index order
+    by doubling, so each sum equals x[:, bits].sum(axis=1) bit for bit while
+    fewer than eight terms are summed (numpy sums eight or more pairwise).
+    """
+    n, k = x.shape
+    out = np.zeros((n, 1 << k))
+    for i in range(k):
+        np.add(out[:, : 1 << i], x[:, i, None], out=out[:, 1 << i : 2 << i])
+    return out
+
+
+class _Node:
+    """A node of a compiled program: 'and' / 'or' (the columns of their
+    comparisons, then their other children cheapest first by a static count
+    of the comparisons a point costs), 'not', 'desc', 'const', 'in' (grouped
+    membership) or 'splits'."""
+
+    __slots__ = ("kind", "cols", "children", "arg", "cost")
+
+    def __init__(self, kind, cost=1.0, cols=(), children=(), arg=None):
+        self.kind, self.arg, self.cols = kind, arg, tuple(cols)
+        self.children = tuple(sorted(children, key=lambda c: c.cost))
+        self.cost = cost + len(self.cols) + sum(c.cost for c in self.children)
+
+
+class _Program:
+    """A region compiled for one catalog and one point dimension.
+
+    Comparisons become numbered columns of compiled forms.  `not` is pushed
+    down to the atoms (a negated comparison flips its relation), membership
+    without groups is inlined and nested and/or nodes of the same kind are
+    merged.  Structural errors raise here; parameters are bound per call.
+    """
+
+    def __init__(self, spec: RegionSpec, catalog, dim: int):
+        self.spec, self.dim = spec, dim
+        self.columns: list[tuple] = []  # (relation, lhs, rhs) compiled forms
+        self.aggregates = False
+        self.root = self._junction("and", [self._compile(spec.tree, catalog, False, {spec.name})])
+
+    def _compile(self, tree: BoolNode, catalog, neg: bool, seen: set) -> _Node:
+        if tree.op == "const":
+            return _Node("const", arg=tree.value != neg)
+        if tree.op == "not":
+            return self._compile(tree.children[0], catalog, not neg, seen)
+        if tree.op in ("and", "or"):
+            op = tree.op if not neg else "or" if tree.op == "and" else "and"
+            children = [self._compile(c, catalog, neg, seen) for c in tree.children]
+            return self._junction(op, children)
+        atom = tree.atom
+        if isinstance(atom, Comparison):
+            if atom.rel not in _OPS:
+                raise RegionError(f"bad relation {atom.rel!r}")
+            rel = _NEGATED[atom.rel] if neg else atom.rel
+            self.columns.append((rel, _compiled(atom.lhs, self.dim), _compiled(atom.rhs, self.dim)))
+            self.aggregates |= bool(atom.lhs.specials or atom.rhs.specials)
+            return _Node("col", arg=len(self.columns) - 1)
+        if isinstance(atom, Descending):
+            node = _Node("desc")
+        elif not isinstance(atom, (Membership, Splits)):
+            raise RegionError(f"bad atom {atom!r}")
+        else:
+            target = catalog.region(atom.region)
+            width = 2 if isinstance(atom, Splits) else len(atom.groups) or self.dim
+            if target.dimension is not None and width > target.dimension:
+                raise RegionError(
+                    f"region {target.name} has dimension {target.dimension}, got {width}")
+            if isinstance(atom, Splits):
+                k = self.dim + (atom.append is not None)
+                if k > MAX_SPLIT:
+                    raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} coordinates")
+                if atom.append is None:
+                    append = None
+                elif atom.append.vars or atom.append.specials:
+                    raise RegionError("form references point variables; scalar context")
+                else:
+                    append = _compiled(atom.append, 0)
+                prog = _program(target, catalog, 2)
+                node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append))
+            elif not atom.groups:
+                if target.name in seen:
+                    raise RegionError(f"region {target.name} refers to itself")
+                return self._compile(target.tree, catalog, neg, seen | {target.name})
+            else:
+                for i in (i for grp in atom.groups for i in grp if i > self.dim):
+                    raise RegionError(f"group index t{i} out of range")
+                prog = _program(target, catalog, width)
+                groups = tuple(tuple(i - 1 for i in grp) for grp in atom.groups)
+                node = _Node("in", width + prog.root.cost, arg=(groups, prog))
+        return _Node("not", 0.0, children=[node]) if neg else node
+
+    @staticmethod
+    def _junction(op: str, nodes: list[_Node]) -> _Node:
+        cols, children = [], []
+        for n in nodes:
+            if n.kind == op:
+                cols += n.cols
+                children += n.children
+            elif n.kind == "col":
+                cols.append(n.arg)
+            else:
+                children.append(n)
+        return _Node(op, 0.0, cols, children)
+
+
+class _Bound:
+    """A program bound to a parameter point for one call: each column's
+    constant parts are computed when a row first reaches it, so a missing
+    parameter raises only then."""
+
+    def __init__(self, prog: _Program, params: dict[str, float]):
+        self.prog, self.params = prog, params
+        self.cols: dict[int, tuple] = {}
+
+    def base(self, form: tuple) -> float:
+        return _base(form[0], form[1], self.params)
+
+    def column(self, c: int) -> tuple:
+        """(relation, lhs base, lhs terms, rhs base, rhs terms)."""
+        col = self.cols.get(c)
+        if col is None:
+            rel, lhs, rhs = self.prog.columns[c]
+            col = self.cols[c] = (rel, self.base(lhs), lhs[2], self.base(rhs), rhs[2])
+        return col
+
+    # ----- membership of a batch of points -----
+
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        if not len(x):
+            return np.zeros(0, dtype=bool)
+        if len(x) > CHUNK_ROWS:
+            chunks = range(0, len(x), CHUNK_ROWS)
+            return np.concatenate([self.eval(x[i : i + CHUNK_ROWS]) for i in chunks])
+        return self._run(self.prog.root, x)
+
+    def _run(self, node: _Node, x: np.ndarray) -> np.ndarray:
+        kind = node.kind
+        if kind == "and" or kind == "or":
+            # Comparisons in order while a row is undecided, then each other
+            # child on the rows it can still change.
+            is_and, aggs = kind == "and", [None] * len(SPECIALS)
+            out = np.full(len(x), is_and)
+            for i, c in enumerate(node.cols):
+                if i and not (out.any() if is_and else not out.all()):
+                    return out
+                rel, lbase, lterms, rbase, rterms = self.column(c)
+                v = _OPS[rel](_values(lbase, lterms, x, aggs), _values(rbase, rterms, x, aggs))
+                if is_and:
+                    out &= v
+                else:
+                    out |= v
+            for child in node.children:
+                rows = np.flatnonzero(out if is_and else ~out)
+                if not rows.size:
+                    break
+                out[rows] = self._run(child, x[rows])
+            return out
+        if kind == "not":
+            return ~self._run(node.children[0], x)
+        if kind == "desc":
+            return (x[:, :-1] > x[:, 1:]).all(axis=1)
+        if kind == "const":
+            return np.full(len(x), node.arg)
+        if kind == "in":
+            groups, prog = node.arg
+            cols = [np.zeros(len(x)) for _ in groups]
+            for col, grp in zip(cols, groups):
+                for i in grp:
+                    col += x[:, i]
+            return _Bound(prog, self.params).eval(np.stack(cols, axis=1))
+        prog, append = node.arg
+        if append is not None:
+            extra = np.full((len(x), 1), self.base(append))
+            x = np.concatenate([x, extra], axis=1)
+        return _bipartition_hits(x, _Bound(prog, self.params))
+
+    # ----- three-valued verdict over a box -----
+
+    def decide(self, lo, hi) -> bool | None:
+        agg = self.prog.aggregates
+        return self._decide(self.prog.root, _extend(lo, agg), _extend(hi, agg))
+
+    def _decide(self, node: _Node, lo: list[float], hi: list[float]) -> bool | None:
+        kind = node.kind
+        if kind == "and" or kind == "or":
+            maybe = False
+            for v in self._verdicts(node, lo, hi):
+                if v is None:
+                    maybe = True
+                elif v != (kind == "and"):
+                    return v
+            return None if maybe else kind == "and"
+        if kind == "not":
+            v = self._decide(node.children[0], lo, hi)
+            return None if v is None else not v
+        if kind == "desc":
+            pairs = range(self.prog.dim - 1)
+            if all(lo[i] > hi[i + 1] for i in pairs):
                 return True
-            if sub is None:
-                any_maybe = True
-        return None if any_maybe else False
-    return None
+            return False if any(hi[i] <= lo[i + 1] for i in pairs) else None
+        if kind == "const":
+            return node.arg
+        if kind == "in":
+            groups, prog = node.arg
+            return _Bound(prog, self.params).decide([_sum(lo[i] for i in g) for g in groups],
+                                                  [_sum(hi[i] for i in g) for g in groups])
+        prog, append = node.arg
+        lo, hi = lo[: self.prog.dim], hi[: self.prog.dim]
+        if append is not None:
+            extra = self.base(append)
+            lo, hi = lo + [extra], hi + [extra]
+        sums = subset_sums(np.array([lo, hi])).tolist()
+        total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
+        target, maybe = _Bound(prog, self.params), False
+        for s_lo, s_hi in zip(*sums):
+            v = target.decide((s_lo, total_lo - s_hi), (s_hi, total_hi - s_lo))
+            if v:
+                return True
+            maybe |= v is None
+        return None if maybe else False
+
+    def _verdicts(self, node: _Node, lo: list[float], hi: list[float]):
+        """Verdicts of a junction's comparisons, then of its other children."""
+        for c in node.cols:
+            rel, lbase, lterms, rbase, rterms = self.column(c)
+            (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
+            if rel in (">", ">="):  # as b < a, b <= a
+                (la, lb), (ra, rb) = (ra, rb), (la, lb)
+            if rel in ("<", ">"):
+                yield True if lb < ra else (False if la >= rb else None)
+            else:
+                yield True if lb <= ra else (False if la > rb else None)
+        for child in node.children:
+            yield self._decide(child, lo, hi)
+
+
+def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
+    """Rows of x with a bipartition (I, J) of their coordinates such that
+    (sum_I, sum_J) lies in the bound two-dimensional target.
+
+    Masks run in blocks of about BLOCK_PAIRS / rows: the low bits of a mask
+    index a subset-sum table, the high bits are added on top in index order,
+    and rows that found a bipartition are dropped between blocks.
+    """
+    n, k = x.shape
+    total, hit, live = x.sum(axis=1), np.zeros(n, dtype=bool), np.arange(n)
+    j = min(k, max(0, (BLOCK_PAIRS // max(n, 1)).bit_length() - 1))
+    low = subset_sums(x[:, :j])
+    for high in range(1 << (k - j)):
+        sums = low
+        for b in (b for b in range(k - j) if high >> b & 1):
+            sums = sums + x[live, j + b][:, None]
+        pairs = np.stack([sums.ravel(), (total[live][:, None] - sums).ravel()], axis=1)
+        found = target.eval(pairs).reshape(sums.shape).any(axis=1)
+        if found.any():
+            hit[live[found]] = True
+            live, low = live[~found], low[~found]
+            if not live.size:
+                break
+    return hit
+
+
+def _program(spec: RegionSpec, catalog, dim: int) -> _Program:
+    """The compiled program of spec at this dimension, kept on the catalog
+    (catalogs are not changed once loaded)."""
+    cache = catalog.programs
+    prog = cache.get((spec.name, dim))
+    if prog is None or prog.spec is not spec:
+        prog = cache[spec.name, dim] = _Program(spec, catalog, dim)
+    return prog
+
+
+def _bound(region: RegionSpec, dim: int, params, catalog) -> _Bound:
+    if region.dimension is not None and dim > region.dimension:
+        raise RegionError(f"region {region.name} has dimension {region.dimension}, got {dim}")
+    return _Bound(_program(region, catalog, dim), params)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +736,15 @@ def _as_points(point) -> np.ndarray:
 
 
 def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bool:
-    """True iff the point satisfies the region's boolean tree as written."""
-    return bool(region.eval(_as_points(point), params, catalog)[0])
+    """True iff the point satisfies the region's boolean tree as written.
 
-
-def contains_many(region: RegionSpec, x: np.ndarray, params: dict[str, float], catalog) -> np.ndarray:
-    return region.eval(np.asarray(x, dtype=float), params, catalog)
+    A point is a box with equal corners: interval mode decides every atom
+    on it exactly, with the same arithmetic as batch evaluation.
+    """
+    x = _as_points(point)
+    bound = _bound(region, x.shape[1], params, catalog)
+    verdict = bound.decide(x[0], x[0])
+    return bool(bound.eval(x)[0]) if verdict is None else verdict
 
 
 def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catalog) -> bool:
@@ -567,10 +753,9 @@ def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catal
         entries = alpha.alphas
     else:
         entries = tuple(float(a) for a in alpha)
-    if len(entries) > 24:
-        raise RegionError("bipartition enumeration capped at 24 entries")
+    if len(entries) > MAX_SPLIT:
+        raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} entries")
     if region2d.dimension not in (2, None):
         raise RegionError("partition target must be two-dimensional")
     x = np.asarray(entries, dtype=float)[None, :]
-    atom = Splits(region2d.name)
-    return bool(atom.eval(x, params, catalog)[0])
+    return bool(_bipartition_hits(x, _Bound(_program(region2d, catalog, 2), params))[0])

@@ -1,0 +1,142 @@
+"""Properties of the compiled region programs: the subset-sum helper, batch
+invariance of point evaluation and soundness of the box test."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from sievelab.catalog import default_catalog
+from sievelab.params import ThetaParams
+from sievelab.regions import CHUNK_ROWS, contains, definitely, subset_sums
+
+CAT = default_catalog()
+
+# region -> (integral whose box and point it is sampled at, parameter point)
+SAMPLED = {
+    "D1": ("I1", (0.52,)),
+    "D5": ("I5", (0.32, 0.20)),
+    "D6": ("I6", (0.32, 0.20)),
+    "U233": ("U233", (0.52,)),
+    "U234": ("U234", (0.545,)),
+    "simplex3": ("cal3", None),
+}
+
+
+def setting(name):
+    integral, point = SAMPLED[name]
+    spec = CAT.integrals[integral]
+    vals = ThetaParams(*point).values() if point else {}
+    region = CAT.region(name)
+    lo, hi = region.box(vals, spec.dim)
+    return spec, region, vals, lo, hi
+
+
+def draw(rng, spec, lo, hi, n):
+    x = lo + rng.random((n, len(lo))) * (hi - lo)
+    return -np.sort(-x, axis=1) if spec.sorted else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(0, 7)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_subset_sums_equal_numpy_sums(x):
+    # Equal as floats, so bit for bit up to the sign of a zero.
+    n, k = x.shape
+    table = subset_sums(x)
+    assert table.shape == (n, 1 << k)
+    for mask in range(1 << k):
+        sel = [i for i in range(k) if mask >> i & 1]
+        want = x[:, sel].sum(axis=1) if sel else np.zeros(n)
+        assert (table[:, mask] == want).all(), (mask, sel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SAMPLED)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.data(),
+)
+def test_batch_invariance(name, seed, n, data):
+    spec, region, vals, lo, hi = setting(name)
+    x = draw(np.random.default_rng(seed), spec, lo, hi, n)
+    split = data.draw(st.integers(0, n))
+    whole = region.eval(x, vals, CAT)
+    parts = np.concatenate([region.eval(x[:split], vals, CAT), region.eval(x[split:], vals, CAT)])
+    assert whole.dtype == bool and np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("name", ["D1", "U234"])
+def test_batch_invariance_across_chunks(name):
+    spec, region, vals, lo, hi = setting(name)
+    x = draw(np.random.default_rng(8), spec, lo, hi, CHUNK_ROWS + 300)
+    whole = region.eval(x, vals, CAT)
+    rows = np.concatenate([region.eval(x[i : i + 97], vals, CAT) for i in range(0, len(x), 97)])
+    assert np.array_equal(whole, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SAMPLED)), st.integers(0, 2**32 - 1))
+def test_contains_agrees_with_batch_evaluation(name, seed):
+    spec, region, vals, lo, hi = setting(name)
+    x = draw(np.random.default_rng(seed), spec, lo, hi, 16)
+    got = [contains(region, p, vals, CAT) for p in x]
+    assert got == region.eval(x, vals, CAT).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["D1", "D5", "D6", "U233", "simplex3"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+)
+def test_definitely_is_sound(name, seed, corner, width):
+    spec, region, vals, lo, hi = setting(name)
+    rng = np.random.default_rng(seed)
+    a = lo + corner * rng.random(len(lo)) * (hi - lo)
+    b = a + width * rng.random(len(lo)) * (hi - a)
+    verdict = definitely(region, a, b, vals, CAT)
+    if verdict is None:
+        return
+    inside = region.eval(a + rng.random((512, len(a))) * (b - a), vals, CAT)
+    assert inside.all() if verdict else not inside.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([1e-3, 0.02, 0.2]))
+def test_definitely_is_sound_with_descending(seed, dim, width):
+    # A_fam: descending, tmin/tmax bounds and a sum cap (dimension-generic).
+    vals = ThetaParams(0.52).values()
+    region = CAT.region("A_fam")
+    rng = np.random.default_rng(seed)
+    a = rng.random(dim) * 0.3
+    b = a + width * rng.random(dim)
+    verdict = definitely(region, a, b, vals, CAT)
+    if verdict is None:
+        return
+    inside = region.eval(a + rng.random((512, dim)) * (b - a), vals, CAT)
+    assert inside.all() if verdict else not inside.any()
+
+
+@pytest.mark.parametrize("name,dim", [("GG", 3), ("GG", 5), ("V_nofloor", 4)])
+def test_splits_matches_per_mask_reference(name, dim):
+    # Enough rows that masks run in several blocks and rows are dropped
+    # between them; the reference tries every mask on every row.
+    vals = ThetaParams(0.52).values()
+    x = np.random.default_rng(dim).random((1 << 13, dim)) * (0.8 / dim)
+    target = CAT.region("gunion" if name == "GG" else "Tstar3")
+    total = x.sum(axis=1)
+    want = np.zeros(len(x), dtype=bool)
+    for mask in range(1 << dim):
+        s = x[:, [i for i in range(dim) if mask >> i & 1]].sum(axis=1)
+        want |= target.eval(np.stack([s, total - s], axis=1), vals, CAT)
+    assert 0 < want.sum() < len(x)
+    assert np.array_equal(CAT.region(name).eval(x, vals, CAT), want)

@@ -65,13 +65,14 @@ def test_three_primes_all_below_sqrt():
 
 
 def test_seven_primes_floor_eighth():
+    # A uniform simplex point conditioned on min > 1/8 is 1/8 + (1/8) * (a
+    # uniform simplex point), so the patterns are drawn directly instead of
+    # by rejection (acceptance rate (1/8)^6).
     rng = random.Random(10)
-    found = 0
-    while found < 50:
-        pat = random_pattern(rng, 7)
-        if min(pat.alphas) > 0.125:
-            assert mobius_half_sum(pat) == -20
-            found += 1
+    for _ in range(50):
+        pat = FactorizationPattern([0.125 + a / 8 for a in random_pattern(rng, 7).alphas])
+        assert min(pat.alphas) > 0.125
+        assert mobius_half_sum(pat) == -20
 
 
 def test_even_factor_count_gives_zero():

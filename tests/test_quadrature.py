@@ -6,6 +6,7 @@ import pytest
 from sievelab.catalog import default_catalog, dumps, loads
 from sievelab.params import ThetaParams, theta_only
 from sievelab.quadrature import (
+    DEFAULT_SEED,
     QuadratureResult,
     SpecificationError,
     eval_L7,
@@ -189,3 +190,50 @@ def test_floor_variant_agrees_where_floor_never_binds():
     assert abs(with_floor.value - without.value) <= 1e-6 + 3 * (
         with_floor.est_error + without.est_error
     )
+
+
+def test_budget_is_a_hard_cap():
+    for e in range(14, 20):
+        budget = 1 << e
+        cal6 = integrate(CAT.integrals["cal6"], {}, tol=1e-4, rel_tol=5e-4, budget=budget)
+        i1 = named_integral("I1", theta_only(0.52), budget=budget)
+        assert cal6.samples <= budget, (budget, cal6)
+        assert i1.samples <= budget, (budget, i1)
+
+
+def test_budget_below_one_point_per_stratum_rejected():
+    # cal2 keeps 2080 of its 4096 cells; four replicates need 8320 points
+    with pytest.raises(SpecificationError, match="below one point per stratum"):
+        integrate(CAT.integrals["cal2"], {}, tol=1e-4, budget=1 << 12)
+    res = integrate(CAT.integrals["cal2"], {}, tol=1e-4, budget=8320)
+    assert res.samples == 8320 and abs(res.value - 0.5) < 0.01
+
+
+# Fixed-seed results at budget 2^16 (value, est_error, samples, flag), as
+# float.hex strings.  I2, I6, U233 and U234 are unchanged from the tree-walking
+# region evaluator; the other seven used to draw more than 2^16 samples and
+# changed when the budget became a hard cap.
+PINNED_2_16 = {
+    "I1": ("0x0.0p+0", "0x1.775734f74b1b3p-9", 65532, "no-hits"),
+    "I2": ("0x0.0p+0", "0x1.82ce9b975b8bap-8", 65536, "no-hits"),
+    "I3": ("0x1.5dd470fa0c069p-11", "0x1.709393e667961p-13", 65524, ""),
+    "I4": ("0x0.0p+0", "0x1.82d4a6e9f7338p-8", 65532, "no-hits"),
+    "I5": ("0x1.3d1f2a912b17cp-18", "0x1.79cb400ab787dp-27", 65524, ""),
+    "I6": ("0x1.11a99a6cffbe8p-23", "0x1.3a2652925a557p-31", 65536, ""),
+    "S235": ("0x1.30a0eb753f958p-4", "0x1.c9f906f541515p-14", 65528, ""),
+    "S236": ("0x1.99024d522ff2ep-7", "0x1.d3b640075f47ep-16", 65524, ""),
+    "S237": ("0x1.34af13bc93012p-10", "0x1.d4763f012eb5ep-18", 65508, ""),
+    "U233": ("0x1.6e6339426aee6p-2", "0x1.be727d11654f6p-11", 65536, ""),
+    "U234": ("0x0.0p+0", "0x1.538885e2d333dp-40", 65536, "no-hits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_2_16))
+def test_pinned_fixed_seed_results(name):
+    if name in ("I5", "I6"):
+        res = named_integral(name, ThetaParams(0.32, 0.20), tol=3e-6, budget=1 << 16)
+    else:
+        res = named_integral(name, theta_only(0.52), budget=1 << 16)
+    value, err, samples, flag = PINNED_2_16[name]
+    want = QuadratureResult(float.fromhex(value), float.fromhex(err), samples, DEFAULT_SEED, flag)
+    assert res == want

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -319,6 +320,20 @@ def test_catalog_roundtrip_lossless():
     assert again.ranges == CAT.ranges
     assert again.integrals == CAT.integrals
     assert again.groups == CAT.groups
+
+
+def test_env_catalog_parsed_once_per_version(tmp_path, monkeypatch):
+    path = tmp_path / "cat.txt"
+    path.write_text(dumps(CAT))
+    monkeypatch.setenv("SIEVELAB_CATALOG", str(path))
+    first = default_catalog()
+    assert default_catalog() is first  # reused while the file is unchanged
+    # a rewrite within one modification-time tick is seen by its size
+    stat = path.stat()
+    path.write_text(dumps(CAT) + "group extra: g1\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    again = default_catalog()
+    assert again is not first and again.groups["extra"] == ["g1"]
 
 
 def test_definitely_agrees_with_sampling():

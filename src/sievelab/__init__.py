@@ -33,7 +33,6 @@ from .params import (
 from .quadrature import QuadratureResult, eval_L7, integrate, named_integral
 from .regions import (
     AffineForm,
-    AlphaVector,
     IntervalUnion,
     RegionError,
     RegionSpec,

@@ -1,9 +1,11 @@
 """Buchstab function omega(u) and its explicit lower/upper envelopes.
 
 omega solves the delay differential equation (u*omega(u))' = omega(u-1) with
-omega(u) = 1/u on [1,2].  Closed forms exist up to u = 4; beyond that the
-table continues the solution by cumulative trapezoidal integration of the
-integral form u*omega(u) = 3*omega(3) + int_3^u omega(t-1) dt.
+omega(u) = 1/u on [1,2].  Closed forms give omega exactly on [1, 4]; a table
+continues the solution to u = 64 by cumulative trapezoidal integration of the
+integral form u*omega(u) = 4*omega(4) + int_4^u omega(t-1) dt, and beyond 64
+omega is its limit e^{-gamma} (omega - e^{-gamma} decays faster than
+exponentially, de Bruijn 1950).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
 
 DEFAULT_GRID_STEP = 1e-4
 DEFAULT_U_MAX = 64.0
+EXP_NEG_GAMMA = math.exp(-0.57721566490153286)
 
 # Envelope constants for the tail branches.
 LOWER_34 = 0.5607
@@ -30,35 +33,18 @@ UPPER_34 = 0.5644
 LOWER_4 = 0.5612
 UPPER_4 = 0.5617
 
-
-def _log_integral(u: float, tol: float = 1e-9) -> float:
-    """int_2^{u-1} log(t-1)/t dt by adaptive Simpson, for u in [3, 4]."""
-    a, b = 2.0, u - 1.0
-    if b <= a:
-        return 0.0
-
-    def f(t: float) -> float:
-        return math.log(t - 1.0) / t
-
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth - 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth - 1
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 40)
+# c_k = B_{2k}/(2k+1)!: the Bernoulli series of the dilogarithm,
+# Li2(1 - e^{-L}) = L - L^2/4 + sum_k c_k L^{2k+1}, truncated after k = 8.
+_LI2_COEFFS = (
+    1 / 36,
+    -1 / 3600,
+    1 / 211680,
+    -1 / 10886400,
+    1 / 526901760,
+    -691 / 16999766784000,
+    1 / 1120863744000,
+    -3617 / 181400588328960000,
+)
 
 
 def _closed_form_23(u):
@@ -66,85 +52,84 @@ def _closed_form_23(u):
     return (1.0 + np.log(np.asarray(u) - 1.0)) / np.asarray(u)
 
 
-def _exact_34(u: float) -> float:
-    """Exact omega on [3, 4]: second iterate of the delay equation."""
-    return (1.0 + math.log(u - 1.0)) / u + _log_integral(u) / u
+def _closed_form_34(u):
+    """Exact omega on [3, 4].  Accepts scalars or arrays.
+
+    u*omega(u) = 1 + pi^2/12 + log(u-1) + log(u-1)*log(u-2) + Li2(2-u);
+    Landen's identity at w = (u-2)/(u-1) turns log(u-1) + Li2(2-u) into
+    -L^2/4 - sum_k c_k L^{2k+1} with L = log(u-1) <= log 3.
+    """
+    u = np.asarray(u)
+    L = np.log(u - 1.0)
+    L2 = L * L
+    series = 0.0
+    for c in reversed(_LI2_COEFFS):
+        series = series * L2 + c
+    return (1.0 + math.pi**2 / 12 + L * np.log(u - 2.0) - L2 / 4 - series * L2 * L) / u
 
 
 class BuchstabTable:
-    """Sampled omega on a uniform grid over [1, u_max].
+    """Sampled omega on a uniform grid over [1, DEFAULT_U_MAX], immutable
+    once built."""
 
-    The table is immutable after construction except for explicit lazy
-    extension via :meth:`ensure`, which must happen before the table is
-    shared between threads.
-    """
-
-    def __init__(self, grid_step: float = DEFAULT_GRID_STEP, u_max: float = DEFAULT_U_MAX):
+    def __init__(self, grid_step: float = DEFAULT_GRID_STEP):
         if grid_step <= 0:
             raise ValueError("grid_step must be positive")
-        if u_max < 4:
-            raise ValueError("u_max must be at least 4")
         self.grid_step = float(grid_step)
         self.per_unit = int(round(1.0 / grid_step))
         if abs(self.per_unit * grid_step - 1.0) > 1e-12:
             raise ValueError("grid_step must divide 1 exactly")
-        self.u_max = float(int(math.ceil(u_max - 1e-12)))
-        self.values = self._build(self.u_max)
+        self.values = self._build()
+        self.values.flags.writeable = False
 
-    def _build(self, u_max: float) -> np.ndarray:
+    def _build(self) -> np.ndarray:
         h = self.grid_step
         m = self.per_unit
-        n = int(round((u_max - 1.0) / h)) + 1
-        u = 1.0 + h * np.arange(n)
-        vals = np.empty(n)
-        # [1, 2]: 1/u.
+        top = int(DEFAULT_U_MAX)
+        u = 1.0 + h * np.arange((top - 1) * m + 1)
+        vals = np.empty(len(u))
+        # [1, 4]: the closed forms.
         vals[: m + 1] = 1.0 / u[: m + 1]
-        # (2, 3]: closed form.
         vals[m + 1 : 2 * m + 1] = _closed_form_23(u[m + 1 : 2 * m + 1])
-        # (3, u_max]: u*omega(u) = 3*omega(3) + int_3^u omega(t-1) dt,
+        vals[2 * m + 1 : 3 * m + 1] = _closed_form_34(u[2 * m + 1 : 3 * m + 1])
+        # (4, top]: u*omega(u) = 4*omega(4) + int_4^u omega(t-1) dt,
         # accumulated trapezoidally one unit block at a time so that the
         # integrand omega(t-1) is always already tabulated.
-        f = 3.0 * vals[2 * m]
-        blocks = int(round(u_max)) - 3
-        for b in range(blocks):
-            lo = (1 + b) * m  # grid index of u-1 at the block start
+        f = 4.0 * vals[3 * m]
+        for b in range(top - 4):
+            lo = (2 + b) * m  # grid index of u-1 at the block start
             g = vals[lo : lo + m + 1]  # omega(t-1) across the block
-            steps = 0.5 * h * (g[:-1] + g[1:])
-            cum = f + np.cumsum(steps)
-            idx0 = (2 + b) * m + 1
+            cum = f + np.cumsum(0.5 * h * (g[:-1] + g[1:]))
+            idx0 = (3 + b) * m + 1
             vals[idx0 : idx0 + m] = cum / u[idx0 : idx0 + m]
             f = cum[-1]
         return vals
 
-    def ensure(self, u: float) -> None:
-        """Extend the table so that omega(u) is evaluable (not thread-safe)."""
-        if u <= self.u_max:
-            return
-        new_max = float(int(math.ceil(u)))
-        self.u_max = new_max
-        self.values = self._build(new_max)
-
     def omega(self, u: float) -> float:
-        """Evaluate omega(u); exact branches below 3, table interpolation above."""
+        """Evaluate omega(u): closed forms below 4, table interpolation to
+        DEFAULT_U_MAX, e^{-gamma} beyond."""
         if u < 1.0:
             raise ValueError("omega is defined for u >= 1")
         if u <= 2.0:
             return 1.0 / u
         if u <= 3.0:
             return float(_closed_form_23(u))
-        self.ensure(u)
+        if u <= 4.0:
+            return float(_closed_form_34(u))
+        if u > DEFAULT_U_MAX:
+            return EXP_NEG_GAMMA
         return float(self._interp(np.asarray([u]))[0])
 
     def omega_many(self, u: np.ndarray) -> np.ndarray:
-        """Vectorised omega for u >= 1 (values below u_max only)."""
+        """Vectorised omega for u >= 1: table interpolation, e^{-gamma}
+        beyond DEFAULT_U_MAX."""
         u = np.asarray(u, dtype=float)
-        if u.size and float(u.max()) > self.u_max:
-            self.ensure(float(u.max()))
-        return self._interp(u)
+        if u.size and float(u.min()) < 1.0:
+            raise ValueError("omega is defined for u >= 1")
+        return np.where(u > DEFAULT_U_MAX, EXP_NEG_GAMMA, self._interp(u))
 
     def _interp(self, u: np.ndarray) -> np.ndarray:
-        h = self.grid_step
-        pos = (u - 1.0) / h
+        pos = (u - 1.0) / self.grid_step
         idx = np.clip(pos.astype(np.int64), 0, len(self.values) - 2)
         frac = pos - idx
         return self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac
@@ -170,28 +155,16 @@ def omega_many(u: np.ndarray) -> np.ndarray:
 
 
 def omega_lower(u: float) -> float:
-    """Lower envelope: 1/u, (1+log(u-1))/u, exact-integral branch clamped
-    from below at 0.5607 on [3,4), constant 0.5612 beyond."""
-    if u < 1.0:
-        raise ValueError("omega_lower is defined for u >= 1")
-    if u < 2.0:
-        return 1.0 / u
-    if u < 3.0:
-        return float(_closed_form_23(u))
-    if u < 4.0:
-        return max(_exact_34(u), LOWER_34)
-    return LOWER_4
+    """Lower envelope: omega below 3, omega clamped from below at 0.5607
+    on [3,4), constant 0.5612 beyond."""
+    if u >= 4.0:
+        return LOWER_4
+    return max(omega(u), LOWER_34) if u >= 3.0 else omega(u)
 
 
 def omega_upper(u: float) -> float:
-    """Upper envelope: same branches with the [3,4) value capped at 0.5644
-    and constant 0.5617 beyond."""
-    if u < 1.0:
-        raise ValueError("omega_upper is defined for u >= 1")
-    if u < 2.0:
-        return 1.0 / u
-    if u < 3.0:
-        return float(_closed_form_23(u))
-    if u < 4.0:
-        return min(_exact_34(u), UPPER_34)
-    return UPPER_4
+    """Upper envelope: omega below 3, omega capped at 0.5644 on [3,4),
+    constant 0.5617 beyond."""
+    if u >= 4.0:
+        return UPPER_4
+    return min(omega(u), UPPER_34) if u >= 3.0 else omega(u)

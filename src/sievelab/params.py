@@ -3,7 +3,7 @@ functions, subregion classification and Type-II range assembly."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import Catalog, default_catalog
 from .regions import NumericPiece, RegionError, contains, merge_intervals
@@ -108,7 +108,6 @@ class ThetaParams:
     theta3: float | None = None
     eps: float = 0.0
     delta: float = DELTA_DEFAULT
-    overrides: tuple[tuple[str, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         parts = [self.theta1] + [t for t in (self.theta2, self.theta3) if t is not None]
@@ -139,15 +138,7 @@ class ThetaParams:
         t1, t2 = self.theta1, self.theta2 + self.theta3
         if t1 < t2:
             t1, t2 = t2, t1
-        return ThetaParams(t1, t2, eps=self.eps, delta=self.delta, overrides=self.overrides)
-
-    def with_overrides(self, **kw: float) -> "ThetaParams":
-        merged = dict(self.overrides)
-        merged.update(kw)
-        return ThetaParams(
-            self.theta1, self.theta2, self.theta3, self.eps, self.delta,
-            tuple(sorted(merged.items())),
-        )
+        return ThetaParams(t1, t2, eps=self.eps, delta=self.delta)
 
     def values(self) -> dict[str, float]:
         """Evaluation dictionary for affine forms (derived values included)."""
@@ -172,7 +163,6 @@ class ThetaParams:
         if 0.5 < th < 9 / 17:
             out["nu"] = nu(th)
             out["nup"] = nu_prime(th)
-        out.update(dict(self.overrides))
         return out
 
 

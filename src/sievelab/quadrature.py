@@ -77,15 +77,13 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
         if "kappa" not in vals:
             raise SpecificationError("buchstab weight needs a kappa value")
         kap = vals["kappa"]
-        table = buchstab.default_table()
-        table.ensure(1.0 / kap + 2.0)
-
-        def omega_eval(u):
-            if variant == "lower":
-                return np.array([buchstab.omega_lower(v) for v in u])
-            if variant == "upper":
-                return np.array([buchstab.omega_upper(v) for v in u])
-            return table.omega_many(u)
+        omega_eval = {
+            "": buchstab.default_table().omega_many,
+            "lower": np.vectorize(buchstab.omega_lower, otypes=[float]),
+            "upper": np.vectorize(buchstab.omega_upper, otypes=[float]),
+        }.get(variant)
+        if omega_eval is None:
+            raise SpecificationError(f"unknown weight variant {variant!r}")
 
         def buch(x):
             rest = 1.0 - x.sum(axis=1)

@@ -29,7 +29,6 @@ __all__ = [
     "RegionSpec",
     "IntervalPiece",
     "IntervalUnion",
-    "AlphaVector",
     "RegionError",
     "contains",
     "definitely",
@@ -691,48 +690,8 @@ def interval_contains(pieces, x: float, params: dict[str, float] | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Alpha vectors
-# ---------------------------------------------------------------------------
-
-SUM_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class AlphaVector:
-    """Sorted-descending vector of positive exponents with sum <= 1."""
-
-    alphas: tuple[float, ...]
-
-    def __init__(self, alphas):
-        entries = tuple(float(a) for a in alphas)
-        if not entries:
-            raise ValueError("alpha vector must be nonempty")
-        if any(a <= 0 or a >= 1 for a in entries):
-            raise ValueError("alpha entries must lie in (0, 1)")
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            entries = tuple(sorted(entries, reverse=True))
-        if sum(entries) > 1 + SUM_SLACK:
-            raise ValueError("alpha entries must sum to at most 1")
-        object.__setattr__(self, "alphas", entries)
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.alphas, dtype=float)
-
-
-# ---------------------------------------------------------------------------
 # Top-level operations (catalog passed explicitly)
 # ---------------------------------------------------------------------------
-
-
-def _as_points(point) -> np.ndarray:
-    if isinstance(point, AlphaVector):
-        arr = point.as_array()[None, :]
-    else:
-        arr = np.atleast_2d(np.asarray(point, dtype=float))
-    return arr
 
 
 def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bool:
@@ -741,7 +700,7 @@ def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bo
     A point is a box with equal corners: interval mode decides every atom
     on it exactly, with the same arithmetic as batch evaluation.
     """
-    x = _as_points(point)
+    x = np.atleast_2d(np.asarray(point, dtype=float))
     bound = _bound(region, x.shape[1], params, catalog)
     verdict = bound.decide(x[0], x[0])
     return bool(bound.eval(x)[0]) if verdict is None else verdict
@@ -749,13 +708,9 @@ def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bo
 
 def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catalog) -> bool:
     """Exists-bipartition of the alpha entries landing in the 2-d region."""
-    if isinstance(alpha, AlphaVector):
-        entries = alpha.alphas
-    else:
-        entries = tuple(float(a) for a in alpha)
-    if len(entries) > MAX_SPLIT:
+    x = np.asarray(alpha, dtype=float).reshape(1, -1)
+    if x.shape[1] > MAX_SPLIT:
         raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} entries")
     if region2d.dimension not in (2, None):
         raise RegionError("partition target must be two-dimensional")
-    x = np.asarray(entries, dtype=float)[None, :]
     return bool(_bipartition_hits(x, _Bound(_program(region2d, catalog, 2), params))[0])

@@ -66,38 +66,35 @@ MIDRANGE_ROWS = {
 }
 
 
-def max_overshoot(ijk: tuple[int, int, int], floor: Fraction = Fraction(1, 8)) -> Fraction:
-    """Exact maximum of alpha_i+alpha_j+alpha_k - (1+alpha_k)/2 over the
-    polytope {alpha_1 >= ... >= alpha_6 >= floor, sum = 1}.
+def _max_at_top_vertices(objective, floor: Fraction) -> Fraction:
+    """Exact maximum of a linear objective over the polytope
+    {alpha_1 >= ... >= alpha_6 >= floor, sum = 1}.
 
-    The polytope is the affine image of a simplex, so the maximum of the
-    linear objective is attained at one of the six top-block vertices
-    (first m coordinates equal, the rest at the floor).
+    The polytope is the affine image of a simplex, so the maximum is
+    attained at one of the six top-block vertices (first m coordinates
+    equal, the rest at the floor).
     """
+    return max(
+        objective([(1 - (6 - m) * floor) / m] * m + [floor] * (6 - m)) for m in range(1, 7)
+    )
+
+
+def max_overshoot(ijk: tuple[int, int, int], floor: Fraction = Fraction(1, 8)) -> Fraction:
+    """Exact maximum of alpha_i+alpha_j+alpha_k - (1+alpha_k)/2 over
+    {alpha_1 >= ... >= alpha_6 >= floor, sum = 1}."""
     i, j, l = ijk
-    best: Fraction | None = None
-    for m in range(1, 7):
-        top = (1 - (6 - m) * floor) / m
-        alpha = [top if idx < m else floor for idx in range(6)]
-        val = alpha[i - 1] + alpha[j - 1] + alpha[l - 1]
-        val -= (1 + alpha[l - 1]) / 2
-        if best is None or val > best:
-            best = val
-    return best
+    return _max_at_top_vertices(
+        lambda a: a[i - 1] + a[j - 1] + a[l - 1] - (1 + a[l - 1]) / 2, floor
+    )
 
 
 def max_triple_sum(ijk: tuple[int, int, int]) -> Fraction:
     """Exact maximum of alpha_i+alpha_j+alpha_k - 1/2 over
-    {alpha_1 >= ... >= alpha_6 >= 0, sum = 1} (same vertex argument)."""
+    {alpha_1 >= ... >= alpha_6 >= 0, sum = 1}."""
     i, j, l = ijk
-    best: Fraction | None = None
-    for m in range(1, 7):
-        top = Fraction(1, m)
-        alpha = [top if idx < m else Fraction(0) for idx in range(6)]
-        val = alpha[i - 1] + alpha[j - 1] + alpha[l - 1] - Fraction(1, 2)
-        if best is None or val > best:
-            best = val
-    return best
+    return _max_at_top_vertices(
+        lambda a: a[i - 1] + a[j - 1] + a[l - 1] - Fraction(1, 2), Fraction(0)
+    )
 
 
 def verify_triple_tables() -> list[tuple[str, bool, str]]:

@@ -1,15 +1,24 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import sievelab
 from sievelab.buchstab import (
     BuchstabTable,
+    _closed_form_34,
     default_table,
     omega,
     omega_lower,
+    omega_many,
     omega_upper,
 )
+
+EXP_NEG_GAMMA = math.exp(-0.5772156649015329)
 
 
 def test_reciprocal_branch():
@@ -40,6 +49,8 @@ def test_domain_errors():
     for fn in (omega, omega_lower, omega_upper):
         with pytest.raises(ValueError):
             fn(0.999)
+    with pytest.raises(ValueError):
+        omega_many(np.array([2.0, 0.999]))
 
 
 def test_table_invariants():
@@ -55,7 +66,7 @@ def test_envelopes_bracket_omega():
     rng = random.Random(17)
     for _ in range(10_000):
         u = rng.uniform(1.0, 20.0)
-        assert omega_lower(u) - 1e-6 <= omega(u) <= omega_upper(u) + 1e-6
+        assert omega_lower(u) <= omega(u) <= omega_upper(u)
 
 
 def test_delay_equation_residual():
@@ -73,23 +84,51 @@ def test_delay_equation_residual():
 
 def test_continuity_at_joins():
     eps = 1e-9
-    for u0 in (2.0, 3.0):
+    for u0 in (2.0, 3.0, 4.0):
         lo = omega(u0 - eps)
         hi = omega(u0 + eps)
         assert abs(lo - hi) <= 1e-8
+    # The table ends at 64, where omega has converged to e^{-gamma}.
+    assert abs(omega(64.0) - EXP_NEG_GAMMA) <= 1e-11
+    assert abs(omega(64.0 + eps) - EXP_NEG_GAMMA) <= 1e-11
 
 
 def test_grid_convergence():
-    coarse = BuchstabTable(grid_step=2e-4, u_max=8)
-    fine = BuchstabTable(grid_step=1e-4, u_max=8)
+    coarse = BuchstabTable(grid_step=2e-4)
+    fine = BuchstabTable(grid_step=1e-4)
     rng = random.Random(11)
     for _ in range(200):
         u = rng.uniform(3.0, 7.9)
         assert abs(coarse.omega(u) - fine.omega(u)) < 1e-5
 
 
-def test_lazy_extension():
-    tab = BuchstabTable(grid_step=1e-3, u_max=6)
-    val = tab.omega(9.5)
-    assert tab.u_max >= 9.5
-    assert 0.5612 - 1e-3 <= val <= 0.5617 + 1e-3
+def test_tail_is_exp_neg_gamma():
+    assert omega(100.0) == EXP_NEG_GAMMA
+    assert (omega_many(np.array([64.5, 100.0])) == EXP_NEG_GAMMA).all()
+
+
+def test_closed_form_34_against_dilogarithm():
+    # u*omega(u) = 1 + pi^2/12 + log(u-1) + log(u-1)*log(u-2) + Li2(2-u),
+    # with scipy's spence(x) = Li2(1-x).
+    from scipy.special import spence
+
+    u = np.linspace(3.0, 4.0, 10_001)
+    ref = (1 + math.pi**2 / 12 + np.log(u - 1) * (1 + np.log(u - 2)) + spence(u - 1)) / u
+    assert np.abs(_closed_form_34(u) - ref).max() <= 1e-14
+
+
+def test_cli_path_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import sievelab.cli\n"
+        "from sievelab import buchstab\n"
+        "buchstab.default_table()\n"
+        "buchstab.omega(3.5)\n"
+        "buchstab.omega_lower(3.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sievelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -26,13 +26,13 @@ def test_buchstab_rows():
 
 
 def test_buchstab_band_rows():
-    code, out = run_cli(["buchstab", "3", "4", "0.1", "--format", "csv"])
+    code, out = run_cli(["buchstab", "3", "4", "0.01", "--format", "csv"])
     assert code == 0
     rows = out.strip().splitlines()[1:]
-    assert len(rows) == 11
+    assert len(rows) == 101
     for row in rows:
         _, lo, mid, hi, _ = row.split(",")
-        assert float(lo) - 1e-9 <= float(mid) <= float(hi) + 1e-9
+        assert float(lo) <= float(mid) <= float(hi)
 
 
 def test_buchstab_empty_range():

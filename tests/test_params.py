@@ -105,8 +105,6 @@ def test_values_carry_derived_parameters():
     assert vals["tau"] == pytest.approx(tau(0.52))
     assert "nu" in vals
     assert vals["delta"] == 0.0
-    over = theta_only(0.52).with_overrides(kappa=0.1).values()
-    assert over["kappa"] == 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,9 @@ def test_buchstab_weight_bracketing():
     assert lo.value <= mid.value + table_slack
     assert mid.value <= hi.value + table_slack
     assert mid.value > 0
+    with pytest.raises(SpecificationError):
+        integrate(cat2.integrals["floorint"], p, tol=1e-9, budget=FAST, cat=cat2,
+                  weight_variant="middle")
 
 
 def test_unbounded_integrand_rejected():

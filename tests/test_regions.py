@@ -9,7 +9,6 @@ from sievelab.catalog import default_catalog, dumps, loads, parse_affine_expr
 from sievelab.params import theta_only
 from sievelab.regions import (
     AffineForm,
-    AlphaVector,
     IntervalPiece,
     IntervalUnion,
     NumericPiece,
@@ -172,9 +171,9 @@ def brute_partition(entries, region, vals):
 
 def test_partition_examples():
     vals = theta_only(0.52).values()
-    assert partitions_into(AlphaVector([0.45, 0.30]), CAT.region("Tstar3"), vals, CAT)
+    assert partitions_into((0.45, 0.30), CAT.region("Tstar3"), vals, CAT)
     vals51 = theta_only(0.51).values()
-    assert not partitions_into(AlphaVector([0.5]), CAT.region("g1"), vals51, CAT)
+    assert not partitions_into((0.5,), CAT.region("g1"), vals51, CAT)
 
 
 def test_partition_against_brute_oracle():
@@ -186,9 +185,9 @@ def test_partition_against_brute_oracle():
         if sum(entries) > 1:
             continue
         vals = theta_only(rng.choice([0.51, 0.53])).values()
-        alpha = AlphaVector(sorted(entries, reverse=True))
+        alpha = tuple(sorted(entries, reverse=True))
         got = partitions_into(alpha, reg, vals, CAT)
-        want = brute_partition(list(alpha.alphas), reg, vals)
+        want = brute_partition(list(alpha), reg, vals)
         assert got == want
 
 
@@ -200,9 +199,9 @@ def test_partition_permutation_invariant():
         entries = [rng.uniform(0.05, 0.3) for _ in range(4)]
         if sum(entries) > 1:
             continue
-        base = partitions_into(AlphaVector(entries), reg, vals, CAT)
+        base = partitions_into(tuple(entries), reg, vals, CAT)
         rng.shuffle(entries)
-        assert partitions_into(AlphaVector(entries), reg, vals, CAT) == base
+        assert partitions_into(tuple(entries), reg, vals, CAT) == base
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +355,3 @@ def test_definitely_agrees_with_sampling():
             assert got.all()
         else:
             assert not got.any()
-
-
-def test_alpha_vector_validation():
-    with pytest.raises(ValueError):
-        AlphaVector([])
-    with pytest.raises(ValueError):
-        AlphaVector([0.6, 0.6])  # sums beyond 1
-    v = AlphaVector([0.2, 0.5])  # sorts descending
-    assert v.alphas == (0.5, 0.2)

@@ -5,12 +5,17 @@ Estimates are deterministic for a fixed seed: every (stratum, replicate)
 pair owns a scrambled Sobol stream seeded from (seed, stratum, replicate),
 rounds refine allocation by stratum spread, and results are reduced in fixed
 stratum order.  The error estimate is the spread of the replicate totals.
-"""
 
+The streams are generated here, all of one integral as arrays: each
+reproduces scipy's LMS+shift scrambled Sobol engine (``qmc.Sobol(d,
+scramble=True)`` seeded from the same key) bit for bit, and scipy supplies
+only the unscrambled direction numbers.  One round draws every stream and
+evaluates the region and the weight over blocks of many streams' points.
+"""
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,12 @@ DEFAULT_BUDGET = 1 << 22
 REPLICATES = 4
 FIRST_ROUND = 1 << 14  # per-round totals double from here up to the budget
 MIN_BATCH = 16
+PILOT = 8192  # boundedness-pilot points for singular weights, outside the budget
 MIN_SAMPLES = 1 << 18  # tolerance may only stop the refinement beyond this
 FLOOR_MIN = 1e-4  # smallest admissible denominator floor for singular weights
+# Points drawn and evaluated together.  Twice as many ran no faster and held
+# more memory: the subset-sum tables of `splits` regions grow with the rows.
+BLOCK_ROWS = 1 << 14
 
 NAMED = ("I1", "I2", "I3", "I4", "I5", "I6", "S235", "S236", "S237", "U233", "U234")
 
@@ -79,8 +88,8 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
         kap = vals["kappa"]
         omega_eval = {
             "": buchstab.default_table().omega_many,
-            "lower": np.vectorize(buchstab.omega_lower, otypes=[float]),
-            "upper": np.vectorize(buchstab.omega_upper, otypes=[float]),
+            "lower": buchstab.omega_lower_many,
+            "upper": buchstab.omega_upper_many,
         }.get(variant)
         if omega_eval is None:
             raise SpecificationError(f"unknown weight variant {variant!r}")
@@ -94,34 +103,162 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
     raise SpecificationError(f"unknown weight kind {kind!r}")
 
 
-class _Stream:
-    """One (stratum, replicate) Sobol stream with running sums."""
+# Sobol points are 30-bit binary fractions, as in scipy's default engine.
+SOBOL_BITS = 30
+_LSB = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)  # bit k -> 2^k
+_MSB = _LSB[::-1].copy()  # binary digit p after the point -> 2^(29-p)
+_STRICTLY_LOWER = np.tril(np.ones((SOBOL_BITS, SOBOL_BITS), dtype=np.uint32), -1)
 
-    def __init__(self, dim: int, seed_key: tuple[int, int, int]):
-        from scipy.stats import qmc  # slow to import, and only sampling needs it
 
-        rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
-        self.engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.hits = 0
+@functools.cache
+def _directions(dim: int, bits: int) -> np.ndarray:
+    """Unscrambled direction numbers v_0 .. v_{bits-1} of scipy's Sobol
+    sequence, shape (bits, dim).
 
-    def draw(self, m: int) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return self.engine.random(m)
+    The unscrambled point of index 2^(b+1) - 1 (Gray code 2^b) is v_b alone.
+    Reaching it costs 2^(b+1) steps, so only the bits a stream has reached
+    are computed.
+    """
+    from scipy.stats import qmc  # slow to import, and only sampling needs it
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
+    engine = qmc.Sobol(dim, scramble=False)
+    v = np.empty((bits, dim), dtype=np.uint32)
+    drawn = 0
+    for b in range(bits):
+        index = (1 << (b + 1)) - 1
+        engine.fast_forward(index - drawn)
+        v[b] = engine.random(1)[0] * (1 << SOBOL_BITS)
+        drawn = index + 1
+    return v
 
-    @property
-    def var(self) -> float:
-        if self.n < 2:
-            return 0.0
-        m = self.mean
-        return max(self.total_sq / self.n - m * m, 0.0)
+
+class _Streams:
+    """Scrambled Sobol streams, one per seed key, held as arrays, with the
+    running sums of the integrand over each stream's points.
+
+    Stream q reproduces ``qmc.Sobol(dim, scramble=True,
+    seed=np.random.default_rng(np.random.SeedSequence(keys[q])))`` bit for
+    bit: the engine spawns the generator PCG64(SeedSequence(key,
+    spawn_key=(0,))) and draws from it a digital shift and one random
+    lower-triangular bit matrix per dimension (LMS+shift, Owen 1995).  Point
+    i is the shift XORed with the scrambled direction numbers of the set
+    bits of i's Gray code.
+    """
+
+    def __init__(self, dim: int, keys):
+        n = len(keys)
+        self.dim = dim
+        self.shift = np.empty((n, dim), dtype=np.uint32)
+        # columns[q, j, k]: the scrambling matrix's image of bit k
+        self.columns = np.empty((n, dim, SOBOL_BITS), dtype=np.uint32)
+        for q, key in enumerate(keys):
+            ss = np.random.SeedSequence(list(key), spawn_key=(0,))
+            rng = np.random.Generator(np.random.PCG64(ss))
+            self.shift[q] = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ _LSB
+            ltm = rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
+            # unit diagonal, random below it; row p gives output digit p
+            digits = _MSB @ (ltm & _STRICTLY_LOWER) + _MSB
+            self.columns[q] = digits[:, ::-1]
+        self.scrambled = np.zeros((n, SOBOL_BITS, dim), dtype=np.uint32)
+        self.bits = 0  # leading columns of `scrambled` filled so far
+        self.n = np.zeros(n, dtype=np.int64)
+        self.total = np.zeros(n)
+        self.total_sq = np.zeros(n)
+        self.hits = np.zeros(n, dtype=np.int64)
+
+    def mean(self) -> np.ndarray:
+        return np.divide(self.total, self.n, out=np.zeros(len(self.n)), where=self.n > 0)
+
+    def var(self) -> np.ndarray:
+        sq = np.divide(self.total_sq, self.n, out=np.zeros(len(self.n)), where=self.n > 1)
+        mean = self.mean()
+        return np.where(self.n > 1, np.maximum(sq - mean * mean, 0.0), 0.0)
+
+    def _reserve(self, bits: int) -> None:
+        if bits > SOBOL_BITS:
+            raise ValueError(f"a Sobol stream holds at most 2**{SOBOL_BITS} points")
+        if bits <= self.bits:
+            return
+        v = _directions(self.dim, bits)
+        for b in range(self.bits, bits):
+            set_bits = (v[b][:, None] >> np.arange(SOBOL_BITS, dtype=np.uint32)) & 1
+            self.scrambled[:, b] = np.bitwise_xor.reduce(self.columns * set_bits, axis=2)
+        self.bits = bits
+
+    def _at(self, sid: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Integer points of streams sid at the given indices, one row each."""
+        gray = index ^ (index >> 1)
+        bits = np.arange(int(gray.max()).bit_length())
+        on = ((gray[:, None] >> bits) & 1).astype(np.uint32)
+        used = self.scrambled[sid, : len(bits)] * on[:, :, None]
+        return self.shift[sid] ^ np.bitwise_xor.reduce(used, axis=1)
+
+    def points(self, sid: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Points start .. start + count - 1 of each stream sid (count >= 1),
+        concatenated in order, as floats in [0, 1)."""
+        self._reserve(int((start + count - 1).max()).bit_length())
+        offsets = np.cumsum(count) - count
+        piece = np.repeat(np.arange(len(sid)), count)
+        index = np.arange(int(count.sum())) + (start - offsets)[piece]
+        # Gray-code order: point i is point i - 1 XOR the direction number
+        # of i's lowest set bit, so a running XOR over those differences,
+        # each segment seeded with its first point, yields the points once
+        # the running XOR up to the segment before is taken off.
+        low_bit = np.bitwise_count(index ^ (index - 1)) - 1
+        rows = sid[piece] * SOBOL_BITS + low_bit
+        pts = self.scrambled.reshape(-1, self.dim).take(rows, axis=0)
+        pts[offsets] = self._at(sid, start)
+        np.bitwise_xor.accumulate(pts, axis=0, out=pts)
+        if len(sid) > 1:
+            before = pts[offsets[1:] - 1]
+            pts[count[0] :] ^= np.repeat(before, count[1:], axis=0)
+        return pts * (1.0 / (1 << SOBOL_BITS))
+
+    def run(self, count: np.ndarray, sample) -> None:
+        """Draw count[q] further points of every stream q and add them to its
+        sums; sample(stream of each row, points) returns the integrand
+        values and the region indicator, and may overwrite the points.
+
+        Streams are sampled together in blocks of at most BLOCK_ROWS rows, a
+        longer stream alone in blocks of BLOCK_ROWS; each stream's sums are
+        taken over its whole run of values, so they do not depend on the
+        blocks.
+        """
+        groups, group, size = [], [], 0
+        for q in np.flatnonzero(count).tolist():
+            m = int(count[q])
+            if group and size + m > BLOCK_ROWS:
+                groups.append(group)
+                group, size = [], 0
+            group.append(q)
+            size += m
+        if group:
+            groups.append(group)
+        for group in groups:
+            sid = np.array(group)
+            m, start = count[sid], self.n[sid]
+            if len(group) == 1 and m[0] > BLOCK_ROWS:
+                cuts = range(0, int(m[0]), BLOCK_ROWS)
+                parts = [self._sample(sample, sid, start + a, np.minimum(m - a, BLOCK_ROWS))
+                         for a in cuts]
+                g, inside = (np.concatenate(p) for p in zip(*parts))
+            else:
+                g, inside = self._sample(sample, sid, start, m)
+            # Each stream's values as one row, rows of a length together:
+            # a row sum is the pairwise sum g[a:b].sum() takes.
+            begins = np.cumsum(m) - m
+            g_sq = g * g
+            for length in np.unique(m).tolist():
+                sel = np.flatnonzero(m == length)
+                rows = begins[sel, None] + np.arange(length)
+                q = sid[sel]
+                self.total[q] += g[rows].sum(axis=1)
+                self.total_sq[q] += g_sq[rows].sum(axis=1)
+                self.hits[q] += np.count_nonzero(inside[rows], axis=1)
+            self.n[sid] += m
+
+    def _sample(self, sample, sid, start, count):
+        return sample(np.repeat(sid, count), self.points(sid, start, count))
 
 
 def integrate(
@@ -138,6 +275,9 @@ def integrate(
 
     Sampling stops once the replicate-spread error estimate reaches tol
     (absolute, or rel_tol relative when given) or the budget is exhausted.
+    The budget caps the reported samples.  Reciprocal- and Buchstab-weighted
+    integrals first draw PILOT (8,192) boundedness-pilot points, which the
+    samples do not count.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -197,7 +337,8 @@ def integrate(
     # Boundedness pilot: for singular weights the region must keep every
     # coordinate and the leftover 1 - sum(t) away from zero.
     if spec.weight in ("reciprocal", "buchstab"):
-        pilot = _Stream(k, (seed, 1 << 30, 0)).draw(8192)
+        zero = np.zeros(1, dtype=np.int64)
+        pilot = _Streams(k, [(seed, 1 << 30, 0)]).points(zero, zero, zero + PILOT)
         x = lo + pilot * (hi - lo)
         if spec.sorted:
             x = -np.sort(-x, axis=1)
@@ -212,9 +353,9 @@ def integrate(
                 )
 
     n_strata = len(boxes)
-    streams = [
-        [_Stream(k, (seed, s, r)) for r in range(REPLICATES)] for s in range(n_strata)
-    ]
+    streams = _Streams(k, [(seed, s, r) for s in range(n_strata) for r in range(REPLICATES)])
+    box_lo = np.array([slo for slo, _ in boxes])
+    box_width = np.array([shi - slo for slo, shi in boxes])
     frac = 1.0 / n_cells  # equal cell volumes
     w_cap = 0.0
     total_n = 0
@@ -222,6 +363,24 @@ def integrate(
     first = True
     value = 0.0
     err = float("inf")
+
+    def sample(sid: np.ndarray, u: np.ndarray):
+        nonlocal w_cap
+        stratum = sid // REPLICATES
+        x = u  # in place: the points are not used again
+        x *= box_width.take(stratum, axis=0)
+        x += box_lo.take(stratum, axis=0)
+        if spec.sorted:
+            x *= -1.0
+            x.sort(axis=1)
+            x *= -1.0
+        inside = region.eval(x, vals, cat)
+        g = np.zeros(len(x))
+        if inside.any():
+            w = wfn(x[inside])
+            g[inside] = w
+            w_cap = max(w_cap, float(w.max()))
+        return g, inside
 
     while True:
         # Allocation: equal on the first round, then half proportional and
@@ -231,49 +390,28 @@ def integrate(
         if first:
             weights = np.ones(n_strata) / n_strata
         else:
-            sigma = np.array(
-                [math.sqrt(max(sum(st.var for st in row) / REPLICATES, 0.0)) for row in streams]
-            )
+            # replicate variances summed one replicate after another
+            spread = sum(streams.var().reshape(n_strata, REPLICATES).T)
+            sigma = np.sqrt(np.maximum(spread / REPLICATES, 0.0))
             if sigma.sum() > 0:
                 weights = 0.5 / n_strata + 0.5 * sigma / sigma.sum()
             else:
                 weights = np.ones(n_strata) / n_strata
-        batch = []
-        for s in range(n_strata):
-            m = int(round_total * weights[s] / REPLICATES)
-            batch.append(max(MIN_BATCH, 1 << max(int(math.ceil(math.log2(max(m, 1)))), 0)))
+        # Per-replicate batches: the weighted share rounded up to a power of
+        # two, at least MIN_BATCH.
+        share = np.maximum((round_total * weights / REPLICATES).astype(np.int64), 1)
+        batch = np.maximum(MIN_BATCH, np.int64(1) << np.frexp(share - 1.0)[1])
         # The budget is a hard cap: a round that would overshoot it is cut to
         # what is left, shared by the same weights, and is the last round.
-        last = total_n + REPLICATES * sum(batch) > budget
+        last = total_n + REPLICATES * int(batch.sum()) > budget
         if last:
-            batch = [int((budget - total_n) * w / REPLICATES) for w in weights]
-        for s, m in enumerate(batch):
-            if not m:
-                continue
-            slo, shi = boxes[s]
-            for r in range(REPLICATES):
-                st = streams[s][r]
-                u = st.draw(m)
-                x = slo + u * (shi - slo)
-                if spec.sorted:
-                    x = -np.sort(-x, axis=1)
-                inside = region.eval(x, vals, cat)
-                g = np.zeros(m)
-                if inside.any():
-                    xin = x[inside]
-                    w = wfn(xin)
-                    g[inside] = w
-                    w_cap = max(w_cap, float(w.max()))
-                st.n += m
-                st.total += float(g.sum())
-                st.total_sq += float((g * g).sum())
-                st.hits += int(inside.sum())
-                total_n += m
+            batch = ((budget - total_n) * weights / REPLICATES).astype(np.int64)
+        streams.run(np.repeat(batch, REPLICATES), sample)
+        total_n += REPLICATES * int(batch.sum())
         first = False
 
-        reps = np.zeros(REPLICATES)
-        for r in range(REPLICATES):
-            reps[r] = vol * frac * sum(streams[s][r].mean for s in range(n_strata))
+        mean = streams.mean().reshape(n_strata, REPLICATES)
+        reps = np.array([vol * frac * sum(mean[:, r].tolist()) for r in range(REPLICATES)])
         value = scale * float(reps.mean())
         err = scale * float(reps.std(ddof=1)) / math.sqrt(REPLICATES)
         target = tol if rel_tol is None else max(tol, rel_tol * abs(value))
@@ -284,8 +422,7 @@ def integrate(
             break
         round_total = min(2 * round_total, max(budget - total_n, FIRST_ROUND))
 
-    hits = sum(st.hits for row in streams for st in row)
-    if hits == 0:
+    if not streams.hits.any():
         if w_cap == 0.0:
             if spec.weight == "one":
                 w_cap = 1.0

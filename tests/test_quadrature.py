@@ -240,3 +240,28 @@ def test_pinned_fixed_seed_results(name):
     value, err, samples, flag = PINNED_2_16[name]
     want = QuadratureResult(float.fromhex(value), float.fromhex(err), samples, DEFAULT_SEED, flag)
     assert res == want
+
+
+# Fine-grid calibration integrals and both L7 sums at budget 2^16, as above.
+# The calibration integrals run up to thousands of strata (cal2 keeps 2080
+# cells), where one round spans the most streams.
+PINNED_FINE_2_16 = {
+    "cal2": ("0x1.0008000000000p-1", "0x1.53ce5d0a430a4p-14", 58240, ""),
+    "cal3": ("0x1.55961b9a7d8d2p-3", "0x1.359fca49e7355p-14", 64948, ""),
+    "cal4": ("0x1.54ec895228653p-5", "0x1.346cc01e57a9fp-16", 64828, ""),
+    "cal5": ("0x1.10544df534951p-7", "0x1.21d50c466de3bp-16", 65224, ""),
+    "cal6": ("0x1.6ae79310a9796p-10", "0x1.432e2eac26b84p-19", 65356, ""),
+    "L7_1_11": ("0x1.a931f95b5817fp-1", "0x1.2e653de71939dp-9", 196552, ""),
+    "L7_1_12": ("0x1.35cfea17370ecp+0", "0x1.dfe31811ffb47p-9", 196564, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINE_2_16))
+def test_pinned_fine_grid_results(name):
+    if name.startswith("cal"):
+        res = integrate(CAT.integrals[name], {}, budget=1 << 16)
+    else:
+        res = eval_L7(1 / int(name[-2:]), budget=1 << 16)
+    value, err, samples, flag = PINNED_FINE_2_16[name]
+    want = QuadratureResult(float.fromhex(value), float.fromhex(err), samples, DEFAULT_SEED, flag)
+    assert res == want

@@ -1,0 +1,118 @@
+"""The array-backed Sobol streams of sievelab.quadrature against scipy's
+scrambled engine, and the invariance of their sums under blocking."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
+
+from sievelab import quadrature
+from sievelab.quadrature import BLOCK_ROWS, _Streams
+
+# draw sizes: single points, small odd sizes, and powers of two and their
+# neighbours, so that draws cross 2^k
+SIZES = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([63, 64, 65, 127, 128, 129, 1000, 1023, 1024, 1025, 4095, 4097]),
+)
+
+
+def scipy_points(dim, key, sizes):
+    rng = np.random.default_rng(np.random.SeedSequence(list(key)))
+    engine = qmc.Sobol(dim, scramble=True, seed=rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [engine.random(m) for m in sizes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.lists(SIZES, min_size=1, max_size=3), min_size=1, max_size=5),
+)
+def test_points_equal_scipy_engines(dim, seed, sizes):
+    # Up to three streams drawn together, each with its own sequence of
+    # draw sizes; every draw equals the scipy engine's, array for array.
+    keys = [(seed, s, r) for s, r in [(0, 0), (3, 1), (1 << 30, 0)][: len(sizes[0])]]
+    draws = [[row[j % len(row)] for row in sizes] for j in range(len(keys))]
+    streams = _Streams(dim, keys)
+    want = [scipy_points(dim, key, d) for key, d in zip(keys, draws)]
+    start = np.zeros(len(keys), dtype=np.int64)
+    sid = np.arange(len(keys))
+    for i in range(len(sizes)):
+        count = np.array([d[i] for d in draws])
+        got = streams.points(sid, start, count)
+        offsets = np.concatenate(([0], np.cumsum(count)))
+        for q in range(len(keys)):
+            np.testing.assert_array_equal(got[offsets[q] : offsets[q + 1]], want[q][i])
+        start += count
+
+
+def test_long_draw_equals_scipy_engine():
+    dim, key = 3, (7, 2, 1)
+    sizes = [5, BLOCK_ROWS + 1000]
+    streams = _Streams(dim, [key])
+    want = scipy_points(dim, key, sizes)
+    zero = np.zeros(1, dtype=np.int64)
+    np.testing.assert_array_equal(streams.points(zero, zero, zero + sizes[0]), want[0])
+    np.testing.assert_array_equal(streams.points(zero, zero + sizes[0], zero + sizes[1]), want[1])
+
+
+def run_sums(dim, keys, rounds, block_rows, monkeypatch):
+    monkeypatch.setattr(quadrature, "BLOCK_ROWS", block_rows)
+    streams = _Streams(dim, keys)
+
+    def sample(sid, u):
+        inside = u[:, 0] < 0.6
+        g = np.where(inside, 1.0 / (u.sum(axis=1) + 0.1 * sid), 0.0)
+        return g, inside
+
+    for count in rounds:
+        streams.run(np.array(count), sample)
+    return streams
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 5),
+    rounds=st.lists(
+        st.lists(st.one_of(st.integers(0, 300), st.integers(300, 3000)), min_size=6, max_size=6),
+        min_size=1,
+        max_size=3,
+    ),
+    block_rows=st.integers(1, 4000),
+)
+def test_sums_do_not_depend_on_blocks(dim, rounds, block_rows):
+    keys = [(11, s, r) for s in range(3) for r in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        blocked = run_sums(dim, keys, rounds, block_rows, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        whole = run_sums(dim, keys, rounds, 1 << 20, mp)
+    for field in ("n", "total", "total_sq", "hits"):
+        np.testing.assert_array_equal(getattr(blocked, field), getattr(whole, field))
+    # and each stream's sums are its own values summed per round
+    want = np.zeros(len(keys))
+    for q, key in enumerate(keys):
+        drawn = [row[q] for row in rounds if row[q]]
+        for u in scipy_points(dim, key, drawn):
+            inside = u[:, 0] < 0.6
+            want[q] += np.where(inside, 1.0 / (u.sum(axis=1) + 0.1 * q), 0.0).sum()
+    np.testing.assert_array_equal(whole.total, want)
+
+
+def test_integrate_builds_no_scrambled_engine(monkeypatch):
+    built = []
+    init = qmc.Sobol.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("scramble", True))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qmc.Sobol, "__init__", counting_init)
+    cat = quadrature.default_catalog()
+    quadrature.integrate(cat.integrals["cal3"], {}, budget=1 << 16, seed=12345)
+    assert not any(built)

@@ -11,7 +11,6 @@ numbers computed here.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import buchstab as bb
@@ -194,20 +193,22 @@ def cmd_verify(args) -> int:
         for label, passed, provenance in results:
             ok &= _check(label, passed, "row verdict", provenance, lines)
     elif suite == "L7":
-        r11 = qd.eval_L7(1 / 11, tol=5e-3, seed=seed, budget=args.budget)
+        cat = _catalog(args)
+        r11 = qd.eval_L7(1 / 11, tol=5e-3, seed=seed, budget=args.budget, cat=cat)
         ok &= _check(
             "L7(1/11) < 0.84", r11.value < 0.84, f"value {r11.value:.6g}", PUBLISHED, lines
         )
-        r12 = qd.eval_L7(1 / 12, tol=5e-3, seed=seed, budget=args.budget)
+        r12 = qd.eval_L7(1 / 12, tol=5e-3, seed=seed, budget=args.budget, cat=cat)
         ok &= _check(
             "L7(1/12) > 1.2", r12.value > 1.2, f"value {r12.value:.6g}", PUBLISHED, lines
         )
     elif suite == "I56":
         budget = max(args.budget, 1 << 26)  # escalated budget for this suite
+        cat = _catalog(args)
         for t1, t2 in ((0.32, 0.20), (0.33, 0.19)):
             params = ThetaParams(t1, t2)
-            r5 = qd.named_integral("I5", params, tol=3e-6, seed=seed, budget=budget)
-            r6 = qd.named_integral("I6", params, tol=3e-6, seed=seed, budget=budget)
+            r5 = qd.named_integral("I5", params, tol=3e-6, seed=seed, budget=budget, cat=cat)
+            r6 = qd.named_integral("I6", params, tol=3e-6, seed=seed, budget=budget, cat=cat)
             total = r5.value + r6.value
             bound = 1e-5 + 3 * (r5.est_error + r6.est_error)
             ok &= _check(
@@ -236,7 +237,7 @@ def cmd_verify(args) -> int:
 
 
 def _catalog(args):
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return default_catalog()
 
@@ -247,7 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=qd.DEFAULT_SEED)
     common.add_argument("--tol", type=float, default=1e-3)
     common.add_argument("--budget", type=int, default=qd.DEFAULT_BUDGET)
-    common.add_argument("--catalog", default=os.environ.get("SIEVELAB_CATALOG") or None)
+    common.add_argument("--catalog", default=None)
     common.add_argument("--epsilon", type=float, default=None)
     common.add_argument("--theta", type=float, default=None)
     common.add_argument("--theta1", type=float, default=None)

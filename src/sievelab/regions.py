@@ -698,12 +698,14 @@ def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bo
     """True iff the point satisfies the region's boolean tree as written.
 
     A point is a box with equal corners: interval mode decides every atom
-    on it exactly, with the same arithmetic as batch evaluation.
+    on it exactly, with the same arithmetic as batch evaluation.  A NaN
+    coordinate would leave atoms undecided, so non-finite points are
+    rejected.
     """
-    x = np.atleast_2d(np.asarray(point, dtype=float))
-    bound = _bound(region, x.shape[1], params, catalog)
-    verdict = bound.decide(x[0], x[0])
-    return bool(bound.eval(x)[0]) if verdict is None else verdict
+    x = np.asarray(point, dtype=float).reshape(-1)
+    if not np.isfinite(x).all():
+        raise RegionError(f"point {x.tolist()} has a non-finite coordinate")
+    return _bound(region, len(x), params, catalog).decide(x, x)
 
 
 def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catalog) -> bool:

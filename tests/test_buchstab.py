@@ -133,12 +133,15 @@ def test_closed_form_34_against_dilogarithm():
 
 def test_cli_path_loads_no_scipy():
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import sievelab.cli\n"
         "from sievelab import buchstab\n"
         "buchstab.default_table()\n"
         "buchstab.omega(3.5)\n"
         "buchstab.omega_lower(3.5)\n"
+        "argv = ['integral', 'S235', '--theta', '0.52', '--budget', '65536']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert sievelab.cli.main(argv) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(sievelab.__file__))

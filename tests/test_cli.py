@@ -83,6 +83,35 @@ def test_typeii_ambiguous_exit(tmp_path):
     assert code == 3
 
 
+def test_verify_l7_reads_catalog(tmp_path):
+    from sievelab.catalog import default_catalog, dumps
+
+    line = "integral L71 dim=3 region=U71 weight=reciprocal mult=2 sorted"
+    text = dumps(default_catalog())
+    assert line in text
+    path = tmp_path / "cat.txt"
+    path.write_text(text.replace(line, line.replace("mult=2", "mult=200")))
+    args = ["verify", "L7", "--budget", "65536"]
+    values = []
+    for extra in ([], ["--catalog", str(path)]):
+        _, out = run_cli(args + extra)
+        values.append([float(ln.split("value ")[1].split()[0]) for ln in out.splitlines()])
+    # L71 counts 100 times over, so both L7 values grow
+    assert all(scaled > plain + 0.1 for plain, scaled in zip(*values))
+
+
+def test_verify_i56_reads_catalog(tmp_path):
+    from sievelab.catalog import default_catalog, dumps
+
+    line = "integral I5 dim=3 region=D5 weight=reciprocal mult=1"
+    text = dumps(default_catalog())
+    assert line in text
+    path = tmp_path / "cat.txt"
+    path.write_text(text.replace(line, line.replace("dim=3", "dim=25")))
+    code, out = run_cli(["verify", "I56", "--catalog", str(path)])
+    assert code == 2 and out == ""
+
+
 def test_integral_zero_case():
     code, out = run_cli(["integral", "U234", "--theta", "0.51", "--format", "csv"])
     assert code == 0

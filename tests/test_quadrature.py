@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,12 @@ def test_unbounded_integrand_rejected():
     cat2 = loads(dumps(CAT) + extra)
     with pytest.raises(SpecificationError):
         integrate(cat2.integrals["badint"], {}, tol=1e-3, budget=FAST, cat=cat2)
+
+
+def test_integral_beyond_direction_table_rejected():
+    wide = dataclasses.replace(CAT.integrals["cal6"], name="wide", dim=25)
+    with pytest.raises(SpecificationError, match="at most 24 allowed"):
+        integrate(wide, {}, budget=FAST)
 
 
 def test_l7_thresholds_and_monotone():

@@ -12,6 +12,7 @@ from sievelab.regions import (
     IntervalPiece,
     IntervalUnion,
     NumericPiece,
+    RegionError,
     contains,
     definitely,
     interval_contains,
@@ -75,6 +76,13 @@ def test_contains_examples():
 
     empty = RegionSpec("empty_and", 2, parse_bool_expr("true"))
     assert contains(empty, [0.9, 0.9], vals, CAT)
+
+
+def test_contains_rejects_non_finite_points():
+    # a NaN leaves atoms undecided; an infinity is rejected alike
+    for point in ([float("nan"), 0.1], [0.1, float("inf")]):
+        with pytest.raises(RegionError, match="non-finite"):
+            contains(CAT.region("simplex2"), point, {}, CAT)
 
 
 def test_enlarged_s_disjunct():

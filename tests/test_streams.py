@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from sievelab import quadrature
-from sievelab.quadrature import BLOCK_ROWS, _Streams
+from sievelab.quadrature import BLOCK_ROWS, MAX_DIM, SOBOL_BITS, _directions, _Streams
 
 # draw sizes: single points, small odd sizes, and powers of two and their
 # neighbours, so that draws cross 2^k
@@ -28,9 +28,24 @@ def scipy_points(dim, key, sizes):
         return [engine.random(m) for m in sizes]
 
 
+def test_directions_equal_scipy_unscrambled_points():
+    # The unscrambled point of index 2^(b+1) - 1 (Gray code 2^b) is v_b
+    # alone; bits up to 22 are reached with at most 2^23 - 1 steps.
+    for dim in range(1, MAX_DIM + 1):
+        engine = qmc.Sobol(dim, scramble=False)
+        v = _directions(dim)
+        assert v.shape == (SOBOL_BITS, dim)
+        drawn = 0
+        for b in range(23):
+            index = (1 << (b + 1)) - 1
+            engine.fast_forward(index - drawn)
+            np.testing.assert_array_equal(v[b], engine.random(1)[0] * (1 << SOBOL_BITS))
+            drawn = index + 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    dim=st.integers(1, 8),
+    dim=st.integers(1, MAX_DIM),
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.lists(SIZES, min_size=1, max_size=3), min_size=1, max_size=5),
 )
@@ -105,6 +120,7 @@ def test_sums_do_not_depend_on_blocks(dim, rounds, block_rows):
 
 
 def test_integrate_builds_no_scrambled_engine(monkeypatch):
+    # nor an unscrambled one: the direction numbers are computed here
     built = []
     init = qmc.Sobol.__init__
 
@@ -113,6 +129,7 @@ def test_integrate_builds_no_scrambled_engine(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(qmc.Sobol, "__init__", counting_init)
+    _directions.cache_clear()
     cat = quadrature.default_catalog()
     quadrature.integrate(cat.integrals["cal3"], {}, budget=1 << 16, seed=12345)
-    assert not any(built)
+    assert built == []

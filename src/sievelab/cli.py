@@ -84,6 +84,15 @@ def cmd_buchstab(args) -> int:
 
 
 def cmd_typeii(args) -> int:
+    point = args.point
+    if len(point) > 3:
+        raise RegionError(f"typeii takes at most three coordinates, got {len(point)}")
+    if len(point) == 1:
+        args.theta = point[0]
+    elif len(point) == 2:
+        args.theta1, args.theta2 = point
+    elif len(point) == 3:
+        args.theta1, args.theta2, args.theta3 = point
     params = _build_params(args)
     cat = _catalog(args)
     report = type_ii_range(params, cat, family=getattr(args, "family", "auto"))
@@ -290,13 +299,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    if args.command == "typeii" and args.point:
-        if len(args.point) == 1:
-            args.theta = args.point[0]
-        elif len(args.point) == 2:
-            args.theta1, args.theta2 = args.point
-        else:
-            args.theta1, args.theta2, args.theta3 = args.point[:3]
     try:
         return args.func(args)
     except AmbiguityError as exc:

@@ -10,13 +10,20 @@ The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
 scramble=True)`` seeded from the same key bit for bit, from the same
 direction numbers, computed here by the Joe-Kuo recurrence for up to
-MAX_DIM = 24 dimensions.  One round draws every stream and evaluates the
-region and the weight over blocks of many streams' points.
+MAX_DIM = 24 dimensions.  Set-up makes the engine's random bits without a
+SeedSequence or a Generator per stream: the seed hash runs in numpy over
+batches of keys, each stream sets the PCG64 state directly and takes one
+random_raw call, and integers(2) is read as the top bit of each 32-bit half
+of a word (numpy's bounded-integer method; tests/test_streams.py guards
+this).  One round draws every stream and evaluates the region and the
+weight over blocks of many streams' points.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +159,89 @@ def _directions(dim: int) -> np.ndarray:
     return v * _MSB[:, None]
 
 
+# numpy's SeedSequence: the entropy words are hashed into a pool of four
+# 32-bit words, which generate_state hashes again into the output words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64: a 128-bit LCG with this multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# Generator words unpacked together, in one buffer.  Unpacking took 3.6, 5.7
+# and 11.2 us per stream at d = 2, 3, 6 in chunks of 2^14 words (128 KB),
+# 4.7, 7.1 and 15.4 us in chunks of 2^13, and 3.4, 4.9 and 10.1 us in
+# chunks of 2^15, for twice the buffer (2-core machine).
+CHUNK_WORDS = 1 << 14
+# Keys hashed together.  Against the per-stream SeedSequence set-up, the
+# peak RSS of a quad-affine pass rose by about 1.3 MB when all of an
+# integral's keys (8,320 for cal2) were hashed at once, by about 0.6 MB in
+# batches of 1024 (single runs) and by 0.3 MB in batches of 256 (median of
+# 10), which cost 3.6 us per key against 2.5 us in batches of 1024 (2-core
+# machine).
+SEED_BATCH = 256
+
+
+def _words(value) -> tuple[int, ...]:
+    """The 32-bit words of one key entry, low first, as SeedSequence splits
+    an integer (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return tuple(words)
+
+
+def _seed_hash(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(8, uint32) for every row of entropy
+    words (at least _POOL_SIZE of them), shape (n, 8): numpy's hashmix, mix
+    and generate_state in uint32 arithmetic, all rows at once."""
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const = _INIT_B
+    return np.stack([hashmix(pool[i % _POOL_SIZE], _MULT_B) for i in range(8)], axis=1)
+
+
+def _seed_states(keys):
+    """SeedSequence(list(key), spawn_key=(0,)).generate_state(4, uint64)
+    of each key in turn, as a list of four ints.  SEED_BATCH keys are hashed
+    together; their entries must split into the same numbers of words."""
+    for a in range(0, len(keys), SEED_BATCH):
+        batch = keys[a : a + SEED_BATCH]
+        split = functools.cache(_words)  # the keys share their seed
+        runs = np.hstack([np.array([split(v) for v in entry], dtype=np.uint32)
+                          for entry in zip(*batch)])
+        # With a spawn key SeedSequence pads the run entropy with zeros to
+        # the pool size; the spawn key (0,) is one more zero word.
+        entropy = np.zeros((len(batch), max(runs.shape[1], _POOL_SIZE) + 1), dtype=np.uint32)
+        entropy[:, : runs.shape[1]] = runs
+        out = _seed_hash(entropy).astype(np.uint64)
+        # two 32-bit words make a 64-bit one, low word first
+        yield from (out[:, 0::2] | out[:, 1::2] << np.uint64(32)).tolist()
+
+
 class _Streams:
     """Scrambled Sobol streams, one per seed key, held as arrays, with the
     running sums of the integrand over each stream's points.
@@ -159,10 +249,17 @@ class _Streams:
     Stream q reproduces ``qmc.Sobol(dim, scramble=True,
     seed=np.random.default_rng(np.random.SeedSequence(keys[q])))`` bit for
     bit: the engine spawns the generator PCG64(SeedSequence(key,
-    spawn_key=(0,))) and draws from it a digital shift and one random
-    lower-triangular bit matrix per dimension (LMS+shift, Owen 1995).  Point
-    i is the shift XORed with the scrambled direction numbers of the set
-    bits of i's Gray code.
+    spawn_key=(0,))) and draws from it, by two integers(2, dtype=uint32)
+    calls, a digital shift and one random lower-triangular bit matrix per
+    dimension (LMS+shift, Owen 1995).  Point i is the shift XORed with the
+    scrambled direction numbers of the set bits of i's Gray code.
+
+    The same bits are made here without a SeedSequence or a Generator: the
+    seed hash runs in numpy for SEED_BATCH keys at once, each stream sets the
+    PCG64 state that seed gives and takes one random_raw call, and
+    integers(2) by numpy's bounded-integer (Lemire) method is the top bit of
+    each 32-bit half of a word, low half first.  tests/test_streams.py
+    checks this against the Generator calls.
     """
 
     def __init__(self, dim: int, keys):
@@ -171,14 +268,34 @@ class _Streams:
         self.shift = np.empty((n, dim), dtype=np.uint32)
         # columns[q, j, k]: the scrambling matrix's image of bit k
         self.columns = np.empty((n, dim, SOBOL_BITS), dtype=np.uint32)
-        for q, key in enumerate(keys):
-            ss = np.random.SeedSequence(list(key), spawn_key=(0,))
-            rng = np.random.Generator(np.random.PCG64(ss))
-            self.shift[q] = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ _LSB
-            ltm = rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
+        # two 32-bit numbers per word: dim * 30 for the shift, then dim * 900
+        words = dim * (SOBOL_BITS + SOBOL_BITS * SOBOL_BITS) // 2
+        chunk = max(1, CHUNK_WORDS // words)
+        raw = np.empty((min(n, chunk), words), dtype="<u8")
+        bitgen = np.random.PCG64()
+        seeds = _seed_states(keys)
+        for a in range(0, n, chunk):
+            b = min(n, a + chunk)
+            for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(itertools.islice(seeds, b - a)):
+                # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps
+                # from 0 with initstate added after the first
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+                state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                raw[i] = bitgen.random_raw(words)
+            bits = raw[: b - a].view("<u4")  # low half of each word first
+            bits >>= 31
+            self.shift[a:b] = bits[:, : dim * SOBOL_BITS].reshape(-1, dim, SOBOL_BITS) @ _LSB
+            ltm = bits[:, dim * SOBOL_BITS :].reshape(-1, dim, SOBOL_BITS, SOBOL_BITS)
             # unit diagonal, random below it; row p gives output digit p
-            digits = _MSB @ (ltm & _STRICTLY_LOWER) + _MSB
-            self.columns[q] = digits[:, ::-1]
+            ltm &= _STRICTLY_LOWER
+            digits = _MSB @ ltm + _MSB
+            self.columns[a:b] = digits[..., ::-1]
         self.scrambled = np.zeros((n, SOBOL_BITS, dim), dtype=np.uint32)
         self.bits = 0  # leading columns of `scrambled` filled so far
         self.n = np.zeros(n, dtype=np.int64)
@@ -301,8 +418,11 @@ def integrate(
     integrals first draw PILOT (8,192) boundedness-pilot points, which the
     samples do not count.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if rel_tol is not None and math.isnan(rel_tol):
+        raise ValueError("rel_tol must not be NaN")
+    _words(seed)  # a negative seed is rejected before any work
     cat = cat or default_catalog()
     region = cat.region(spec.region)
     vals = _params_dict(params)

@@ -59,6 +59,12 @@ def test_typeii_validation_error():
     assert code == 2
 
 
+def test_typeii_extra_coordinates_rejected():
+    code, out = run_cli(["typeii", "0.3", "0.1", "0.05", "0.02"])
+    assert code == 2
+    assert out == ""
+
+
 def test_typeii_boundary_point_matches_no_leaf():
     # The printed sub-splits pair strict with non-strict bounds, so the
     # shared boundary belongs to neither side; the report falls through to
@@ -151,3 +157,10 @@ def test_verify_calibration_seed_that_used_to_fail():
     code, out = run_cli(["verify", "calibration", "--seed", "2131547458"])
     assert code == 0, out
     assert out.count("[pass]") == 5
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "nan"]])
+def test_integral_bad_seed_or_tolerance(flags):
+    code, out = run_cli(["integral", "S235", "--theta", "0.52", *flags])
+    assert code == 2
+    assert out == ""

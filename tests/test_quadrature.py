@@ -147,6 +147,17 @@ def test_integral_beyond_direction_table_rejected():
         integrate(wide, {}, budget=FAST)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        integrate(CAT.integrals["S235"], theta_only(0.52), budget=FAST, seed=-1)
+
+
+@pytest.mark.parametrize("bad", [{"tol": math.nan}, {"tol": math.inf}, {"rel_tol": math.nan}])
+def test_non_finite_tolerance_rejected(bad):
+    with pytest.raises(ValueError):
+        integrate(CAT.integrals["cal2"], {}, budget=FAST, **bad)
+
+
 def test_l7_thresholds_and_monotone():
     r11 = eval_L7(1 / 11, tol=6e-3, budget=FAST)
     r12 = eval_L7(1 / 12, tol=6e-3, budget=FAST)

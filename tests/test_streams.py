@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from sievelab import quadrature
-from sievelab.quadrature import BLOCK_ROWS, MAX_DIM, SOBOL_BITS, _directions, _Streams
+from sievelab.quadrature import (
+    _LSB,
+    _MSB,
+    _STRICTLY_LOWER,
+    BLOCK_ROWS,
+    MAX_DIM,
+    SOBOL_BITS,
+    _directions,
+    _Streams,
+)
 
 # draw sizes: single points, small odd sizes, and powers of two and their
 # neighbours, so that draws cross 2^k
@@ -26,6 +35,39 @@ def scipy_points(dim, key, sizes):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return [engine.random(m) for m in sizes]
+
+
+def reference_setup(dim, keys):
+    """Shift and matrix columns of each key's stream from the generator the
+    scipy engine is given, by the two integers(2) calls the engine makes."""
+    shift = np.empty((len(keys), dim), dtype=np.uint32)
+    columns = np.empty((len(keys), dim, SOBOL_BITS), dtype=np.uint32)
+    for q, key in enumerate(keys):
+        ss = np.random.SeedSequence(list(key), spawn_key=(0,))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        shift[q] = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ _LSB
+        ltm = rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
+        digits = _MSB @ (ltm & _STRICTLY_LOWER) + _MSB
+        columns[q] = digits[:, ::-1]
+    return shift, columns
+
+
+def test_setup_equals_generator_draws(monkeypatch):
+    # Seeds of one, two and three 32-bit words, the pilot key, more streams
+    # than one chunk holds at dim = 1, and several hash batches.
+    monkeypatch.setattr(quadrature, "SEED_BATCH", 16)
+    for seed in (0, 2**32 + 5, 2**64 + 5):
+        keys = [(seed, s, r) for s in range(10) for r in range(4)] + [(seed, 1 << 30, 0)]
+        for dim in range(1, MAX_DIM + 1):
+            streams = _Streams(dim, keys)
+            shift, columns = reference_setup(dim, keys)
+            np.testing.assert_array_equal(streams.shift, shift)
+            np.testing.assert_array_equal(streams.columns, columns)
+
+
+def test_negative_key_rejected():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _Streams(2, [(-1, 0, 0)])
 
 
 def test_directions_equal_scipy_unscrambled_points():

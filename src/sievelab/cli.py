@@ -11,6 +11,7 @@ numbers computed here.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import buchstab as bb
@@ -66,6 +67,8 @@ def cmd_buchstab(args) -> int:
     full = args.format == "csv"
     rows = []
     u = args.lo
+    if not all(map(math.isfinite, (args.lo, args.hi, args.step))):
+        raise RegionError("lo, hi and step must be finite")
     if args.step <= 0:
         raise RegionError("step must be positive")
     while u <= args.hi + 1e-12:
@@ -78,7 +81,10 @@ def cmd_buchstab(args) -> int:
                 COMPUTED,
             )
         )
-        u = round(u + args.step, 12)
+        nxt = round(u + args.step, 12)
+        if nxt <= u:
+            raise RegionError(f"step {args.step!r} does not advance u = {u!r} at 12 decimals")
+        u = nxt
     _emit_table(("u", "omega_lower", "omega", "omega_upper", "provenance"), rows, args.format)
     return EXIT_OK
 

@@ -6,6 +6,14 @@ pair owns a scrambled Sobol stream seeded from (seed, stratum, replicate),
 rounds refine allocation by stratum spread, and results are reduced in fixed
 stratum order.  The error estimate is the spread of the replicate totals.
 
+The strata are the cells of a grid over the box that the three-valued box
+test does not prove empty.  They are found by bisection: the whole box is
+tested, and an undecided box is halved at the grid's edges until each box
+is decided or is one cell.  Float interval evaluation is monotone under
+inclusion, so this keeps exactly the cells a per-cell test keeps.  The
+kept cells are numbered in grid order, and a stratum's number is part of
+its seed key.
+
 The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
 scramble=True)`` seeded from the same key bit for bit, from the same
@@ -31,7 +39,7 @@ import numpy as np
 from . import buchstab
 from .catalog import Catalog, IntegralDef, default_catalog
 from .params import ThetaParams
-from .regions import RegionError, definitely
+from .regions import RegionError, definitely, rowwise
 
 __all__ = [
     "QuadratureResult",
@@ -86,8 +94,8 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
     if kind == "reciprocal":
 
         def recip(x):
-            rest = 1.0 - x.sum(axis=1)
-            return 1.0 / (x.prod(axis=1) * rest)
+            rest = 1.0 - rowwise(np.add, x)
+            return 1.0 / (rowwise(np.multiply, x) * rest)
 
         return recip
     if kind == "buchstab":
@@ -103,12 +111,30 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
             raise SpecificationError(f"unknown weight variant {variant!r}")
 
         def buch(x):
-            rest = 1.0 - x.sum(axis=1)
+            rest = 1.0 - rowwise(np.add, x)
             u = np.clip(rest / kap, 1.0, None)
-            return omega_eval(u) / (kap * x.prod(axis=1))
+            return omega_eval(u) / (kap * rowwise(np.multiply, x))
 
         return buch
     raise SpecificationError(f"unknown weight kind {kind!r}")
+
+
+def _descending(x: np.ndarray) -> np.ndarray:
+    """The rows of x sorted in descending order, by a sorting network of
+    np.maximum / np.minimum exchanges between columns (insertion order,
+    k(k-1)/2 exchanges): on 16,384 rows of 2 to 6 columns it took 20 to
+    350 us against about 0.9 ms for np.sort (2-core machine).  On finite
+    coordinates of at least +0.0, as sampled points are, it returns the
+    values of -np.sort(-x)."""
+    cols = [x[:, i].copy() for i in range(x.shape[1])]
+    spare = np.empty(len(x))
+    for i in range(1, len(cols)):
+        for j in range(i, 0, -1):
+            a, b = cols[j - 1], cols[j]
+            np.maximum(a, b, out=spare)
+            np.minimum(a, b, out=b)
+            cols[j - 1], spare = spare, a
+    return np.stack(cols, axis=1)
 
 
 # Sobol points are 30-bit binary fractions, as in qmc.Sobol's default engine.
@@ -363,20 +389,17 @@ class _Streams:
         taken over its whole run of values, so they do not depend on the
         blocks.
         """
-        groups, group, size = [], [], 0
-        for q in np.flatnonzero(count).tolist():
-            m = int(count[q])
-            if group and size + m > BLOCK_ROWS:
-                groups.append(group)
-                group, size = [], 0
-            group.append(q)
-            size += m
-        if group:
-            groups.append(group)
-        for group in groups:
-            sid = np.array(group)
+        live = np.flatnonzero(count)
+        ends = np.cumsum(count[live])  # rows up to the end of each stream
+        first = 0
+        while first < len(live):
+            # the streams from the first on that end within BLOCK_ROWS rows
+            # of its start, or the first alone
+            limit = ends[first] - count[live[first]] + BLOCK_ROWS
+            last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
+            sid, first = live[first:last], last
             m, start = count[sid], self.n[sid]
-            if len(group) == 1 and m[0] > BLOCK_ROWS:
+            if len(sid) == 1 and m[0] > BLOCK_ROWS:
                 cuts = range(0, int(m[0]), BLOCK_ROWS)
                 parts = [self._sample(sample, sid, start + a, np.minimum(m - a, BLOCK_ROWS))
                          for a in cuts]
@@ -398,6 +421,42 @@ class _Streams:
 
     def _sample(self, sample, sid, start, count):
         return sample(np.repeat(sid, count), self.points(sid, start, count))
+
+
+def _live_cells(region, edges: np.ndarray, vals, cat) -> np.ndarray:
+    """Numbers, in increasing order, of the cells of the grid with these
+    edges (shape (bins + 1, k)) that the box test does not judge empty.
+    Cell s spans edges[d_i] .. edges[d_i + 1] along axis i, d_i = s //
+    bins**i % bins.
+
+    The whole box is tested first, and an undecided box is halved along
+    every axis it spans more than one cell of, always at the same edges,
+    until each box is decided or is one cell.  Interval evaluation is
+    monotone under inclusion (every bound, aggregate, group and subset sum
+    only narrows on a sub-box), so a verdict on a box is the verdict on
+    each of its cells, and the cells kept are exactly those the per-cell
+    test keeps.
+    """
+    bins, k = edges.shape[0] - 1, edges.shape[1]
+    axes = range(k)
+    kept = []
+    todo = [((0,) * k, (bins,) * k)]  # boxes as cell index ranges a[i] .. b[i]
+    while todo:
+        a, b = todo.pop()
+        verdict = definitely(region, edges[a, axes], edges[b, axes], vals, cat)
+        if verdict is False:
+            continue
+        if verdict or all(b[i] - a[i] == 1 for i in axes):
+            box = np.zeros(1, dtype=np.int64)  # its cells, in increasing order
+            for i in reversed(axes):
+                box = (box[:, None] * bins + np.arange(a[i], b[i])).ravel()
+            kept.append(box)
+            continue
+        mid = [(a[i] + b[i]) // 2 for i in axes]
+        halves = [((a[i], b[i]),) if b[i] - a[i] == 1 else ((a[i], mid[i]), (mid[i], b[i]))
+                  for i in axes]
+        todo += [tuple(zip(*part)) for part in itertools.product(*halves)]
+    return np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.int64)
 
 
 def integrate(
@@ -452,30 +511,19 @@ def integrate(
     else:
         bins = max(2, int(round((4096.0) ** (1.0 / k))))
     n_cells = bins**k
-    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
-
-    def cell_box(s: int):
-        slo, shi = lo.copy(), hi.copy()
-        for i in range(k):
-            d = s % bins
-            s //= bins
-            slo[i] = edges[d][i]
-            shi[i] = edges[d + 1][i]
-        return slo, shi
-
-    boxes = []
-    for s in range(n_cells):
-        slo, shi = cell_box(s)
-        if not spec.sorted and definitely(region, slo, shi, vals, cat) is False:
-            continue
-        boxes.append((slo, shi))
-    if not boxes:
+    edges = np.array([lo + (hi - lo) * i / bins for i in range(bins + 1)])
+    if spec.sorted:
+        cells = np.arange(n_cells)
+    else:
+        cells = _live_cells(region, edges, vals, cat)
+    n_strata = len(cells)
+    if not n_strata:
         return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-region")
-    if budget < REPLICATES * len(boxes):
+    if budget < REPLICATES * n_strata:
         # the budget is a hard cap, and every live stratum needs a point
         raise SpecificationError(
             f"budget {budget} is below one point per stratum and replicate "
-            f"({REPLICATES * len(boxes)} for {len(boxes)} strata of {region.name})"
+            f"({REPLICATES * n_strata} for {n_strata} strata of {region.name})"
         )
 
     # Boundedness pilot: for singular weights the region must keep every
@@ -485,21 +533,22 @@ def integrate(
         pilot = _Streams(k, [(seed, 1 << 30, 0)]).points(zero, zero, zero + PILOT)
         x = lo + pilot * (hi - lo)
         if spec.sorted:
-            x = -np.sort(-x, axis=1)
+            x = _descending(x)
         inside = region.eval(x, vals, cat)
         if inside.any():
             xin = x[inside]
-            rest = 1.0 - xin.sum(axis=1)
+            rest = 1.0 - rowwise(np.add, xin)
             if xin.min() < FLOOR_MIN or rest.min() < FLOOR_MIN:
                 raise SpecificationError(
                     f"integrand unbounded on region {region.name}: the region "
                     "does not keep the weight denominators away from zero"
                 )
 
-    n_strata = len(boxes)
     streams = _Streams(k, [(seed, s, r) for s in range(n_strata) for r in range(REPLICATES)])
-    box_lo = np.array([slo for slo, _ in boxes])
-    box_width = np.array([shi - slo for slo, shi in boxes])
+    # cell s has digit s // bins**i % bins along axis i
+    digits = cells[:, None] // bins ** np.arange(k) % bins
+    box_lo = np.take_along_axis(edges, digits, axis=0)
+    box_width = np.take_along_axis(edges, digits + 1, axis=0) - box_lo
     frac = 1.0 / n_cells  # equal cell volumes
     w_cap = 0.0
     total_n = 0
@@ -515,9 +564,7 @@ def integrate(
         x *= box_width.take(stratum, axis=0)
         x += box_lo.take(stratum, axis=0)
         if spec.sorted:
-            x *= -1.0
-            x.sort(axis=1)
-            x *= -1.0
+            x = _descending(x)
         inside = region.eval(x, vals, cat)
         g = np.zeros(len(x))
         if inside.any():

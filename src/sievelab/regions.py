@@ -10,6 +10,13 @@ A region is evaluated through a program compiled once per (region, catalog,
 point dimension) and kept on the catalog.  The program answers two
 questions: membership of a batch of points, vectorised over (N, k) arrays,
 and a three-valued verdict over an axis-aligned box (interval mode).
+
+Reductions along the rows of a batch (the tsum/tmin/tmax aggregates, the
+descending test, a bipartition's total) go through `rowwise`.  numpy
+reduces a short row slowly, so `rowwise` folds fewer than eight columns one
+column at a time in index order, which gives numpy's own bits: numpy adds
+and multiplies a row of fewer than eight terms left to right.  From eight
+columns on numpy sums pairwise, and its reduction is used.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "definitely",
     "partitions_into",
     "subset_sums",
+    "rowwise",
     "merge_intervals",
     "interval_contains",
 ]
@@ -277,6 +285,27 @@ def _base(const: float, weights, params: dict[str, float]) -> float:
     return const
 
 
+# The reductions behind SPECIALS, in its order.
+_AGGREGATES = (np.maximum, np.minimum, np.add)
+
+
+def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=1), bit for bit, for an (n, k) array.
+
+    Fewer than eight columns are folded one at a time in index order, from
+    the ufunc's identity when it has one, as numpy reduces such a row; the
+    fold runs over whole columns and is many times faster.  From eight
+    columns on numpy adds pairwise, so its reduction is used.
+    """
+    k = x.shape[1]
+    if not 0 < k < 8:
+        return ufunc.reduce(x, axis=1)
+    acc = x[:, 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, x[:, 0])
+    for i in range(1, k):
+        acc = ufunc(acc, x[:, i])
+    return acc
+
+
 def _values(base: float, terms, x: np.ndarray, aggs: list):
     """A form at every row of x: base, then each term in order.  aggs holds
     the aggregate columns of x, filled on first use.  Multiplying by 1 and
@@ -284,7 +313,7 @@ def _values(base: float, terms, x: np.ndarray, aggs: list):
     dim, acc = x.shape[1], None
     for key, w in terms:
         if key >= dim and aggs[key - dim] is None:
-            aggs[key - dim] = getattr(x, SPECIALS[key - dim][1:])(axis=1)
+            aggs[key - dim] = rowwise(_AGGREGATES[key - dim], x)
         v = x[:, key] if key < dim else aggs[key - dim]
         if w != 1.0:
             v = v * w
@@ -485,7 +514,7 @@ class _Bound:
         if kind == "not":
             return ~self._run(node.children[0], x)
         if kind == "desc":
-            return (x[:, :-1] > x[:, 1:]).all(axis=1)
+            return rowwise(np.logical_and, x[:, :-1] > x[:, 1:])
         if kind == "const":
             return np.full(len(x), node.arg)
         if kind == "in":
@@ -570,7 +599,7 @@ def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
     and rows that found a bipartition are dropped between blocks.
     """
     n, k = x.shape
-    total, hit, live = x.sum(axis=1), np.zeros(n, dtype=bool), np.arange(n)
+    total, hit, live = rowwise(np.add, x), np.zeros(n, dtype=bool), np.arange(n)
     j = min(k, max(0, (BLOCK_PAIRS // max(n, 1)).bit_length() - 1))
     low = subset_sums(x[:, :j])
     for high in range(1 << (k - j)):

@@ -1,8 +1,11 @@
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import sievelab
 from sievelab import cli
 
 
@@ -39,6 +42,21 @@ def test_buchstab_empty_range():
     code, out = run_cli(["buchstab", "2", "1", "0.5"])
     assert code == 0
     assert len(out.strip().splitlines()) == 1  # header only
+
+
+@pytest.mark.parametrize("argv", [["1", "2", "1e-13"], ["1", "2", "4e-13"], ["1", "2", "nan"],
+                                  ["nan", "2", "0.5"], ["1", "inf", "0.5"]])
+def test_buchstab_bad_step_or_bounds_rejected(argv):
+    # Run apart, under a timeout: a step too small for the 12-decimal
+    # rounding of u used to loop forever.
+    src = os.path.dirname(os.path.dirname(sievelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sievelab.cli; sys.exit(sievelab.cli.main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, "buchstab", *argv], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 2, out
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
 
 
 def test_typeii_subregion():

@@ -1,5 +1,6 @@
-"""Properties of the compiled region programs: the subset-sum helper, batch
-invariance of point evaluation and soundness of the box test."""
+"""Properties of the compiled region programs: the subset-sum and row
+helpers, the sorting network, batch invariance of point evaluation and
+soundness and monotonicity of the box test."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from sievelab.catalog import default_catalog
 from sievelab.params import ThetaParams
-from sievelab.regions import CHUNK_ROWS, contains, definitely, subset_sums
+from sievelab.quadrature import _descending
+from sievelab.regions import CHUNK_ROWS, contains, definitely, rowwise, subset_sums
 
 CAT = default_catalog()
 
@@ -55,6 +57,36 @@ def test_subset_sums_equal_numpy_sums(x):
         sel = [i for i in range(k) if mask >> i & 1]
         want = x[:, sel].sum(axis=1) if sel else np.zeros(n)
         assert (table[:, mask] == want).all(), (mask, sel)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+# floats with ties and zeros of both signs
+ROW_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 12)),
+              elements=ROW_ELEMENTS))
+def test_rowwise_equals_numpy_reductions(x):
+    for ufunc, want in ((np.add, x.sum(axis=1)), (np.multiply, x.prod(axis=1)),
+                        (np.minimum, x.min(axis=1)), (np.maximum, x.max(axis=1))):
+        got = rowwise(ufunc, x)
+        assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), ufunc
+    assert np.array_equal(rowwise(np.logical_and, x > 0), (x > 0).all(axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 6)),
+              elements=st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
+                                 st.floats(0.0, 1e3, allow_nan=False))))
+def test_sorting_network_equals_negated_sort(x):
+    got = _descending(x)
+    assert got.flags.c_contiguous
+    assert np.array_equal(bits(got), bits(-np.sort(-x, axis=1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,6 +156,41 @@ def test_definitely_is_sound_with_descending(seed, dim, width):
         return
     inside = region.eval(a + rng.random((512, dim)) * (b - a), vals, CAT)
     assert inside.all() if verdict else not inside.any()
+
+
+def sub_box(rng, a, b):
+    """A random box inside [a, b], sometimes a single point."""
+    c = np.clip(a + rng.random(len(a)) * (b - a), a, b)
+    if rng.random() < 0.1:
+        return c, c
+    return c, np.clip(c + rng.random(len(a)) * (b - c), c, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["D1", "D5", "D6", "U233", "simplex3", "A_fam", "GG"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+)
+def test_definitely_is_monotone_under_inclusion(name, seed, corner, width):
+    # A decided verdict on a box is the verdict on every box inside it:
+    # pruning the grid by bisection rests on this.
+    rng = np.random.default_rng(seed)
+    if name in SAMPLED:
+        spec, region, vals, lo, hi = setting(name)
+    else:  # A_fam: descending and tmin/tmax/tsum; GG: a splits region
+        vals, region = ThetaParams(0.52).values(), CAT.region(name)
+        dim = 3 if name == "GG" else int(rng.integers(2, 6))
+        lo, hi = np.zeros(dim), np.full(dim, 0.8 / dim if name == "GG" else 0.5)
+    a = lo + corner * rng.random(len(lo)) * (hi - lo)
+    b = a + width * rng.random(len(lo)) * (hi - a)
+    verdict = definitely(region, a, b, vals, CAT)
+    if verdict is None:
+        return
+    for _ in range(8):
+        c, d = sub_box(rng, a, b)
+        assert definitely(region, c, d, vals, CAT) is verdict
 
 
 @pytest.mark.parametrize("name,dim", [("GG", 3), ("GG", 5), ("V_nofloor", 4)])

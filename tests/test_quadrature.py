@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sievelab import quadrature
 from sievelab.catalog import default_catalog, dumps, loads
 from sievelab.params import ThetaParams, theta_only
 from sievelab.quadrature import (
@@ -228,6 +229,51 @@ def test_budget_below_one_point_per_stratum_rejected():
         integrate(CAT.integrals["cal2"], {}, tol=1e-4, budget=1 << 12)
     res = integrate(CAT.integrals["cal2"], {}, tol=1e-4, budget=8320)
     assert res.samples == 8320 and abs(res.value - 0.5) < 0.01
+
+
+def per_cell_live(region, vals, lo, hi, bins):
+    """The cells the box test does not judge empty, one cell at a time."""
+    k = len(lo)
+    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
+    live = []
+    for s in range(bins**k):
+        d = [s // bins**i % bins for i in range(k)]
+        cell_lo = np.array([edges[d[i]][i] for i in range(k)])
+        cell_hi = np.array([edges[d[i] + 1][i] for i in range(k)])
+        if quadrature.definitely(region, cell_lo, cell_hi, vals, CAT) is not False:
+            live.append(s)
+    return live
+
+
+@pytest.mark.parametrize("name", ["cal2", "cal3", "cal4", "cal5", "cal6", "I3"])
+def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
+    spec = CAT.integrals[name]
+    params = ThetaParams(0.52) if name == "I3" else {}
+    vals = quadrature._params_dict(params)
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    bins = 2 if name == "I3" else max(2, round(4096 ** (1 / spec.dim)))
+    want = per_cell_live(region, vals, lo, hi, bins)
+
+    definitely, live_cells = quadrature.definitely, quadrature._live_cells
+    calls, kept = [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return definitely(*args)
+
+    def recording(*args):
+        kept.append(live_cells(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(quadrature, "definitely", counting)
+    monkeypatch.setattr(quadrature, "_live_cells", recording)
+    integrate(spec, params, tol=1.0, budget=max(1 << 15, 4 * len(want)))
+    assert len(kept) == 1 and kept[0].tolist() == want
+    if name == "I3":  # a two-way grid: the whole box, then each cell
+        assert calls[0] <= bins**spec.dim + 1
+    else:
+        assert calls[0] < bins**spec.dim
 
 
 # Fixed-seed results at budget 2^16 (value, est_error, samples, flag), as

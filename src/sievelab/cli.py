@@ -29,6 +29,8 @@ EXIT_DOMAIN = 2
 EXIT_AMBIGUOUS = 3
 EXIT_VERIFY = 4
 
+MAX_TABLE_ROWS = 10**6  # rows of the longest table `buchstab` builds
+
 
 def _fmt(x: float, full: bool) -> str:
     if full:
@@ -71,6 +73,11 @@ def cmd_buchstab(args) -> int:
         raise RegionError("lo, hi and step must be finite")
     if args.step <= 0:
         raise RegionError("step must be positive")
+    # the rows lo, lo + step, ... up to hi are counted before any is built
+    steps = (args.hi + 1e-12 - args.lo) / args.step
+    if steps >= MAX_TABLE_ROWS:
+        raise RegionError(f"the table would hold about {steps:.3g} rows, "
+                          f"more than {MAX_TABLE_ROWS}")
     while u <= args.hi + 1e-12:
         rows.append(
             (

@@ -14,6 +14,15 @@ inclusion, so this keeps exactly the cells a per-cell test keeps.  The
 kept cells are numbered in grid order, and a stratum's number is part of
 its seed key.
 
+An integral whose first round has no hit tries to prove its region empty
+before it samples on: the whole sampling box is bisected breadth first,
+each box tested once, an undecided box split at its midpoint along every
+axis, until every box is judged empty (the result is a proved
+``empty-region``), a box is judged full or PROOF_CALLS boxes have been
+tested (sampling carries on untouched).  Sorted integrals take the same
+proof: their points are sorted copies of points of a box with identical
+bounds, so they never leave it.
+
 The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
 scramble=True)`` seeded from the same key bit for bit, from the same
@@ -28,6 +37,7 @@ weight over blocks of many streams' points.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -59,6 +69,11 @@ MIN_BATCH = 16
 PILOT = 8192  # boundedness-pilot points for singular weights, outside the budget
 MIN_SAMPLES = 1 << 18  # tolerance may only stop the refinement beyond this
 FLOOR_MIN = 1e-4  # smallest admissible denominator floor for singular weights
+# Box tests the emptiness proof may make before it gives up.  At theta =
+# 0.52 the proof closes for I1 in 329 tests and for I2 in 833; U234 and I4
+# never close, and giving up cost U234 about 0.13 s here against 0.05 s at
+# 512 tests (2-core machine).
+PROOF_CALLS = 1024
 # Points drawn and evaluated together.  Twice as many ran no faster and held
 # more memory: the subset-sum tables of `splits` regions grow with the rows.
 BLOCK_ROWS = 1 << 14
@@ -459,6 +474,35 @@ def _live_cells(region, edges: np.ndarray, vals, cat) -> np.ndarray:
     return np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.int64)
 
 
+def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
+    """Whether the box test proves the region empty over the box [lo, hi].
+
+    Boxes are tested breadth first, the whole box first: a False box is
+    dropped and an undecided box is split at its midpoint along every axis.
+    The proof gives up at the first True verdict or once PROOF_CALLS boxes
+    have been tested.
+    """
+    undecided = collections.deque()
+
+    def boxes():
+        yield lo, hi
+        while undecided:
+            a, b = undecided.popleft()
+            mid = (a + b) / 2
+            for upper in itertools.product((False, True), repeat=len(a)):
+                yield np.where(upper, mid, a), np.where(upper, b, mid)
+
+    for calls, (a, b) in enumerate(boxes()):
+        if calls == PROOF_CALLS:
+            return False
+        verdict = definitely(region, a, b, vals, cat)
+        if verdict:
+            return False
+        if verdict is None:
+            undecided.append((a, b))
+    return True
+
+
 def integrate(
     spec: IntegralDef,
     params,
@@ -476,6 +520,12 @@ def integrate(
     The budget caps the reported samples.  Reciprocal- and Buchstab-weighted
     integrals first draw PILOT (8,192) boundedness-pilot points, which the
     samples do not count.
+
+    When the first round finds no region point, _proved_empty bisects the
+    box with the three-valued box test; if it proves the region empty
+    within PROOF_CALLS tests, the result is 0 with est_error 0, the samples
+    of that round and the flag "empty-region".  Otherwise sampling goes on
+    as if the proof had not run, and a run without hits ends in "no-hits".
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -599,6 +649,8 @@ def integrate(
             batch = ((budget - total_n) * weights / REPLICATES).astype(np.int64)
         streams.run(np.repeat(batch, REPLICATES), sample)
         total_n += REPLICATES * int(batch.sum())
+        if first and not streams.hits.any() and _proved_empty(region, lo, hi, vals, cat):
+            return QuadratureResult(0.0, 0.0, total_n, seed, flag="empty-region")
         first = False
 
         mean = streams.mean().reshape(n_strata, REPLICATES)

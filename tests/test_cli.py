@@ -45,10 +45,12 @@ def test_buchstab_empty_range():
 
 
 @pytest.mark.parametrize("argv", [["1", "2", "1e-13"], ["1", "2", "4e-13"], ["1", "2", "nan"],
-                                  ["nan", "2", "0.5"], ["1", "inf", "0.5"]])
+                                  ["nan", "2", "0.5"], ["1", "inf", "0.5"], ["1", "2", "1e-12"],
+                                  ["1", "1.000000000001", "4e-13"]])
 def test_buchstab_bad_step_or_bounds_rejected(argv):
     # Run apart, under a timeout: a step too small for the 12-decimal
-    # rounding of u used to loop forever.
+    # rounding of u used to loop forever, and a tiny step that does advance
+    # u (1e-12) used to build its 10^12 rows in memory before printing.
     src = os.path.dirname(os.path.dirname(sievelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, sievelab.cli; sys.exit(sievelab.cli.main(sys.argv[1:]))"
@@ -140,6 +142,19 @@ def test_integral_zero_case():
     code, out = run_cli(["integral", "U234", "--theta", "0.51", "--format", "csv"])
     assert code == 0
     assert ",0.0," in out and "empty-box" in out
+
+
+def test_integral_proved_empty_after_a_round_without_hits():
+    code, out = run_cli(["integral", "I1", "--theta", "0.52", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1] == "I1,0.0,0.0,24576,24301,empty-region,computed"
+
+
+def test_integral_no_hits_where_the_proof_does_not_close():
+    code, out = run_cli(["integral", "U234", "--theta", "0.52", "--budget", "65536",
+                         "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1] == "U234,0.0,1.2062645742317437e-12,65536,24301,no-hits,computed"
 
 
 def test_byte_identical_reruns():

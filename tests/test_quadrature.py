@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab import quadrature
 from sievelab.catalog import default_catalog, dumps, loads
@@ -276,13 +278,71 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
         assert calls[0] < bins**spec.dim
 
 
+@pytest.mark.parametrize("name, samples", [("I1", 24576), ("I2", 16384)])
+def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch):
+    definitely, proved_empty = quadrature.definitely, quadrature._proved_empty
+    calls, proofs = [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return definitely(*args)
+
+    def proving(*args):
+        before = calls[0]
+        proofs.append((proved_empty(*args), calls[0] - before))
+        return proofs[-1][0]
+
+    monkeypatch.setattr(quadrature, "definitely", counting)
+    monkeypatch.setattr(quadrature, "_proved_empty", proving)
+    res = named_integral(name, theta_only(0.52))
+    # the samples of the first round, whose strata are 4 replicates of a
+    # power-of-two batch each
+    assert res == QuadratureResult(0.0, 0.0, samples, DEFAULT_SEED, "empty-region")
+    assert len(proofs) == 1 and proofs[0][0]
+    assert proofs[0][1] <= quadrature.PROOF_CALLS
+
+
+@pytest.mark.parametrize("name", ["cal2", "cal3", "cal4", "cal5", "cal6", "S235", "I3", "I5",
+                                  "U233"])
+def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the emptiness proof ran")
+
+    monkeypatch.setattr(quadrature, "_proved_empty", refuse)
+    if name.startswith("cal"):
+        params = {}
+    else:
+        params = ThetaParams(0.32, 0.20) if name == "I5" else theta_only(0.52)
+    res = integrate(CAT.integrals[name], params, budget=1 << 16)
+    assert res.value > 0 and res.flag == ""
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["I1", "I2", "I3", "I4", "U233", "U234"]),
+       st.floats(0.5, 4 / 7, exclude_max=True))
+def test_proved_empty_regions_hold_no_box_point(name, theta):
+    spec = CAT.integrals[name]
+    vals = theta_only(theta).values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    if (hi <= lo).any() or not quadrature._proved_empty(region, lo, hi, vals, CAT):
+        return
+    x = lo + np.random.default_rng(0).random((1 << 14, spec.dim)) * (hi - lo)
+    if spec.sorted:
+        x = -np.sort(-x, axis=1)
+    assert not region.eval(x, vals, CAT).any()
+
+
 # Fixed-seed results at budget 2^16 (value, est_error, samples, flag), as
-# float.hex strings.  I2, I6, U233 and U234 are unchanged from the tree-walking
-# region evaluator; the other seven used to draw more than 2^16 samples and
-# changed when the budget became a hard cap.
+# float.hex strings.  I6, U233 and U234 are unchanged from the tree-walking
+# region evaluator; I3, I4, I5 and the S23x used to draw more than 2^16
+# samples and changed when the budget became a hard cap.  I1 and I2 used to
+# end in no-hits after spending the budget (65532 and 65536 samples); their
+# first round has no hit, and the box bisection now proves their regions
+# empty after it.
 PINNED_2_16 = {
-    "I1": ("0x0.0p+0", "0x1.775734f74b1b3p-9", 65532, "no-hits"),
-    "I2": ("0x0.0p+0", "0x1.82ce9b975b8bap-8", 65536, "no-hits"),
+    "I1": ("0x0.0p+0", "0x0.0p+0", 24576, "empty-region"),
+    "I2": ("0x0.0p+0", "0x0.0p+0", 16384, "empty-region"),
     "I3": ("0x1.5dd470fa0c069p-11", "0x1.709393e667961p-13", 65524, ""),
     "I4": ("0x0.0p+0", "0x1.82d4a6e9f7338p-8", 65532, "no-hits"),
     "I5": ("0x1.3d1f2a912b17cp-18", "0x1.79cb400ab787dp-27", 65524, ""),

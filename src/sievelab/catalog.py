@@ -52,35 +52,69 @@ __all__ = ["Catalog", "IntegralDef", "load_catalog", "default_catalog", "dumps"]
 
 ENV_VAR = "SIEVELAB_CATALOG"
 
+# A token (number, name or operator) in group 1, or a stray character in
+# group 2; whitespace between tokens matches neither and is skipped.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|<|>|\+|-|\*|/|\(|\)|,|;|=))"
+    r"(\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|<=|>=|[-<>+*/(),;=])|(\S)"
 )
+_VAR_RE = re.compile(r"t(\d+)")
 
 
 def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise RegionError(f"cannot tokenize {text[pos:]!r}")
-            break
-        out.append(m.group(m.lastgroup))
-        pos = m.end()
-    return out
+    pairs = _TOKEN_RE.findall(text)
+    if not pairs:
+        return []
+    toks, stray = zip(*pairs)
+    bad = "".join(stray)
+    if bad:
+        raise RegionError(f"cannot tokenize {bad[0]!r} in {text!r}")
+    return list(toks)
+
+
+def _var_index(tok: str) -> int:
+    m = _VAR_RE.fullmatch(tok)
+    if not m:
+        raise RegionError(f"expected variable t<i>, got {tok!r}")
+    idx = int(m.group(1))
+    if idx == 0:
+        raise RegionError("variables are numbered from t1; t0 is not allowed")
+    return idx
+
+
+# An affine expression is accumulated as a linear combination: a dict from
+# symbol keys to coefficients (int or Fraction, exact either way).  A key is
+# (kind, name) with kind 0 for the constant, 1 for a parameter, 2 for a
+# variable (name its index) and 3 for a special, so that sorting the keys
+# orders every kind as AffineForm.make does.
+_CONST = (0, "")
+_SYMBOLS = {**{p: (1, p) for p in PARAM_NAMES}, **{s: (3, s) for s in SPECIALS}}
+_ZERO = Fraction(0)
+
+
+def _is_const(acc: dict) -> bool:
+    return all(not v for k, v in acc.items() if k != _CONST)
+
+
+def _form(acc: dict) -> AffineForm:
+    """The AffineForm of a linear combination: sorted, zero-free tuples."""
+    parts: tuple[list, ...] = ([], [], [], [])
+    for (kind, name), coef in sorted(acc.items()):
+        if coef:
+            parts[kind].append((name, coef if type(coef) is Fraction else Fraction(coef)))
+    const = parts[0][0][1] if parts[0] else _ZERO
+    return AffineForm(const, tuple(parts[1]), tuple(parts[2]), tuple(parts[3]))
 
 
 class _Parser:
     def __init__(self, tokens: list[str]):
-        self.toks = tokens
+        self.toks = tokens + [None]  # the sentinel None ends every expression
         self.i = 0
 
     def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def next(self) -> str:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok is None:
             raise RegionError("unexpected end of expression")
         self.i += 1
@@ -146,10 +180,10 @@ class _Parser:
         if self.peek() == ";":
             self.next()
             while True:
-                grp = [self._var_index(self.next())]
+                grp = [_var_index(self.next())]
                 while self.peek() == "+":
                     self.next()
-                    grp.append(self._var_index(self.next()))
+                    grp.append(_var_index(self.next()))
                 groups.append(tuple(grp))
                 if self.peek() == ",":
                     self.next()
@@ -171,13 +205,6 @@ class _Parser:
         self.expect(")")
         return BoolNode("atom", atom=Splits(name, append))
 
-    @staticmethod
-    def _var_index(tok: str) -> int:
-        m = re.fullmatch(r"t(\d+)", tok)
-        if not m:
-            raise RegionError(f"expected variable t<i>, got {tok!r}")
-        return int(m.group(1))
-
     def _parse_chain(self) -> BoolNode:
         first = self.parse_affine()
         rel = self.peek()
@@ -197,52 +224,50 @@ class _Parser:
     # ----- affine grammar -----
 
     def parse_affine(self) -> AffineForm:
-        node = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+        return _form(self.parse_sum())
 
-    def parse_term(self) -> AffineForm:
-        node = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
+    def parse_sum(self) -> dict:
+        acc = self.parse_term()
+        while (op := self.peek()) == "+" or op == "-":
+            self.i += 1
+            for k, v in self.parse_term().items():
+                acc[k] = acc.get(k, 0) + v if op == "+" else acc.get(k, 0) - v
+        return acc
+
+    def parse_term(self) -> dict:
+        acc = self.parse_factor()
+        while (op := self.peek()) == "*" or op == "/":
+            self.i += 1
             rhs = self.parse_factor()
-            if op == "*":
-                if _is_const(rhs):
-                    node = node.scale(rhs.const)
-                elif _is_const(node):
-                    node = rhs.scale(node.const)
-                else:
-                    raise RegionError("nonlinear product in affine expression")
-            else:
-                if not _is_const(rhs) or rhs.const == 0:
+            if op == "/":
+                if not _is_const(rhs) or not rhs.get(_CONST):
                     raise RegionError("division must be by a nonzero constant")
-                node = node.scale(Fraction(1) / rhs.const)
-        return node
+                c = 1 / Fraction(rhs[_CONST])
+            elif _is_const(rhs):
+                c = rhs.get(_CONST, 0)
+            elif _is_const(acc):
+                c, acc = acc.get(_CONST, 0), rhs
+            else:
+                raise RegionError("nonlinear product in affine expression")
+            acc = {k: v * c for k, v in acc.items()}
+        return acc
 
-    def parse_factor(self) -> AffineForm:
+    def parse_factor(self) -> dict:
         tok = self.next()
+        key = _SYMBOLS.get(tok)
+        if key is not None:
+            return {key: 1}
         if tok == "-":
-            return -self.parse_factor()
+            return {k: -v for k, v in self.parse_factor().items()}
         if tok == "(":
-            node = self.parse_affine()
+            acc = self.parse_sum()
             self.expect(")")
-            return node
-        if re.fullmatch(r"\d+\.\d+|\d+", tok):
-            return AffineForm.make(const=Fraction(tok))
-        if re.fullmatch(r"t\d+", tok):
-            return AffineForm.make(vars={int(tok[1:]): 1})
-        if tok in SPECIALS:
-            return AffineForm.make(specials={tok: 1})
-        if tok in PARAM_NAMES:
-            return AffineForm.make(params={tok: 1})
+            return acc
+        if tok[0].isdigit():
+            return {_CONST: int(tok) if "." not in tok else Fraction(tok)}
+        if _VAR_RE.fullmatch(tok):
+            return {(2, _var_index(tok)): 1}
         raise RegionError(f"unknown symbol {tok!r}")
-
-
-def _is_const(form: AffineForm) -> bool:
-    return not form.params and not form.vars and not form.specials
 
 
 def parse_bool_expr(text: str) -> BoolNode:
@@ -311,13 +336,29 @@ class Catalog:
                     raise RegionError(f"group {grp} lists unknown region {m!r}")
 
 
+def _add(table: dict, kind: str, name: str, record) -> None:
+    if name in table:
+        raise RegionError(f"duplicate {kind} {name!r}")
+    table[name] = record
+
+
 def loads(text: str) -> Catalog:
     cat = Catalog()
     lines = text.splitlines()
     i = 0
+    # bound and piece endpoints repeat a few texts many times; each distinct
+    # text is parsed once (AffineForm is immutable, so records share it)
+    endpoints: dict[str, AffineForm] = {}
 
     def strip(line: str) -> str:
         return line.split("#", 1)[0].strip()
+
+    def endpoint(expr: str) -> AffineForm:
+        expr = expr.strip()
+        form = endpoints.get(expr)
+        if form is None:
+            form = endpoints[expr] = parse_affine_expr(expr)
+        return form
 
     while i < len(lines):
         line = strip(lines[i])
@@ -341,12 +382,12 @@ def loads(text: str) -> Catalog:
                 if not body:
                     continue
                 if body.startswith("bound "):
-                    bm = re.fullmatch(r"bound\s+t(\d+)\s*=\s*\[(.*),(.*)\]", body)
+                    bm = re.fullmatch(r"bound\s+(t\d+)\s*=\s*\[(.*),(.*)\]", body)
                     if not bm:
                         raise RegionError(f"bad bound line: {body!r}")
-                    bounds[int(bm.group(1))] = (
-                        parse_affine_expr(bm.group(2)),
-                        parse_affine_expr(bm.group(3)),
+                    bounds[_var_index(bm.group(1))] = (
+                        endpoint(bm.group(2)),
+                        endpoint(bm.group(3)),
                     )
                     continue
                 if body.startswith("where "):
@@ -360,7 +401,7 @@ def loads(text: str) -> Catalog:
             if not where_text:
                 raise RegionError(f"region {name} has no where clause")
             tree = parse_bool_expr(" ".join(where_text))
-            cat.regions[name] = RegionSpec(name, dim, tree, bounds)
+            _add(cat.regions, "region", name, RegionSpec(name, dim, tree, bounds))
         elif line.startswith("ranges "):
             name = line.split()[1]
             pieces: list[IntervalPiece] = []
@@ -376,14 +417,14 @@ def loads(text: str) -> Catalog:
                     raise RegionError(f"bad piece line: {body!r}")
                 pieces.append(
                     IntervalPiece(
-                        lo=parse_affine_expr(pm.group(2)),
-                        hi=parse_affine_expr(pm.group(3)),
+                        lo=endpoint(pm.group(2)),
+                        hi=endpoint(pm.group(3)),
                         lo_open=pm.group(1) == "(",
                         hi_open=pm.group(4) == ")",
                         src=pm.group(5),
                     )
                 )
-            cat.ranges[name] = IntervalUnion(pieces)
+            _add(cat.ranges, "ranges", name, IntervalUnion(pieces))
         elif line.startswith("integral "):
             m = re.fullmatch(
                 r"integral\s+(\S+)\s+dim=(\d+)\s+region=(\S+)\s+weight=(\S+)"
@@ -392,19 +433,23 @@ def loads(text: str) -> Catalog:
             )
             if not m:
                 raise RegionError(f"bad integral line: {line!r}")
-            cat.integrals[m.group(1)] = IntegralDef(
+            try:
+                mult = Fraction(m.group(5))
+            except ValueError:
+                raise RegionError(f"bad integral line: {line!r}") from None
+            _add(cat.integrals, "integral", m.group(1), IntegralDef(
                 name=m.group(1),
                 dim=int(m.group(2)),
                 region=m.group(3),
                 weight=m.group(4),
-                mult=Fraction(m.group(5)),
+                mult=mult,
                 sorted=bool(m.group(6)),
-            )
+            ))
         elif line.startswith("group "):
             m = re.fullmatch(r"group\s+(\S+)\s*:\s*(.*)", line)
             if not m:
                 raise RegionError(f"bad group line: {line!r}")
-            cat.groups[m.group(1)] = m.group(2).split()
+            _add(cat.groups, "group", m.group(1), m.group(2).split())
         else:
             raise RegionError(f"unrecognised catalog line: {line!r}")
     cat.validate()

@@ -238,15 +238,13 @@ def cmd_verify(args) -> int:
                 f"value {total:.3g} <= {bound:.3g}", PUBLISHED, lines,
             )
     elif suite == "calibration":
-        import math as _math
-
         cat = _catalog(args)
         for k in range(2, 7):
             res = qd.integrate(
                 cat.integrals[f"cal{k}"], {}, tol=1e-9, rel_tol=5e-4, seed=seed,
                 budget=args.budget, cat=cat,
             )
-            expected = 1.0 / _math.factorial(k)
+            expected = 1.0 / math.factorial(k)
             ok &= _check(
                 f"simplex volume k={k}", abs(res.value - expected) <= 0.003 * expected,
                 f"value {res.value:.6g} vs {expected:.6g}", COMPUTED, lines,
@@ -259,9 +257,13 @@ def cmd_verify(args) -> int:
 
 
 def _catalog(args):
-    if args.catalog:
-        return load_catalog(args.catalog)
-    return default_catalog()
+    # a catalog file that cannot be read is a configuration error (exit 2)
+    try:
+        if args.catalog:
+            return load_catalog(args.catalog)
+        return default_catalog()
+    except OSError as exc:
+        raise RegionError(f"cannot read catalog: {exc}") from None
 
 
 def make_parser() -> argparse.ArgumentParser:

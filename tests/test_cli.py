@@ -102,11 +102,26 @@ def test_typeii_ambiguous_exit(tmp_path):
     start = dup.index("region A0101dup")
     end = dup.index("end", start) + 3
     extra = dup[start:end]
-    members = " ".join(default_catalog().groups["a_leaves"] + ["A0101dup"])
+    members = " ".join(default_catalog().groups["a_leaves"])
+    # record names are unique, so the group line is rewritten, not repeated
+    text = text.replace(f"group a_leaves: {members}\n", f"group a_leaves: {members} A0101dup\n")
     path = tmp_path / "cat.txt"
-    path.write_text(text + "\n" + extra + f"\ngroup a_leaves: {members}\n")
+    path.write_text(text + "\n" + extra + "\n")
     code, _ = run_cli(["typeii", "0.36", "0.141", "--catalog", str(path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("via", ["--catalog", "SIEVELAB_CATALOG"])
+def test_missing_catalog_file_exits_2(via, tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing.txt")
+    argv = ["typeii", "0.52"]
+    if via == "--catalog":
+        argv += ["--catalog", missing]
+    else:
+        monkeypatch.setenv(via, missing)
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: cannot read catalog")
 
 
 def test_verify_l7_reads_catalog(tmp_path):

@@ -278,8 +278,10 @@ def test_type_ii_ambiguity_on_overlapping_catalog():
     start = dup.index("region A0101dup")
     end = dup.index("end", start) + 3
     extra = dup[start:end]
-    members = " ".join(default_catalog().groups["a_leaves"] + ["A0101dup"])
-    cat2 = loads(text + "\n" + extra + f"\ngroup a_leaves: {members}\n")
+    members = " ".join(default_catalog().groups["a_leaves"])
+    # record names are unique, so the group line is rewritten, not repeated
+    text = text.replace(f"group a_leaves: {members}\n", f"group a_leaves: {members} A0101dup\n")
+    cat2 = loads(text + "\n" + extra + "\n")
     with pytest.raises(AmbiguityError) as err:
         type_ii_range(ThetaParams(0.36, 0.141), cat2)
     assert set(err.value.matches) == {"A0101", "A0101dup"}

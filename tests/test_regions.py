@@ -1,13 +1,18 @@
+import hashlib
 import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sievelab.catalog import default_catalog, dumps, loads, parse_affine_expr
+from sievelab.catalog import default_catalog, dumps, loads, parse_affine_expr, parse_bool_expr
 from sievelab.params import theta_only
 from sievelab.regions import (
+    PARAM_NAMES,
+    SPECIALS,
     AffineForm,
     IntervalPiece,
     IntervalUnion,
@@ -71,7 +76,6 @@ def test_contains_examples():
     # Literal substitution: s=0.40 < 0.49 but s+2t = 1.00 > 0.98 fails.
     assert not contains(CAT.region("S"), [0.40, 0.30], vals, CAT)
     # Vacuous conjunction is true.
-    from sievelab.catalog import parse_bool_expr
     from sievelab.regions import RegionSpec
 
     empty = RegionSpec("empty_and", 2, parse_bool_expr("true"))
@@ -363,3 +367,179 @@ def test_definitely_agrees_with_sampling():
             assert got.all()
         else:
             assert not got.any()
+
+
+# ---------------------------------------------------------------------------
+# catalog parser: a pin of the packaged catalog, error paths and an oracle
+# ---------------------------------------------------------------------------
+
+# sha256 of dumps(default_catalog()), recorded before the one-pass parser
+CATALOG_SHA256 = "562980bf41dc73c6edb40ea17ad8cbe660c9a7731f232ea877ef7fe29e3332b0"
+
+
+def test_packaged_catalog_pinned():
+    assert hashlib.sha256(dumps(default_catalog()).encode()).hexdigest() == CATALOG_SHA256
+    assert loads(dumps(CAT)) == CAT
+
+
+@pytest.mark.parametrize("text, match", [
+    ("t1*t2", "nonlinear"),
+    ("(1 + theta)*(2 - t1)", "nonlinear"),
+    ("t1/0", "nonzero constant"),
+    ("t1/(t2 - t2)", "nonzero constant"),
+    ("1/t1", "nonzero constant"),
+    ("2/theta", "nonzero constant"),
+    ("1 + foo", "unknown symbol"),
+    ("t1 + 1 2", "trailing tokens"),
+    ("t1 + (2", "unexpected end"),
+    ("t1 $ 2", "cannot tokenize"),
+    ("1. + t1", "cannot tokenize"),
+    ("t0 + 1", "t0"),
+    ("-t00", "t0"),
+])
+def test_affine_parse_errors(text, match):
+    with pytest.raises(RegionError, match=match):
+        parse_affine_expr(text)
+
+
+@pytest.mark.parametrize("text", ["t1 < 1 t2", "t1 <", "t1 + 2", "(t1 < 1", "in(g1; t0, t1)",
+                                  "in(g1; t1 + t0)", "splits(g1; append=t1*t2)"])
+def test_bool_parse_errors(text):
+    with pytest.raises(RegionError):
+        parse_bool_expr(text)
+
+
+REGION_A = "region A dim=2\n  where t1 < 1/2\nend\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    ("region A\n  where t1 < 1\nend\n", "bad region header"),
+    ("region A dim=two\n  where t1 < 1\nend\n", "bad region header"),
+    ("region A dim=2\n  bound t1 = 0, 1\n  where t1 < 1\nend\n", "bad bound line"),
+    ("region A dim=2\n  bound t0 = [0, 1]\n  where t1 < 1\nend\n", "t0"),
+    ("region A dim=2\n  where t0 < 1/2\nend\n", "t0"),
+    ("region A dim=2\n  where in(B; t0, t1)\nend\n", "t0"),
+    ("region A dim=2\nend\n", "no where clause"),
+    ("region A dim=2\n  bogus\n  where t1 < 1\nend\n", "unexpected line"),
+    (REGION_A + "ranges A\n  piece 0, 1 src=x\nend\n", "bad piece line"),
+    (REGION_A + "ranges A\n  piece (0, 1)\nend\n", "bad piece line"),
+    (REGION_A + "integral I dim=2 region=A weight=one\n", "bad integral line"),
+    (REGION_A + "integral I dim=2 region=A weight=one mult=x\n", "bad integral line"),
+    (REGION_A + "group G A\n", "bad group line"),
+    (REGION_A + "regions B dim=2\n", "unrecognised catalog line"),
+])
+def test_catalog_parse_errors(text, match):
+    with pytest.raises(RegionError, match=match):
+        loads(text)
+
+
+@pytest.mark.parametrize("record, kind, name", [
+    ("", "region", "A"),
+    ("ranges A\n  piece (0, 1) src=x\nend\n", "ranges", "A"),
+    ("integral I dim=2 region=A weight=one mult=1\n", "integral", "I"),
+    ("group G: A\n", "group", "G"),
+])
+def test_catalog_duplicate_names_rejected(record, kind, name):
+    once = REGION_A + record
+    loads(once)
+    with pytest.raises(RegionError, match=f"duplicate {kind} '{name}'"):
+        loads(once + (record or REGION_A))
+
+
+def test_t1_is_the_first_coordinate():
+    # t0 used to be accepted and read the last coordinate
+    cat = loads(REGION_A)
+    pts = np.array([[0.1, 0.9], [0.9, 0.1]])
+    assert cat.region("A").eval(pts, {}, cat).tolist() == [True, False]
+
+
+# Random affine expression trees: a leaf is (text, form) with the form built
+# by AffineForm.make; inner nodes are ("neg", x), ("paren", x) and
+# ("bin", op, left, right).
+_VARS = [f"t{i}" for i in range(1, 10)]
+
+
+def _symbol_form(name):
+    if name in PARAM_NAMES:
+        return AffineForm.make(params={name: 1})
+    if name in SPECIALS:
+        return AffineForm.make(specials={name: 1})
+    return AffineForm.make(vars={int(name[1:]): 1})
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(list(PARAM_NAMES) + _VARS + list(SPECIALS)).map(
+        lambda s: ("leaf", s, _symbol_form(s))
+    ),
+    st.integers(0, 60).map(lambda n: ("leaf", str(n), AffineForm.make(const=n))),
+    st.builds(lambda whole, cents: ("leaf", f"{whole}.{cents:02d}",
+                                    AffineForm.make(const=Fraction(100 * whole + cents, 100))),
+              st.integers(0, 9), st.integers(0, 99)),
+)
+
+
+def _extend(kids):
+    binary = st.tuples(st.just("bin"), st.sampled_from("+-*/"), kids, kids)
+    return st.one_of(binary, binary.map(lambda x: ("neg", x)), binary.map(lambda x: ("paren", x)),
+                     kids.map(lambda x: ("neg", x)))
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _render(node):
+    """Text with the fewest parentheses that keep the tree's grouping."""
+    kind = node[0]
+    if kind == "leaf":
+        return node[1]
+    if kind == "paren":
+        return f"({_render(node[1])})"
+    if kind == "neg":
+        inner = _render(node[1])
+        return f"-({inner})" if node[1][0] == "bin" else f"-{inner}"
+    _, op, left, right = node
+    lt, rt = _render(left), _render(right)
+    if left[0] == "bin" and _PREC[left[1]] < _PREC[op]:
+        lt = f"({lt})"
+    if right[0] == "bin" and _PREC[right[1]] <= _PREC[op]:
+        rt = f"({rt})"
+    return f"{lt} {op} {rt}"
+
+
+def _reference(node):
+    """The tree's form by AffineForm algebra, or None where it is not affine."""
+    kind = node[0]
+    if kind == "leaf":
+        return node[2]
+    if kind in ("paren", "neg"):
+        inner = _reference(node[1])
+        return inner if kind == "paren" or inner is None else -inner
+    _, op, left, right = node
+    a, b = _reference(left), _reference(right)
+    if a is None or b is None:
+        return None
+
+    def const(f):
+        return not (f.params or f.vars or f.specials)
+
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        if const(b):
+            return a.scale(b.const)
+        return b.scale(a.const) if const(a) else None
+    return a.scale(1 / b.const) if const(b) and b.const != 0 else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_affine_parse_matches_form_algebra(tree):
+    text, want = _render(tree), _reference(tree)
+    if want is None:
+        with pytest.raises(RegionError):
+            parse_affine_expr(text)
+    else:
+        assert parse_affine_expr(text) == want

@@ -385,10 +385,10 @@ def loads(text: str) -> Catalog:
                     bm = re.fullmatch(r"bound\s+(t\d+)\s*=\s*\[(.*),(.*)\]", body)
                     if not bm:
                         raise RegionError(f"bad bound line: {body!r}")
-                    bounds[_var_index(bm.group(1))] = (
-                        endpoint(bm.group(2)),
-                        endpoint(bm.group(3)),
-                    )
+                    idx = _var_index(bm.group(1))
+                    if dim is not None and idx > dim:
+                        raise RegionError(f"bound t{idx} out of range for region {name} dim={dim}")
+                    bounds[idx] = (endpoint(bm.group(2)), endpoint(bm.group(3)))
                     continue
                 if body.startswith("where "):
                     in_where = True
@@ -403,7 +403,10 @@ def loads(text: str) -> Catalog:
             tree = parse_bool_expr(" ".join(where_text))
             _add(cat.regions, "region", name, RegionSpec(name, dim, tree, bounds))
         elif line.startswith("ranges "):
-            name = line.split()[1]
+            m = re.fullmatch(r"ranges\s+(\S+)", line)
+            if not m:
+                raise RegionError(f"bad ranges header: {line!r}")
+            name = m.group(1)
             pieces: list[IntervalPiece] = []
             while i < len(lines):
                 body = strip(lines[i])

@@ -72,7 +72,12 @@ FLOOR_MIN = 1e-4  # smallest admissible denominator floor for singular weights
 # Box tests the emptiness proof may make before it gives up.  At theta =
 # 0.52 the proof closes for I1 in 329 tests and for I2 in 833; U234 and I4
 # never close, and giving up cost U234 about 0.13 s here against 0.05 s at
-# 512 tests (2-core machine).
+# 512 tests (2-core machine).  No larger cap would close U234: with 60,032
+# tests the bisection reaches depth 51 and still leaves 1,864 undecided
+# boxes, all around t = (1/7, ..., 1/7), where the region's strict bound
+# 2*t1 + t2 + ... + t6 < 1 meets Tstar3's open bound t3 + t4 + t5 + t6 <
+# 4/7.  Every box around that point stays undecided; closing U234 and I4
+# needs a certificate for strict inequalities (Farkas), not more box tests.
 PROOF_CALLS = 1024
 # Points drawn and evaluated together.  Twice as many ran no faster and held
 # more memory: the subset-sum tables of `splits` regions grow with the rows.

@@ -9,7 +9,10 @@ two-dimensional region.
 A region is evaluated through a program compiled once per (region, catalog,
 point dimension) and kept on the catalog.  The program answers two
 questions: membership of a batch of points, vectorised over (N, k) arrays,
-and a three-valued verdict over an axis-aligned box (interval mode).
+and a three-valued verdict over an axis-aligned box (interval mode).  In a
+batch, a nested clause that holds nothing but comparisons runs over all
+rows under a mask of the rows its parent has not decided; `in`, `splits`
+and `descending` children run on a copy of those rows alone.
 
 Reductions along the rows of a batch (the tsum/tmin/tmax aggregates, the
 descending test, a bipartition's total) go through `rowwise`.  numpy
@@ -369,14 +372,17 @@ class _Node:
     """A node of a compiled program: 'and' / 'or' (the columns of their
     comparisons, then their other children cheapest first by a static count
     of the comparisons a point costs), 'not', 'desc', 'const', 'in' (grouped
-    membership) or 'splits'."""
+    membership) or 'splits'.  A junction is `masked` when its subtree holds
+    only comparisons: it then runs over its parent's whole batch under a
+    mask of live rows instead of on a gathered copy of them."""
 
-    __slots__ = ("kind", "cols", "children", "arg", "cost")
+    __slots__ = ("kind", "cols", "children", "arg", "cost", "masked")
 
     def __init__(self, kind, cost=1.0, cols=(), children=(), arg=None):
         self.kind, self.arg, self.cols = kind, arg, tuple(cols)
         self.children = tuple(sorted(children, key=lambda c: c.cost))
         self.cost = cost + len(self.cols) + sum(c.cost for c in self.children)
+        self.masked = kind in ("and", "or") and all(c.masked for c in self.children)
 
 
 class _Program:
@@ -461,8 +467,8 @@ class _Program:
 
 class _Bound:
     """A program bound to a parameter point for one call: each column's
-    constant parts are computed when a row first reaches it, so a missing
-    parameter raises only then."""
+    constant parts are computed when a live, undecided row first reaches
+    it, so a missing parameter raises only then."""
 
     def __init__(self, prog: _Program, params: dict[str, float]):
         self.prog, self.params = prog, params
@@ -489,15 +495,18 @@ class _Bound:
             return np.concatenate([self.eval(x[i : i + CHUNK_ROWS]) for i in chunks])
         return self._run(self.prog.root, x)
 
-    def _run(self, node: _Node, x: np.ndarray) -> np.ndarray:
+    def _run(self, node: _Node, x: np.ndarray, live=None) -> np.ndarray:
+        """Verdicts of node on the rows of x; only the rows where the mask
+        live is set (all rows when it is None) count, the others are junk."""
         kind = node.kind
         if kind == "and" or kind == "or":
-            # Comparisons in order while a row is undecided, then each other
-            # child on the rows it can still change.
-            is_and, aggs = kind == "and", [None] * len(SPECIALS)
-            out = np.full(len(x), is_and)
+            # Comparisons in order while a live row is undecided, then each
+            # other child: a masked clause over all rows of x, anything else
+            # on a copy of the rows it can still change.
+            is_and = kind == "and"
+            out, aggs = np.full(len(x), is_and), [None] * len(SPECIALS)
             for i, c in enumerate(node.cols):
-                if i and not (out.any() if is_and else not out.all()):
+                if i and not self._undecided(out, is_and, live).any():
                     return out
                 rel, lbase, lterms, rbase, rterms = self.column(c)
                 v = _OPS[rel](_values(lbase, lterms, x, aggs), _values(rbase, rterms, x, aggs))
@@ -506,10 +515,16 @@ class _Bound:
                 else:
                     out |= v
             for child in node.children:
-                rows = np.flatnonzero(out if is_and else ~out)
-                if not rows.size:
+                todo = self._undecided(out, is_and, live)
+                if not todo.any():
                     break
-                out[rows] = self._run(child, x[rows])
+                if not child.masked:
+                    rows = np.flatnonzero(todo)
+                    out[rows] = self._run(child, x[rows])
+                elif is_and:
+                    out &= self._run(child, x, todo)
+                else:
+                    out |= self._run(child, x, todo)
             return out
         if kind == "not":
             return ~self._run(node.children[0], x)
@@ -529,6 +544,12 @@ class _Bound:
             extra = np.full((len(x), 1), self.base(append))
             x = np.concatenate([x, extra], axis=1)
         return _bipartition_hits(x, _Bound(prog, self.params))
+
+    @staticmethod
+    def _undecided(out: np.ndarray, is_and: bool, live) -> np.ndarray:
+        """The live rows a junction has not decided yet."""
+        todo = out if is_and else ~out
+        return todo if live is None else todo & live
 
     # ----- three-valued verdict over a box -----
 
@@ -596,7 +617,9 @@ def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
 
     Masks run in blocks of about BLOCK_PAIRS / rows: the low bits of a mask
     index a subset-sum table, the high bits are added on top in index order,
-    and rows that found a bipartition are dropped between blocks.
+    and rows that found a bipartition are dropped between blocks.  The pairs
+    (sum_I, sum_J) are the columns of the transpose of a (2, pairs) buffer,
+    so the target reads each coordinate contiguously.
     """
     n, k = x.shape
     total, hit, live = rowwise(np.add, x), np.zeros(n, dtype=bool), np.arange(n)
@@ -606,8 +629,10 @@ def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
         sums = low
         for b in (b for b in range(k - j) if high >> b & 1):
             sums = sums + x[live, j + b][:, None]
-        pairs = np.stack([sums.ravel(), (total[live][:, None] - sums).ravel()], axis=1)
-        found = target.eval(pairs).reshape(sums.shape).any(axis=1)
+        pairs = np.empty((2,) + sums.shape)
+        pairs[0] = sums
+        np.subtract(total[live][:, None], sums, out=pairs[1])
+        found = target.eval(pairs.reshape(2, -1).T).reshape(sums.shape).any(axis=1)
         if found.any():
             hit[live[found]] = True
             live, low = live[~found], low[~found]

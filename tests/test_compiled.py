@@ -2,16 +2,19 @@
 helpers, the sorting network, batch invariance of point evaluation and
 soundness and monotonicity of the box test."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sievelab.catalog import default_catalog
+from sievelab.catalog import default_catalog, loads
 from sievelab.params import ThetaParams
 from sievelab.quadrature import _descending
-from sievelab.regions import CHUNK_ROWS, contains, definitely, rowwise, subset_sums
+from sievelab.regions import (CHUNK_ROWS, RegionError, contains, definitely, rowwise,
+                              subset_sums)
 
 CAT = default_catalog()
 
@@ -121,6 +124,68 @@ def test_contains_agrees_with_batch_evaluation(name, seed):
     x = draw(np.random.default_rng(seed), spec, lo, hi, 16)
     got = [contains(region, p, vals, CAT) for p in x]
     assert got == region.eval(x, vals, CAT).tolist()
+
+
+def _has_or(tree):
+    return tree.op == "or" or any(_has_or(c) for c in tree.children)
+
+
+# 2-D regions whose programs nest comparison-only and/or clauses, which
+# batch evaluation runs under a mask of live rows (in the master regions
+# below a junction that has comparisons of its own), and the pure
+# conjunction g3
+NESTED = ["gunion", "Tstar3", "g3", "S_ext", "B2", "C2", "Amaster", "Emaster", "Jmaster"]
+NESTED += sorted(n for n in CAT.groups["a_leaves"] if _has_or(CAT.region(n).tree))
+POINTS = [(0.52,), (0.545,), (0.32, 0.20), (0.36, 0.141), (0.30, 0.25)]
+
+
+@functools.cache
+def hit_box(name):
+    """The bounding box of the region's hits among 20000 points of [0, 0.7]^2
+    at (0.32, 0.20), widened by a fifth and by 0.01 on each side."""
+    x = np.random.default_rng(0).random((20000, 2)) * 0.7
+    hits = x[CAT.region(name).eval(x, ThetaParams(0.32, 0.20).values(), CAT)]
+    lo, hi = hits.min(axis=0), hits.max(axis=0)
+    pad = (hi - lo) / 5 + 0.01
+    return lo - pad, hi + pad
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NESTED), st.sampled_from(POINTS), st.integers(0, 2**32 - 1),
+       st.integers(1, 300), st.data())
+def test_masked_clauses_agree_with_contains(name, point, seed, n, data):
+    if name == "S_ext" and len(point) == 1:
+        point = (0.32, 0.20)  # S_ext reads theta1 and theta2
+    vals, region = ThetaParams(*point).values(), CAT.region(name)
+    lo, hi = hit_box(name)
+    x = lo + np.random.default_rng(seed).random((n, 2)) * (hi - lo)
+    split = data.draw(st.integers(0, n))
+    want = [contains(region, p, vals, CAT) for p in x]
+    assert region.eval(x, vals, CAT).tolist() == want
+    parts = [region.eval(x[:split], vals, CAT), region.eval(x[split:], vals, CAT)]
+    assert np.concatenate(parts).tolist() == want
+
+
+def test_batch_binds_parameters_lazily():
+    # S_ext at a one-exponent point has no theta2: its enlarged disjunct
+    # reads it, and only rows that in(S) leaves undecided reach that clause
+    vals, region = ThetaParams(0.52).values(), CAT.region("S_ext")
+    assert "theta2" not in vals
+    assert region.eval(np.array([[0.1, 0.1], [0.2, 0.05]]), vals, CAT).tolist() == [True, True]
+    for x in ([[0.01, 0.46]], [[0.1, 0.1], [0.01, 0.46]]):
+        with pytest.raises(RegionError, match="theta2"):
+            region.eval(np.array(x), vals, CAT)
+
+
+def test_masked_clause_binds_parameters_for_live_rows_only():
+    # Row 0 fails t1 < 1/2, so only row 1 is live in the `or`, and t2 < 1/4
+    # decides it: the clause reading theta2 must not be bound.
+    cat = loads("region A dim=2\n"
+                "  where t1 < 1/2 and (t2 < 1/4 or (t2 < 1/2 and t2 < theta2))\nend\n")
+    region, vals = cat.region("A"), ThetaParams(0.52).values()
+    assert region.eval(np.array([[0.9, 0.3], [0.1, 0.1]]), vals, cat).tolist() == [False, True]
+    with pytest.raises(RegionError, match="theta2"):
+        region.eval(np.array([[0.9, 0.3], [0.1, 0.3]]), vals, cat)
 
 
 @settings(max_examples=150, deadline=None)

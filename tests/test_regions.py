@@ -417,12 +417,14 @@ REGION_A = "region A dim=2\n  where t1 < 1/2\nend\n"
     ("region A dim=two\n  where t1 < 1\nend\n", "bad region header"),
     ("region A dim=2\n  bound t1 = 0, 1\n  where t1 < 1\nend\n", "bad bound line"),
     ("region A dim=2\n  bound t0 = [0, 1]\n  where t1 < 1\nend\n", "t0"),
+    ("region A dim=2\n  bound t3 = [0, 1]\n  where t1 < 1\nend\n", "bound t3 out of range"),
     ("region A dim=2\n  where t0 < 1/2\nend\n", "t0"),
     ("region A dim=2\n  where in(B; t0, t1)\nend\n", "t0"),
     ("region A dim=2\nend\n", "no where clause"),
     ("region A dim=2\n  bogus\n  where t1 < 1\nend\n", "unexpected line"),
     (REGION_A + "ranges A\n  piece 0, 1 src=x\nend\n", "bad piece line"),
     (REGION_A + "ranges A\n  piece (0, 1)\nend\n", "bad piece line"),
+    (REGION_A + "ranges A extra junk\n  piece (0, 1) src=x\nend\n", "bad ranges header"),
     (REGION_A + "integral I dim=2 region=A weight=one\n", "bad integral line"),
     (REGION_A + "integral I dim=2 region=A weight=one mult=x\n", "bad integral line"),
     (REGION_A + "group G A\n", "bad group line"),
@@ -444,6 +446,13 @@ def test_catalog_duplicate_names_rejected(record, kind, name):
     loads(once)
     with pytest.raises(RegionError, match=f"duplicate {kind} '{name}'"):
         loads(once + (record or REGION_A))
+
+
+def test_bound_beyond_dimension_only_in_generic_regions():
+    # a dimension-generic region may bound any coordinate; under a numeric
+    # dim a bound past it is an error (test_catalog_parse_errors)
+    cat = loads("region A dim=any\n  bound t5 = [0, 1]\n  where t1 < 1\nend\n")
+    assert sorted(cat.region("A").bounds) == [5]
 
 
 def test_t1_is_the_first_coordinate():

@@ -105,6 +105,11 @@ def _form(acc: dict) -> AffineForm:
     return AffineForm(const, tuple(parts[1]), tuple(parts[2]), tuple(parts[3]))
 
 
+# What may follow an arithmetic parenthesis that starts a comparison chain:
+# a relation or an operator.  After a boolean parenthesis none of these can.
+_CHAIN_FOLLOW = frozenset(("<", "<=", ">", ">=", "+", "-", "*", "/"))
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.toks = tokens + [None]  # the sentinel None ends every expression
@@ -158,19 +163,22 @@ class _Parser:
             return self._parse_in()
         if tok == "splits":
             return self._parse_splits()
-        if tok == "(":
-            # Either a boolean parenthesis or an arithmetic one starting a
-            # comparison chain; try the comparison first and backtrack.
-            save = self.i
-            try:
-                return self._parse_chain()
-            except RegionError:
-                self.i = save
+        if tok == "(" and self._after_parenthesis() not in _CHAIN_FOLLOW:
             self.next()
             node = self.parse_bool()
             self.expect(")")
             return node
         return self._parse_chain()
+
+    def _after_parenthesis(self) -> str | None:
+        """The token after the ")" that matches the "(" at the cursor."""
+        depth = 0
+        for j in range(self.i, len(self.toks) - 1):
+            tok = self.toks[j]
+            depth += (tok == "(") - (tok == ")")
+            if not depth:
+                return self.toks[j + 1]
+        return None
 
     def _parse_in(self) -> BoolNode:
         self.expect("in")

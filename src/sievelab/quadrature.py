@@ -6,22 +6,22 @@ pair owns a scrambled Sobol stream seeded from (seed, stratum, replicate),
 rounds refine allocation by stratum spread, and results are reduced in fixed
 stratum order.  The error estimate is the spread of the replicate totals.
 
-The strata are the cells of a grid over the box that the three-valued box
-test does not prove empty.  They are found by bisection: the whole box is
-tested, and an undecided box is halved at the grid's edges until each box
-is decided or is one cell.  Float interval evaluation is monotone under
-inclusion, so this keeps exactly the cells a per-cell test keeps.  The
-kept cells are numbered in grid order, and a stratum's number is part of
-its seed key.
+One bisection, _bisect, serves both questions the three-valued box test
+answers here.  It works on a grid over the sampling box: the whole box is
+tested first, breadth first, and an undecided box is halved at the grid's
+edges until each box is judged empty (dropped), judged full or one cell
+wide (kept).  Float interval evaluation is monotone under inclusion, so
+the kept cells are exactly the cells a per-cell test keeps.
 
-An integral whose first round has no hit tries to prove its region empty
-before it samples on: the whole sampling box is bisected breadth first,
-each box tested once, an undecided box split at its midpoint along every
-axis, until every box is judged empty (the result is a proved
-``empty-region``), a box is judged full or PROOF_CALLS boxes have been
-tested (sampling carries on untouched).  Sorted integrals take the same
-proof: their points are sorted copies of points of a box with identical
-bounds, so they never leave it.
+- The strata are the kept cells of the sampling grid, numbered in grid
+  order; a stratum's number is part of its seed key.
+- An integral whose first round has no hit tries to prove its region empty
+  before it samples on, by the same bisection on a grid of 2**52 cells per
+  axis, which no box gets down to.  If no box is kept, the result is a
+  proved ``empty-region``; the proof gives up only once PROOF_CALLS boxes
+  have been tested, and sampling then carries on untouched.  Sorted
+  integrals take the same proof: their points are sorted copies of points
+  of a box with identical bounds, so they never leave it.
 
 The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
@@ -37,7 +37,6 @@ weight over blocks of many streams' points.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -79,6 +78,9 @@ FLOOR_MIN = 1e-4  # smallest admissible denominator floor for singular weights
 # 4/7.  Every box around that point stays undecided; closing U234 and I4
 # needs a certificate for strict inequalities (Farkas), not more box tests.
 PROOF_CALLS = 1024
+# Cells per axis of the proof's grid: every edge index i and i / 2**52 is
+# exact in float64, and PROOF_CALLS tests never halve a box down to a cell.
+PROOF_BINS = 1 << 52
 # Points drawn and evaluated together.  Twice as many ran no faster and held
 # more memory: the subset-sum tables of `splits` regions grow with the rows.
 BLOCK_ROWS = 1 << 14
@@ -443,69 +445,45 @@ class _Streams:
         return sample(np.repeat(sid, count), self.points(sid, start, count))
 
 
-def _live_cells(region, edges: np.ndarray, vals, cat) -> np.ndarray:
-    """Numbers, in increasing order, of the cells of the grid with these
-    edges (shape (bins + 1, k)) that the box test does not judge empty.
-    Cell s spans edges[d_i] .. edges[d_i + 1] along axis i, d_i = s //
-    bins**i % bins.
+def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=math.inf):
+    """The boxes of a grid over [lo, hi] with `bins` cells per axis that the
+    box test does not judge empty, as cell index ranges (a, b): cells a[i]
+    .. b[i] - 1 along axis i, whose edges are lo + (hi - lo) * edge / bins.
 
-    The whole box is tested first, and an undecided box is halved along
-    every axis it spans more than one cell of, always at the same edges,
-    until each box is decided or is one cell.  Interval evaluation is
-    monotone under inclusion (every bound, aggregate, group and subset sum
-    only narrows on a sub-box), so a verdict on a box is the verdict on
-    each of its cells, and the cells kept are exactly those the per-cell
-    test keeps.
+    Boxes are tested breadth first, the whole box first.  A box judged
+    empty is dropped, and one judged full or one cell wide is kept; any
+    other is halved along every axis wider than one cell.  Interval
+    evaluation is monotone under inclusion (every bound, aggregate, group
+    and subset sum only narrows on a sub-box), so a verdict on a box is the
+    verdict on each of its cells, and the cells of the kept boxes are
+    exactly those the per-cell test keeps.  Returns None once `calls` boxes
+    have been tested and one is still undecided.
     """
-    bins, k = edges.shape[0] - 1, edges.shape[1]
-    axes = range(k)
+    lo, hi = lo.tolist(), hi.tolist()
+    axes = range(len(lo))
+
+    def corner(edge):  # the same floats as the rows of integrate's `edges`
+        return [lo[i] + (hi[i] - lo[i]) * edge[i] / bins for i in axes]
+
     kept = []
-    todo = [((0,) * k, (bins,) * k)]  # boxes as cell index ranges a[i] .. b[i]
-    while todo:
-        a, b = todo.pop()
-        verdict = definitely(region, edges[a, axes], edges[b, axes], vals, cat)
+    # The whole box, then the halves of each undecided box, made only when
+    # reached: a list iterator sees what is appended while it runs.
+    boxes = [[((0,) * len(lo), (bins,) * len(lo))]]
+    for a, b in itertools.chain.from_iterable(boxes):
+        if calls == 0:
+            return None
+        calls -= 1
+        verdict = definitely(region, corner(a), corner(b), vals, cat)
         if verdict is False:
             continue
         if verdict or all(b[i] - a[i] == 1 for i in axes):
-            box = np.zeros(1, dtype=np.int64)  # its cells, in increasing order
-            for i in reversed(axes):
-                box = (box[:, None] * bins + np.arange(a[i], b[i])).ravel()
-            kept.append(box)
+            kept.append((a, b))
             continue
         mid = [(a[i] + b[i]) // 2 for i in axes]
         halves = [((a[i], b[i]),) if b[i] - a[i] == 1 else ((a[i], mid[i]), (mid[i], b[i]))
                   for i in axes]
-        todo += [tuple(zip(*part)) for part in itertools.product(*halves)]
-    return np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.int64)
-
-
-def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
-    """Whether the box test proves the region empty over the box [lo, hi].
-
-    Boxes are tested breadth first, the whole box first: a False box is
-    dropped and an undecided box is split at its midpoint along every axis.
-    The proof gives up at the first True verdict or once PROOF_CALLS boxes
-    have been tested.
-    """
-    undecided = collections.deque()
-
-    def boxes():
-        yield lo, hi
-        while undecided:
-            a, b = undecided.popleft()
-            mid = (a + b) / 2
-            for upper in itertools.product((False, True), repeat=len(a)):
-                yield np.where(upper, mid, a), np.where(upper, b, mid)
-
-    for calls, (a, b) in enumerate(boxes()):
-        if calls == PROOF_CALLS:
-            return False
-        verdict = definitely(region, a, b, vals, cat)
-        if verdict:
-            return False
-        if verdict is None:
-            undecided.append((a, b))
-    return True
+        boxes.append(tuple(zip(*part)) for part in itertools.product(*halves))
+    return kept
 
 
 def integrate(
@@ -526,9 +504,9 @@ def integrate(
     integrals first draw PILOT (8,192) boundedness-pilot points, which the
     samples do not count.
 
-    When the first round finds no region point, _proved_empty bisects the
-    box with the three-valued box test; if it proves the region empty
-    within PROOF_CALLS tests, the result is 0 with est_error 0, the samples
+    When the first round finds no region point, _bisect bisects the box
+    with the three-valued box test; if it proves the region empty within
+    PROOF_CALLS tests, the result is 0 with est_error 0, the samples
     of that round and the flag "empty-region".  Otherwise sampling goes on
     as if the proof had not run, and a run without hits ends in "no-hits".
     """
@@ -570,7 +548,10 @@ def integrate(
     if spec.sorted:
         cells = np.arange(n_cells)
     else:
-        cells = _live_cells(region, edges, vals, cat)
+        live = np.zeros((bins,) * k, dtype=bool)  # grid axis i is array axis k - 1 - i
+        for a, b in _bisect(region, lo, hi, bins, vals, cat):
+            live[tuple(slice(a[i], b[i]) for i in reversed(range(k)))] = True
+        cells = np.flatnonzero(live)
     n_strata = len(cells)
     if not n_strata:
         return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-region")
@@ -605,7 +586,6 @@ def integrate(
     box_lo = np.take_along_axis(edges, digits, axis=0)
     box_width = np.take_along_axis(edges, digits + 1, axis=0) - box_lo
     frac = 1.0 / n_cells  # equal cell volumes
-    w_cap = 0.0
     total_n = 0
     round_total = FIRST_ROUND
     first = True
@@ -613,7 +593,6 @@ def integrate(
     err = float("inf")
 
     def sample(sid: np.ndarray, u: np.ndarray):
-        nonlocal w_cap
         stratum = sid // REPLICATES
         x = u  # in place: the points are not used again
         x *= box_width.take(stratum, axis=0)
@@ -623,9 +602,7 @@ def integrate(
         inside = region.eval(x, vals, cat)
         g = np.zeros(len(x))
         if inside.any():
-            w = wfn(x[inside])
-            g[inside] = w
-            w_cap = max(w_cap, float(w.max()))
+            g[inside] = wfn(x[inside])
         return g, inside
 
     while True:
@@ -654,7 +631,8 @@ def integrate(
             batch = ((budget - total_n) * weights / REPLICATES).astype(np.int64)
         streams.run(np.repeat(batch, REPLICATES), sample)
         total_n += REPLICATES * int(batch.sum())
-        if first and not streams.hits.any() and _proved_empty(region, lo, hi, vals, cat):
+        if (first and not streams.hits.any()
+                and _bisect(region, lo, hi, PROOF_BINS, vals, cat, PROOF_CALLS) == []):
             return QuadratureResult(0.0, 0.0, total_n, seed, flag="empty-region")
         first = False
 
@@ -671,14 +649,13 @@ def integrate(
         round_total = min(2 * round_total, max(budget - total_n, FIRST_ROUND))
 
     if not streams.hits.any():
-        if w_cap == 0.0:
-            if spec.weight == "one":
-                w_cap = 1.0
-            else:
-                # crude ceiling from the admissible denominator floors
-                floors = np.maximum(lo, FLOOR_MIN)
-                rest_floor = max(1.0 - float(hi.sum()), float(floors.min()), FLOOR_MIN)
-                w_cap = 1.0 / (float(np.prod(floors)) * rest_floor)
+        if spec.weight == "one":
+            w_cap = 1.0
+        else:
+            # crude ceiling from the admissible denominator floors
+            floors = np.maximum(lo, FLOOR_MIN)
+            rest_floor = max(1.0 - float(hi.sum()), float(floors.min()), FLOOR_MIN)
+            w_cap = 1.0 / (float(np.prod(floors)) * rest_floor)
         bound = scale * vol * w_cap * 3.0 / max(total_n, 1)
         return QuadratureResult(0.0, bound, total_n, seed, flag="no-hits")
     return QuadratureResult(value, err, total_n, seed)

@@ -254,7 +254,7 @@ def definitely(region: RegionSpec, lo: np.ndarray, hi: np.ndarray, params, catal
     """Tri-state box test: True/False when the region verdict is constant
     over the whole box [lo, hi], None when undecided.  Used to prune
     provably dead sampling cells without bias."""
-    return _Bound(_program(region, catalog, len(lo)), params).decide(lo, hi)
+    return _bound(region, len(lo), params, catalog).decide(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -257,21 +258,26 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
     bins = 2 if name == "I3" else max(2, round(4096 ** (1 / spec.dim)))
     want = per_cell_live(region, vals, lo, hi, bins)
 
-    definitely, live_cells = quadrature.definitely, quadrature._live_cells
+    definitely, bisect = quadrature.definitely, quadrature._bisect
     calls, kept = [0], []
 
     def counting(*args):
         calls[0] += 1
         return definitely(*args)
 
-    def recording(*args):
-        kept.append(live_cells(*args))
-        return kept[-1]
+    def recording(region, lo, hi, n, vals, cat, cap=math.inf):
+        boxes = bisect(region, lo, hi, n, vals, cat, cap)
+        # the cells of the kept boxes, numbered as in per_cell_live
+        cells = {sum(d * n**i for i, d in enumerate(digits))
+                 for a, b in boxes for digits in itertools.product(*map(range, a, b))}
+        kept.append((cap, sorted(cells)))
+        return boxes
 
     monkeypatch.setattr(quadrature, "definitely", counting)
-    monkeypatch.setattr(quadrature, "_live_cells", recording)
+    monkeypatch.setattr(quadrature, "_bisect", recording)
     integrate(spec, params, tol=1.0, budget=max(1 << 15, 4 * len(want)))
-    assert len(kept) == 1 and kept[0].tolist() == want
+    # one call, for the strata, which caps no box tests
+    assert kept == [(math.inf, want)]
     if name == "I3":  # a two-way grid: the whole box, then each cell
         assert calls[0] <= bins**spec.dim + 1
     else:
@@ -280,20 +286,22 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
 
 @pytest.mark.parametrize("name, samples", [("I1", 24576), ("I2", 16384)])
 def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch):
-    definitely, proved_empty = quadrature.definitely, quadrature._proved_empty
+    definitely, bisect = quadrature.definitely, quadrature._bisect
     calls, proofs = [0], []
 
     def counting(*args):
         calls[0] += 1
         return definitely(*args)
 
-    def proving(*args):
+    def proving(region, lo, hi, n, vals, cat, cap=math.inf):
         before = calls[0]
-        proofs.append((proved_empty(*args), calls[0] - before))
-        return proofs[-1][0]
+        boxes = bisect(region, lo, hi, n, vals, cat, cap)
+        if cap == quadrature.PROOF_CALLS:
+            proofs.append((boxes == [], calls[0] - before))
+        return boxes
 
     monkeypatch.setattr(quadrature, "definitely", counting)
-    monkeypatch.setattr(quadrature, "_proved_empty", proving)
+    monkeypatch.setattr(quadrature, "_bisect", proving)
     res = named_integral(name, theta_only(0.52))
     # the samples of the first round, whose strata are 4 replicates of a
     # power-of-two batch each
@@ -305,10 +313,14 @@ def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch
 @pytest.mark.parametrize("name", ["cal2", "cal3", "cal4", "cal5", "cal6", "S235", "I3", "I5",
                                   "U233"])
 def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the emptiness proof ran")
+    bisect = quadrature._bisect
 
-    monkeypatch.setattr(quadrature, "_proved_empty", refuse)
+    def refuse(region, lo, hi, n, vals, cat, cap=math.inf):
+        if cap == quadrature.PROOF_CALLS:
+            raise AssertionError("the emptiness proof ran")
+        return bisect(region, lo, hi, n, vals, cat, cap)
+
+    monkeypatch.setattr(quadrature, "_bisect", refuse)
     if name.startswith("cal"):
         params = {}
     else:
@@ -325,7 +337,8 @@ def test_proved_empty_regions_hold_no_box_point(name, theta):
     vals = theta_only(theta).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    if (hi <= lo).any() or not quadrature._proved_empty(region, lo, hi, vals, CAT):
+    if (hi <= lo).any() or quadrature._bisect(region, lo, hi, quadrature.PROOF_BINS, vals, CAT,
+                                              quadrature.PROOF_CALLS) != []:
         return
     x = lo + np.random.default_rng(0).random((1 << 14, spec.dim)) * (hi - lo)
     if spec.sorted:

@@ -2,12 +2,14 @@ import hashlib
 import os
 import random
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievelab import catalog
 from sievelab.catalog import default_catalog, dumps, loads, parse_affine_expr, parse_bool_expr
 from sievelab.params import theta_only
 from sievelab.regions import (
@@ -319,6 +321,28 @@ def test_merge_measure_monotone():
         assert measure(grown) >= base - 1e-12
 
 
+# Pieces with half-integer endpoints in [0, 4], so ends meet and coincide
+# often, each end open or closed.
+_numeric_pieces = st.lists(
+    st.builds(lambda a, b, lo_open, hi_open: NumericPiece(a / 2, b / 2, lo_open, hi_open),
+              st.integers(0, 8), st.integers(0, 8), st.booleans(), st.booleans()),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numeric_pieces)
+def test_merge_numeric_properties(pieces):
+    merged = merge_numeric(pieces)
+    assert merged == sorted(merged, key=lambda p: (p.lo, p.hi))
+    assert merge_numeric(merged) == merged
+    for p, q in zip(merged, merged[1:]):
+        # no neighbours could be joined: a gap, or a shared end open on both sides
+        assert p.hi < q.lo or (p.hi == q.lo and p.hi_open and q.lo_open)
+    for x in [i / 4 for i in range(-1, 18)]:  # every endpoint and midpoint
+        assert interval_contains(merged, x) == any(interval_contains([p], x) for p in pieces)
+
+
 # ---------------------------------------------------------------------------
 # catalog round-trip and box pruning soundness
 # ---------------------------------------------------------------------------
@@ -345,6 +369,15 @@ def test_env_catalog_parsed_once_per_version(tmp_path, monkeypatch):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     again = default_catalog()
     assert again is not first and again.groups["extra"] == ["g1"]
+
+
+def test_definitely_rejects_boxes_beyond_the_region_dimension():
+    vals = theta_only(0.52).values()
+    box = np.zeros(3), np.full(3, 0.1)
+    for name in ("simplex2", "U233"):
+        assert CAT.region(name).dimension == 2
+        with pytest.raises(RegionError, match="dimension 2, got 3"):
+            definitely(CAT.region(name), *box, vals, CAT)
 
 
 def test_definitely_agrees_with_sampling():
@@ -380,6 +413,26 @@ CATALOG_SHA256 = "562980bf41dc73c6edb40ea17ad8cbe660c9a7731f232ea877ef7fe29e3332
 def test_packaged_catalog_pinned():
     assert hashlib.sha256(dumps(default_catalog()).encode()).hexdigest() == CATALOG_SHA256
     assert loads(dumps(CAT)) == CAT
+
+
+def test_parenthesis_parsed_once(monkeypatch):
+    # the token after the matching ")" tells a comparison chain from a
+    # boolean parenthesis, so no chain is tried and abandoned
+    parse_chain, failed = catalog._Parser._parse_chain, [0]
+
+    def counting(self):
+        try:
+            return parse_chain(self)
+        except RegionError:
+            failed[0] += 1
+            raise
+
+    monkeypatch.setattr(catalog._Parser, "_parse_chain", counting)
+    packaged = resources.files("sievelab.data").joinpath("catalog.txt").read_text()
+    assert loads(packaged) == loads(dumps(CAT)) == CAT
+    assert failed[0] == 0
+    assert parse_bool_expr("((t1 + t2) < 1 and (t1) - t2 > 0) or not (t2 >= 1)") == \
+        parse_bool_expr("t1 + t2 < 1 and t1 - t2 > 0 or not t2 >= 1")
 
 
 @pytest.mark.parametrize("text, match", [

@@ -1,0 +1,380 @@
+"""Exact emptiness of a region on boxes: the third evaluator of a compiled
+region program, after batch membership and the float box test.
+
+On each box the program is evaluated in three-valued logic
+(`regions._Bound.residual`), and the atoms the box leaves undecided become
+rows with integer coefficients in the box's coordinates, strict where the
+catalog's comparison is: `descending` gives strict rows, `in(...)` and each
+bipartition of `splits(...)` substitute group and subset sums, and
+`tmin`/`tmax` give conjunctions or disjunctions of rows.  Catalog
+coefficients stay exact and parameter values enter as the rationals their
+floats are.  What is left is refuted by Fourier-Motzkin elimination that
+keeps strictness, and each refutation is a Motzkin transposition
+certificate.
+
+A row (a, b, strict) with integer entries means a . t < b when strict and
+a . t <= b otherwise, over the coordinates t of the box.  A residual is
+True, False, a row, or a junction ("and" | "or", frozenset of residuals).
+
+The quadrature imports this module only when its emptiness proof's
+bisection stalls.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .regions import SPECIALS, RegionSpec, _Bound, _bound, _Program
+
+__all__ = ["Certificate", "certify_empty"]
+
+EXACT_ROWS = 400  # rows an elimination step may hold
+EXACT_BRANCHES = 64  # conjunctions one residual may branch into
+
+
+class _GaveUp(Exception):
+    """A cap of the exact test was reached."""
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Motzkin's transposition theorem: rows (a, b, strict) have no common
+    real solution when weights y >= 0 give sum y a = 0 and either
+    sum y b < 0, or sum y b = 0 with a positive weight on a strict row."""
+
+    rows: tuple
+    weights: tuple
+
+    def holds(self) -> bool:
+        if not self.rows or len(self.rows) != len(self.weights) or min(self.weights) < 0:
+            return False
+        k = len(self.rows[0][0])
+        if any(sum(y * a[i] for y, (a, _, _) in zip(self.weights, self.rows)) for i in range(k)):
+            return False
+        rhs = sum(y * b for y, (_, b, _) in zip(self.weights, self.rows))
+        return rhs < 0 or rhs == 0 and any(y > 0 and s for y, (_, _, s) in zip(self.weights,
+                                                                               self.rows))
+
+
+def _fold(op: str, items):
+    """The junction op of residuals: constants decide or drop out, and
+    junctions of the same kind are merged."""
+    stop, out = op == "or", set()
+    for f in items:
+        if f is stop:
+            return stop
+        if f is not (not stop):
+            if f[0] == op:
+                out |= f[1]
+            else:
+                out.add(f)
+    if len(out) < 2:
+        return out.pop() if out else not stop
+    return op, frozenset(out)
+
+
+def _negate(f):
+    if f is True or f is False:
+        return not f
+    if f[0] == "and" or f[0] == "or":
+        return "or" if f[0] == "and" else "and", frozenset(map(_negate, f[1]))
+    a, b, strict = f
+    return tuple(-x for x in a), -b, not strict
+
+
+def _int_row(lin, strict: bool):
+    """lin[:-1] . t + lin[-1] < 0 (<= 0 unless strict) as an integer row in
+    lowest terms, or its verdict when no coordinate is left."""
+    den = math.lcm(*(x.denominator for x in lin))
+    *a, c = (x.numerator * (den // x.denominator) for x in lin)
+    g = math.gcd(*a)
+    if not g:
+        return 0 < -c if strict else 0 <= -c
+    g = math.gcd(g, c)
+    return tuple(x // g for x in a), -c // g, strict
+
+
+class _Exact:
+    """One exact test of a k-dimensional region over boxes: the exact rows
+    of the columns met, by the substitution that maps their program's
+    variables to the box's coordinates, and each residual's outcome.  It
+    is what `_Bound.residual` builds residuals with."""
+
+    fold, negate = staticmethod(_fold), staticmethod(_negate)
+
+    def __init__(self, params: dict[str, float], k: int):
+        self.params, self.k = params, k
+        self.zero = (Fraction(0),) * (k + 1)
+        self.rows: dict = {}
+        self.subs: dict = {}
+        self.bounds: dict = {}
+        self.refuted: dict = {}  # by residual, without box rows
+        self.box, self.lo, self.hi, self.shift = None, None, None, 0
+
+    def bound(self, prog: _Program) -> _Bound:
+        """prog bound to the parameters, once for every box."""
+        out = self.bounds.get(prog)
+        if out is None:
+            out = self.bounds[prog] = _Bound(prog, self.params)
+        return out
+
+    def set_box(self, lo, hi) -> None:
+        self.box, self.lo = (lo, hi), None
+
+    def _corners(self) -> None:
+        """The box's corners as integers over 2**shift, made on first use:
+        floats are dyadic rationals."""
+        ratios = [float(v).as_integer_ratio() for v in (*self.box[0], *self.box[1])]
+        self.shift = max(d.bit_length() - 1 for _, d in ratios)
+        ints = [n << (self.shift - d.bit_length() + 1) for n, d in ratios]
+        self.lo, self.hi = ints[: self.k], ints[self.k :]
+
+    def box_rows(self) -> tuple:
+        """lo <= t <= hi as rows."""
+        if self.lo is None:
+            self._corners()
+        rows = []
+        for i, (l, h) in enumerate(zip(self.lo, self.hi)):
+            unit = tuple(int(i == j) << self.shift for j in range(self.k))
+            rows += [(tuple(-u for u in unit), -l, False), (unit, h, False)]
+        return tuple(rows)
+
+    def value(self, const: Fraction, params) -> Fraction:
+        """const + sum w * param, exactly (the float box test has already
+        checked that every parameter is given)."""
+        return const + sum(w * Fraction(self.params[name]) for name, w in params)
+
+    def vectors(self, sub) -> tuple:
+        """The affine forms in the box's coordinates (k coefficients, then a
+        constant) of the variables of a program reached through sub."""
+        out = self.subs.get(sub)
+        if out is None:
+            zero = self.zero
+            if sub is None:
+                out = tuple(zero[:i] + (Fraction(1),) + zero[i + 1 :] for i in range(self.k))
+            elif sub[0] == "in":
+                parent = self.vectors(sub[2])
+                out = tuple(_add([parent[i] for i in g], zero) for g in sub[1].arg[0])
+            else:
+                _, mask, dim, node, parent = sub
+                parent, form = self.vectors(parent)[:dim], node.arg[2]
+                if form is not None:
+                    parent += (zero[:-1] + (self.value(form.const, form.params),),)
+                out = (_add([v for i, v in enumerate(parent) if mask >> i & 1], zero),
+                       _add([v for i, v in enumerate(parent) if not mask >> i & 1], zero))
+            self.subs[sub] = out
+        return out
+
+    def row(self, bound: _Bound, c: int, sub):
+        """Column c of the bound program through sub, as a residual of rows
+        in the box's coordinates: tmin and tmax make a junction of rows."""
+        key = (bound.prog, c, sub)
+        out = self.rows.get(key)
+        if out is None:
+            rel, const, params, terms = bound.prog.exact(c)
+            vec, dim = self.vectors(sub), bound.prog.dim
+            lin, extremes = self.zero[:-1] + (self.value(const, params),), []
+            for i, w in terms:
+                name = SPECIALS[i - dim] if i >= dim else None
+                if name in ("tmax", "tmin"):
+                    extremes.append((name, w))
+                else:
+                    v = _add(vec, self.zero) if name else vec[i]  # tsum, or a variable
+                    lin = tuple(x + w * y for x, y in zip(lin, v))
+            if rel in (">", ">="):  # as rhs - lhs < 0, or <= 0
+                lin, extremes = tuple(-x for x in lin), [(n, -w) for n, w in extremes]
+            out = self.rows[key] = _extremes(lin, extremes, vec, rel in ("<", ">"))
+        return out
+
+    def descent(self, i: int, sub):
+        """Row of the descending pair t_i > t_(i+1) through sub."""
+        key = ("desc", i, sub)
+        out = self.rows.get(key)
+        if out is None:
+            vec = self.vectors(sub)
+            out = self.rows[key] = _int_row([y - x for x, y in zip(vec[i], vec[i + 1])], True)
+        return out
+
+    def decide(self, f):
+        """A residual judged exactly on the box: rows that hold or fail at
+        every point of it become True or False."""
+        if f is True or f is False:
+            return f
+        if f[0] == "and" or f[0] == "or":
+            return _fold(f[0], map(self.decide, f[1]))
+        if self.lo is None:
+            self._corners()
+        a, b, strict = f
+        low = high = 0
+        for x, l, h in zip(a, self.lo, self.hi):
+            if x > 0:
+                low, high = low + x * l, high + x * h
+            elif x < 0:
+                low, high = low + x * h, high + x * l
+        b <<= self.shift
+        if high < b or high == b and not strict:
+            return True
+        if low > b or low == b and strict:
+            return False
+        return f
+
+
+def _add(vectors, zero):
+    out = zero
+    for v in vectors:
+        out = tuple(x + y for x, y in zip(out, v))
+    return out
+
+
+def _extremes(lin, extremes, vec, strict):
+    """The row lin . (t, 1) + sum w * ext(s) < 0 (or <= 0) for tmin/tmax
+    terms (ext, w) over the variables s = vec: w * tmin is the least of
+    w * s_j when w > 0 and the largest when w < 0, w * tmax the reverse; a
+    largest term must keep the row at every j, a least one at some j."""
+    if not extremes:
+        return _int_row(lin, strict)
+    (name, w), rest = extremes[0], extremes[1:]
+    alts = [_extremes(tuple(x + w * y for x, y in zip(lin, v)), rest, vec, strict) for v in vec]
+    return _fold("and" if (name == "tmax") == (w > 0) else "or", alts)
+
+
+def _prune(work):
+    """The tightest row of each direction, without the rows that hold
+    trivially; the weights of a contradiction if one is among them."""
+    best = {}
+    for row in work:
+        a, b, strict, y, _ = row
+        g = math.gcd(*a)
+        if not g:
+            if b < 0 or b == 0 and strict:
+                return [], y
+            continue
+        key = tuple(x // g for x in a)
+        old = best.get(key)
+        if old is not None:
+            (_, b0, s0, _, _), g0 = old
+            if b * g0 > b0 * g or b * g0 == b0 * g and (s0 or not strict):
+                continue
+        best[key] = row, g
+    return [row for row, _ in best.values()], None
+
+
+def _farkas(rows) -> dict | None:
+    """Weights {row index: y > 0} proving that the rows have no common real
+    solution, or None when they have one.
+
+    Fourier-Motzkin elimination over the integers, keeping strictness (a
+    sum of rows is strict when a strict row has a positive weight; Dantzig &
+    Eaves 1973): each derived row carries the weights that make it from the
+    given rows.  A derived row with more weights than one plus the number of
+    variables eliminated is implied by others and dropped (Chernikov's rule),
+    as is a row bounded tighter by another of the same direction.  Raises
+    _GaveUp once a step holds more than EXACT_ROWS rows.
+    """
+    # (a, b, strict, weights, bit mask of the rows with a weight)
+    work = [(a, b, s, {i: 1}, 1 << i) for i, (a, b, s) in enumerate(rows)]
+    eliminated = 0
+    while True:
+        work, y = _prune(work)
+        if y is not None:
+            return y
+        if not work:
+            return None
+        if len(work) > EXACT_ROWS:
+            raise _GaveUp
+        signs = [([r for r in work if r[0][j] > 0], [r for r in work if r[0][j] < 0])
+                 for j in range(len(work[0][0]))]
+        j = min((j for j, (p, n) in enumerate(signs) if p or n),
+                key=lambda j: len(signs[j][0]) * len(signs[j][1]) - len(signs[j][0])
+                - len(signs[j][1]))
+        eliminated += 1
+        pos, neg = signs[j]
+        work = [r for r in work if not r[0][j]]
+        for a, b, s, y, m in pos:
+            for a2, b2, s2, y2, m2 in neg:
+                if (m | m2).bit_count() > eliminated + 1:
+                    continue
+                cp, cn = -a2[j], a[j]
+                ys = {i: cp * v for i, v in y.items()}
+                for i, v in y2.items():
+                    ys[i] = ys.get(i, 0) + cn * v
+                na = [cp * x + cn * z for x, z in zip(a, a2)]
+                nb = cp * b + cn * b2
+                g = math.gcd(*na, nb, *ys.values())
+                work.append((tuple(x // g for x in na), nb // g, s or s2,
+                             {i: v // g for i, v in ys.items()}, m | m2))
+
+
+def _refute(f, rows: tuple, branches: list) -> list | None:
+    """Certificates that the residual f has no real solution together with
+    rows, one per conjunction it branches into, or None.  The rows outside
+    any disjunction are decided first; only then is a disjunction branched
+    on, the shortest first, and only while every choice of one alternative
+    per disjunction fits in the branches left (a one-item counter).  Past
+    that the test gives up."""
+    rows, choices = list(rows), []
+    for g in f[1] if f[0] == "and" else (f,):
+        if g[0] == "or":
+            choices.append(g[1])
+        else:
+            rows.append(g)
+    y = _farkas(rows)
+    if y is not None:
+        return [Certificate(tuple(rows[i] for i in sorted(y)), tuple(y[i] for i in sorted(y)))]
+    if not choices or math.prod(map(len, choices)) > branches[0]:
+        return None
+    split = min(choices, key=len)
+    rest = [("or", c) for c in choices if c is not split]
+    certs = []
+    for alt in split:
+        branches[0] -= 1
+        if branches[0] < 0:
+            raise _GaveUp
+        more = _refute(_fold("and", [alt, *rest]), tuple(rows), branches)
+        if more is None:
+            return None
+        certs += more
+    return certs
+
+
+def _attempt(f, rows: tuple) -> list | None:
+    try:
+        return _refute(f, rows, [EXACT_BRANCHES])
+    except _GaveUp:
+        return None
+
+
+def certify_empty(region: RegionSpec, boxes, params: dict[str, float], catalog):
+    """Certificates that no real point of the closed boxes [lo, hi] lies in
+    the region, with the parameters at their float values taken exactly, or
+    None when the exact test cannot show it.
+
+    On each box the region's program is evaluated in three-valued logic
+    (`_Bound.residual`); what is left is a residual over exact rows.  It is
+    refuted first alone, which holds for every box with that residual, and
+    then with the box's own bounds.  A residual branches into at most
+    EXACT_BRANCHES conjunctions and an elimination holds at most EXACT_ROWS
+    rows; past either cap the test gives up.  Boxes the residual evaluation
+    decides empty need no certificate.
+    """
+    boxes = list(boxes)
+    if not boxes:
+        return []
+    k = len(boxes[0][0])
+    bound, ex, certs = _bound(region, k, params, catalog), _Exact(params, k), []
+    for lo, hi in boxes:
+        ex.set_box(lo, hi)
+        f = bound.residual(lo, hi, ex)
+        if f is True:
+            return None
+        if f is False:
+            continue
+        if f not in ex.refuted:
+            ex.refuted[f] = _attempt(f, ())
+        found = ex.refuted[f] or _attempt(f, ex.box_rows())
+        if found is None or not all(c.holds() for c in found):
+            return None
+        certs += found
+    return certs

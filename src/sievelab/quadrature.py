@@ -18,10 +18,14 @@ the kept cells are exactly the cells a per-cell test keeps.
 - An integral whose first round has no hit tries to prove its region empty
   before it samples on, by the same bisection on a grid of 2**52 cells per
   axis, which no box gets down to.  If no box is kept, the result is a
-  proved ``empty-region``; the proof gives up only once PROOF_CALLS boxes
-  have been tested, and sampling then carries on untouched.  Sorted
-  integrals take the same proof: their points are sorted copies of points
-  of a box with identical bounds, so they never leave it.
+  proved ``empty-region``.  Once PROOF_CALLS boxes have been tested, every
+  box the bisection kept, left undecided or had not reached gets the exact
+  test (`exact.certify_empty`): the atoms the box leaves undecided, as
+  rational rows, refuted by a Farkas certificate.  If every box is closed
+  the result is ``empty-region`` too; if one is not, or the exact test hits
+  its caps, sampling carries on untouched.  Sorted integrals take the same
+  proof: their points are sorted copies of points of a box with identical
+  bounds, so they never leave it.
 
 The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
@@ -68,15 +72,16 @@ MIN_BATCH = 16
 PILOT = 8192  # boundedness-pilot points for singular weights, outside the budget
 MIN_SAMPLES = 1 << 18  # tolerance may only stop the refinement beyond this
 FLOOR_MIN = 1e-4  # smallest admissible denominator floor for singular weights
-# Box tests the emptiness proof may make before it gives up.  At theta =
-# 0.52 the proof closes for I1 in 329 tests and for I2 in 833; U234 and I4
-# never close, and giving up cost U234 about 0.13 s here against 0.05 s at
-# 512 tests (2-core machine).  No larger cap would close U234: with 60,032
-# tests the bisection reaches depth 51 and still leaves 1,864 undecided
-# boxes, all around t = (1/7, ..., 1/7), where the region's strict bound
-# 2*t1 + t2 + ... + t6 < 1 meets Tstar3's open bound t3 + t4 + t5 + t6 <
-# 4/7.  Every box around that point stays undecided; closing U234 and I4
-# needs a certificate for strict inequalities (Farkas), not more box tests.
+# Box tests the emptiness proof's bisection may make before the exact test
+# takes the boxes it leaves.  At theta = 0.52 the bisection closes I1 in 329
+# tests and I2 in 833.  It cannot close U234: with 60,032 tests it reaches
+# depth 51 and still leaves 1,864 undecided boxes, all around t = (1/7,
+# ..., 1/7), where the strict bound 2*t1 + t2 + ... + t6 < 1 meets Tstar3's
+# bound t3 + t4 + t5 + t6 >= 4/7.  After 1,024 tests it leaves 385 boxes:
+# the exact test's own box verdicts close 381 of them and two certificates
+# the other four.  Both certificates sum their rows to 0 < 0, so they hold
+# only through the strict bound 2*t1 + t2 + ... + t6 < 1.  The cap stays
+# above I2's 833 tests, so the bisection alone still closes I1 and I2.
 PROOF_CALLS = 1024
 # Cells per axis of the proof's grid: every edge index i and i / 2**52 is
 # exact in float64, and PROOF_CALLS tests never halve a box down to a cell.
@@ -445,6 +450,14 @@ class _Streams:
         return sample(np.repeat(sid, count), self.points(sid, start, count))
 
 
+@dataclass(frozen=True)
+class _Stalled:
+    """A bisection out of box tests: the corners (lo, hi) of every box it
+    kept, had not decided or had not reached."""
+
+    boxes: list
+
+
 def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=math.inf):
     """The boxes of a grid over [lo, hi] with `bins` cells per axis that the
     box test does not judge empty, as cell index ranges (a, b): cells a[i]
@@ -456,8 +469,9 @@ def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=
     evaluation is monotone under inclusion (every bound, aggregate, group
     and subset sum only narrows on a sub-box), so a verdict on a box is the
     verdict on each of its cells, and the cells of the kept boxes are
-    exactly those the per-cell test keeps.  Returns None once `calls` boxes
-    have been tested and one is still undecided.
+    exactly those the per-cell test keeps.  Once `calls` boxes have been
+    tested with one still undecided, returns a _Stalled with the boxes it
+    kept, the undecided one and every box still queued.
     """
     lo, hi = lo.tolist(), hi.tolist()
     axes = range(len(lo))
@@ -469,9 +483,10 @@ def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=
     # The whole box, then the halves of each undecided box, made only when
     # reached: a list iterator sees what is appended while it runs.
     boxes = [[((0,) * len(lo), (bins,) * len(lo))]]
-    for a, b in itertools.chain.from_iterable(boxes):
+    queue = itertools.chain.from_iterable(boxes)
+    for a, b in queue:
         if calls == 0:
-            return None
+            return _Stalled([(corner(a), corner(b)) for a, b in (*kept, (a, b), *queue)])
         calls -= 1
         verdict = definitely(region, corner(a), corner(b), vals, cat)
         if verdict is False:
@@ -484,6 +499,18 @@ def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=
                   for i in axes]
         boxes.append(tuple(zip(*part)) for part in itertools.product(*halves))
     return kept
+
+
+def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
+    """Whether no point of [lo, hi] lies in the region: by the box
+    bisection within PROOF_CALLS tests, and where it stalls by the exact test
+    (`exact.certify_empty`) of every box it leaves."""
+    left = _bisect(region, lo, hi, PROOF_BINS, vals, cat, PROOF_CALLS)
+    if not isinstance(left, _Stalled):
+        return left == []
+    from .exact import certify_empty  # compiled only where a proof stalls
+
+    return certify_empty(region, left.boxes, vals, cat) is not None
 
 
 def integrate(
@@ -505,10 +532,11 @@ def integrate(
     samples do not count.
 
     When the first round finds no region point, _bisect bisects the box
-    with the three-valued box test; if it proves the region empty within
-    PROOF_CALLS tests, the result is 0 with est_error 0, the samples
-    of that round and the flag "empty-region".  Otherwise sampling goes on
-    as if the proof had not run, and a run without hits ends in "no-hits".
+    with the three-valued box test, and the exact test takes the boxes it
+    leaves after PROOF_CALLS tests.  If the two prove the region empty, the
+    result is 0 with est_error 0, the samples of that round and the flag
+    "empty-region".  Otherwise sampling goes on as if the proof had not
+    run, and a run without hits ends in "no-hits".
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -631,8 +659,7 @@ def integrate(
             batch = ((budget - total_n) * weights / REPLICATES).astype(np.int64)
         streams.run(np.repeat(batch, REPLICATES), sample)
         total_n += REPLICATES * int(batch.sum())
-        if (first and not streams.hits.any()
-                and _bisect(region, lo, hi, PROOF_BINS, vals, cat, PROOF_CALLS) == []):
+        if first and not streams.hits.any() and _proved_empty(region, lo, hi, vals, cat):
             return QuadratureResult(0.0, 0.0, total_n, seed, flag="empty-region")
         first = False
 

@@ -7,9 +7,11 @@ grouped point in another region and exists-bipartition ("splits") into a
 two-dimensional region.
 
 A region is evaluated through a program compiled once per (region, catalog,
-point dimension) and kept on the catalog.  The program answers two
-questions: membership of a batch of points, vectorised over (N, k) arrays,
-and a three-valued verdict over an axis-aligned box (interval mode).  In a
+point dimension) and kept on the catalog.  The program answers three
+questions: membership of a batch of points, vectorised over (N, k) arrays;
+a three-valued verdict over an axis-aligned box (interval mode); and the
+residual of a box (`_Bound.residual`): the atoms the box leaves undecided,
+as exact rational rows, which `exact.certify_empty` refutes.  In a
 batch, a nested clause that holds nothing but comparisons runs over all
 rows under a mask of the rows its parent has not decided; `in`, `splits`
 and `descending` children run on a copy of those rows alone.
@@ -73,6 +75,7 @@ PARAM_NAMES = (
 SPECIALS = ("tmax", "tmin", "tsum")
 
 MAX_SPLIT = 24  # bipartitions are enumerated over at most this many coordinates
+MARGIN = 2.0**-40  # the exact test trusts a float box verdict beyond this share of its size
 CHUNK_ROWS = 1 << 15  # rows evaluated together, to bound the temporaries
 BLOCK_PAIRS = 1 << 14  # rows x masks per block of a bipartition search
 
@@ -268,11 +271,11 @@ _OPS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equ
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-def _terms(form: AffineForm, dim: int) -> tuple[tuple[int, float], ...]:
+def _terms(form: AffineForm, dim: int, num=float) -> tuple[tuple[int, float], ...]:
     if form.max_var > dim:
         raise RegionError(f"variable t{form.max_var} out of range for dimension {dim}")
-    out = [(i - 1, float(c)) for i, c in form.vars]
-    return tuple(out + [(dim + SPECIALS.index(n), float(c)) for n, c in form.specials])
+    out = [(i - 1, num(c)) for i, c in form.vars]
+    return tuple(out + [(dim + SPECIALS.index(n), num(c)) for n, c in form.specials])
 
 
 def _compiled(form: AffineForm, dim: int) -> tuple:
@@ -327,7 +330,7 @@ def _values(base: float, terms, x: np.ndarray, aggs: list):
 def _extend(v, aggregates: bool) -> list[float]:
     """A corner of a box as floats, with the aggregate values appended
     (summed as numpy sums a row: pairwise from eight terms on)."""
-    v = np.asarray(v, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]
     if aggregates and v:
         v += [max(v), min(v), _sum(v) if len(v) < 8 else float(np.sum(v))]
     return v
@@ -397,6 +400,8 @@ class _Program:
     def __init__(self, spec: RegionSpec, catalog, dim: int):
         self.spec, self.dim = spec, dim
         self.columns: list[tuple] = []  # (relation, lhs, rhs) compiled forms
+        self.atoms: list[Comparison] = []  # the comparison of each column, as written
+        self.rows: dict[int, tuple] = {}  # exact rows of columns, made on first use
         self.aggregates = False
         self.root = self._junction("and", [self._compile(spec.tree, catalog, False, {spec.name})])
 
@@ -415,6 +420,7 @@ class _Program:
                 raise RegionError(f"bad relation {atom.rel!r}")
             rel = _NEGATED[atom.rel] if neg else atom.rel
             self.columns.append((rel, _compiled(atom.lhs, self.dim), _compiled(atom.rhs, self.dim)))
+            self.atoms.append(atom)
             self.aggregates |= bool(atom.lhs.specials or atom.rhs.specials)
             return _Node("col", arg=len(self.columns) - 1)
         if isinstance(atom, Descending):
@@ -438,7 +444,7 @@ class _Program:
                 else:
                     append = _compiled(atom.append, 0)
                 prog = _program(target, catalog, 2)
-                node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append))
+                node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append, atom.append))
             elif not atom.groups:
                 if target.name in seen:
                     raise RegionError(f"region {target.name} refers to itself")
@@ -450,6 +456,16 @@ class _Program:
                 groups = tuple(tuple(i - 1 for i in grp) for grp in atom.groups)
                 node = _Node("in", width + prog.root.cost, arg=(groups, prog))
         return _Node("not", 0.0, children=[node]) if neg else node
+
+    def exact(self, c: int) -> tuple:
+        """Column c with the catalog's rational coefficients: its relation and
+        lhs - rhs as (constant, ((param, w), ...), ((key, w), ...))."""
+        row = self.rows.get(c)
+        if row is None:
+            form = self.atoms[c].lhs - self.atoms[c].rhs
+            row = self.rows[c] = (self.columns[c][0], form.const, form.params,
+                                  _terms(form, self.dim, Fraction))
+        return row
 
     @staticmethod
     def _junction(op: str, nodes: list[_Node]) -> _Node:
@@ -473,6 +489,7 @@ class _Bound:
     def __init__(self, prog: _Program, params: dict[str, float]):
         self.prog, self.params = prog, params
         self.cols: dict[int, tuple] = {}
+        self.sizes: dict[int, tuple] = {}  # for the exact test's margins
 
     def base(self, form: tuple) -> float:
         return _base(form[0], form[1], self.params)
@@ -539,7 +556,7 @@ class _Bound:
                 for i in grp:
                     col += x[:, i]
             return _Bound(prog, self.params).eval(np.stack(cols, axis=1))
-        prog, append = node.arg
+        prog, append, _ = node.arg
         if append is not None:
             extra = np.full((len(x), 1), self.base(append))
             x = np.concatenate([x, extra], axis=1)
@@ -581,7 +598,7 @@ class _Bound:
             groups, prog = node.arg
             return _Bound(prog, self.params).decide([_sum(lo[i] for i in g) for g in groups],
                                                   [_sum(hi[i] for i in g) for g in groups])
-        prog, append = node.arg
+        prog, append, _ = node.arg
         lo, hi = lo[: self.prog.dim], hi[: self.prog.dim]
         if append is not None:
             extra = self.base(append)
@@ -609,6 +626,107 @@ class _Bound:
                 yield True if lb <= ra else (False if la > rb else None)
         for child in node.children:
             yield self._decide(child, lo, hi)
+
+    # ----- residual over a box, for the exact test -----
+
+    def residual(self, lo, hi, ex):
+        """The region on the box [lo, hi] in three-valued logic: True or
+        False where the box decides it, else a residual over exact rows of
+        the atoms it leaves undecided, built by ex (an `exact._Exact` set to
+        the same box).
+
+        Atoms are judged by float interval bounds, as `decide` judges them,
+        but only beyond a margin that covers the rounding of those bounds;
+        an atom within the margin becomes its exact row, judged on the box
+        in rationals.  So every verdict is exact.  `mag` bounds the size of
+        every coordinate, group sum and subset sum below the root.
+        """
+        agg = self.prog.aggregates
+        mag = 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
+        return self._residual(self.prog.root, _extend(lo, agg), _extend(hi, agg), None, ex, mag)
+
+    def _residual(self, node: _Node, lo, hi, sub, ex, mag: float):
+        """As _decide, over the variables sub maps to the box's coordinates."""
+        kind = node.kind
+        if kind == "and" or kind == "or":
+            stop, items = kind == "or", []
+            for c in node.cols:
+                v = self._column_residual(c, lo, hi, sub, ex, mag)
+                if v is stop:
+                    return v
+                items.append(v)
+            for child in node.children:
+                v = self._residual(child, lo, hi, sub, ex, mag)
+                if v is stop:
+                    return v
+                items.append(v)
+            return ex.fold(kind, items)
+        if kind == "not":
+            return ex.negate(self._residual(node.children[0], lo, hi, sub, ex, mag))
+        if kind == "desc":
+            margin, items = MARGIN * (1.0 + 2.0 * mag), []
+            for i in range(self.prog.dim - 1):
+                if lo[i] > hi[i + 1] + margin:
+                    continue
+                if hi[i] + margin < lo[i + 1]:
+                    return False
+                items.append(ex.decide(ex.descent(i, sub)))
+            return ex.fold("and", items)
+        if kind == "const":
+            return node.arg
+        if kind == "in":
+            groups, prog = node.arg
+            glo = [_sum(lo[i] for i in g) for g in groups]
+            ghi = [_sum(hi[i] for i in g) for g in groups]
+            mag = max(mag, 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
+            agg = prog.aggregates
+            return ex.bound(prog)._residual(
+                prog.root, _extend(glo, agg), _extend(ghi, agg), ("in", node, sub), ex, mag)
+        prog, append, _ = node.arg
+        dim = self.prog.dim
+        lo, hi = lo[:dim], hi[:dim]
+        if append is not None:
+            extra = self.base(append)
+            lo, hi, mag = lo + [extra], hi + [extra], mag + abs(extra)
+        sums = subset_sums(np.array([lo, hi])).tolist()
+        total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
+        target, agg, items = ex.bound(prog), prog.aggregates, []
+        for mask, (s_lo, s_hi) in enumerate(zip(*sums)):
+            v = target._residual(prog.root, _extend((s_lo, total_lo - s_hi), agg),
+                                 _extend((s_hi, total_hi - s_lo), agg),
+                                 ("splits", mask, dim, node, sub), ex, mag)
+            if v is True:
+                return v
+            items.append(v)
+        return ex.fold("or", items)
+
+    def _column_residual(self, c: int, lo, hi, sub, ex, mag: float):
+        rel, lbase, lterms, rbase, rterms = self.column(c)
+        (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
+        if rel in (">", ">="):
+            (la, lb), (ra, rb) = (ra, rb), (la, lb)
+        size = self.sizes.get(c) or self._size(c)
+        margin = MARGIN * (1.0 + size[0] + size[1] * mag)
+        if lb + margin < ra:
+            return True
+        if la > rb + margin:
+            return False
+        row = ex.row(self, c, sub)
+        # beyond the margin on both sides the exact bounds leave it undecided too
+        return row if lb > ra + margin and la + margin < rb else ex.decide(row)
+
+    def _size(self, c: int) -> tuple[float, float]:
+        """(s0, s1) such that MARGIN * (1 + s0 + s1 * mag) bounds how far the
+        float bounds of column c stray from the exact ones, when mag bounds
+        every variable: s0 sums the sizes of both sides' constant and
+        parameter terms, s1 their coefficients.  Each rounding errs by at
+        most 2**-53 of a partial sum no larger than s0 + s1 * mag, and a
+        column makes far fewer than MARGIN * 2**53 = 8192 roundings."""
+        _, lhs, rhs = self.prog.columns[c]
+        size = self.sizes[c] = (
+            sum(abs(f[0]) + sum(abs(w * self.params[p]) for p, w in f[1]) for f in (lhs, rhs)),
+            sum(abs(w) for f in (lhs, rhs) for _, w in f[2]))
+        return size
 
 
 def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:

@@ -165,11 +165,33 @@ def test_integral_proved_empty_after_a_round_without_hits():
     assert out.splitlines()[1] == "I1,0.0,0.0,24576,24301,empty-region,computed"
 
 
-def test_integral_no_hits_where_the_proof_does_not_close():
-    code, out = run_cli(["integral", "U234", "--theta", "0.52", "--budget", "65536",
-                         "--format", "csv"])
+def test_integral_proved_empty_by_the_exact_test():
+    # the box bisection stalls around t = (1/7, ..., 1/7); the exact test of
+    # the boxes it leaves closes the proof after the first round
+    code, out = run_cli(["integral", "U234", "--theta", "0.52", "--format", "csv"])
     assert code == 0
-    assert out.splitlines()[1] == "U234,0.0,1.2062645742317437e-12,65536,24301,no-hits,computed"
+    assert out.splitlines()[1] == "U234,0.0,0.0,16384,24301,empty-region,computed"
+
+
+def test_integral_no_hits_where_the_exact_test_finds_a_point(tmp_path):
+    # A strip of width 1e-9 that the first round misses: bisection stalls
+    # along it and the exact test finds it non-empty, so sampling goes on.
+    from sievelab.catalog import default_catalog, dumps, loads
+    from sievelab.params import theta_only
+    from sievelab.regions import contains
+
+    where = "where kappa < t2 and t2 < t1 and t1 + t2 > 1/2 and 2*t1 + t2 < 1 and not in(G)"
+    text = dumps(default_catalog())
+    assert where in text
+    text = text.replace(where, "where t2 < t1 and 1/2 < t1 + t2 and t1 + t2 < 1/2 + 1/1000000000")
+    cat = loads(text)
+    assert contains(cat.region("U233"), [0.3, 0.2 + 5e-10], theta_only(0.52).values(), cat)
+    path = tmp_path / "cat.txt"
+    path.write_text(text)
+    code, out = run_cli(["integral", "U233", "--theta", "0.52", "--budget", "65536",
+                         "--format", "csv", "--catalog", str(path)])
+    assert code == 0
+    assert out.splitlines()[1] == "U233,0.0,0.0014029855978384665,65536,24301,no-hits,computed"
 
 
 def test_byte_identical_reruns():

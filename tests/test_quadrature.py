@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sievelab import quadrature
@@ -18,6 +18,8 @@ from sievelab.quadrature import (
     integrate,
     named_integral,
 )
+from sievelab.exact import certify_empty
+from sievelab.regions import contains
 
 CAT = default_catalog()
 FAST = 1 << 19
@@ -332,13 +334,14 @@ def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(["I1", "I2", "I3", "I4", "U233", "U234"]),
        st.floats(0.5, 4 / 7, exclude_max=True))
+@example("U234", 0.52)  # closed by the exact test
+@example("I4", 0.53)  # likewise
 def test_proved_empty_regions_hold_no_box_point(name, theta):
     spec = CAT.integrals[name]
     vals = theta_only(theta).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    if (hi <= lo).any() or quadrature._bisect(region, lo, hi, quadrature.PROOF_BINS, vals, CAT,
-                                              quadrature.PROOF_CALLS) != []:
+    if (hi <= lo).any() or not quadrature._proved_empty(region, lo, hi, vals, CAT):
         return
     x = lo + np.random.default_rng(0).random((1 << 14, spec.dim)) * (hi - lo)
     if spec.sorted:
@@ -346,13 +349,63 @@ def test_proved_empty_regions_hold_no_box_point(name, theta):
     assert not region.eval(x, vals, CAT).any()
 
 
+def motzkin_holds(rows, weights) -> bool:
+    """Rows (a, b, strict) mean a . t < b (strict) or a . t <= b: weights
+    y >= 0 with y A = 0 and y b < 0, or y b = 0 with a positive weight on a
+    strict row, show they have no common real solution."""
+    k = len(rows[0][0])
+    return (len(rows) == len(weights) and all(y >= 0 for y in weights)
+            and all(sum(y * a[i] for y, (a, _, _) in zip(weights, rows)) == 0 for i in range(k))
+            and (sum(y * b for y, (_, b, _) in zip(weights, rows)) < 0
+                 or sum(y * b for y, (_, b, _) in zip(weights, rows)) == 0
+                 and any(y > 0 and s for y, (_, _, s) in zip(weights, rows))))
+
+
+@pytest.mark.parametrize("name, theta", [("U234", 0.52), ("I4", 0.53)])
+def test_exact_test_certificates_hold(name, theta):
+    spec = CAT.integrals[name]
+    vals = theta_only(theta).values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    left = quadrature._bisect(region, lo, hi, quadrature.PROOF_BINS, vals, CAT,
+                              quadrature.PROOF_CALLS)
+    certificates = certify_empty(region, left.boxes, vals, CAT)
+    assert certificates
+    for cert in certificates:
+        assert motzkin_holds(cert.rows, cert.weights)
+    if name == "U234":
+        # Near t = (1/7, ..., 1/7) the proof needs a strict row: with t1 >
+        # t2 > ... > t6 and t3 + t4 + t5 + t6 >= 4/7, 2 t1 + t2 + ... + t6
+        # exceeds 1 only strictly.
+        assert any(sum(y * b for y, (_, b, _) in zip(c.weights, c.rows)) == 0
+                   for c in certificates)
+
+
+@pytest.mark.parametrize("region_name, theta, point", [
+    # test_u234_zero_below_threshold samples points of U234 here
+    ("U234", 0.545, [0.273, 0.127, 0.081, 0.063, 0.06, 0.059]),
+    # I4's region at 0.52 holds the segment t1 + t2 = 3/7, t3 = t4 = 1/7,
+    # where four of its non-strict bounds are tight: not empty, but null
+    ("D4", 0.52, [3 / 14 + 0.005, 3 / 14 - 0.005, 1 / 7, 1 / 7]),
+])
+def test_regions_holding_points_are_not_proved_empty(region_name, theta, point):
+    vals = theta_only(theta).values()
+    region = CAT.region(region_name)
+    assert contains(region, point, vals, CAT)
+    lo, hi = region.box(vals, len(point))
+    assert not quadrature._proved_empty(region, lo, hi, vals, CAT)
+
+
 # Fixed-seed results at budget 2^16 (value, est_error, samples, flag), as
-# float.hex strings.  I6, U233 and U234 are unchanged from the tree-walking
-# region evaluator; I3, I4, I5 and the S23x used to draw more than 2^16
-# samples and changed when the budget became a hard cap.  I1 and I2 used to
-# end in no-hits after spending the budget (65532 and 65536 samples); their
-# first round has no hit, and the box bisection now proves their regions
-# empty after it.
+# float.hex strings.  I6 and U233 are unchanged from the tree-walking region
+# evaluator; I3, I4, I5 and the S23x used to draw more than 2^16 samples and
+# changed when the budget became a hard cap.  I1 and I2 used to end in
+# no-hits after spending the budget (65532 and 65536 samples); their first
+# round has no hit, and the box bisection now proves their regions empty
+# after it.  U234 ended in no-hits too (est_error 0x1.538885e2d333dp-40 after
+# 65536 samples); the bisection stalls on it, and the exact test of the boxes
+# it leaves proves its region empty.  I4 still ends in no-hits: its region
+# holds a null set of points (test_regions_holding_points_are_not_proved_empty).
 PINNED_2_16 = {
     "I1": ("0x0.0p+0", "0x0.0p+0", 24576, "empty-region"),
     "I2": ("0x0.0p+0", "0x0.0p+0", 16384, "empty-region"),
@@ -364,7 +417,7 @@ PINNED_2_16 = {
     "S236": ("0x1.99024d522ff2ep-7", "0x1.d3b640075f47ep-16", 65524, ""),
     "S237": ("0x1.34af13bc93012p-10", "0x1.d4763f012eb5ep-18", 65508, ""),
     "U233": ("0x1.6e6339426aee6p-2", "0x1.be727d11654f6p-11", 65536, ""),
-    "U234": ("0x0.0p+0", "0x1.538885e2d333dp-40", 65536, "no-hits"),
+    "U234": ("0x0.0p+0", "0x0.0p+0", 16384, "empty-region"),
 }
 
 

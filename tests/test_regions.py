@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -10,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab import catalog
-from sievelab.catalog import default_catalog, dumps, loads, parse_affine_expr, parse_bool_expr
+from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
+                              parse_affine_expr, parse_bool_expr)
+from sievelab.exact import certify_empty
 from sievelab.params import theta_only
 from sievelab.regions import (
     PARAM_NAMES,
     SPECIALS,
     AffineForm,
+    BoolNode,
+    Comparison,
+    Descending,
     IntervalPiece,
     IntervalUnion,
     NumericPiece,
@@ -26,6 +32,9 @@ from sievelab.regions import (
     merge_intervals,
     merge_numeric,
     partitions_into,
+    Membership,
+    RegionSpec,
+    Splits,
 )
 
 CAT = default_catalog()
@@ -357,6 +366,72 @@ def test_catalog_roundtrip_lossless():
     assert again.groups == CAT.groups
 
 
+# Random catalogs in the form loads builds: and/or nodes have at least two
+# children, none of their own kind (the parser merges those), and every
+# region, range and integral names regions of the catalog.
+_NAMES = ("R0", "R1", "R2")
+_COEFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+_PARAM_FORMS = st.builds(AffineForm.make, _COEFS,
+                         st.dictionaries(st.sampled_from(PARAM_NAMES), _COEFS, max_size=2))
+_FORMS = st.builds(AffineForm.make, _COEFS,
+                   st.dictionaries(st.sampled_from(PARAM_NAMES), _COEFS, max_size=2),
+                   st.dictionaries(st.integers(1, 6), _COEFS, max_size=3),
+                   st.dictionaries(st.sampled_from(SPECIALS), _COEFS, max_size=1))
+_ATOMS = st.one_of(
+    st.builds(Comparison, _FORMS, st.sampled_from(["<", "<=", ">", ">="]), _FORMS),
+    st.builds(Membership, st.sampled_from(_NAMES),
+              st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+                       max_size=3).map(tuple)),
+    st.builds(Splits, st.sampled_from(_NAMES), st.none() | _PARAM_FORMS),
+    st.just(Descending()),
+).map(lambda atom: BoolNode("atom", atom=atom))
+_BOOL_LEAVES = _ATOMS | st.booleans().map(lambda v: BoolNode("const", value=v))
+
+
+def _junction(op, children):
+    """and/or over children, those of the same kind merged in, as parsed."""
+    flat = []
+    for c in children:
+        flat += c.children if c.op == op else (c,)
+    return BoolNode(op, tuple(flat))
+
+
+def _junctions(kids):
+    pairs = st.lists(kids, min_size=2, max_size=3)
+    return (st.builds(_junction, st.sampled_from(["and", "or"]), pairs)
+            | kids.map(lambda c: BoolNode("not", (c,))))
+
+
+@st.composite
+def _catalogs(draw):
+    regions = {}
+    for name in _NAMES:
+        dim = draw(st.none() | st.integers(1, 6))
+        idx = st.integers(1, dim or 6)
+        bounds = draw(st.dictionaries(idx, st.tuples(_PARAM_FORMS, _PARAM_FORMS), max_size=3))
+        tree = draw(st.recursive(_BOOL_LEAVES, _junctions, max_leaves=6))
+        regions[name] = RegionSpec(name, dim, tree, bounds)
+    pieces = st.builds(IntervalPiece, _PARAM_FORMS, _PARAM_FORMS, st.booleans(), st.booleans(),
+                       st.sampled_from(["u1", "u2"]))
+    ranges = draw(st.dictionaries(st.sampled_from(_NAMES + ("theta_mode",)),
+                                  st.lists(pieces, max_size=3).map(IntervalUnion), max_size=2))
+    integrals = {}
+    for i in range(draw(st.integers(0, 2))):
+        integrals[f"J{i}"] = IntegralDef(
+            f"J{i}", draw(st.integers(1, 6)), draw(st.sampled_from(_NAMES)),
+            draw(st.sampled_from(["one", "reciprocal", "buchstab"])),
+            draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 7))), draw(st.booleans()))
+    groups = draw(st.dictionaries(st.sampled_from(["ga", "gb"]),
+                                  st.lists(st.sampled_from(_NAMES), max_size=3), max_size=2))
+    return Catalog(regions, ranges, integrals, groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_catalogs())
+def test_generated_catalog_roundtrip(cat):
+    assert loads(dumps(cat)) == cat
+
+
 def test_env_catalog_parsed_once_per_version(tmp_path, monkeypatch):
     path = tmp_path / "cat.txt"
     path.write_text(dumps(CAT))
@@ -378,6 +453,47 @@ def test_definitely_rejects_boxes_beyond_the_region_dimension():
         assert CAT.region(name).dimension == 2
         with pytest.raises(RegionError, match="dimension 2, got 3"):
             definitely(CAT.region(name), *box, vals, CAT)
+
+
+_HELPERS = """
+region P dim=2
+  where t1 > 3/4 and t2 > 3/4
+end
+region Q dim=2
+  where t1 > t2 + 1 and t2 > 0
+end
+region W dim=2
+  where t1 > 1 and t2 > t1
+end
+"""
+
+
+@pytest.mark.parametrize("where, lo, hi, empty", [
+    ("t1 < t2 and t2 < t1", [0, 0], [1, 1], True),  # only strictness closes it
+    ("t1 <= t2 and t2 <= t1", [0, 0], [1, 1], False),  # the diagonal
+    ("descending and t1 <= t2", [0, 0], [1, 1], True),
+    ("tmin >= 1/2 and t1 + t2 < 1", [0, 0], [1, 1], True),
+    ("tmin >= 1/2 and t1 + t2 <= 1", [0, 0], [1, 1], False),  # the point (1/2, 1/2)
+    ("tmax <= 1/3 and tsum > 1", [0, 0, 0], [1, 1, 1], True),
+    ("tmin < 1/4 and t1 + t2 > 3/2", [0, 0], [1, 1], True),  # empty within the box only
+    ("tmin < 1/4 and t1 + t2 > 3/2", [0, 0], [2, 2], False),
+    ("splits(P) and t1 + t2 < 3/2", [0, 0], [1, 1], True),  # one branch per bipartition
+    ("splits(P) and t1 + t2 < 15/8", [0, 0], [1, 1], False),
+    ("splits(Q; append=1/2) and t1 < 3/2", [-2], [2], True),
+    ("splits(Q; append=1/2) and t1 <= 2", [-2], [2], False),
+    ("in(W; t1+t2, t3)", [0, 0, 0], [1, 1, 1], True),
+    ("in(W; t1+t2, t3)", [0, 0, 0], [1, 1, 2], False),
+])
+def test_certify_empty_decides_exactly(where, lo, hi, empty):
+    cat = loads(_HELPERS + f"region A dim={len(lo)}\n  where {where}\nend\n")
+    region = cat.region("A")
+    certificates = certify_empty(region, [(lo, hi)], {}, cat)
+    assert (certificates is not None) == empty
+    assert all(c.holds() for c in certificates or ())
+    if not empty:  # the region does hold a point: a rational one, on the box's grid
+        grid = np.linspace(lo, hi, 9)
+        assert any(contains(region, x, {}, cat)
+                   for x in itertools.product(*grid.T.tolist()))
 
 
 def test_definitely_agrees_with_sampling():

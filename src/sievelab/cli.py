@@ -30,6 +30,7 @@ EXIT_AMBIGUOUS = 3
 EXIT_VERIFY = 4
 
 MAX_TABLE_ROWS = 10**6  # rows of the longest table `buchstab` builds
+I56_BUDGET = 1 << 26  # samples per integral of `verify I56` without --budget
 
 
 def _fmt(x: float, full: bool) -> str:
@@ -225,12 +226,11 @@ def cmd_verify(args) -> int:
             "L7(1/12) > 1.2", r12.value > 1.2, f"value {r12.value:.6g}", PUBLISHED, lines
         )
     elif suite == "I56":
-        budget = max(args.budget, 1 << 26)  # escalated budget for this suite
         cat = _catalog(args)
         for t1, t2 in ((0.32, 0.20), (0.33, 0.19)):
             params = ThetaParams(t1, t2)
-            r5 = qd.named_integral("I5", params, tol=3e-6, seed=seed, budget=budget, cat=cat)
-            r6 = qd.named_integral("I6", params, tol=3e-6, seed=seed, budget=budget, cat=cat)
+            r5 = qd.named_integral("I5", params, tol=3e-6, seed=seed, budget=args.budget, cat=cat)
+            r6 = qd.named_integral("I6", params, tol=3e-6, seed=seed, budget=args.budget, cat=cat)
             total = r5.value + r6.value
             bound = 1e-5 + 3 * (r5.est_error + r6.est_error)
             ok &= _check(
@@ -271,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("plain", "csv", "markdown"), default="plain")
     common.add_argument("--seed", type=int, default=qd.DEFAULT_SEED)
     common.add_argument("--tol", type=float, default=1e-3)
-    common.add_argument("--budget", type=int, default=qd.DEFAULT_BUDGET)
+    common.add_argument("--budget", type=int, default=None)  # see main
     common.add_argument("--catalog", default=None)
     common.add_argument("--epsilon", type=float, default=None)
     common.add_argument("--theta", type=float, default=None)
@@ -314,6 +314,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
+    if args.budget is None:  # a given --budget is a hard cap; else the command's default
+        args.budget = I56_BUDGET if getattr(args, "suite", "") == "I56" else qd.DEFAULT_BUDGET
     try:
         return args.func(args)
     except AmbiguityError as exc:

@@ -1,16 +1,16 @@
 """Exact emptiness of a region on boxes: the third evaluator of a compiled
 region program, after batch membership and the float box test.
 
-On each box the program is evaluated in three-valued logic
-(`regions._Bound.residual`), and the atoms the box leaves undecided become
-rows with integer coefficients in the box's coordinates, strict where the
-catalog's comparison is: `descending` gives strict rows, `in(...)` and each
-bipartition of `splits(...)` substitute group and subset sums, and
-`tmin`/`tmax` give conjunctions or disjunctions of rows.  Catalog
-coefficients stay exact and parameter values enter as the rationals their
-floats are.  What is left is refuted by Fourier-Motzkin elimination that
-keeps strictness, and each refutation is a Motzkin transposition
-certificate.
+On each box the program is evaluated in three-valued logic by the box
+test in its exact mode (`regions._Bound.decide` given an `_Exact`), and
+the atoms the box leaves undecided become rows with integer coefficients
+in the box's coordinates, strict where the catalog's comparison is:
+`descending` gives strict rows, `in(...)` and each bipartition of
+`splits(...)` substitute group and subset sums, and `tmin`/`tmax` give
+conjunctions or disjunctions of rows.  Catalog coefficients stay exact and
+parameter values enter as the rationals their floats are.  What is left is
+refuted by Fourier-Motzkin elimination that keeps strictness, and each
+refutation is a Motzkin transposition certificate.
 
 A row (a, b, strict) with integer entries means a . t < b when strict and
 a . t <= b otherwise, over the coordinates t of the box.  A residual is
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .regions import SPECIALS, RegionSpec, _Bound, _bound, _Program
+from .regions import SPECIALS, RegionSpec, _Bound, _bound
 
 __all__ = ["Certificate", "certify_empty"]
 
@@ -100,7 +100,7 @@ class _Exact:
     """One exact test of a k-dimensional region over boxes: the exact rows
     of the columns met, by the substitution that maps their program's
     variables to the box's coordinates, and each residual's outcome.  It
-    is what `_Bound.residual` builds residuals with."""
+    is the exact mode of `_Bound.decide`, which builds residuals with it."""
 
     fold, negate = staticmethod(_fold), staticmethod(_negate)
 
@@ -109,16 +109,8 @@ class _Exact:
         self.zero = (Fraction(0),) * (k + 1)
         self.rows: dict = {}
         self.subs: dict = {}
-        self.bounds: dict = {}
         self.refuted: dict = {}  # by residual, without box rows
         self.box, self.lo, self.hi, self.shift = None, None, None, 0
-
-    def bound(self, prog: _Program) -> _Bound:
-        """prog bound to the parameters, once for every box."""
-        out = self.bounds.get(prog)
-        if out is None:
-            out = self.bounds[prog] = _Bound(prog, self.params)
-        return out
 
     def set_box(self, lo, hi) -> None:
         self.box, self.lo = (lo, hi), None
@@ -352,12 +344,12 @@ def certify_empty(region: RegionSpec, boxes, params: dict[str, float], catalog):
     None when the exact test cannot show it.
 
     On each box the region's program is evaluated in three-valued logic
-    (`_Bound.residual`); what is left is a residual over exact rows.  It is
-    refuted first alone, which holds for every box with that residual, and
-    then with the box's own bounds.  A residual branches into at most
-    EXACT_BRANCHES conjunctions and an elimination holds at most EXACT_ROWS
-    rows; past either cap the test gives up.  Boxes the residual evaluation
-    decides empty need no certificate.
+    (`_Bound.decide` in its exact mode); what is left is a residual over
+    exact rows.  It is refuted first alone, which holds for every box with
+    that residual, and then with the box's own bounds.  A residual branches
+    into at most EXACT_BRANCHES conjunctions and an elimination holds at
+    most EXACT_ROWS rows; past either cap the test gives up.  Boxes the
+    exact mode decides empty need no certificate.
     """
     boxes = list(boxes)
     if not boxes:
@@ -366,7 +358,7 @@ def certify_empty(region: RegionSpec, boxes, params: dict[str, float], catalog):
     bound, ex, certs = _bound(region, k, params, catalog), _Exact(params, k), []
     for lo, hi in boxes:
         ex.set_box(lo, hi)
-        f = bound.residual(lo, hi, ex)
+        f = bound.decide(lo, hi, ex)
         if f is True:
             return None
         if f is False:

@@ -7,14 +7,17 @@ grouped point in another region and exists-bipartition ("splits") into a
 two-dimensional region.
 
 A region is evaluated through a program compiled once per (region, catalog,
-point dimension) and kept on the catalog.  The program answers three
-questions: membership of a batch of points, vectorised over (N, k) arrays;
-a three-valued verdict over an axis-aligned box (interval mode); and the
-residual of a box (`_Bound.residual`): the atoms the box leaves undecided,
-as exact rational rows, which `exact.certify_empty` refutes.  In a
-batch, a nested clause that holds nothing but comparisons runs over all
-rows under a mask of the rows its parent has not decided; `in`, `splits`
-and `descending` children run on a copy of those rows alone.
+point dimension) and kept on the catalog.  Two walkers run it.  One gives
+membership of a batch of points, vectorised over (N, k) arrays.  The other,
+`_Bound.decide`, is the box test: a three-valued verdict over an
+axis-aligned box from float interval bounds.  Its float mode leaves an atom
+the bounds do not decide undecided (None); its exact mode, given an
+`exact._Exact`, trusts the bounds only beyond a rounding margin and leaves
+the residual of the box: the atoms it leaves undecided, as exact rational
+rows, which `exact.certify_empty` refutes.  In a batch, a nested clause
+that holds nothing but comparisons runs over all rows under a mask of the
+rows its parent has not decided; `in`, `splits` and `descending` children
+run on a copy of those rows alone.
 
 Reductions along the rows of a batch (the tsum/tmin/tmax aggregates, the
 descending test, a bipartition's total) go through `rowwise`.  numpy
@@ -140,27 +143,11 @@ class AffineForm:
     def max_var(self) -> int:
         return max((i for i, _ in self.vars), default=0)
 
-    def param_part(self, params: dict[str, float]) -> float:
-        """Evaluate the point-independent part (constant + parameters)."""
-        return _base(float(self.const), ((p, float(w)) for p, w in self.params), params)
-
-    def interval(self, lo: np.ndarray, hi: np.ndarray, params: dict[str, float]):
-        """Range of the form over an axis-aligned box (interval arithmetic)."""
-        ext = bool(self.specials)
-        terms = _terms(self, len(lo))
-        return _bounds(self.param_part(params), terms, _extend(lo, ext), _extend(hi, ext))
-
-    def eval_points(self, x: np.ndarray, params: dict[str, float]) -> np.ndarray:
-        """Evaluate on an (N, k) array of points; returns shape (N,)."""
-        out = np.empty(len(x))
-        out[:] = _values(self.param_part(params), _terms(self, x.shape[1]), x, [None] * 3)
-        return out
-
     def eval_scalar(self, params: dict[str, float]) -> float:
         """Evaluate a point-free form (interval endpoints)."""
         if self.vars or self.specials:
             raise RegionError("form references point variables; scalar context")
-        return self.param_part(params)
+        return _base(float(self.const), ((p, float(w)) for p, w in self.params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +476,7 @@ class _Bound:
     def __init__(self, prog: _Program, params: dict[str, float]):
         self.prog, self.params = prog, params
         self.cols: dict[int, tuple] = {}
+        self.subs: dict[_Program, _Bound] = {}  # targets of in and splits nodes
         self.sizes: dict[int, tuple] = {}  # for the exact test's margins
 
     def base(self, form: tuple) -> float:
@@ -555,12 +543,12 @@ class _Bound:
             for col, grp in zip(cols, groups):
                 for i in grp:
                     col += x[:, i]
-            return _Bound(prog, self.params).eval(np.stack(cols, axis=1))
+            return self.sub(prog).eval(np.stack(cols, axis=1))
         prog, append, _ = node.arg
         if append is not None:
             extra = np.full((len(x), 1), self.base(append))
             x = np.concatenate([x, extra], axis=1)
-        return _bipartition_hits(x, _Bound(prog, self.params))
+        return _bipartition_hits(x, self.sub(prog))
 
     @staticmethod
     def _undecided(out: np.ndarray, is_and: bool, live) -> np.ndarray:
@@ -570,105 +558,73 @@ class _Bound:
 
     # ----- three-valued verdict over a box -----
 
-    def decide(self, lo, hi) -> bool | None:
-        agg = self.prog.aggregates
-        return self._decide(self.prog.root, _extend(lo, agg), _extend(hi, agg))
+    def sub(self, prog: _Program) -> "_Bound":
+        """prog, the target of an `in` or `splits` node, bound to the same
+        parameters, once for every row, box and bipartition."""
+        out = self.subs.get(prog)
+        if out is None:
+            out = self.subs[prog] = _Bound(prog, self.params)
+        return out
 
-    def _decide(self, node: _Node, lo: list[float], hi: list[float]) -> bool | None:
-        kind = node.kind
-        if kind == "and" or kind == "or":
-            maybe = False
-            for v in self._verdicts(node, lo, hi):
-                if v is None:
-                    maybe = True
-                elif v != (kind == "and"):
-                    return v
-            return None if maybe else kind == "and"
-        if kind == "not":
-            v = self._decide(node.children[0], lo, hi)
-            return None if v is None else not v
-        if kind == "desc":
-            pairs = range(self.prog.dim - 1)
-            if all(lo[i] > hi[i + 1] for i in pairs):
-                return True
-            return False if any(hi[i] <= lo[i + 1] for i in pairs) else None
-        if kind == "const":
-            return node.arg
-        if kind == "in":
-            groups, prog = node.arg
-            return _Bound(prog, self.params).decide([_sum(lo[i] for i in g) for g in groups],
-                                                  [_sum(hi[i] for i in g) for g in groups])
-        prog, append, _ = node.arg
-        lo, hi = lo[: self.prog.dim], hi[: self.prog.dim]
-        if append is not None:
-            extra = self.base(append)
-            lo, hi = lo + [extra], hi + [extra]
-        sums = subset_sums(np.array([lo, hi])).tolist()
-        total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
-        target, maybe = _Bound(prog, self.params), False
-        for s_lo, s_hi in zip(*sums):
-            v = target.decide((s_lo, total_lo - s_hi), (s_hi, total_hi - s_lo))
-            if v:
-                return True
-            maybe |= v is None
-        return None if maybe else False
-
-    def _verdicts(self, node: _Node, lo: list[float], hi: list[float]):
-        """Verdicts of a junction's comparisons, then of its other children."""
-        for c in node.cols:
-            rel, lbase, lterms, rbase, rterms = self.column(c)
-            (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
-            if rel in (">", ">="):  # as b < a, b <= a
-                (la, lb), (ra, rb) = (ra, rb), (la, lb)
-            if rel in ("<", ">"):
-                yield True if lb < ra else (False if la >= rb else None)
-            else:
-                yield True if lb <= ra else (False if la > rb else None)
-        for child in node.children:
-            yield self._decide(child, lo, hi)
-
-    # ----- residual over a box, for the exact test -----
-
-    def residual(self, lo, hi, ex):
+    def decide(self, lo, hi, ex=None):
         """The region on the box [lo, hi] in three-valued logic: True or
-        False where the box decides it, else a residual over exact rows of
-        the atoms it leaves undecided, built by ex (an `exact._Exact` set to
-        the same box).
+        False where the box decides it.
 
-        Atoms are judged by float interval bounds, as `decide` judges them,
-        but only beyond a margin that covers the rounding of those bounds;
-        an atom within the margin becomes its exact row, judged on the box
-        in rationals.  So every verdict is exact.  `mag` bounds the size of
-        every coordinate, group sum and subset sum below the root.
+        Atoms are judged by the float interval bounds of their sides.
+        Without ex this is the float box test: an atom the bounds leave
+        undecided is None, and so is the region unless the other atoms
+        decide it.  With ex (an `exact._Exact` set to the same box) the
+        bounds count only beyond a margin that covers their rounding; an
+        atom within the margin becomes its exact row, judged on the box in
+        rationals, and what stays undecided is a residual over those rows.
+        So every verdict is exact.
         """
+        mag = 0.0 if ex is None else 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
         agg = self.prog.aggregates
-        mag = 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
-        return self._residual(self.prog.root, _extend(lo, agg), _extend(hi, agg), None, ex, mag)
+        return self._walk(self.prog.root, _extend(lo, agg), _extend(hi, agg), None, ex or _Float,
+                          mag)
 
-    def _residual(self, node: _Node, lo, hi, sub, ex, mag: float):
-        """As _decide, over the variables sub maps to the box's coordinates."""
+    def _walk(self, node: _Node, lo: list[float], hi: list[float], sub, ex, mag: float):
+        """decide at node, over the variables sub maps to the box's
+        coordinates.  mag bounds the size of every coordinate, group sum and
+        subset sum below the root; it is 0 in the float test, which keeps
+        no margin."""
         kind = node.kind
         if kind == "and" or kind == "or":
             stop, items = kind == "or", []
             for c in node.cols:
-                v = self._column_residual(c, lo, hi, sub, ex, mag)
+                rel, lbase, lterms, rbase, rterms = self.column(c)
+                (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
+                if rel in (">", ">="):  # as b < a, b <= a
+                    (la, lb), (ra, rb) = (ra, rb), (la, lb)
+                m = self.margin(c, mag) if mag else 0.0
+                strict = rel in ("<", ">")
+                if lb + m < ra or lb + m == ra and not strict:
+                    v = True
+                elif la > rb + m or la == rb + m and strict:
+                    v = False
+                else:
+                    v = ex.row(self, c, sub)
+                    # beyond the margin on both sides the exact bounds leave it undecided too
+                    if lb <= ra + m or la + m >= rb:
+                        v = ex.decide(v)
                 if v is stop:
                     return v
                 items.append(v)
             for child in node.children:
-                v = self._residual(child, lo, hi, sub, ex, mag)
+                v = self._walk(child, lo, hi, sub, ex, mag)
                 if v is stop:
                     return v
                 items.append(v)
             return ex.fold(kind, items)
         if kind == "not":
-            return ex.negate(self._residual(node.children[0], lo, hi, sub, ex, mag))
+            return ex.negate(self._walk(node.children[0], lo, hi, sub, ex, mag))
         if kind == "desc":
-            margin, items = MARGIN * (1.0 + 2.0 * mag), []
+            m, items = MARGIN * (1.0 + 2.0 * mag) if mag else 0.0, []
             for i in range(self.prog.dim - 1):
-                if lo[i] > hi[i + 1] + margin:
+                if lo[i] > hi[i + 1] + m:
                     continue
-                if hi[i] + margin < lo[i + 1]:
+                if hi[i] + m <= lo[i + 1]:
                     return False
                 items.append(ex.decide(ex.descent(i, sub)))
             return ex.fold("and", items)
@@ -678,55 +634,59 @@ class _Bound:
             groups, prog = node.arg
             glo = [_sum(lo[i] for i in g) for g in groups]
             ghi = [_sum(hi[i] for i in g) for g in groups]
-            mag = max(mag, 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
+            if mag:
+                mag = max(mag, 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
             agg = prog.aggregates
-            return ex.bound(prog)._residual(
-                prog.root, _extend(glo, agg), _extend(ghi, agg), ("in", node, sub), ex, mag)
+            return self.sub(prog)._walk(prog.root, _extend(glo, agg), _extend(ghi, agg),
+                                        ("in", node, sub), ex, mag)
         prog, append, _ = node.arg
         dim = self.prog.dim
         lo, hi = lo[:dim], hi[:dim]
         if append is not None:
             extra = self.base(append)
-            lo, hi, mag = lo + [extra], hi + [extra], mag + abs(extra)
+            lo, hi, mag = lo + [extra], hi + [extra], mag and mag + abs(extra)
         sums = subset_sums(np.array([lo, hi])).tolist()
         total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
-        target, agg, items = ex.bound(prog), prog.aggregates, []
+        target, agg, items = self.sub(prog), prog.aggregates, []
         for mask, (s_lo, s_hi) in enumerate(zip(*sums)):
-            v = target._residual(prog.root, _extend((s_lo, total_lo - s_hi), agg),
-                                 _extend((s_hi, total_hi - s_lo), agg),
-                                 ("splits", mask, dim, node, sub), ex, mag)
+            v = target._walk(prog.root, _extend((s_lo, total_lo - s_hi), agg),
+                             _extend((s_hi, total_hi - s_lo), agg),
+                             ("splits", mask, dim, node, sub), ex, mag)
             if v is True:
                 return v
             items.append(v)
         return ex.fold("or", items)
 
-    def _column_residual(self, c: int, lo, hi, sub, ex, mag: float):
-        rel, lbase, lterms, rbase, rterms = self.column(c)
-        (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
-        if rel in (">", ">="):
-            (la, lb), (ra, rb) = (ra, rb), (la, lb)
-        size = self.sizes.get(c) or self._size(c)
-        margin = MARGIN * (1.0 + size[0] + size[1] * mag)
-        if lb + margin < ra:
-            return True
-        if la > rb + margin:
-            return False
-        row = ex.row(self, c, sub)
-        # beyond the margin on both sides the exact bounds leave it undecided too
-        return row if lb > ra + margin and la + margin < rb else ex.decide(row)
+    def margin(self, c: int, mag: float) -> float:
+        """MARGIN * (1 + s0 + s1 * mag) bounds how far the float bounds of
+        column c stray from the exact ones, when mag bounds every variable:
+        s0 sums the sizes of both sides' constant and parameter terms, s1
+        their coefficients.  Each rounding errs by at most 2**-53 of a
+        partial sum no larger than s0 + s1 * mag, and a column makes far
+        fewer than MARGIN * 2**53 = 8192 roundings."""
+        size = self.sizes.get(c)
+        if size is None:
+            _, lhs, rhs = self.prog.columns[c]
+            size = self.sizes[c] = (
+                sum(abs(f[0]) + sum(abs(w * self.params[p]) for p, w in f[1]) for f in (lhs, rhs)),
+                sum(abs(w) for f in (lhs, rhs) for _, w in f[2]))
+        return MARGIN * (1.0 + size[0] + size[1] * mag)
 
-    def _size(self, c: int) -> tuple[float, float]:
-        """(s0, s1) such that MARGIN * (1 + s0 + s1 * mag) bounds how far the
-        float bounds of column c stray from the exact ones, when mag bounds
-        every variable: s0 sums the sizes of both sides' constant and
-        parameter terms, s1 their coefficients.  Each rounding errs by at
-        most 2**-53 of a partial sum no larger than s0 + s1 * mag, and a
-        column makes far fewer than MARGIN * 2**53 = 8192 roundings."""
-        _, lhs, rhs = self.prog.columns[c]
-        size = self.sizes[c] = (
-            sum(abs(f[0]) + sum(abs(w * self.params[p]) for p, w in f[1]) for f in (lhs, rhs)),
-            sum(abs(w) for f in (lhs, rhs) for _, w in f[2]))
-        return size
+
+class _Float:
+    """The float box test's side of `_Bound.decide`: an atom the float
+    bounds leave undecided is None, and so is a junction that no other item
+    decides, or the negation of None."""
+
+    @staticmethod
+    def fold(op: str, items: list):
+        return None if None in items else op == "and"
+
+    @staticmethod
+    def negate(v):
+        return None if v is None else not v
+
+    row = descent = decide = staticmethod(lambda *_: None)
 
 
 def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
@@ -869,8 +829,8 @@ def interval_contains(pieces, x: float, params: dict[str, float] | None = None) 
 def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bool:
     """True iff the point satisfies the region's boolean tree as written.
 
-    A point is a box with equal corners: interval mode decides every atom
-    on it exactly, with the same arithmetic as batch evaluation.  A NaN
+    A point is a box with equal corners: the float box test decides every
+    atom on it exactly, with the same arithmetic as batch evaluation.  A NaN
     coordinate would leave atoms undecided, so non-finite points are
     rejected.
     """

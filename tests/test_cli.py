@@ -153,6 +153,23 @@ def test_verify_i56_reads_catalog(tmp_path):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("extra, budget", [([], 1 << 26), (["--budget", "4096"], 4096)])
+def test_verify_i56_honours_budget(extra, budget, monkeypatch):
+    # the suite's own budget is a default: an explicit --budget caps it
+    from sievelab import quadrature as qd
+
+    seen = []
+
+    def named_integral(name, params, **kw):
+        seen.append(kw["budget"])
+        return qd.QuadratureResult(0.0, 0.0, kw["budget"], kw["seed"])
+
+    monkeypatch.setattr(qd, "named_integral", named_integral)
+    code, out = run_cli(["verify", "I56", *extra])
+    assert code == 0 and out.count("[pass]") == 2
+    assert seen == [budget] * 4
+
+
 def test_integral_zero_case():
     code, out = run_cli(["integral", "U234", "--theta", "0.51", "--format", "csv"])
     assert code == 0

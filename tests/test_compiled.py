@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sievelab.catalog import default_catalog, loads
+from sievelab.exact import _Exact
 from sievelab.params import ThetaParams
 from sievelab.quadrature import _descending
-from sievelab.regions import (CHUNK_ROWS, RegionError, contains, definitely, rowwise,
+from sievelab.regions import (CHUNK_ROWS, RegionError, _bound, contains, definitely, rowwise,
                               subset_sums)
 
 CAT = default_catalog()
@@ -256,6 +257,37 @@ def test_definitely_is_monotone_under_inclusion(name, seed, corner, width):
     for _ in range(8):
         c, d = sub_box(rng, a, b)
         assert definitely(region, c, d, vals, CAT) is verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["D1", "D5", "U233", "A_fam", "GG", "U234"]),
+    st.floats(0.5, 4 / 7, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+)
+def test_float_and_exact_box_tests_agree(name, theta, seed, corner, width):
+    # The float box test is the exact mode without its margin: where both
+    # decide a box they agree, and an exact verdict holds at points in it.
+    vals, region = ThetaParams(theta).values(), CAT.region(name)
+    rng = np.random.default_rng(seed)
+    if name in SAMPLED:
+        lo, hi = region.box(vals, CAT.integrals[SAMPLED[name][0]].dim)
+    else:  # A_fam: descending and tmin/tmax/tsum; GG: a splits region
+        dim = 3 if name == "GG" else int(rng.integers(2, 6))
+        lo, hi = np.zeros(dim), np.full(dim, 0.8 / dim if name == "GG" else 0.5)
+    span = np.maximum(hi - lo, 1e-2)  # U234's box collapses below theta = 29/56
+    a = lo + corner * rng.random(len(lo)) * span
+    b = a + width * (0.01 + rng.random(len(lo))) * span
+    bound, ex = _bound(region, len(a), vals, CAT), _Exact(vals, len(a))
+    ex.set_box(a.tolist(), b.tolist())
+    fast, exact = bound.decide(a, b), bound.decide(a.tolist(), b.tolist(), ex)
+    if not isinstance(exact, bool):
+        return
+    assert fast is None or fast is exact
+    inside = region.eval(a + rng.random((512, len(a))) * (b - a), vals, CAT)
+    assert inside.all() if exact else not inside.any()
 
 
 @pytest.mark.parametrize("name,dim", [("GG", 3), ("GG", 5), ("V_nofloor", 4)])

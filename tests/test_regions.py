@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import catalog
+from sievelab import catalog, regions
 from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
                               parse_affine_expr, parse_bool_expr)
 from sievelab.exact import certify_empty
@@ -49,6 +49,14 @@ def aff(text):
 # ---------------------------------------------------------------------------
 
 
+def exact_value(form, params, x):
+    """A form at a point, in rationals: params and x hold Fractions."""
+    specials = {"tmax": max(x), "tmin": min(x), "tsum": sum(x)}
+    return (form.const + sum(w * params[p] for p, w in form.params)
+            + sum(w * x[i - 1] for i, w in form.vars)
+            + sum(w * specials[n] for n, w in form.specials))
+
+
 def test_affine_linearity():
     rng = random.Random(3)
     f = aff("1/2 + 2*theta - 3*t1 + t2")
@@ -56,22 +64,24 @@ def test_affine_linearity():
     for _ in range(50):
         a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
         combo = f.scale(a) + g.scale(b)
-        params = {"theta": rng.random(), "theta1": rng.random()}
-        x = np.array([[rng.random(), rng.random()]])
-        lhs = combo.eval_points(x, params)[0]
-        rhs = float(a) * f.eval_points(x, params)[0] + float(b) * g.eval_points(x, params)[0]
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        params = {"theta": Fraction(rng.random()), "theta1": Fraction(rng.random())}
+        x = [Fraction(rng.random()), Fraction(rng.random())]
+        assert exact_value(combo, params, x) == (a * exact_value(f, params, x)
+                                                 + b * exact_value(g, params, x))
 
 
 def test_affine_interval_bounds_sound():
+    # the compiled interval bounds the box test judges a column by
     rng = random.Random(9)
     f = aff("1 - 2*theta + 3*t1 - t2 + tsum/2")
     params = {"theta": 0.51}
-    lo, hi = np.array([0.1, 0.2]), np.array([0.3, 0.5])
-    a, b = f.interval(lo, hi, params)
+    lo, hi = [0.1, 0.2], [0.3, 0.5]
+    const, weights, terms = regions._compiled(f, 2)
+    a, b = regions._bounds(regions._base(const, weights, params), terms,
+                           regions._extend(lo, True), regions._extend(hi, True))
     for _ in range(200):
-        x = np.array([[rng.uniform(0.1, 0.3), rng.uniform(0.2, 0.5)]])
-        v = f.eval_points(x, params)[0]
+        x = [Fraction(rng.uniform(0.1, 0.3)), Fraction(rng.uniform(0.2, 0.5))]
+        v = exact_value(f, {"theta": Fraction(params["theta"])}, x)
         assert a - 1e-12 <= v <= b + 1e-12
 
 
@@ -494,6 +504,41 @@ def test_certify_empty_decides_exactly(where, lo, hi, empty):
         grid = np.linspace(lo, hi, 9)
         assert any(contains(region, x, {}, cat)
                    for x in itertools.product(*grid.T.tolist()))
+
+
+_TIES = """
+region lt dim=1
+  where t1 < 1/2
+end
+region le dim=1
+  where t1 <= 1/2
+end
+region desc dim=2
+  where descending
+end
+"""
+
+
+@pytest.mark.parametrize("name, lo, hi, verdict", [
+    ("lt", [0.25], [0.5], None),
+    ("lt", [0.5], [0.75], False),
+    ("lt", [0.5], [0.5], False),
+    ("le", [0.25], [0.5], True),
+    ("le", [0.5], [0.75], None),
+    ("le", [0.5], [0.5], True),
+    ("desc", [0.25, 0.5], [0.5, 0.75], False),
+    ("desc", [0.5, 0.25], [0.75, 0.5], None),
+])
+def test_definitely_at_ties(name, lo, hi, verdict):
+    # a box that touches a bound is decided by the relation's strictness
+    cat = loads(_TIES)
+    assert definitely(cat.region(name), np.array(lo), np.array(hi), {}, cat) is verdict
+
+
+def test_certify_empty_at_ties():
+    cat = loads(_TIES)
+    assert certify_empty(cat.region("lt"), [([0.5], [0.75])], {}, cat) == []
+    assert certify_empty(cat.region("le"), [([0.5], [0.75])], {}, cat) is None
 
 
 def test_definitely_agrees_with_sampling():

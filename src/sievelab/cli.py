@@ -101,6 +101,8 @@ def cmd_typeii(args) -> int:
     point = args.point
     if len(point) > 3:
         raise RegionError(f"typeii takes at most three coordinates, got {len(point)}")
+    if point and any(v is not None for v in (args.theta, args.theta1, args.theta2, args.theta3)):
+        raise RegionError("give the point as coordinates or by --theta flags, not both")
     if len(point) == 1:
         args.theta = point[0]
     elif len(point) == 2:

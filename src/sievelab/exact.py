@@ -16,8 +16,10 @@ A row (a, b, strict) with integer entries means a . t < b when strict and
 a . t <= b otherwise, over the coordinates t of the box.  A residual is
 True, False, a row, or a junction ("and" | "or", frozenset of residuals).
 
-The quadrature imports this module only when its emptiness proof's
-bisection stalls.
+`BoxTest` is this test on one box at a time, the box test of the
+quadrature's emptiness proof, which imports this module only when a proof
+runs.  Residuals are refuted in a canonical order of their items, so a
+certificate does not depend on the process's string hashes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from .regions import SPECIALS, RegionSpec, _Bound, _bound
 
-__all__ = ["Certificate", "certify_empty"]
+__all__ = ["BoxTest", "Certificate"]
 
 EXACT_ROWS = 400  # rows an elimination step may hold
 EXACT_BRANCHES = 64  # conjunctions one residual may branch into
@@ -99,8 +101,8 @@ def _int_row(lin, strict: bool):
 class _Exact:
     """One exact test of a k-dimensional region over boxes: the exact rows
     of the columns met, by the substitution that maps their program's
-    variables to the box's coordinates, and each residual's outcome.  It
-    is the exact mode of `_Bound.decide`, which builds residuals with it."""
+    variables to the box's coordinates.  It is the exact mode of
+    `_Bound.decide`, which builds residuals with it."""
 
     fold, negate = staticmethod(_fold), staticmethod(_negate)
 
@@ -109,7 +111,6 @@ class _Exact:
         self.zero = (Fraction(0),) * (k + 1)
         self.rows: dict = {}
         self.subs: dict = {}
-        self.refuted: dict = {}  # by residual, without box rows
         self.box, self.lo, self.hi, self.shift = None, None, None, 0
 
     def set_box(self, lo, hi) -> None:
@@ -299,15 +300,23 @@ def _farkas(rows) -> dict | None:
                              {i: v // g for i, v in ys.items()}, m | m2))
 
 
+def _order(f):
+    """A sort key of residual items that does not depend on hashing: rows
+    first, then junctions, each by its entries."""
+    if f[0] == "and" or f[0] == "or":
+        return 1, f[0], sorted(map(_order, f[1]))
+    return 0, f
+
+
 def _refute(f, rows: tuple, branches: list) -> list | None:
     """Certificates that the residual f has no real solution together with
     rows, one per conjunction it branches into, or None.  The rows outside
     any disjunction are decided first; only then is a disjunction branched
     on, the shortest first, and only while every choice of one alternative
     per disjunction fits in the branches left (a one-item counter).  Past
-    that the test gives up."""
+    that the test gives up.  Items are taken in `_order`."""
     rows, choices = list(rows), []
-    for g in f[1] if f[0] == "and" else (f,):
+    for g in sorted(f[1], key=_order) if f[0] == "and" else (f,):
         if g[0] == "or":
             choices.append(g[1])
         else:
@@ -320,7 +329,7 @@ def _refute(f, rows: tuple, branches: list) -> list | None:
     split = min(choices, key=len)
     rest = [("or", c) for c in choices if c is not split]
     certs = []
-    for alt in split:
+    for alt in sorted(split, key=_order):
         branches[0] -= 1
         if branches[0] < 0:
             raise _GaveUp
@@ -338,35 +347,38 @@ def _attempt(f, rows: tuple) -> list | None:
         return None
 
 
-def certify_empty(region: RegionSpec, boxes, params: dict[str, float], catalog):
-    """Certificates that no real point of the closed boxes [lo, hi] lies in
-    the region, with the parameters at their float values taken exactly, or
-    None when the exact test cannot show it.
+class BoxTest:
+    """The exact box test of one emptiness proof of a k-dimensional region.
+    Called on a closed box [lo, hi], it returns True when every point of the
+    box lies in the region, False when no real point does, and None when it
+    cannot tell, also when a cap is reached.  The parameters are taken at
+    their float values, exactly.
 
     On each box the region's program is evaluated in three-valued logic
     (`_Bound.decide` in its exact mode); what is left is a residual over
-    exact rows.  It is refuted first alone, which holds for every box with
-    that residual, and then with the box's own bounds.  A residual branches
-    into at most EXACT_BRANCHES conjunctions and an elimination holds at
-    most EXACT_ROWS rows; past either cap the test gives up.  Boxes the
-    exact mode decides empty need no certificate.
+    exact rows.  It is refuted first alone, once per residual, which holds
+    for every box that leaves it, and then with the box's own bounds.  A
+    residual branches into at most EXACT_BRANCHES conjunctions and an
+    elimination holds at most EXACT_ROWS rows.  The certificates of the
+    boxes refuted gather in `certificates`; a box the exact mode decides
+    empty needs none.
     """
-    boxes = list(boxes)
-    if not boxes:
-        return []
-    k = len(boxes[0][0])
-    bound, ex, certs = _bound(region, k, params, catalog), _Exact(params, k), []
-    for lo, hi in boxes:
+
+    def __init__(self, region: RegionSpec, k: int, params: dict[str, float], catalog):
+        self.bound, self.ex = _bound(region, k, params, catalog), _Exact(params, k)
+        self.refuted: dict = {}  # certificates by residual, without box rows
+        self.certificates: list[Certificate] = []
+
+    def __call__(self, lo, hi):
+        ex = self.ex
         ex.set_box(lo, hi)
-        f = bound.decide(lo, hi, ex)
-        if f is True:
-            return None
-        if f is False:
-            continue
-        if f not in ex.refuted:
-            ex.refuted[f] = _attempt(f, ())
-        found = ex.refuted[f] or _attempt(f, ex.box_rows())
+        f = self.bound.decide(lo, hi, ex)
+        if f is True or f is False:
+            return f
+        if f not in self.refuted:
+            self.refuted[f] = _attempt(f, ())
+        found = self.refuted[f] or _attempt(f, ex.box_rows())
         if found is None or not all(c.holds() for c in found):
             return None
-        certs += found
-    return certs
+        self.certificates += found
+        return False

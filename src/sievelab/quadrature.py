@@ -6,26 +6,25 @@ pair owns a scrambled Sobol stream seeded from (seed, stratum, replicate),
 rounds refine allocation by stratum spread, and results are reduced in fixed
 stratum order.  The error estimate is the spread of the replicate totals.
 
-One bisection, _bisect, serves both questions the three-valued box test
-answers here.  It works on a grid over the sampling box: the whole box is
-tested first, breadth first, and an undecided box is halved at the grid's
-edges until each box is judged empty (dropped), judged full or one cell
-wide (kept).  Float interval evaluation is monotone under inclusion, so
-the kept cells are exactly the cells a per-cell test keeps.
+One bisection, _bisect, serves both questions a three-valued box test
+answers here; it takes the test as a function of a box.  It works on a grid
+over the sampling box: the whole box is tested first, breadth first, and an
+undecided box is halved at the grid's edges until each box is judged empty
+(dropped), judged full or one cell wide (kept).
 
-- The strata are the kept cells of the sampling grid, numbered in grid
-  order; a stratum's number is part of its seed key.
+- The strata are the kept cells of the sampling grid under the float box
+  test (`regions.definitely`), numbered in grid order; a stratum's number
+  is part of its seed key.  Float interval evaluation is monotone under
+  inclusion, so the kept cells are exactly the cells a per-cell test keeps.
 - An integral whose first round has no hit tries to prove its region empty
   before it samples on, by the same bisection on a grid of 2**52 cells per
-  axis, which no box gets down to.  If no box is kept, the result is a
-  proved ``empty-region``.  Once PROOF_CALLS boxes have been tested, every
-  box the bisection kept, left undecided or had not reached gets the exact
-  test (`exact.certify_empty`): the atoms the box leaves undecided, as
-  rational rows, refuted by a Farkas certificate.  If every box is closed
-  the result is ``empty-region`` too; if one is not, or the exact test hits
-  its caps, sampling carries on untouched.  Sorted integrals take the same
-  proof: their points are sorted copies of points of a box with identical
-  bounds, so they never leave it.
+  axis, which no box gets down to, driven by the exact box test
+  (`exact.BoxTest`): the atoms a box leaves undecided, as rational rows,
+  refuted by a Motzkin certificate.  If no box is kept within PROOF_CALLS
+  tests, the result is a proved ``empty-region``; otherwise sampling
+  carries on untouched.  Sorted integrals take the same proof: their points
+  are sorted copies of points of a box with identical bounds, so they never
+  leave it.
 
 The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
@@ -69,20 +68,19 @@ DEFAULT_BUDGET = 1 << 22
 REPLICATES = 4
 FIRST_ROUND = 1 << 14  # per-round totals double from here up to the budget
 MIN_BATCH = 16
-PILOT = 8192  # boundedness-pilot points for singular weights, outside the budget
 MIN_SAMPLES = 1 << 18  # tolerance may only stop the refinement beyond this
 FLOOR_MIN = 1e-4  # smallest admissible denominator floor for singular weights
-# Box tests the emptiness proof's bisection may make before the exact test
-# takes the boxes it leaves.  At theta = 0.52 the bisection closes I1 in 329
-# tests and I2 in 833.  It cannot close U234: with 60,032 tests it reaches
-# depth 51 and still leaves 1,864 undecided boxes, all around t = (1/7,
-# ..., 1/7), where the strict bound 2*t1 + t2 + ... + t6 < 1 meets Tstar3's
-# bound t3 + t4 + t5 + t6 >= 4/7.  After 1,024 tests it leaves 385 boxes:
-# the exact test's own box verdicts close 381 of them and two certificates
-# the other four.  Both certificates sum their rows to 0 < 0, so they hold
-# only through the strict bound 2*t1 + t2 + ... + t6 < 1.  The cap stays
-# above I2's 833 tests, so the bisection alone still closes I1 and I2.
-PROOF_CALLS = 1024
+# Box tests the emptiness proof may make.  Over 392 parameter points (I1-I4,
+# U233 and U234 at 60 theta in [0.5, 4/7), I5 and I6 at four points, L71-L73
+# at eight kappa in (1/13, 1/8]) the proof closes 237 regions: 229 within 8
+# tests, the slowest three, I4 at theta = 0.5155, 0.5167 and 0.5179, in 81,
+# 81 and 97.  A cap of 64 leaves those three open; 128, 256 and 1,024 close
+# all 237.  At theta = 0.52 I1 closes in 9 tests, and I2 and U234 in one,
+# the whole box: near t = (1/7, ..., 1/7) U234's certificate sums its rows
+# to 0 < 0 through the strict bound 2*t1 + t2 + ... + t6 < 1.  I4 at 0.52
+# spends all 128 (about 75 ms on a 2-core machine): its region holds a null
+# segment, which no box test can drop.
+PROOF_CALLS = 128
 # Cells per axis of the proof's grid: every edge index i and i / 2**52 is
 # exact in float64, and PROOF_CALLS tests never halve a box down to a cell.
 PROOF_BINS = 1 << 52
@@ -115,14 +113,23 @@ def _params_dict(params) -> dict[str, float]:
     return dict(params)
 
 
+def _rest(x: np.ndarray) -> np.ndarray:
+    """1 - sum(t) for each region point t of a singular weight; raises
+    unless every coordinate and 1 - sum(t) is at least FLOOR_MIN."""
+    rest = 1.0 - rowwise(np.add, x)
+    if x.min() < FLOOR_MIN or rest.min() < FLOOR_MIN:
+        raise SpecificationError("integrand unbounded: a region point has a coordinate or "
+                                 f"1 - sum(t) below {FLOOR_MIN}")
+    return rest
+
+
 def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
     if kind == "one":
         return lambda x: np.ones(x.shape[0])
     if kind == "reciprocal":
 
         def recip(x):
-            rest = 1.0 - rowwise(np.add, x)
-            return 1.0 / (rowwise(np.multiply, x) * rest)
+            return 1.0 / (rowwise(np.multiply, x) * _rest(x))
 
         return recip
     if kind == "buchstab":
@@ -138,8 +145,7 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
             raise SpecificationError(f"unknown weight variant {variant!r}")
 
         def buch(x):
-            rest = 1.0 - rowwise(np.add, x)
-            u = np.clip(rest / kap, 1.0, None)
+            u = np.clip(_rest(x) / kap, 1.0, None)
             return omega_eval(u) / (kap * rowwise(np.multiply, x))
 
         return buch
@@ -450,28 +456,21 @@ class _Streams:
         return sample(np.repeat(sid, count), self.points(sid, start, count))
 
 
-@dataclass(frozen=True)
-class _Stalled:
-    """A bisection out of box tests: the corners (lo, hi) of every box it
-    kept, had not decided or had not reached."""
-
-    boxes: list
-
-
-def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=math.inf):
+def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
     """The boxes of a grid over [lo, hi] with `bins` cells per axis that the
     box test does not judge empty, as cell index ranges (a, b): cells a[i]
     .. b[i] - 1 along axis i, whose edges are lo + (hi - lo) * edge / bins.
 
-    Boxes are tested breadth first, the whole box first.  A box judged
-    empty is dropped, and one judged full or one cell wide is kept; any
-    other is halved along every axis wider than one cell.  Interval
-    evaluation is monotone under inclusion (every bound, aggregate, group
-    and subset sum only narrows on a sub-box), so a verdict on a box is the
-    verdict on each of its cells, and the cells of the kept boxes are
-    exactly those the per-cell test keeps.  Once `calls` boxes have been
-    tested with one still undecided, returns a _Stalled with the boxes it
-    kept, the undecided one and every box still queued.
+    test(box_lo, box_hi) judges a box True (inside the region), False
+    (outside) or None (undecided).  Boxes are tested breadth first, the
+    whole box first.  A box judged empty is dropped, and one judged full or
+    one cell wide is kept; any other is halved along every axis wider than
+    one cell.  A test monotone under inclusion, as float interval
+    evaluation is (every bound, aggregate, group and subset sum only
+    narrows on a sub-box), gives a verdict on a box that is the verdict on
+    each of its cells, so the cells of the kept boxes are exactly those the
+    per-cell test keeps.  Returns None once `calls` boxes have been tested
+    with one still undecided.
     """
     lo, hi = lo.tolist(), hi.tolist()
     axes = range(len(lo))
@@ -483,12 +482,11 @@ def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=
     # The whole box, then the halves of each undecided box, made only when
     # reached: a list iterator sees what is appended while it runs.
     boxes = [[((0,) * len(lo), (bins,) * len(lo))]]
-    queue = itertools.chain.from_iterable(boxes)
-    for a, b in queue:
+    for a, b in itertools.chain.from_iterable(boxes):
         if calls == 0:
-            return _Stalled([(corner(a), corner(b)) for a, b in (*kept, (a, b), *queue)])
+            return None
         calls -= 1
-        verdict = definitely(region, corner(a), corner(b), vals, cat)
+        verdict = test(corner(a), corner(b))
         if verdict is False:
             continue
         if verdict or all(b[i] - a[i] == 1 for i in axes):
@@ -502,15 +500,12 @@ def _bisect(region, lo: np.ndarray, hi: np.ndarray, bins: int, vals, cat, calls=
 
 
 def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
-    """Whether no point of [lo, hi] lies in the region: by the box
-    bisection within PROOF_CALLS tests, and where it stalls by the exact test
-    (`exact.certify_empty`) of every box it leaves."""
-    left = _bisect(region, lo, hi, PROOF_BINS, vals, cat, PROOF_CALLS)
-    if not isinstance(left, _Stalled):
-        return left == []
-    from .exact import certify_empty  # compiled only where a proof stalls
+    """Whether no point of [lo, hi] lies in the region: the bisection on
+    the proof's grid, driven by the exact box test, drops every box within
+    PROOF_CALLS tests."""
+    from .exact import BoxTest  # compiled only where a proof runs
 
-    return certify_empty(region, left.boxes, vals, cat) is not None
+    return _bisect(BoxTest(region, len(lo), vals, cat), lo, hi, PROOF_BINS, PROOF_CALLS) == []
 
 
 def integrate(
@@ -527,16 +522,16 @@ def integrate(
 
     Sampling stops once the replicate-spread error estimate reaches tol
     (absolute, or rel_tol relative when given) or the budget is exhausted.
-    The budget caps the reported samples.  Reciprocal- and Buchstab-weighted
-    integrals first draw PILOT (8,192) boundedness-pilot points, which the
-    samples do not count.
+    The budget caps the samples, and the region sees no other points.  A
+    reciprocal- or Buchstab-weighted integral raises SpecificationError
+    when a sampled region point has a coordinate, or 1 - sum(t), below
+    FLOOR_MIN.
 
     When the first round finds no region point, _bisect bisects the box
-    with the three-valued box test, and the exact test takes the boxes it
-    leaves after PROOF_CALLS tests.  If the two prove the region empty, the
-    result is 0 with est_error 0, the samples of that round and the flag
-    "empty-region".  Otherwise sampling goes on as if the proof had not
-    run, and a run without hits ends in "no-hits".
+    with the exact box test for up to PROOF_CALLS tests.  If it proves the
+    region empty, the result is 0 with est_error 0, the samples of that
+    round and the flag "empty-region".  Otherwise sampling goes on as if
+    the proof had not run, and a run without hits ends in "no-hits".
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -577,7 +572,8 @@ def integrate(
         cells = np.arange(n_cells)
     else:
         live = np.zeros((bins,) * k, dtype=bool)  # grid axis i is array axis k - 1 - i
-        for a, b in _bisect(region, lo, hi, bins, vals, cat):
+        strata = _bisect(lambda a, b: definitely(region, a, b, vals, cat), lo, hi, bins)
+        for a, b in strata:
             live[tuple(slice(a[i], b[i]) for i in reversed(range(k)))] = True
         cells = np.flatnonzero(live)
     n_strata = len(cells)
@@ -589,24 +585,6 @@ def integrate(
             f"budget {budget} is below one point per stratum and replicate "
             f"({REPLICATES * n_strata} for {n_strata} strata of {region.name})"
         )
-
-    # Boundedness pilot: for singular weights the region must keep every
-    # coordinate and the leftover 1 - sum(t) away from zero.
-    if spec.weight in ("reciprocal", "buchstab"):
-        zero = np.zeros(1, dtype=np.int64)
-        pilot = _Streams(k, [(seed, 1 << 30, 0)]).points(zero, zero, zero + PILOT)
-        x = lo + pilot * (hi - lo)
-        if spec.sorted:
-            x = _descending(x)
-        inside = region.eval(x, vals, cat)
-        if inside.any():
-            xin = x[inside]
-            rest = 1.0 - rowwise(np.add, xin)
-            if xin.min() < FLOOR_MIN or rest.min() < FLOOR_MIN:
-                raise SpecificationError(
-                    f"integrand unbounded on region {region.name}: the region "
-                    "does not keep the weight denominators away from zero"
-                )
 
     streams = _Streams(k, [(seed, s, r) for s in range(n_strata) for r in range(REPLICATES)])
     # cell s has digit s // bins**i % bins along axis i

@@ -14,7 +14,7 @@ axis-aligned box from float interval bounds.  Its float mode leaves an atom
 the bounds do not decide undecided (None); its exact mode, given an
 `exact._Exact`, trusts the bounds only beyond a rounding margin and leaves
 the residual of the box: the atoms it leaves undecided, as exact rational
-rows, which `exact.certify_empty` refutes.  In a batch, a nested clause
+rows, which `exact.BoxTest` refutes.  In a batch, a nested clause
 that holds nothing but comparisons runs over all rows under a mask of the
 rows its parent has not decided; `in`, `splits` and `descending` children
 run on a copy of those rows alone.

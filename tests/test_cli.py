@@ -85,6 +85,15 @@ def test_typeii_extra_coordinates_rejected():
     assert out == ""
 
 
+@pytest.mark.parametrize("flags", [["--theta", "0.52"], ["--theta1", "0.36"],
+                                   ["--theta3", "0.01"]])
+def test_typeii_point_given_twice_rejected(flags):
+    # coordinates and --theta flags together name two points
+    code, out = run_cli(["typeii", "0.36", "0.141", *flags])
+    assert code == 2
+    assert out == ""
+
+
 def test_typeii_boundary_point_matches_no_leaf():
     # The printed sub-splits pair strict with non-strict bounds, so the
     # shared boundary belongs to neither side; the report falls through to

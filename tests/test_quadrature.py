@@ -1,13 +1,17 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sievelab import quadrature
+import sievelab
+from sievelab import exact, quadrature
 from sievelab.catalog import default_catalog, dumps, loads
 from sievelab.params import ThetaParams, theta_only
 from sievelab.quadrature import (
@@ -18,8 +22,7 @@ from sievelab.quadrature import (
     integrate,
     named_integral,
 )
-from sievelab.exact import certify_empty
-from sievelab.regions import contains
+from sievelab.regions import RegionSpec, contains
 
 CAT = default_catalog()
 FAST = 1 << 19
@@ -147,6 +150,34 @@ def test_unbounded_integrand_rejected():
         integrate(cat2.integrals["badint"], {}, tol=1e-3, budget=FAST, cat=cat2)
 
 
+def test_unbounded_sliver_rejected():
+    # The region is the sliver t1 < 1e-5 of its box, which a pilot of 8,192
+    # points over the box missed; the sampled points inside it are checked.
+    extra = (
+        "region sliver dim=2\n"
+        "  bound t1 = [0, 1/2]\n"
+        "  bound t2 = [1/10, 1/5]\n"
+        "  where t1 < 1/100000\n"
+        "end\n"
+        "integral sliverint dim=2 region=sliver weight=reciprocal mult=1\n"
+    )
+    cat2 = loads(dumps(CAT) + extra)
+    with pytest.raises(SpecificationError, match="integrand unbounded"):
+        integrate(cat2.integrals["sliverint"], {}, tol=1e-3, budget=FAST, cat=cat2)
+
+
+def test_budget_caps_the_points_a_region_sees(monkeypatch):
+    seen, evaluate = [0], RegionSpec.eval
+
+    def counting(self, x, *args, **kwargs):
+        seen[0] += len(x)
+        return evaluate(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(RegionSpec, "eval", counting)
+    res = named_integral("I5", ThetaParams(0.32, 0.20), budget=4096)
+    assert res.samples <= 4096 and seen[0] <= 4096
+
+
 def test_integral_beyond_direction_table_rejected():
     wide = dataclasses.replace(CAT.integrals["cal6"], name="wide", dim=25)
     with pytest.raises(SpecificationError, match="at most 24 allowed"):
@@ -267,8 +298,8 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
         calls[0] += 1
         return definitely(*args)
 
-    def recording(region, lo, hi, n, vals, cat, cap=math.inf):
-        boxes = bisect(region, lo, hi, n, vals, cat, cap)
+    def recording(test, lo, hi, n, cap=math.inf):
+        boxes = bisect(test, lo, hi, n, cap)
         # the cells of the kept boxes, numbered as in per_cell_live
         cells = {sum(d * n**i for i, d in enumerate(digits))
                  for a, b in boxes for digits in itertools.product(*map(range, a, b))}
@@ -288,28 +319,29 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
 
 @pytest.mark.parametrize("name, samples", [("I1", 24576), ("I2", 16384)])
 def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch):
-    definitely, bisect = quadrature.definitely, quadrature._bisect
+    box_test, bisect = exact.BoxTest.__call__, quadrature._bisect
     calls, proofs = [0], []
 
-    def counting(*args):
+    def counting(self, lo, hi):
         calls[0] += 1
-        return definitely(*args)
+        return box_test(self, lo, hi)
 
-    def proving(region, lo, hi, n, vals, cat, cap=math.inf):
+    def proving(test, lo, hi, n, cap=math.inf):
         before = calls[0]
-        boxes = bisect(region, lo, hi, n, vals, cat, cap)
+        boxes = bisect(test, lo, hi, n, cap)
         if cap == quadrature.PROOF_CALLS:
             proofs.append((boxes == [], calls[0] - before))
         return boxes
 
-    monkeypatch.setattr(quadrature, "definitely", counting)
+    monkeypatch.setattr(exact.BoxTest, "__call__", counting)
     monkeypatch.setattr(quadrature, "_bisect", proving)
     res = named_integral(name, theta_only(0.52))
     # the samples of the first round, whose strata are 4 replicates of a
     # power-of-two batch each
     assert res == QuadratureResult(0.0, 0.0, samples, DEFAULT_SEED, "empty-region")
+    # one proof, made by exact box tests
     assert len(proofs) == 1 and proofs[0][0]
-    assert proofs[0][1] <= quadrature.PROOF_CALLS
+    assert 0 < proofs[0][1] <= quadrature.PROOF_CALLS
 
 
 @pytest.mark.parametrize("name", ["cal2", "cal3", "cal4", "cal5", "cal6", "S235", "I3", "I5",
@@ -317,10 +349,10 @@ def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch
 def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):
     bisect = quadrature._bisect
 
-    def refuse(region, lo, hi, n, vals, cat, cap=math.inf):
+    def refuse(test, lo, hi, n, cap=math.inf):
         if cap == quadrature.PROOF_CALLS:
             raise AssertionError("the emptiness proof ran")
-        return bisect(region, lo, hi, n, vals, cat, cap)
+        return bisect(test, lo, hi, n, cap)
 
     monkeypatch.setattr(quadrature, "_bisect", refuse)
     if name.startswith("cal"):
@@ -367,9 +399,9 @@ def test_exact_test_certificates_hold(name, theta):
     vals = theta_only(theta).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    left = quadrature._bisect(region, lo, hi, quadrature.PROOF_BINS, vals, CAT,
-                              quadrature.PROOF_CALLS)
-    certificates = certify_empty(region, left.boxes, vals, CAT)
+    test = exact.BoxTest(region, spec.dim, vals, CAT)
+    assert quadrature._bisect(test, lo, hi, quadrature.PROOF_BINS, quadrature.PROOF_CALLS) == []
+    certificates = test.certificates
     assert certificates
     for cert in certificates:
         assert motzkin_holds(cert.rows, cert.weights)
@@ -379,6 +411,37 @@ def test_exact_test_certificates_hold(name, theta):
         # exceeds 1 only strictly.
         assert any(sum(y * b for y, (_, b, _) in zip(c.weights, c.rows)) == 0
                    for c in certificates)
+
+
+def test_certificates_do_not_depend_on_string_hashes():
+    # The refuted residual holds junctions, whose frozensets iterate in an
+    # order that follows the process's string hashes.
+    src = os.path.dirname(os.path.dirname(sievelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from sievelab.catalog import default_catalog\n"
+        "from sievelab.exact import BoxTest\n"
+        "from sievelab.params import theta_only\n"
+        "cat = default_catalog()\n"
+        "test = BoxTest(cat.region('U233'), 2, theta_only(0.56).values(), cat)\n"
+        "assert test([0.1875, 0.359375], [0.453125, 0.390625]) is False\n"
+        "print([(c.rows, c.weights) for c in test.certificates])\n"
+    )
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(env, PYTHONHASHSEED=seed), timeout=60, check=True).stdout
+            for seed in ("1", "7")]
+    assert outs[0] == outs[1] != "[]\n"
+
+
+# points 13-15 of np.linspace(0.5, 4 / 7, 60, endpoint=False)
+@pytest.mark.parametrize("theta", [0.5154761904761904, 0.5166666666666666, 0.5178571428571428])
+def test_i4_proved_empty_near_its_threshold(theta):
+    # the slowest proofs of that grid, each of more than 64 box tests
+    spec = CAT.integrals["I4"]
+    vals = theta_only(theta).values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    assert quadrature._proved_empty(region, lo, hi, vals, CAT)
 
 
 @pytest.mark.parametrize("region_name, theta, point", [
@@ -403,9 +466,9 @@ def test_regions_holding_points_are_not_proved_empty(region_name, theta, point):
 # no-hits after spending the budget (65532 and 65536 samples); their first
 # round has no hit, and the box bisection now proves their regions empty
 # after it.  U234 ended in no-hits too (est_error 0x1.538885e2d333dp-40 after
-# 65536 samples); the bisection stalls on it, and the exact test of the boxes
-# it leaves proves its region empty.  I4 still ends in no-hits: its region
-# holds a null set of points (test_regions_holding_points_are_not_proved_empty).
+# 65536 samples); the exact box test proves its region empty.  I4 still ends
+# in no-hits: its region holds a null set of points
+# (test_regions_holding_points_are_not_proved_empty).
 PINNED_2_16 = {
     "I1": ("0x0.0p+0", "0x0.0p+0", 24576, "empty-region"),
     "I2": ("0x0.0p+0", "0x0.0p+0", 16384, "empty-region"),

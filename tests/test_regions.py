@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sievelab import catalog, regions
 from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
                               parse_affine_expr, parse_bool_expr)
-from sievelab.exact import certify_empty
+from sievelab.exact import BoxTest
 from sievelab.params import theta_only
 from sievelab.regions import (
     PARAM_NAMES,
@@ -497,9 +497,9 @@ end
 def test_certify_empty_decides_exactly(where, lo, hi, empty):
     cat = loads(_HELPERS + f"region A dim={len(lo)}\n  where {where}\nend\n")
     region = cat.region("A")
-    certificates = certify_empty(region, [(lo, hi)], {}, cat)
-    assert (certificates is not None) == empty
-    assert all(c.holds() for c in certificates or ())
+    test = BoxTest(region, len(lo), {}, cat)
+    assert (test(lo, hi) is False) == empty
+    assert all(c.holds() for c in test.certificates)
     if not empty:  # the region does hold a point: a rational one, on the box's grid
         grid = np.linspace(lo, hi, 9)
         assert any(contains(region, x, {}, cat)
@@ -537,8 +537,9 @@ def test_definitely_at_ties(name, lo, hi, verdict):
 
 def test_certify_empty_at_ties():
     cat = loads(_TIES)
-    assert certify_empty(cat.region("lt"), [([0.5], [0.75])], {}, cat) == []
-    assert certify_empty(cat.region("le"), [([0.5], [0.75])], {}, cat) is None
+    lt, le = BoxTest(cat.region("lt"), 1, {}, cat), BoxTest(cat.region("le"), 1, {}, cat)
+    assert lt([0.5], [0.75]) is False and lt.certificates == []  # no certificate needed
+    assert le([0.5], [0.75]) is None
 
 
 def test_definitely_agrees_with_sampling():

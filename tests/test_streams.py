@@ -53,7 +53,7 @@ def reference_setup(dim, keys):
 
 
 def test_setup_equals_generator_draws(monkeypatch):
-    # Seeds of one, two and three 32-bit words, the pilot key, more streams
+    # Seeds of one, two and three 32-bit words, a stratum of 2**30, more streams
     # than one chunk holds at dim = 1, and several hash batches.
     monkeypatch.setattr(quadrature, "SEED_BATCH", 16)
     for seed in (0, 2**32 + 5, 2**64 + 5):

@@ -20,9 +20,10 @@ data/catalog.txt).  Records:
     group NAME: member1 member2 ...
 
 BOOLEXPR uses and/or/not, parentheses, comparison chains over affine
-expressions (variables t1..t9, tsum/tmin/tmax, parameter names), and the
-atoms in(NAME), in(NAME; 1, 2+3), splits(NAME), splits(NAME; append=EXPR)
-and descending.  Parsing and serialisation round-trip losslessly.
+expressions (variables t1, t2, ... numbered from 1, tsum/tmin/tmax,
+parameter names), and the atoms in(NAME), in(NAME; t1, t2+t3),
+splits(NAME), splits(NAME; append=EXPR) and descending.  Parsing and
+serialisation round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, tok: str) -> bool:
+        """Whether the cursor is at tok, stepping past it if so."""
+        if self.toks[self.i] != tok:
+            return False
+        self.i += 1
+        return True
+
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
@@ -132,32 +140,22 @@ class _Parser:
 
     # ----- boolean grammar -----
 
-    def parse_bool(self) -> BoolNode:
-        node = self.parse_and()
-        children = [node]
-        while self.peek() == "or":
-            self.next()
-            children.append(self.parse_and())
-        return children[0] if len(children) == 1 else BoolNode("or", tuple(children))
-
-    def parse_and(self) -> BoolNode:
-        node = self.parse_unary()
-        children = [node]
-        while self.peek() == "and":
-            self.next()
-            children.append(self.parse_unary())
-        return children[0] if len(children) == 1 else BoolNode("and", tuple(children))
+    def parse_bool(self, op: str = "or") -> BoolNode:
+        """An `op` junction, or its one operand; `and` binds tighter than `or`."""
+        operand = (lambda: self.parse_bool("and")) if op == "or" else self.parse_unary
+        children = [operand()]
+        while self.accept(op):
+            children.append(operand())
+        return children[0] if len(children) == 1 else BoolNode(op, tuple(children))
 
     def parse_unary(self) -> BoolNode:
-        tok = self.peek()
-        if tok == "not":
-            self.next()
+        if self.accept("not"):
             return BoolNode("not", (self.parse_unary(),))
+        tok = self.peek()
         if tok == "true" or tok == "false":
             self.next()
             return BoolNode("const", value=(tok == "true"))
-        if tok == "descending":
-            self.next()
+        if self.accept("descending"):
             return BoolNode("atom", atom=Descending())
         if tok == "in":
             return self._parse_in()
@@ -185,18 +183,13 @@ class _Parser:
         self.expect("(")
         name = self.next()
         groups: list[tuple[int, ...]] = []
-        if self.peek() == ";":
-            self.next()
-            while True:
-                grp = [_var_index(self.next())]
-                while self.peek() == "+":
-                    self.next()
-                    grp.append(_var_index(self.next()))
-                groups.append(tuple(grp))
-                if self.peek() == ",":
-                    self.next()
-                    continue
-                break
+        sep = ";"  # before the first group, and "," before each further one
+        while self.accept(sep):
+            grp = [_var_index(self.next())]
+            while self.accept("+"):
+                grp.append(_var_index(self.next()))
+            groups.append(tuple(grp))
+            sep = ","
         self.expect(")")
         return BoolNode("atom", atom=Membership(name, tuple(groups)))
 
@@ -205,8 +198,7 @@ class _Parser:
         self.expect("(")
         name = self.next()
         append = None
-        if self.peek() == ";":
-            self.next()
+        if self.accept(";"):
             self.expect("append")
             self.expect("=")
             append = self.parse_affine()
@@ -278,20 +270,21 @@ class _Parser:
         raise RegionError(f"unknown symbol {tok!r}")
 
 
-def parse_bool_expr(text: str) -> BoolNode:
+def _parse_all(text: str, parse):
+    """parse(parser) over the tokens of text, which it must use up."""
     p = _Parser(_tokenize(text))
-    node = p.parse_bool()
+    node = parse(p)
     if p.peek() is not None:
         raise RegionError(f"trailing tokens in {text!r}")
     return node
+
+
+def parse_bool_expr(text: str) -> BoolNode:
+    return _parse_all(text, _Parser.parse_bool)
 
 
 def parse_affine_expr(text: str) -> AffineForm:
-    p = _Parser(_tokenize(text))
-    node = p.parse_affine()
-    if p.peek() is not None:
-        raise RegionError(f"trailing tokens in {text!r}")
-    return node
+    return _parse_all(text, _Parser.parse_affine)
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +343,21 @@ def _add(table: dict, kind: str, name: str, record) -> None:
     table[name] = record
 
 
+def _match(pattern: str, line: str, what: str) -> tuple:
+    """The groups of the pattern, which must match the whole line."""
+    m = re.fullmatch(pattern, line)
+    if not m:
+        raise RegionError(f"bad {what}: {line!r}")
+    return m.groups()
+
+
 def loads(text: str) -> Catalog:
     cat = Catalog()
-    lines = text.splitlines()
-    i = 0
+    # the lines of the text, comments stripped and blank lines dropped
+    lines = (s for s in (line.split("#", 1)[0].strip() for line in text.splitlines()) if s)
     # bound and piece endpoints repeat a few texts many times; each distinct
     # text is parsed once (AffineForm is immutable, so records share it)
     endpoints: dict[str, AffineForm] = {}
-
-    def strip(line: str) -> str:
-        return line.split("#", 1)[0].strip()
 
     def endpoint(expr: str) -> AffineForm:
         expr = expr.strip()
@@ -368,99 +366,61 @@ def loads(text: str) -> Catalog:
             form = endpoints[expr] = parse_affine_expr(expr)
         return form
 
-    while i < len(lines):
-        line = strip(lines[i])
-        i += 1
-        if not line:
-            continue
+    def body(header: str):
+        """The lines of the record opened by `header`, up to its end."""
+        for row in lines:
+            if row == "end":
+                return
+            yield row
+        raise RegionError(f"record {header!r} has no end")
+
+    for line in lines:
         if line.startswith("region "):
-            m = re.fullmatch(r"region\s+(\S+)\s+dim=(any|\d+)", line)
-            if not m:
-                raise RegionError(f"bad region header: {line!r}")
-            name = m.group(1)
-            dim = None if m.group(2) == "any" else int(m.group(2))
+            name, dim = _match(r"region\s+(\S+)\s+dim=(any|\d+)", line, "region header")
+            dim = None if dim == "any" else int(dim)
             bounds: dict[int, tuple[AffineForm, AffineForm]] = {}
-            where_text: list[str] = []
-            in_where = False
-            while i < len(lines):
-                body = strip(lines[i])
-                i += 1
-                if body == "end":
-                    break
-                if not body:
-                    continue
-                if body.startswith("bound "):
-                    bm = re.fullmatch(r"bound\s+(t\d+)\s*=\s*\[(.*),(.*)\]", body)
-                    if not bm:
-                        raise RegionError(f"bad bound line: {body!r}")
-                    idx = _var_index(bm.group(1))
+            where: list[str] = []  # the where clause, once it has begun
+            for row in body(line):
+                if row.startswith("bound "):
+                    var, lo, hi = _match(r"bound\s+(t\d+)\s*=\s*\[(.*),(.*)\]", row, "bound line")
+                    idx = _var_index(var)
                     if dim is not None and idx > dim:
                         raise RegionError(f"bound t{idx} out of range for region {name} dim={dim}")
-                    bounds[idx] = (endpoint(bm.group(2)), endpoint(bm.group(3)))
-                    continue
-                if body.startswith("where "):
-                    in_where = True
-                    where_text.append(body[len("where ") :])
-                    continue
-                if in_where:
-                    where_text.append(body)
-                    continue
-                raise RegionError(f"unexpected line in region {name}: {body!r}")
-            if not where_text:
+                    bounds[idx] = (endpoint(lo), endpoint(hi))
+                elif row.startswith("where "):
+                    where.append(row[len("where ") :])
+                elif where:
+                    where.append(row)
+                else:
+                    raise RegionError(f"unexpected line in region {name}: {row!r}")
+            if not where:
                 raise RegionError(f"region {name} has no where clause")
-            tree = parse_bool_expr(" ".join(where_text))
+            tree = parse_bool_expr(" ".join(where))
             _add(cat.regions, "region", name, RegionSpec(name, dim, tree, bounds))
         elif line.startswith("ranges "):
-            m = re.fullmatch(r"ranges\s+(\S+)", line)
-            if not m:
-                raise RegionError(f"bad ranges header: {line!r}")
-            name = m.group(1)
+            (name,) = _match(r"ranges\s+(\S+)", line, "ranges header")
             pieces: list[IntervalPiece] = []
-            while i < len(lines):
-                body = strip(lines[i])
-                i += 1
-                if body == "end":
-                    break
-                if not body:
-                    continue
-                pm = re.fullmatch(r"piece\s+([(\[])(.*),(.*)([)\]])\s+src=(\S+)", body)
-                if not pm:
-                    raise RegionError(f"bad piece line: {body!r}")
-                pieces.append(
-                    IntervalPiece(
-                        lo=endpoint(pm.group(2)),
-                        hi=endpoint(pm.group(3)),
-                        lo_open=pm.group(1) == "(",
-                        hi_open=pm.group(4) == ")",
-                        src=pm.group(5),
-                    )
-                )
+            for row in body(line):
+                lb, lo, hi, rb, src = _match(
+                    r"piece\s+([(\[])(.*),(.*)([)\]])\s+src=(\S+)", row, "piece line")
+                pieces.append(IntervalPiece(endpoint(lo), endpoint(hi), lb == "(", rb == ")", src))
             _add(cat.ranges, "ranges", name, IntervalUnion(pieces))
         elif line.startswith("integral "):
-            m = re.fullmatch(
-                r"integral\s+(\S+)\s+dim=(\d+)\s+region=(\S+)\s+weight=(\S+)"
-                r"\s+mult=(\S+)(\s+sorted)?",
+            name, dim, region, weight, mult, tail = _match(
+                r"integral\s+(\S+)\s+dim=(\d+)\s+region=(\S+)"
+                r"\s+weight=(reciprocal|buchstab|one)\s+mult=(\S+)(\s+sorted)?",
                 line,
+                "integral line",
             )
-            if not m:
-                raise RegionError(f"bad integral line: {line!r}")
             try:
-                mult = Fraction(m.group(5))
-            except ValueError:
+                mult = Fraction(mult)
+            except (ValueError, ZeroDivisionError):
                 raise RegionError(f"bad integral line: {line!r}") from None
-            _add(cat.integrals, "integral", m.group(1), IntegralDef(
-                name=m.group(1),
-                dim=int(m.group(2)),
-                region=m.group(3),
-                weight=m.group(4),
-                mult=mult,
-                sorted=bool(m.group(6)),
-            ))
+            _add(cat.integrals, "integral", name,
+                 IntegralDef(name, int(dim), region, weight, mult, sorted=bool(tail)))
         elif line.startswith("group "):
-            m = re.fullmatch(r"group\s+(\S+)\s*:\s*(.*)", line)
-            if not m:
-                raise RegionError(f"bad group line: {line!r}")
-            _add(cat.groups, "group", m.group(1), m.group(2).split())
+            name, members = _match(r"group\s+(\S+)\s*:\s*(.*)", line, "group line")
+            _add(cat.groups, "group", name, members.split())
         else:
             raise RegionError(f"unrecognised catalog line: {line!r}")
     cat.validate()
@@ -506,26 +466,15 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _affine_str(form: AffineForm) -> str:
-    terms: list[str] = []
-
-    def emit(coef: Fraction, sym: str) -> None:
-        sign = "-" if coef < 0 else "+"
+    symbols = [*form.params, *((f"t{idx}", coef) for idx, coef in form.vars), *form.specials]
+    out = _frac_str(form.const) if form.const != 0 or not symbols else ""
+    for sym, coef in symbols:
         mag = abs(coef)
         body = sym if mag == 1 else f"{_frac_str(mag)}*{sym}"
-        terms.append((sign, body))
-
-    if form.const != 0 or not (form.params or form.vars or form.specials):
-        terms.append(("-" if form.const < 0 else "+", _frac_str(abs(form.const))))
-    for name, coef in form.params:
-        emit(coef, name)
-    for idx, coef in form.vars:
-        emit(coef, f"t{idx}")
-    for name, coef in form.specials:
-        emit(coef, name)
-    first_sign, first_body = terms[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
+        if out:
+            out += f" {'-' if coef < 0 else '+'} {body}"
+        else:
+            out = "-" + body if coef < 0 else body
     return out
 
 

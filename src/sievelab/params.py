@@ -222,14 +222,23 @@ def _climb(start: float, merged: list[NumericPiece]) -> float:
     return k
 
 
+_FAMILIES = {"auto": ("a_leaves", "e_leaves"), "a": ("a_leaves",), "e": ("e_leaves",)}
+
+
 def type_ii_range(
     params: ThetaParams, cat: Catalog | None = None, family: str = "auto"
 ) -> TypeIIRangeReport:
     """Raw and merged Type-II ranges plus the lifted starting point.
 
     family selects the subregion family to search: 'a' (absolute-value
-    factored moduli), 'e' (bilinear) or 'auto' (a first, then e).
+    factored moduli), 'e' (bilinear) or 'auto' (a first, then e); any
+    other value raises RegionError.
     """
+    # The two leaf families model different modulus settings and may overlap
+    # on the parameter plane; search them in order unless one is forced.
+    search = _FAMILIES.get(family)
+    if search is None:
+        raise RegionError(f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
     cat = cat or default_catalog()
     p = params.reduce_to_two()
     vals = p.values()
@@ -250,14 +259,6 @@ def type_ii_range(
         return TypeIIRangeReport(params, "theta_mode", raw, merged, start)
 
     point = [p.theta1, p.theta2]
-    # The two leaf families model different modulus settings and may overlap
-    # on the parameter plane; search them in order unless one is forced.
-    if family == "a":
-        search = ["a_leaves"]
-    elif family == "e":
-        search = ["e_leaves"]
-    else:
-        search = ["a_leaves", "e_leaves"]
     leaf = None
     for grp in search:
         leaves = [

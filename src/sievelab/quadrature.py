@@ -457,9 +457,10 @@ class _Streams:
 
 
 def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
-    """The boxes of a grid over [lo, hi] with `bins` cells per axis that the
-    box test does not judge empty, as cell index ranges (a, b): cells a[i]
-    .. b[i] - 1 along axis i, whose edges are lo + (hi - lo) * edge / bins.
+    """Yield the boxes of a grid over [lo, hi] with `bins` cells per axis
+    that the box test does not judge empty, as cell index ranges (a, b):
+    cells a[i] .. b[i] - 1 along axis i, whose edges are lo + (hi - lo) *
+    edge / bins.
 
     test(box_lo, box_hi) judges a box True (inside the region), False
     (outside) or None (undecided).  Boxes are tested breadth first, the
@@ -469,8 +470,8 @@ def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
     evaluation is (every bound, aggregate, group and subset sum only
     narrows on a sub-box), gives a verdict on a box that is the verdict on
     each of its cells, so the cells of the kept boxes are exactly those the
-    per-cell test keeps.  Returns None once `calls` boxes have been tested
-    with one still undecided.
+    per-cell test keeps.  Once `calls` boxes have been tested, each box
+    not yet tested is yielded untested, as kept.
     """
     lo, hi = lo.tolist(), hi.tolist()
     axes = range(len(lo))
@@ -478,34 +479,34 @@ def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
     def corner(edge):  # the same floats as the rows of integrate's `edges`
         return [lo[i] + (hi[i] - lo[i]) * edge[i] / bins for i in axes]
 
-    kept = []
     # The whole box, then the halves of each undecided box, made only when
     # reached: a list iterator sees what is appended while it runs.
     boxes = [[((0,) * len(lo), (bins,) * len(lo))]]
     for a, b in itertools.chain.from_iterable(boxes):
         if calls == 0:
-            return None
+            yield a, b
+            continue
         calls -= 1
         verdict = test(corner(a), corner(b))
         if verdict is False:
             continue
         if verdict or all(b[i] - a[i] == 1 for i in axes):
-            kept.append((a, b))
+            yield a, b
             continue
         mid = [(a[i] + b[i]) // 2 for i in axes]
         halves = [((a[i], b[i]),) if b[i] - a[i] == 1 else ((a[i], mid[i]), (mid[i], b[i]))
                   for i in axes]
         boxes.append(tuple(zip(*part)) for part in itertools.product(*halves))
-    return kept
 
 
 def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
     """Whether no point of [lo, hi] lies in the region: the bisection on
     the proof's grid, driven by the exact box test, drops every box within
-    PROOF_CALLS tests."""
+    PROOF_CALLS tests.  It stops at the first box it keeps."""
     from .exact import BoxTest  # compiled only where a proof runs
 
-    return _bisect(BoxTest(region, len(lo), vals, cat), lo, hi, PROOF_BINS, PROOF_CALLS) == []
+    kept = _bisect(BoxTest(region, len(lo), vals, cat), lo, hi, PROOF_BINS, PROOF_CALLS)
+    return next(kept, None) is None
 
 
 def integrate(

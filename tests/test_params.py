@@ -268,6 +268,10 @@ def test_type_ii_errors():
     # bounds are complementary), so the a-family search reports no region
     with pytest.raises(RegionError):
         type_ii_range(ThetaParams(0.39, (5 - 8 * 0.39) / 14), family="a")
+    # an unknown family is rejected, not searched as "auto"
+    for params in (ThetaParams(0.28, 0.23), theta_only(0.52)):
+        with pytest.raises(RegionError, match="unknown family 'x'"):
+            type_ii_range(params, family="x")
 
 
 def test_type_ii_ambiguity_on_overlapping_catalog():

@@ -299,7 +299,7 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
         return definitely(*args)
 
     def recording(test, lo, hi, n, cap=math.inf):
-        boxes = bisect(test, lo, hi, n, cap)
+        boxes = list(bisect(test, lo, hi, n, cap))
         # the cells of the kept boxes, numbered as in per_cell_live
         cells = {sum(d * n**i for i, d in enumerate(digits))
                  for a, b in boxes for digits in itertools.product(*map(range, a, b))}
@@ -328,10 +328,10 @@ def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch
 
     def proving(test, lo, hi, n, cap=math.inf):
         before = calls[0]
-        boxes = bisect(test, lo, hi, n, cap)
+        boxes = list(bisect(test, lo, hi, n, cap))
         if cap == quadrature.PROOF_CALLS:
             proofs.append((boxes == [], calls[0] - before))
-        return boxes
+        return iter(boxes)
 
     monkeypatch.setattr(exact.BoxTest, "__call__", counting)
     monkeypatch.setattr(quadrature, "_bisect", proving)
@@ -361,6 +361,38 @@ def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):
         params = ThetaParams(0.32, 0.20) if name == "I5" else theta_only(0.52)
     res = integrate(CAT.integrals[name], params, budget=1 << 16)
     assert res.value > 0 and res.flag == ""
+
+
+def test_bisection_yields_untested_boxes_past_its_cap():
+    # three tests of an undecided box and its two halves; the four quarters
+    # queued behind them are never tested
+    tested = []
+
+    def undecided(lo, hi):
+        tested.append((lo, hi))
+
+    boxes = list(quadrature._bisect(undecided, np.zeros(1), np.ones(1), 8, 3))
+    assert tested == [([0.0], [1.0]), ([0.0], [0.5]), ([0.5], [1.0])]
+    assert boxes == [((0,), (2,)), ((2,), (4,)), ((4,), (6,)), ((6,), (8,))]
+
+
+def test_open_proof_stops_at_its_first_kept_box(monkeypatch):
+    # I6 at (0.32, 0.20): the 58th box test finds a box inside the region,
+    # so no proof of emptiness is left to find
+    box_test, verdicts = exact.BoxTest.__call__, []
+
+    def recording(self, lo, hi):
+        verdicts.append(box_test(self, lo, hi))
+        return verdicts[-1]
+
+    monkeypatch.setattr(exact.BoxTest, "__call__", recording)
+    spec = CAT.integrals["I6"]
+    vals = ThetaParams(0.32, 0.20).values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    assert not quadrature._proved_empty(region, lo, hi, vals, CAT)
+    assert len(verdicts) == 58 and verdicts[-1] is True
+    assert True not in verdicts[:-1]
 
 
 @settings(max_examples=12, deadline=None)
@@ -400,7 +432,7 @@ def test_exact_test_certificates_hold(name, theta):
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
     test = exact.BoxTest(region, spec.dim, vals, CAT)
-    assert quadrature._bisect(test, lo, hi, quadrature.PROOF_BINS, quadrature.PROOF_CALLS) == []
+    assert list(quadrature._bisect(test, lo, hi, quadrature.PROOF_BINS, quadrature.PROOF_CALLS)) == []
     certificates = test.certificates
     assert certificates
     for cert in certificates:

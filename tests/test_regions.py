@@ -642,7 +642,11 @@ REGION_A = "region A dim=2\n  where t1 < 1/2\nend\n"
     (REGION_A + "ranges A extra junk\n  piece (0, 1) src=x\nend\n", "bad ranges header"),
     (REGION_A + "integral I dim=2 region=A weight=one\n", "bad integral line"),
     (REGION_A + "integral I dim=2 region=A weight=one mult=x\n", "bad integral line"),
+    (REGION_A + "integral I dim=2 region=A weight=bogus mult=1\n", "bad integral line"),
+    (REGION_A + "integral I dim=2 region=A weight=one mult=1/0\n", "bad integral line"),
     (REGION_A + "group G A\n", "bad group line"),
+    ("region A dim=2\n  where t1 < 1/2\n", "record 'region A dim=2' has no end"),
+    (REGION_A + "ranges A\n  piece (0, 1) src=x\n", "record 'ranges A' has no end"),
     (REGION_A + "regions B dim=2\n", "unrecognised catalog line"),
 ])
 def test_catalog_parse_errors(text, match):

@@ -302,6 +302,10 @@ class IntegralDef:
     sorted: bool = False
 
 
+# the record keyword of each table, as the catalog text writes it
+_KINDS = {"regions": "region", "ranges": "ranges", "integrals": "integral", "groups": "group"}
+
+
 @dataclass
 class Catalog:
     regions: dict[str, RegionSpec] = field(default_factory=dict)
@@ -311,11 +315,16 @@ class Catalog:
     # compiled region programs by (region, dimension), made on first use
     programs: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def region(self, name: str) -> RegionSpec:
+    def record(self, table: str, name: str):
+        """The named record of one table: 'regions', 'ranges', 'integrals'
+        or 'groups'.  A missing record raises RegionError."""
         try:
-            return self.regions[name]
+            return getattr(self, table)[name]
         except KeyError:
-            raise RegionError(f"unknown region {name!r}") from None
+            raise RegionError(f"unknown {_KINDS[table]} {name!r}") from None
+
+    def region(self, name: str) -> RegionSpec:
+        return self.record("regions", name)
 
     def validate(self) -> None:
         """No dangling references anywhere in the catalog."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 
 from . import buchstab as bb
@@ -103,15 +104,9 @@ def cmd_typeii(args) -> int:
         raise RegionError(f"typeii takes at most three coordinates, got {len(point)}")
     if point and any(v is not None for v in (args.theta, args.theta1, args.theta2, args.theta3)):
         raise RegionError("give the point as coordinates or by --theta flags, not both")
-    if len(point) == 1:
-        args.theta = point[0]
-    elif len(point) == 2:
-        args.theta1, args.theta2 = point
-    elif len(point) == 3:
-        args.theta1, args.theta2, args.theta3 = point
-    params = _build_params(args)
+    params = ThetaParams(*point, eps=args.epsilon or 0.0) if point else _build_params(args)
     cat = _catalog(args)
-    report = type_ii_range(params, cat, family=getattr(args, "family", "auto"))
+    report = type_ii_range(params, cat, family=args.family)
     full = args.format == "csv"
     rows = []
     for raw in report.raw_ranges:
@@ -133,7 +128,7 @@ def cmd_integral(args) -> int:
     cat = _catalog(args)
     res = qd.named_integral(
         args.name, params, tol=args.tol, seed=args.seed, budget=args.budget, cat=cat,
-        min_alpha_floor=(getattr(args, "g_floor", "on") != "off"),
+        min_alpha_floor=(args.g_floor != "off"),
     )
     full = args.format == "csv"
     rows = [
@@ -155,107 +150,92 @@ def cmd_integral(args) -> int:
     return EXIT_OK
 
 
-def _check(label: str, ok: bool, detail: str, provenance: str, lines: list[str]) -> bool:
-    status = "pass" if ok else "FAIL"
-    lines.append(f"[{status}] {label}: {detail} [{provenance}]")
-    return ok
+def _verify_buchstab(args):
+    for label, u, last, lo, hi in (("omega within [3,4) band", 3.0, 3.99, 0.5607, 0.5644),
+                                   ("omega within tail band", 4.0, 10.0, 0.5612, 0.5617)):
+        good = True
+        while u <= last:
+            good &= lo - 1e-4 <= bb.omega(u) <= hi + 1e-4
+            u = round(u + 0.01, 10)
+        yield label, good, f"bounds {lo}..{hi}", PUBLISHED
+
+
+def _verify_divisor(args):
+    rng = random.Random(args.seed)
+    good = True
+    for _ in range(2000):
+        k = rng.randint(1, 8)
+        cuts = sorted(rng.random() for _ in range(k - 1))
+        parts = []
+        prev = 0.0
+        for c in cuts + [1.0]:
+            parts.append(c - prev)
+            prev = c
+        parts.sort(reverse=True)
+        try:  # an invalid pattern, or a degenerate one (a DegeneracyError), is skipped
+            pat = dv.FactorizationPattern(parts)
+            m = dv.mobius_half_sum(pat)
+            c3 = dv.omega3_midrange_count(pat)
+        except ValueError:
+            continue
+        if k == 1 and m != 1:
+            good = False
+        if c3 % 2:
+            good = False
+        if k == 5:
+            g = c3 - m
+            if not 0 <= g <= 2:
+                good = False
+    yield "divisor sweep", good, "case table and gap bracket", COMPUTED
+
+
+def _verify_tables26(args):
+    from .tables import verify_triple_tables
+
+    for label, passed, provenance in verify_triple_tables():
+        yield label, passed, "row verdict", provenance
+
+
+def _verify_L7(args):
+    cat = _catalog(args)
+    r11 = qd.eval_L7(1 / 11, tol=5e-3, seed=args.seed, budget=args.budget, cat=cat)
+    yield "L7(1/11) < 0.84", r11.value < 0.84, f"value {r11.value:.6g}", PUBLISHED
+    r12 = qd.eval_L7(1 / 12, tol=5e-3, seed=args.seed, budget=args.budget, cat=cat)
+    yield "L7(1/12) > 1.2", r12.value > 1.2, f"value {r12.value:.6g}", PUBLISHED
+
+
+def _verify_I56(args):
+    cat = _catalog(args)
+    for t1, t2 in ((0.32, 0.20), (0.33, 0.19)):
+        params = ThetaParams(t1, t2)
+        r5 = qd.named_integral("I5", params, tol=3e-6, seed=args.seed, budget=args.budget, cat=cat)
+        r6 = qd.named_integral("I6", params, tol=3e-6, seed=args.seed, budget=args.budget, cat=cat)
+        total = r5.value + r6.value
+        bound = 1e-5 + 3 * (r5.est_error + r6.est_error)
+        yield (f"I5+I6 at ({t1}, {t2})", total <= bound,
+               f"value {total:.3g} <= {bound:.3g}", PUBLISHED)
+
+
+def _verify_calibration(args):
+    cat = _catalog(args)
+    for k in range(2, 7):
+        res = qd.integrate(cat.record("integrals", f"cal{k}"), {}, tol=1e-9, rel_tol=5e-4,
+                           seed=args.seed, budget=args.budget, cat=cat)
+        expected = 1.0 / math.factorial(k)
+        yield (f"simplex volume k={k}", abs(res.value - expected) <= 0.003 * expected,
+               f"value {res.value:.6g} vs {expected:.6g}", COMPUTED)
+
+
+# each suite yields its checks as (label, ok, detail, provenance)
+SUITES = {"buchstab": _verify_buchstab, "divisor": _verify_divisor, "tables26": _verify_tables26,
+          "L7": _verify_L7, "I56": _verify_I56, "calibration": _verify_calibration}
 
 
 def cmd_verify(args) -> int:
-    lines: list[str] = []
-    ok = True
-    suite = args.suite
-    seed = args.seed
-    if suite == "buchstab":
-        good = True
-        u = 3.0
-        while u < 4.0:
-            good &= 0.5607 - 1e-4 <= bb.omega(u) <= 0.5644 + 1e-4
-            u = round(u + 0.01, 10)
-        ok &= _check("omega within [3,4) band", good, "bounds 0.5607..0.5644", PUBLISHED, lines)
-        good = True
-        u = 4.0
-        while u <= 10.0:
-            good &= 0.5612 - 1e-4 <= bb.omega(u) <= 0.5617 + 1e-4
-            u = round(u + 0.01, 10)
-        ok &= _check("omega within tail band", good, "bounds 0.5612..0.5617", PUBLISHED, lines)
-    elif suite == "divisor":
-        import random
-
-        rng = random.Random(seed)
-        good = True
-        for _ in range(2000):
-            k = rng.randint(1, 8)
-            cuts = sorted(rng.random() for _ in range(k - 1))
-            parts = []
-            prev = 0.0
-            for c in cuts + [1.0]:
-                parts.append(c - prev)
-                prev = c
-            parts.sort(reverse=True)
-            try:
-                pat = dv.FactorizationPattern(parts)
-            except ValueError:
-                continue
-            try:
-                m = dv.mobius_half_sum(pat)
-                c3 = dv.omega3_midrange_count(pat)
-            except dv.DegeneracyError:
-                continue
-            if k == 1 and m != 1:
-                good = False
-            if c3 % 2:
-                good = False
-            if k == 5:
-                g = c3 - m
-                if not 0 <= g <= 2:
-                    good = False
-        ok &= _check("divisor sweep", good, "case table and gap bracket", COMPUTED, lines)
-    elif suite == "tables26":
-        from .tables import verify_triple_tables
-
-        results = verify_triple_tables()
-        for label, passed, provenance in results:
-            ok &= _check(label, passed, "row verdict", provenance, lines)
-    elif suite == "L7":
-        cat = _catalog(args)
-        r11 = qd.eval_L7(1 / 11, tol=5e-3, seed=seed, budget=args.budget, cat=cat)
-        ok &= _check(
-            "L7(1/11) < 0.84", r11.value < 0.84, f"value {r11.value:.6g}", PUBLISHED, lines
-        )
-        r12 = qd.eval_L7(1 / 12, tol=5e-3, seed=seed, budget=args.budget, cat=cat)
-        ok &= _check(
-            "L7(1/12) > 1.2", r12.value > 1.2, f"value {r12.value:.6g}", PUBLISHED, lines
-        )
-    elif suite == "I56":
-        cat = _catalog(args)
-        for t1, t2 in ((0.32, 0.20), (0.33, 0.19)):
-            params = ThetaParams(t1, t2)
-            r5 = qd.named_integral("I5", params, tol=3e-6, seed=seed, budget=args.budget, cat=cat)
-            r6 = qd.named_integral("I6", params, tol=3e-6, seed=seed, budget=args.budget, cat=cat)
-            total = r5.value + r6.value
-            bound = 1e-5 + 3 * (r5.est_error + r6.est_error)
-            ok &= _check(
-                f"I5+I6 at ({t1}, {t2})", total <= bound,
-                f"value {total:.3g} <= {bound:.3g}", PUBLISHED, lines,
-            )
-    elif suite == "calibration":
-        cat = _catalog(args)
-        for k in range(2, 7):
-            res = qd.integrate(
-                cat.integrals[f"cal{k}"], {}, tol=1e-9, rel_tol=5e-4, seed=seed,
-                budget=args.budget, cat=cat,
-            )
-            expected = 1.0 / math.factorial(k)
-            ok &= _check(
-                f"simplex volume k={k}", abs(res.value - expected) <= 0.003 * expected,
-                f"value {res.value:.6g} vs {expected:.6g}", COMPUTED, lines,
-            )
-    else:
-        raise RegionError(f"unknown suite {suite!r}")
-    for line in lines:
-        print(line)
-    return EXIT_OK if ok else EXIT_VERIFY
+    checks = list(SUITES[args.suite](args))  # every check runs before a line is printed
+    for label, ok, detail, provenance in checks:
+        print(f"[{'pass' if ok else 'FAIL'}] {label}: {detail} [{provenance}]")
+    return EXIT_OK if all(ok for _, ok, _, _ in checks) else EXIT_VERIFY
 
 
 def _catalog(args):
@@ -306,9 +286,7 @@ def make_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_integral)
 
     v = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    v.add_argument(
-        "suite", choices=("buchstab", "divisor", "tables26", "L7", "I56", "calibration")
-    )
+    v.add_argument("suite", choices=SUITES)
     v.set_defaults(func=cmd_verify)
     return ap
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Catalog, default_catalog
-from .regions import NumericPiece, RegionError, contains, merge_intervals
+from .regions import NumericPiece, RegionError, contains, merge_numeric
 
 __all__ = [
     "ThetaParams",
@@ -177,18 +177,13 @@ def theta_only(theta: float, eps: float = 0.0) -> ThetaParams:
 def classify(params: ThetaParams, catalog_name: str, cat: Catalog | None = None) -> list[str]:
     """All regions of the named group containing (theta1, theta2)."""
     cat = cat or default_catalog()
-    if catalog_name not in cat.groups:
-        raise RegionError(f"unknown classification group {catalog_name!r}")
+    group = cat.record("groups", catalog_name)
     p = params.reduce_to_two()
     if p.arity != 2:
         raise RegionError("classification needs a two-parameter point")
     point = [p.theta1, p.theta2]
     vals = p.values()
-    out = []
-    for name in cat.groups[catalog_name]:
-        if contains(cat.region(name), point, vals, cat):
-            out.append(name)
-    return out
+    return [name for name in group if contains(cat.region(name), point, vals, cat)]
 
 
 @dataclass
@@ -209,20 +204,21 @@ class TypeIIRangeReport:
 
 
 def _climb(start: float, merged: list[NumericPiece]) -> float:
-    """Lift the starting point through every range piece that covers it."""
-    k = start
-    moved = True
-    while moved:
-        moved = False
-        for p in merged:
-            lo_ok = k > p.lo if p.lo_open else k >= p.lo
-            if lo_ok and k < p.hi:
-                k = p.hi
-                moved = True
-    return k
+    """Lift the starting point to the end of the range piece that covers it.
+
+    The merged pieces are sorted and disjoint, and two that touch are both
+    open at the junction, so no piece covers the end of the one that
+    lifted the point: one ascending pass finds the only lift.
+    """
+    for p in merged:
+        if (start > p.lo if p.lo_open else start >= p.lo) and start < p.hi:
+            return p.hi
+    return start
 
 
 _FAMILIES = {"auto": ("a_leaves", "e_leaves"), "a": ("a_leaves",), "e": ("e_leaves",)}
+# the regimes where the exponent of distribution holds outright: no ranges
+_ASYMPTOTIC = ("bombieri_vinogradov", "Imaster", "Jmaster")
 
 
 def type_ii_range(
@@ -242,48 +238,34 @@ def type_ii_range(
     cat = cat or default_catalog()
     p = params.reduce_to_two()
     vals = p.values()
+    th = p.theta
 
     if p.arity == 1:
-        th = p.theta1
-        if th < 0.5:
-            return TypeIIRangeReport(
-                params, "bombieri_vinogradov", [], [], None,
-                note="asymptotic (exponent of distribution) regime",
-            )
         if th >= 4 / 7:
             raise RegionError("single-exponent mode covers theta < 4/7")
-        union = cat.ranges["theta_mode"]
-        raw = [RawRange(*pc.endpoints(vals), pc.src) for pc in union.pieces]
-        merged = merge_intervals(union, vals)
-        start = _climb(kappa(th, p.eps), merged)
-        return TypeIIRangeReport(params, "theta_mode", raw, merged, start)
-
-    point = [p.theta1, p.theta2]
-    leaf = None
-    for grp in search:
-        leaves = [
-            name for name in cat.groups[grp] if contains(cat.region(name), point, vals, cat)
-        ]
-        if len(leaves) > 1:
-            raise AmbiguityError(leaves)
-        if leaves:
-            leaf = leaves[0]
-            break
-    if leaf is None:
-        if contains(cat.region("Imaster"), point, vals, cat):
-            return TypeIIRangeReport(
-                params, "Imaster", [], [], None,
-                note="asymptotic (exponent of distribution) regime",
-            )
-        if contains(cat.region("Jmaster"), point, vals, cat):
-            return TypeIIRangeReport(
-                params, "Jmaster", [], [], None,
-                note="asymptotic (exponent of distribution) regime",
-            )
-        raise RegionError("no catalogued subregion contains the point")
-    union = cat.ranges[leaf]
-    raw = [RawRange(*pc.endpoints(vals), pc.src) for pc in union.pieces]
-    merged = merge_intervals(union, vals)
-    th = p.theta
+        name = "theta_mode" if th >= 0.5 else "bombieri_vinogradov"
+    else:
+        for grp in search:
+            leaves = classify(p, grp, cat)
+            if len(leaves) > 1:
+                raise AmbiguityError(leaves)
+            if leaves:
+                (name,) = leaves
+                break
+        else:
+            point = [p.theta1, p.theta2]
+            for name in ("Imaster", "Jmaster"):
+                if contains(cat.region(name), point, vals, cat):
+                    break
+            else:
+                raise RegionError("no catalogued subregion contains the point")
+    if name in _ASYMPTOTIC:
+        return TypeIIRangeReport(
+            params, name, [], [], None, note="asymptotic (exponent of distribution) regime"
+        )
+    union = cat.record("ranges", name)
+    pieces = union.evaluated(vals)
+    raw = [RawRange(q.lo, q.hi, pc.src) for q, pc in zip(pieces, union.pieces)]
+    merged = merge_numeric(pieces)
     start = _climb(kappa(th, p.eps), merged) if 0.5 <= th < 4 / 7 else None
-    return TypeIIRangeReport(params, leaf, raw, merged, start)
+    return TypeIIRangeReport(params, name, raw, merged, start)

@@ -686,7 +686,7 @@ def named_integral(
     cat = cat or default_catalog()
     if name not in NAMED:
         raise RegionError(f"unknown named integral {name!r}; expected one of {NAMED}")
-    spec = cat.integrals[name]
+    spec = cat.record("integrals", name)
     arity = params.arity if isinstance(params, ThetaParams) else None
     if arity is not None:
         if name in ("I5", "I6") and arity != 2:
@@ -695,7 +695,7 @@ def named_integral(
             raise RegionError(f"{name} takes a single-exponent parameter point")
     if not min_alpha_floor:
         regions = dict(cat.regions)
-        regions["G"] = regions["G_nofloor"]
+        regions["G"] = cat.region("G_nofloor")
         cat = Catalog(regions, cat.ranges, cat.integrals, cat.groups)
     return integrate(spec, params, tol, seed, budget, cat=cat, weight_variant=weight_variant)
 
@@ -714,7 +714,7 @@ def eval_L7(
     vals = {"kappa": kappa_val}
     total, err, n = 0.0, 0.0, 0
     for name in ("L71", "L72", "L73"):
-        res = integrate(cat.integrals[name], vals, tol / 3.0, seed, budget, cat=cat)
+        res = integrate(cat.record("integrals", name), vals, tol / 3.0, seed, budget, cat=cat)
         total += res.value
         err += res.est_error
         n += res.samples

@@ -214,18 +214,18 @@ class RegionSpec:
     def eval(self, x: np.ndarray, params: dict[str, float], catalog) -> np.ndarray:
         return _bound(self, x.shape[1], params, catalog).eval(x)
 
-    def referenced_regions(self) -> set[str]:
-        out: set[str] = set()
+    def referenced_regions(self) -> list[str]:
+        out: list[str] = []
 
         def walk(node: BoolNode):
             if node.op == "atom":
                 if isinstance(node.atom, (Membership, Splits)):
-                    out.add(node.atom.region)
+                    out.append(node.atom.region)
             for c in node.children:
                 walk(c)
 
         walk(self.tree)
-        return out
+        return list(dict.fromkeys(out))  # in written order, each name once
 
     def box(self, params: dict[str, float], dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Evaluated bounding box (lo, hi) arrays for the given dimension."""

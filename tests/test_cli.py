@@ -260,3 +260,41 @@ def test_integral_bad_seed_or_tolerance(flags):
     code, out = run_cli(["integral", "S235", "--theta", "0.52", *flags])
     assert code == 2
     assert out == ""
+
+
+ONE_REGION = "region A dim=2\n  where t1 < 1/2\nend\n"
+
+
+def _without_g_nofloor():
+    # the packaged catalog less its G_nofloor record, which nothing references
+    from sievelab.catalog import default_catalog, dumps
+
+    text = dumps(default_catalog())
+    start = text.index("region G_nofloor ")
+    end = text.index("\nend\n", start) + len("\nend\n")
+    return text[:start] + text[end:]
+
+
+@pytest.mark.parametrize("argv, leaf, missing", [
+    (["typeii", "0.36", "0.141"], False, "group 'a_leaves'"),
+    (["typeii", "0.52"], False, "ranges 'theta_mode'"),
+    (["typeii", "0.36", "0.141", "--family", "a"], True, "ranges 'A'"),
+    (["integral", "I1", "--theta", "0.52"], False, "integral 'I1'"),
+    (["integral", "I1", "--theta", "0.52", "--g-floor", "off"], None, "region 'G_nofloor'"),
+    (["verify", "L7"], False, "integral 'L71'"),
+    (["verify", "I56"], False, "integral 'I5'"),
+    (["verify", "calibration"], False, "integral 'cal2'"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_missing_catalog_record_exits_2(argv, leaf, missing, tmp_path, capsys):
+    # A catalog that loads but lacks a record the command reads by name: the
+    # one-region catalog (its region A listed as an a-leaf when leaf is set),
+    # or the packaged catalog without G_nofloor when leaf is None.
+    if leaf is None:
+        text = _without_g_nofloor()
+    else:
+        text = ONE_REGION + ("group a_leaves: A\n" if leaf else "")
+    path = tmp_path / "cat.txt"
+    path.write_text(text)
+    code, out = run_cli(argv + ["--catalog", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: unknown {missing}\n"

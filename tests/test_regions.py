@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -14,7 +16,7 @@ from sievelab import catalog, regions
 from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
                               parse_affine_expr, parse_bool_expr)
 from sievelab.exact import BoxTest
-from sievelab.params import theta_only
+from sievelab.params import _climb, theta_only
 from sievelab.regions import (
     PARAM_NAMES,
     SPECIALS,
@@ -362,6 +364,28 @@ def test_merge_numeric_properties(pieces):
         assert interval_contains(merged, x) == any(interval_contains([p], x) for p in pieces)
 
 
+def _climb_to_fixpoint(start, merged):
+    """The starting-point lift as a loop to a fixpoint, the reference for _climb."""
+    k = start
+    moved = True
+    while moved:
+        moved = False
+        for p in merged:
+            lo_ok = k > p.lo if p.lo_open else k >= p.lo
+            if lo_ok and k < p.hi:
+                k = p.hi
+                moved = True
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numeric_pieces, st.integers(-1, 17))
+def test_climb_is_one_pass_over_merged_pieces(pieces, quarter):
+    # starts on every endpoint, midpoint and beyond; touching ends are common
+    merged = merge_numeric(pieces)
+    assert _climb(quarter / 4, merged) == _climb_to_fixpoint(quarter / 4, merged)
+
+
 # ---------------------------------------------------------------------------
 # catalog round-trip and box pruning soundness
 # ---------------------------------------------------------------------------
@@ -665,6 +689,19 @@ def test_catalog_duplicate_names_rejected(record, kind, name):
     loads(once)
     with pytest.raises(RegionError, match=f"duplicate {kind} '{name}'"):
         loads(once + (record or REGION_A))
+
+
+def test_dangling_reference_named_in_written_order():
+    # the first unknown name as written, whatever the process's string hashes
+    text = "region T dim=2\n  where in(Zed) and in(Alpha)\nend\n"
+    code = "import sys, sievelab.catalog as c; c.loads(sys.argv[1])"
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert "region T references unknown 'Zed'" in out.stderr, (seed, out.stderr)
 
 
 def test_bound_beyond_dimension_only_in_generic_regions():

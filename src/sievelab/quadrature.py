@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import buchstab
-from .catalog import Catalog, IntegralDef, default_catalog
+from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
 from .params import ThetaParams
 from .regions import RegionError, definitely, rowwise
 
@@ -63,8 +63,6 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-DEFAULT_SEED = 0x5EED
-DEFAULT_BUDGET = 1 << 22
 REPLICATES = 4
 FIRST_ROUND = 1 << 14  # per-round totals double from here up to the budget
 MIN_BATCH = 16
@@ -87,8 +85,6 @@ PROOF_BINS = 1 << 52
 # Points drawn and evaluated together.  Twice as many ran no faster and held
 # more memory: the subset-sum tables of `splits` regions grow with the rows.
 BLOCK_ROWS = 1 << 14
-
-NAMED = ("I1", "I2", "I3", "I4", "I5", "I6", "S235", "S236", "S237", "U233", "U234")
 
 
 class SpecificationError(RegionError):

@@ -19,6 +19,13 @@ that holds nothing but comparisons runs over all rows under a mask of the
 rows its parent has not decided; `in`, `splits` and `descending` children
 run on a copy of those rows alone.
 
+Only the batch walker needs numpy, and it, `rowwise`, `subset_sums`,
+`RegionSpec.box` and `partitions_into` import it where they run.  The box
+walker works on lists of floats, so a point's membership (`contains`: a
+point is a box with equal corners) loads no numpy.  Two rare box-walker
+cases still do: a `splits` atom, and a box of eight or more coordinates
+whose tsum is summed pairwise as numpy sums it.
+
 Reductions along the rows of a batch (the tsum/tmin/tmax aggregates, the
 descending test, a bipartition's total) go through `rowwise`.  numpy
 reduces a short row slowly, so `rowwise` folds fewer than eight columns one
@@ -29,10 +36,14 @@ columns on numpy sums pairwise, and its reduction is used.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AffineForm",
@@ -229,6 +240,8 @@ class RegionSpec:
 
     def box(self, params: dict[str, float], dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Evaluated bounding box (lo, hi) arrays for the given dimension."""
+        import numpy as np
+
         lo = np.empty(dim)
         hi = np.empty(dim)
         for i in range(1, dim + 1):
@@ -254,7 +267,7 @@ def definitely(region: RegionSpec, lo: np.ndarray, hi: np.ndarray, params, catal
 # A compiled form is (constant, ((param, w), ...), ((key, w), ...)) with float
 # coefficients, its terms in the order the form adds them: variables by index
 # (key i - 1), then the specials (key dim + position in SPECIALS).
-_OPS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
@@ -278,8 +291,8 @@ def _base(const: float, weights, params: dict[str, float]) -> float:
     return const
 
 
-# The reductions behind SPECIALS, in its order.
-_AGGREGATES = (np.maximum, np.minimum, np.add)
+# The numpy reductions behind SPECIALS, in its order.
+_AGGREGATES = ("maximum", "minimum", "add")
 
 
 def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -306,7 +319,9 @@ def _values(base: float, terms, x: np.ndarray, aggs: list):
     dim, acc = x.shape[1], None
     for key, w in terms:
         if key >= dim and aggs[key - dim] is None:
-            aggs[key - dim] = rowwise(_AGGREGATES[key - dim], x)
+            import numpy as np
+
+            aggs[key - dim] = rowwise(getattr(np, _AGGREGATES[key - dim]), x)
         v = x[:, key] if key < dim else aggs[key - dim]
         if w != 1.0:
             v = v * w
@@ -314,12 +329,25 @@ def _values(base: float, terms, x: np.ndarray, aggs: list):
     return base if acc is None else acc
 
 
+def _floats(v) -> list[float]:
+    """The coordinates of a point or a box corner (a sequence or a 1-d
+    array) as a list of floats."""
+    tolist = getattr(v, "tolist", None)  # an array, read without importing numpy
+    return list(map(float, v if tolist is None else tolist()))
+
+
 def _extend(v, aggregates: bool) -> list[float]:
     """A corner of a box as floats, with the aggregate values appended
     (summed as numpy sums a row: pairwise from eight terms on)."""
-    v = np.asarray(v, dtype=float).tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]
+    v = _floats(v)
     if aggregates and v:
-        v += [max(v), min(v), _sum(v) if len(v) < 8 else float(np.sum(v))]
+        if len(v) < 8:
+            total = _sum(v)
+        else:
+            import numpy as np
+
+            total = float(np.sum(v))
+        v += [max(v), min(v), total]
     return v
 
 
@@ -351,6 +379,8 @@ def subset_sums(x: np.ndarray) -> np.ndarray:
     by doubling, so each sum equals x[:, bits].sum(axis=1) bit for bit while
     fewer than eight terms are summed (numpy sums eight or more pairwise).
     """
+    import numpy as np
+
     n, k = x.shape
     out = np.zeros((n, 1 << k))
     for i in range(k):
@@ -493,6 +523,8 @@ class _Bound:
     # ----- membership of a batch of points -----
 
     def eval(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if not len(x):
             return np.zeros(0, dtype=bool)
         if len(x) > CHUNK_ROWS:
@@ -503,6 +535,8 @@ class _Bound:
     def _run(self, node: _Node, x: np.ndarray, live=None) -> np.ndarray:
         """Verdicts of node on the rows of x; only the rows where the mask
         live is set (all rows when it is None) count, the others are junk."""
+        import numpy as np
+
         kind = node.kind
         if kind == "and" or kind == "or":
             # Comparisons in order while a live row is undecided, then each
@@ -645,6 +679,8 @@ class _Bound:
         if append is not None:
             extra = self.base(append)
             lo, hi, mag = lo + [extra], hi + [extra], mag and mag + abs(extra)
+        import numpy as np
+
         sums = subset_sums(np.array([lo, hi])).tolist()
         total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
         target, agg, items = self.sub(prog), prog.aggregates, []
@@ -699,6 +735,8 @@ def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
     (sum_I, sum_J) are the columns of the transpose of a (2, pairs) buffer,
     so the target reads each coordinate contiguously.
     """
+    import numpy as np
+
     n, k = x.shape
     total, hit, live = rowwise(np.add, x), np.zeros(n, dtype=bool), np.arange(n)
     j = min(k, max(0, (BLOCK_PAIRS // max(n, 1)).bit_length() - 1))
@@ -827,21 +865,25 @@ def interval_contains(pieces, x: float, params: dict[str, float] | None = None) 
 
 
 def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bool:
-    """True iff the point satisfies the region's boolean tree as written.
+    """True iff the point (a sequence or a 1-d array of coordinates)
+    satisfies the region's boolean tree as written.
 
     A point is a box with equal corners: the float box test decides every
-    atom on it exactly, with the same arithmetic as batch evaluation.  A NaN
+    atom on it exactly, with the same arithmetic as batch evaluation, and
+    without numpy (see the module docstring).  A NaN
     coordinate would leave atoms undecided, so non-finite points are
     rejected.
     """
-    x = np.asarray(point, dtype=float).reshape(-1)
-    if not np.isfinite(x).all():
-        raise RegionError(f"point {x.tolist()} has a non-finite coordinate")
+    x = _floats(point)
+    if not all(map(math.isfinite, x)):
+        raise RegionError(f"point {x} has a non-finite coordinate")
     return _bound(region, len(x), params, catalog).decide(x, x)
 
 
 def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catalog) -> bool:
     """Exists-bipartition of the alpha entries landing in the 2-d region."""
+    import numpy as np
+
     x = np.asarray(alpha, dtype=float).reshape(1, -1)
     if x.shape[1] > MAX_SPLIT:
         raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} entries")

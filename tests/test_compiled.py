@@ -127,6 +127,39 @@ def test_contains_agrees_with_batch_evaluation(name, seed):
     assert got == region.eval(x, vals, CAT).tolist()
 
 
+# the classification regions `typeii` tests a point against with the box
+# walker, which must agree bit for bit with batch evaluation
+CLASSIFIED = sorted({"Amaster", "Emaster", *CAT.groups["a_catalog"], *CAT.groups["e_catalog"],
+                     *CAT.groups["a_leaves"], *CAT.groups["e_leaves"]})
+# exponents below 1/2 (so any two make a point) on a grid of 1/64 or 1/128,
+# where sums are exact and a point lies on a region boundary often enough
+# (at 39 of the 496 points of the 1/64 grid) to tell < from <=, or anywhere
+EXPONENT = st.one_of(st.integers(1, 31).map(lambda k: k / 64),
+                     st.integers(1, 63).map(lambda k: k / 128), st.floats(0.001, 0.499))
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXPONENT, EXPONENT)
+def test_point_walker_agrees_with_batch_walker(a, b):
+    t1, t2 = max(a, b), min(a, b)
+    vals, point = ThetaParams(t1, t2).values(), [t1, t2]
+    row = np.array([point])
+    for name in CLASSIFIED:
+        region = CAT.region(name)
+        want = region.eval(row, vals, CAT).tolist()
+        got = [contains(region, p, vals, CAT) for p in (point, tuple(point), row[0])]
+        assert got == want * 3, name
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_point_walker_rejects_non_finite_points(bad):
+    vals = ThetaParams(0.36, 0.141).values()
+    for point in ([bad, 0.1], (0.36, bad), np.array([0.36, bad])):
+        for name in ("Amaster", "Emaster", CAT.groups["a_leaves"][0]):
+            with pytest.raises(RegionError, match="non-finite"):
+                contains(CAT.region(name), point, vals, CAT)
+
+
 def _has_or(tree):
     return tree.op == "or" or any(_has_or(c) for c in tree.children)
 

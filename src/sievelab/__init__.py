@@ -5,12 +5,13 @@ envelopes), regions (parametric affine region algebra), catalog (the
 structured-text region catalog), params (piecewise sieve parameters,
 classification, Type-II assembly), quadrature (loss integrals), divisors
 (squarefree factorization-pattern combinatorics), tables (divisor-triple
-example tables), cli (command-line front end).
+example tables), shared (the error types and integral defaults, importing
+nothing), cli (command-line front end).
 
 The names below are exported lazily, by a module ``__getattr__`` (PEP 562):
 each is imported from its submodule on first use.  So ``import sievelab``
-runs no submodule, and numpy, which buchstab, divisors and quadrature
-import, loads only with them.
+runs no submodule, and numpy, which buchstab and quadrature import, loads
+only with them.
 """
 
 from importlib import import_module
@@ -24,11 +25,12 @@ _EXPORTS = {
     **dict.fromkeys(("DegeneracyError", "FactorizationPattern", "divisor_count_gap",
                      "divisor_triple_verdict", "mobius_half_sum", "omega3_midrange_count"),
                     "divisors"),
-    **dict.fromkeys(("AmbiguityError", "ThetaParams", "classify", "kappa", "kappa_prime", "nu",
+    **dict.fromkeys(("ThetaParams", "classify", "kappa", "kappa_prime", "nu",
                      "nu_prime", "tau", "tau_prime", "type_ii_range"), "params"),
     **dict.fromkeys(("QuadratureResult", "eval_L7", "integrate", "named_integral"), "quadrature"),
-    **dict.fromkeys(("AffineForm", "IntervalUnion", "RegionError", "RegionSpec", "contains",
+    **dict.fromkeys(("AffineForm", "IntervalUnion", "RegionSpec", "contains",
                      "interval_contains", "merge_intervals", "partitions_into"), "regions"),
+    **dict.fromkeys(("AmbiguityError", "RegionError"), "shared"),
 }
 
 __all__ = list(_EXPORTS)

@@ -120,7 +120,11 @@ class BuchstabTable:
             return float(_closed_form_34(u))
         if u > DEFAULT_U_MAX:
             return EXP_NEG_GAMMA
-        return float(self._interp(np.asarray([u]))[0])
+        # `_interp` in Python floats: the same operations in the same order
+        pos = (u - 1.0) / self.grid_step
+        idx = min(int(pos), len(self.values) - 2)
+        frac = pos - idx
+        return self.values.item(idx) * (1.0 - frac) + self.values.item(idx + 1) * frac
 
     def omega_many(self, u: np.ndarray) -> np.ndarray:
         """Vectorised omega for u >= 1: table interpolation, e^{-gamma}

@@ -48,18 +48,12 @@ from .regions import (
     RegionSpec,
     Splits,
 )
+# re-exported: the integral names and defaults live in the import-free `shared`
+from .shared import DEFAULT_BUDGET, DEFAULT_SEED, NAMED
 
 __all__ = ["Catalog", "IntegralDef", "load_catalog", "default_catalog", "dumps"]
 
 ENV_VAR = "SIEVELAB_CATALOG"
-
-# The catalogued loss integrals `quadrature.named_integral` evaluates by
-# name, and the seed and sample budget of an integral by default.  They are
-# kept here, away from numpy, so that the CLI reads them without loading
-# the sampling modules.
-NAMED = ("I1", "I2", "I3", "I4", "I5", "I6", "S235", "S236", "S237", "U233", "U234")
-DEFAULT_SEED = 0x5EED
-DEFAULT_BUDGET = 1 << 22
 
 # A token (number, name or operator) in group 1, or a stray character in
 # group 2; whitespace between tokens matches neither and is skipped.

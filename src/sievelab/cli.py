@@ -2,13 +2,19 @@
 
 Subcommands: buchstab, typeii, integral, verify.  Exit codes: 0 success,
 2 domain/validation error, 3 ambiguous classification, 4 verification
-failure.  The modules that sample or tabulate (quadrature, buchstab,
-divisors, tables), and with them numpy, are imported by the commands and
-suites that call them, so `typeii` loads none of them.  Output is
-deterministic for a fixed configuration (seed included); the csv format
-prints full precision, plain/markdown print 6 significant digits.  The
-provenance column distinguishes published reference values from numbers
-computed here.
+failure.  At import this module loads only the standard library and the
+import-free `shared` (the error types, the integral names and defaults).
+Each command imports what it calls: `typeii`, `integral` and the `L7`,
+`I56` and `calibration` suites load the catalog (`catalog`, `params`,
+`regions`); `buchstab` and the `buchstab` suite load `buchstab` and numpy;
+the `divisor` and `tables26` suites load `divisors` and `tables`, which
+need neither numpy nor the catalog.  Only `integral` and the three
+quadrature suites load `quadrature`.  `default_catalog` and `load_catalog`
+stay readable as attributes of this module, imported on first use.
+Output is deterministic for a fixed configuration (seed included); the csv
+format prints full precision, plain/markdown print 6 significant digits.
+The provenance column distinguishes published reference values from
+numbers computed here.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ import math
 import random
 import sys
 
-from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, default_catalog, load_catalog
-from .params import AmbiguityError, ThetaParams, type_ii_range
-from .regions import RegionError
+from .shared import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, AmbiguityError, RegionError
 
 PUBLISHED = "published"
 COMPUTED = "computed"
@@ -58,7 +62,9 @@ def _emit_table(header, rows, fmt, out=None):
             out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _build_params(args) -> ThetaParams:
+def _build_params(args):
+    from .params import ThetaParams
+
     eps = args.epsilon or 0.0
     if args.theta is not None:
         return ThetaParams(args.theta, eps=eps)
@@ -101,6 +107,8 @@ def cmd_buchstab(args) -> int:
 
 
 def cmd_typeii(args) -> int:
+    from .params import ThetaParams, type_ii_range
+
     point = args.point
     if len(point) > 3:
         raise RegionError(f"typeii takes at most three coordinates, got {len(point)}")
@@ -215,6 +223,7 @@ def _verify_L7(args):
 
 
 def _verify_I56(args):
+    from .params import ThetaParams
     from .quadrature import named_integral
 
     cat = _catalog(args)
@@ -260,6 +269,8 @@ def cmd_verify(args) -> int:
 
 
 def _catalog(args):
+    from .catalog import default_catalog, load_catalog
+
     # a catalog file that cannot be read is a configuration error (exit 2)
     try:
         if args.catalog:
@@ -267,6 +278,15 @@ def _catalog(args):
         return default_catalog()
     except OSError as exc:
         raise RegionError(f"cannot read catalog: {exc}") from None
+
+
+def __getattr__(name: str):
+    # the catalog's loaders stay attributes of this module (PEP 562), loaded on first use
+    if name in ("default_catalog", "load_catalog"):
+        from . import catalog
+
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -4,16 +4,21 @@ A pattern models n = p1*...*pk through the exponents alpha_i = log p_i /
 log n only: every divisor-size condition (d < sqrt(n), sqrt(n) < d <
 sqrt(n*P^-(d)), ...) is an inequality between subset sums of the alphas, so
 the subset enumeration decides it exactly at every scale.
+
+The signed count below sqrt(n) walks the subsets depth first in index
+order, in pure Python.  Each subset it reaches is summed left to right from
+0.0, as `regions.subset_sums` sums it, so its sum is bitwise the entry of
+the full 2^k table.  A branch is cut only where every subset below it is
+decided with no tie: its partial sum is already above 1/2, or every
+extension stays below 1/2 and their signs cancel.  Every subset within
+TIE_TOL of 1/2 is still reached, so the count and the DegeneracyError are
+those of the full table.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
-
-from .regions import subset_sums
 
 __all__ = [
     "FactorizationPattern",
@@ -63,21 +68,49 @@ class FactorizationPattern:
         return len(self.alphas)
 
 
-def _subset_table(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and signs (-1)^|S| over all 2^k subsets, doubling per entry."""
-    signs = np.ones(1)
-    for _ in alphas:
-        signs = np.concatenate([signs, -signs])
-    return subset_sums(np.array([alphas], dtype=float))[0], signs
-
-
 def mobius_half_sum(pattern: FactorizationPattern) -> int:
     """Signed count of divisors below sqrt(n): sum over subsets S with
-    sum_S alpha < 1/2 of (-1)^|S|."""
-    sums, signs = _subset_table(pattern.alphas)
-    if (np.abs(sums - 0.5) <= TIE_TOL).any():
-        raise DegeneracyError("subset sum at the sqrt(n) boundary")
-    return int(signs[sums < 0.5].sum())
+    sum_S alpha < 1/2 of (-1)^|S|.
+
+    Subsets are reached depth first, the choice of alpha_i made at depth i,
+    and s, the partial sum, is added in index order from 0.0, so a subset's
+    sum is the bitwise value the doubling table holds for it.  A branch at
+    depth i with partial sum s is cut in two cases:
+
+    - s >= 1/2 + 4*TIE_TOL.  Adding a positive float never lowers a sum, so
+      every subset below lies above 1/2 + TIE_TOL: none counts, none ties.
+    - s + rest[i] < 1/2 - 4*TIE_TOL, where rest[i] sums the alphas not yet
+      chosen.  A subset below adds some of them to s in another order than
+      rest[i] does; each of the at most 2 * MAX_K + 1 roundings in the two
+      sums errs by at most 2^-53 of a sum below 2, under 1.1e-14 in all,
+      far inside the 3*TIE_TOL of margin.  So all 2^r extensions lie below
+      1/2 - TIE_TOL: they all count and none ties, and for r >= 1 their
+      signs cancel, (1 - 1)^r = 0.
+
+    Neither cut drops a subset within TIE_TOL of 1/2, so DegeneracyError is
+    raised for exactly the patterns whose full table holds a tie.
+    """
+    a = pattern.alphas
+    k = len(a)
+    rest = [0.0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        rest[i] = a[i] + rest[i + 1]
+    above, below = 0.5 + 4 * TIE_TOL, 0.5 - 4 * TIE_TOL
+
+    def count(i: int, s: float) -> int:
+        """Signed count of the subsets below a branch, each sign taken
+        relative to the sign of the subset chosen so far."""
+        if s >= above:
+            return 0
+        if i == k:
+            if abs(s - 0.5) <= TIE_TOL:
+                raise DegeneracyError("subset sum at the sqrt(n) boundary")
+            return 1 if s < 0.5 else 0
+        if s + rest[i] < below:
+            return 0
+        return count(i + 1, s) - count(i + 1, s + a[i])
+
+    return count(0, 0.0)
 
 
 def omega3_midrange_count(pattern: FactorizationPattern) -> int:

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Catalog, default_catalog
-from .regions import NumericPiece, RegionError, contains, merge_numeric
+from .regions import NumericPiece, contains, merge_numeric
+from .shared import AmbiguityError, RegionError
 
 __all__ = [
     "ThetaParams",
@@ -21,14 +22,6 @@ __all__ = [
     "classify",
     "type_ii_range",
 ]
-
-
-class AmbiguityError(RegionError):
-    """Point sits on a subregion boundary; all matches are listed."""
-
-    def __init__(self, matches):
-        self.matches = list(matches)
-        super().__init__("ambiguous classification: " + ", ".join(self.matches))
 
 
 # ---------------------------------------------------------------------------

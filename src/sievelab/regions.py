@@ -24,7 +24,9 @@ Only the batch walker needs numpy, and it, `rowwise`, `subset_sums`,
 walker works on lists of floats, so a point's membership (`contains`: a
 point is a box with equal corners) loads no numpy.  Two rare box-walker
 cases still do: a `splits` atom, and a box of eight or more coordinates
-whose tsum is summed pairwise as numpy sums it.
+whose tsum is summed pairwise as numpy sums it.  `subset_sums` serves the
+`splits` atom alone, in both walkers; `divisors` enumerates its subsets
+without it, in pure Python.
 
 Reductions along the rows of a batch (the tsum/tmin/tmax aggregates, the
 descending test, a bipartition's total) go through `rowwise`.  numpy
@@ -41,6 +43,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+from .shared import RegionError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,10 +96,6 @@ MAX_SPLIT = 24  # bipartitions are enumerated over at most this many coordinates
 MARGIN = 2.0**-40  # the exact test trusts a float box verdict beyond this share of its size
 CHUNK_ROWS = 1 << 15  # rows evaluated together, to bound the temporaries
 BLOCK_PAIRS = 1 << 14  # rows x masks per block of a bipartition search
-
-
-class RegionError(ValueError):
-    """Domain/configuration error raised by region evaluation."""
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,8 @@ def _sum(values) -> float:
 
 
 def subset_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over every subset of the columns of an (n, k) array, as (n, 2**k).
+    """Sums over every subset of the columns of an (n, k) array, as (n, 2**k):
+    the bipartitions a `splits` atom searches.
 
     Column m sums the columns whose bits are set in m, added in index order
     by doubling, so each sum equals x[:, bits].sum(axis=1) bit for bit while

@@ -116,6 +116,19 @@ def test_grid_convergence():
         assert abs(coarse.omega(u) - fine.omega(u)) < 1e-5
 
 
+def test_scalar_table_lookup_equals_omega_many():
+    # on (4, 64] the scalar omega interpolates in Python floats, bit for bit as numpy does
+    rng = random.Random(12)
+    u = [round(4.0 + i * 0.001, 12) for i in range(60_001)]
+    u += [rng.uniform(4.0, 64.0) for _ in range(20_000)] + [math.nextafter(4.0, 5.0)]
+    many = omega_many(np.array(u)).tolist()
+    assert [omega(v) for v in u] == many
+    for step in (2e-4, 1e-3):
+        table = BuchstabTable(grid_step=step)
+        v = [rng.uniform(4.0, 64.0) for _ in range(2_000)]
+        assert [table.omega(x) for x in v] == table.omega_many(np.array(v)).tolist()
+
+
 def test_tail_is_exp_neg_gamma():
     assert omega(100.0) == EXP_NEG_GAMMA
     assert (omega_many(np.array([64.5, 100.0])) == EXP_NEG_GAMMA).all()

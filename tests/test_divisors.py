@@ -1,10 +1,14 @@
 import random
-from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sievelab.divisors import (
     IMPOSSIBLE_TRIPLES,
+    MAX_K,
+    TIE_TOL,
     DegeneracyError,
     FactorizationPattern,
     divisor_count_gap,
@@ -12,6 +16,7 @@ from sievelab.divisors import (
     mobius_half_sum,
     omega3_midrange_count,
 )
+from sievelab.regions import subset_sums
 from sievelab.tables import (
     MIDRANGE_ROWS,
     OVERSHOOT_IMPOSSIBLE,
@@ -40,12 +45,24 @@ def random_pattern(rng, k):
 
 
 def brute_mobius(alphas):
+    """Signed count of the subsets with sum below 1/2 over the full table of
+    2^k subset sums, made by doubling: the first twelve alphas by
+    `regions.subset_sums`, each later one added on top in index order, one
+    block of 4096 sums at a time.  Each sum is bitwise the doubling table's.
+    None when a sum lies within TIE_TOL of 1/2."""
+    x = np.array([alphas], dtype=float)
+    j = min(len(alphas), 12)
+    low, signs = subset_sums(x[:, :j])[0], np.ones(1)
+    for _ in range(j):
+        signs = np.concatenate([signs, -signs])
     total = 0
-    k = len(alphas)
-    for r in range(k + 1):
-        for combo in combinations(range(k), r):
-            if sum(alphas[i] for i in combo) < 0.5:
-                total += (-1) ** r
+    for high in range(1 << (len(alphas) - j)):
+        sums, sign = low, 1
+        for b in (b for b in range(len(alphas) - j) if high >> b & 1):
+            sums, sign = sums + alphas[j + b], -sign
+        if (np.abs(sums - 0.5) <= TIE_TOL).any():
+            return None
+        total += sign * int(signs[sums < 0.5].sum())
     return total
 
 
@@ -97,17 +114,46 @@ def test_large_prime_dominates():
             found += 1
 
 
-def test_full_alternating_sum_vanishes():
-    # sanity of the subset enumerator: signs over all divisors cancel
-    from sievelab.divisors import _subset_table
-
+def test_matches_doubling_table_at_every_size():
     rng = random.Random(40)
-    for _ in range(100):
-        k = rng.randint(1, 8)
-        pat = random_pattern(rng, k)
-        sums, signs = _subset_table(pat.alphas)
-        assert len(sums) == 1 << k
-        assert signs.sum() == 0
+    for k in range(1, 13):
+        for _ in range(40):
+            pat = random_pattern(rng, k)
+            assert mobius_half_sum(pat) == brute_mobius(pat.alphas)
+    for _ in range(2):
+        pat = random_pattern(rng, MAX_K)
+        assert mobius_half_sum(pat) == brute_mobius(pat.alphas)
+
+
+# where a subset sum is put relative to 1/2, in units of TIE_TOL: inside and
+# on the tie band (1), and on both sides of the pruning margins (4)
+TIE_OFFSETS = (0.5, 1, 2, 3, 4, 5, 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda k: st.tuples(
+           st.integers(1, k - 1), st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))),
+       st.sampled_from([s * c for c in TIE_OFFSETS for s in (1, -1)]),
+       st.sampled_from((0, 100, -100)))
+def test_sum_near_half_decided_as_by_the_doubling_table(split, c, shift):
+    # r alphas sum to 1/2 + c*TIE_TOL and the others to 1/2 + (shift - c)*TIE_TOL.  A
+    # pattern sums to 1 only within SUM_TOL, so with a shift the complement of a
+    # sum in the tie band lies outside it, and each margin is tested on its own.
+    r, weights = split
+    inside, outside = sum(weights[:r]), sum(weights[r:])
+    alphas = sorted([w * (0.5 + c * TIE_TOL) / inside for w in weights[:r]]
+                    + [w * (0.5 + (shift - c) * TIE_TOL) / outside for w in weights[r:]],
+                    reverse=True)
+    try:
+        pat = FactorizationPattern(alphas)
+    except ValueError:
+        assume(False)
+    want = brute_mobius(pat.alphas)
+    if want is None:
+        with pytest.raises(DegeneracyError):
+            mobius_half_sum(pat)
+    else:
+        assert mobius_half_sum(pat) == want
 
 
 def test_matches_brute_force():

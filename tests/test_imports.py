@@ -1,6 +1,6 @@
 """What each entry point imports: the package's lazy exports, and the
 commands that never build an array load neither numpy nor the sampling
-modules."""
+modules, and those that never read the catalog load none of its modules."""
 
 import json
 import os
@@ -14,6 +14,7 @@ import sievelab
 
 HEAVY = ("numpy", "sievelab.quadrature", "sievelab.buchstab", "sievelab.divisors",
          "sievelab.exact")
+CATALOG = ("sievelab.catalog", "sievelab.params", "sievelab.regions")
 
 # every name the package exports, by the submodule that defines it
 EXPORTS = {
@@ -29,20 +30,19 @@ EXPORTS = {
 }
 
 
-def loaded_after(*argvs):
-    """The HEAVY modules loaded in a fresh interpreter after `import
-    sievelab`, and after running each argv through the CLI (each must exit
-    0), as one list per stage."""
+def loaded_after(*argvs, watch=HEAVY):
+    """The watched modules loaded in a fresh interpreter after `import
+    sievelab` and `import sievelab.cli`, and after running each argv through
+    the CLI (each must exit 0), as one list per stage."""
     code = (
         "import contextlib, io, json, sys\n"
-        "import sievelab\n"
-        f"heavy = {HEAVY!r}\n"
-        "stages = [[m for m in heavy if m in sys.modules]]\n"
-        "import sievelab.cli\n"
+        "import sievelab, sievelab.cli\n"
+        f"watch = {watch!r}\n"
+        "stages = [[m for m in watch if m in sys.modules]]\n"
         f"for argv in {list(argvs)!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert sievelab.cli.main(argv) == 0, argv\n"
-        "    stages.append([m for m in heavy if m in sys.modules])\n"
+        "    stages.append([m for m in watch if m in sys.modules])\n"
         "print(json.dumps(stages))\n"
     )
     src = os.path.dirname(os.path.dirname(sievelab.__file__))
@@ -63,6 +63,46 @@ def test_verify_buchstab_loads_no_quadrature():
     _, after = loaded_after(["verify", "buchstab"])
     assert "sievelab.buchstab" in after
     assert "sievelab.quadrature" not in after
+
+
+def test_divisor_suites_load_no_numpy():
+    assert loaded_after(["verify", "tables26"], ["verify", "divisor"],
+                        watch=("numpy",)) == [[], [], []]
+
+
+def test_catalog_free_commands_load_no_catalog_module():
+    stages = loaded_after(["buchstab", "1", "10", "0.01"], ["verify", "buchstab"],
+                          ["verify", "tables26"], ["verify", "divisor"], watch=CATALOG)
+    assert stages == [[]] * 5
+
+
+def test_typeii_loads_the_catalog():
+    # CATALOG names modules that load, so the test above cannot pass vacuously
+    _, after = loaded_after(["typeii", "0.36", "0.141"], watch=CATALOG)
+    assert after == list(CATALOG)
+
+
+def test_cli_reaches_the_catalog_loaders():
+    import sievelab.catalog
+    import sievelab.cli
+
+    assert sievelab.cli.default_catalog is sievelab.catalog.default_catalog
+    assert sievelab.cli.load_catalog is sievelab.catalog.load_catalog
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sievelab.cli.no_such_name  # noqa: B018
+
+
+def test_errors_and_defaults_are_the_shared_modules_objects():
+    from sievelab import catalog, cli, params, quadrature, regions, shared
+
+    for module in (regions, params, catalog, cli, quadrature, sievelab):
+        assert module.RegionError is shared.RegionError
+    for module in (params, cli, sievelab):
+        assert module.AmbiguityError is shared.AmbiguityError
+    for module in (catalog, cli, quadrature):
+        assert module.NAMED is shared.NAMED
+        assert module.DEFAULT_SEED is shared.DEFAULT_SEED
+        assert module.DEFAULT_BUDGET is shared.DEFAULT_BUDGET
 
 
 def test_integral_loads_the_sampling_modules():

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: buchstab, typeii, integral, verify.  Exit codes: 0 success,
-2 domain/validation error, 3 ambiguous classification, 4 verification
-failure.  At import this module loads only the standard library and the
-import-free `shared` (the error types, the integral names and defaults).
+Subcommands: buchstab, typeii, integral, verify, each taking only the flags
+it reads; any other flag is a usage error.  Exit codes: 0 success, 2
+domain/validation or usage error, 3 ambiguous classification, 4
+verification failure.  At import this module loads only the standard
+library and the import-free `shared` (the error types, the integral names
+and defaults).
 Each command imports what it calls: `typeii`, `integral` and the `L7`,
 `I56` and `calibration` suites load the catalog (`catalog`, `params`,
 `regions`); `buchstab` and the `buchstab` suite load `buchstab` and numpy;
@@ -289,36 +291,44 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "csv", "markdown"), default="plain")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--tol", type=float, default=1e-3)
-    common.add_argument("--budget", type=int, default=None)  # see main
-    common.add_argument("--catalog", default=None)
-    common.add_argument("--epsilon", type=float, default=None)
-    common.add_argument("--theta", type=float, default=None)
-    common.add_argument("--theta1", type=float, default=None)
-    common.add_argument("--theta2", type=float, default=None)
-    common.add_argument("--theta3", type=float, default=None)
+# each flag with its argparse options; a subcommand takes only the flags it reads
+FLAGS = {
+    "--format": dict(choices=("plain", "csv", "markdown"), default="plain"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--tol": dict(type=float, default=1e-3),
+    "--budget": dict(type=int, default=None),  # see main
+    "--catalog": dict(default=None),
+    "--epsilon": dict(type=float, default=None),
+    "--theta": dict(type=float, default=None),
+    "--theta1": dict(type=float, default=None),
+    "--theta2": dict(type=float, default=None),
+    "--theta3": dict(type=float, default=None),
+}
 
+
+def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sievelab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("buchstab", parents=[common], help="tabulate omega and its envelopes")
+    def command(name, flags, **kw):
+        p = sub.add_parser(name, **kw)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        return p
+
+    b = command("buchstab", ("--format",), help="tabulate omega and its envelopes")
     b.add_argument("lo", type=float)
     b.add_argument("hi", type=float)
     b.add_argument("step", type=float)
     b.set_defaults(func=cmd_buchstab)
 
-    t = sub.add_parser(
-        "typeii", parents=[common], help="classify a parameter point and merge its ranges"
-    )
+    t = command("typeii", ("--format", "--catalog", "--epsilon", "--theta", "--theta1", "--theta2",
+                           "--theta3"), help="classify a parameter point and merge its ranges")
     t.add_argument("point", type=float, nargs="*")
     t.add_argument("--family", choices=("auto", "a", "e"), default="auto")
     t.set_defaults(func=cmd_typeii)
 
-    i = sub.add_parser("integral", parents=[common], help="evaluate a named loss integral")
+    i = command("integral", FLAGS, help="evaluate a named loss integral")
     i.add_argument("name", choices=NAMED)
     i.add_argument(
         "--g-floor", choices=("on", "off"), default="on", dest="g_floor",
@@ -326,7 +336,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     i.set_defaults(func=cmd_integral)
 
-    v = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    v = command("verify", ("--seed", "--budget", "--catalog"), help="run a verification suite")
     v.add_argument("suite", choices=SUITES)
     v.set_defaults(func=cmd_verify)
     return ap
@@ -335,7 +345,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    if args.budget is None:  # a given --budget is a hard cap; else the command's default
+    # a given --budget is a hard cap; else the command's default
+    if "budget" in args and args.budget is None:
         args.budget = I56_BUDGET if getattr(args, "suite", "") == "I56" else DEFAULT_BUDGET
     try:
         return args.func(args)

@@ -116,16 +116,7 @@ def mobius_half_sum(pattern: FactorizationPattern) -> int:
 def omega3_midrange_count(pattern: FactorizationPattern) -> int:
     """Twice the number of 3-factor divisors d with sqrt(n) < d <
     sqrt(n * P^-(d))."""
-    a = pattern.alphas
-    count = 0
-    for i, j, l in combinations(range(len(a)), 3):
-        s = a[i] + a[j] + a[l]
-        upper = (1.0 + a[l]) / 2.0  # a[l] is the smallest of the three
-        if abs(s - 0.5) <= TIE_TOL or abs(s - upper) <= TIE_TOL:
-            raise DegeneracyError("triple sum at a comparison boundary")
-        if 0.5 < s < upper:
-            count += 1
-    return 2 * count
+    return 2 * _midrange(combinations(pattern.alphas, 3))
 
 
 def divisor_count_gap(pattern: FactorizationPattern) -> int:
@@ -147,9 +138,18 @@ def divisor_triple_verdict(ijk: tuple[int, int, int], pattern: FactorizationPatt
     if len({i, j, l}) != 3 or not all(1 <= v <= 6 for v in (i, j, l)):
         raise ValueError("indices must be three distinct values in 1..6")
     a = pattern.alphas
-    vals = sorted((a[i - 1], a[j - 1], a[l - 1]), reverse=True)
-    s = sum(vals)
-    upper = (1.0 + vals[-1]) / 2.0
-    if abs(s - 0.5) <= TIE_TOL or abs(s - upper) <= TIE_TOL:
-        raise DegeneracyError("triple sum at a comparison boundary")
-    return 0.5 < s < upper
+    return _midrange([sorted((a[i - 1], a[j - 1], a[l - 1]), reverse=True)]) == 1
+
+
+def _midrange(triples) -> int:
+    """How many of the descending triples x > y > z, each summed in that
+    order, have 1/2 < x + y + z < (1 + z)/2."""
+    count = 0
+    for x, y, z in triples:
+        s = x + y + z
+        upper = (1.0 + z) / 2.0
+        if abs(s - 0.5) <= TIE_TOL or abs(s - upper) <= TIE_TOL:
+            raise DegeneracyError("triple sum at a comparison boundary")
+        if 0.5 < s < upper:
+            count += 1
+    return count

@@ -2,15 +2,16 @@
 region program, after batch membership and the float box test.
 
 On each box the program is evaluated in three-valued logic by the box
-test in its exact mode (`regions._Bound.decide` given an `_Exact`), and
+test in its exact mode (`regions._Bound.decide` given a `BoxTest`), and
 the atoms the box leaves undecided become rows with integer coefficients
 in the box's coordinates, strict where the catalog's comparison is:
 `descending` gives strict rows, `in(...)` and each bipartition of
 `splits(...)` substitute group and subset sums, and `tmin`/`tmax` give
 conjunctions or disjunctions of rows.  Catalog coefficients stay exact and
 parameter values enter as the rationals their floats are.  What is left is
-refuted by Fourier-Motzkin elimination that keeps strictness, and each
-refutation is a Motzkin transposition certificate.
+refuted, together with the box's bounds, by Fourier-Motzkin elimination
+that keeps strictness, and each refutation is a Motzkin transposition
+certificate.
 
 A row (a, b, strict) with integer entries means a . t < b when strict and
 a . t <= b otherwise, over the coordinates t of the box.  A residual is
@@ -98,36 +99,52 @@ def _int_row(lin, strict: bool):
     return tuple(x // g for x in a), -c // g, strict
 
 
-class _Exact:
-    """One exact test of a k-dimensional region over boxes: the exact rows
-    of the columns met, by the substitution that maps their program's
-    variables to the box's coordinates.  It is the exact mode of
-    `_Bound.decide`, which builds residuals with it."""
+class BoxTest:
+    """The exact box test of one emptiness proof of a k-dimensional region.
+    Called on a closed box [lo, hi], it returns True when every point of the
+    box lies in the region, False when no real point does, and None when it
+    cannot tell, also when a cap is reached.  The parameters are taken at
+    their float values, exactly.
+
+    It is the exact side of `_Bound.decide`, which builds the box's
+    residual with its `row`, `descent`, `decide`, `fold` and `negate`: the
+    rows map their program's variables to the box's coordinates.  The
+    residual is refuted once, together with the box's bounds; it branches
+    into at most EXACT_BRANCHES conjunctions and an elimination holds at
+    most EXACT_ROWS rows.  The certificates of the boxes refuted gather in
+    `certificates`; a box the exact mode decides empty needs none.
+    """
 
     fold, negate = staticmethod(_fold), staticmethod(_negate)
 
-    def __init__(self, params: dict[str, float], k: int):
+    def __init__(self, region: RegionSpec, k: int, params: dict[str, float], catalog):
+        self.bound = _bound(region, k, params, catalog)
         self.params, self.k = params, k
         self.zero = (Fraction(0),) * (k + 1)
         self.rows: dict = {}
         self.subs: dict = {}
-        self.box, self.lo, self.hi, self.shift = None, None, None, 0
+        self.certificates: list[Certificate] = []
 
-    def set_box(self, lo, hi) -> None:
-        self.box, self.lo = (lo, hi), None
-
-    def _corners(self) -> None:
-        """The box's corners as integers over 2**shift, made on first use:
-        floats are dyadic rationals."""
-        ratios = [float(v).as_integer_ratio() for v in (*self.box[0], *self.box[1])]
+    def __call__(self, lo, hi):
+        # the corners as integers over 2**shift: floats are dyadic rationals
+        ratios = [float(v).as_integer_ratio() for v in (*lo, *hi)]
         self.shift = max(d.bit_length() - 1 for _, d in ratios)
         ints = [n << (self.shift - d.bit_length() + 1) for n, d in ratios]
         self.lo, self.hi = ints[: self.k], ints[self.k :]
+        f = self.bound.decide(lo, hi, self)
+        if f is True or f is False:
+            return f
+        try:
+            found = _refute(f, self.box_rows(), [EXACT_BRANCHES])
+        except _GaveUp:
+            return None
+        if found is None or not all(c.holds() for c in found):
+            return None
+        self.certificates += found
+        return False
 
     def box_rows(self) -> tuple:
         """lo <= t <= hi as rows."""
-        if self.lo is None:
-            self._corners()
         rows = []
         for i, (l, h) in enumerate(zip(self.lo, self.hi)):
             unit = tuple(int(i == j) << self.shift for j in range(self.k))
@@ -197,8 +214,6 @@ class _Exact:
             return f
         if f[0] == "and" or f[0] == "or":
             return _fold(f[0], map(self.decide, f[1]))
-        if self.lo is None:
-            self._corners()
         a, b, strict = f
         low = high = 0
         for x, l, h in zip(a, self.lo, self.hi):
@@ -338,47 +353,3 @@ def _refute(f, rows: tuple, branches: list) -> list | None:
             return None
         certs += more
     return certs
-
-
-def _attempt(f, rows: tuple) -> list | None:
-    try:
-        return _refute(f, rows, [EXACT_BRANCHES])
-    except _GaveUp:
-        return None
-
-
-class BoxTest:
-    """The exact box test of one emptiness proof of a k-dimensional region.
-    Called on a closed box [lo, hi], it returns True when every point of the
-    box lies in the region, False when no real point does, and None when it
-    cannot tell, also when a cap is reached.  The parameters are taken at
-    their float values, exactly.
-
-    On each box the region's program is evaluated in three-valued logic
-    (`_Bound.decide` in its exact mode); what is left is a residual over
-    exact rows.  It is refuted first alone, once per residual, which holds
-    for every box that leaves it, and then with the box's own bounds.  A
-    residual branches into at most EXACT_BRANCHES conjunctions and an
-    elimination holds at most EXACT_ROWS rows.  The certificates of the
-    boxes refuted gather in `certificates`; a box the exact mode decides
-    empty needs none.
-    """
-
-    def __init__(self, region: RegionSpec, k: int, params: dict[str, float], catalog):
-        self.bound, self.ex = _bound(region, k, params, catalog), _Exact(params, k)
-        self.refuted: dict = {}  # certificates by residual, without box rows
-        self.certificates: list[Certificate] = []
-
-    def __call__(self, lo, hi):
-        ex = self.ex
-        ex.set_box(lo, hi)
-        f = self.bound.decide(lo, hi, ex)
-        if f is True or f is False:
-            return f
-        if f not in self.refuted:
-            self.refuted[f] = _attempt(f, ())
-        found = self.refuted[f] or _attempt(f, ex.box_rows())
-        if found is None or not all(c.holds() for c in found):
-            return None
-        self.certificates += found
-        return False

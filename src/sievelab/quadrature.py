@@ -20,11 +20,11 @@ undecided box is halved at the grid's edges until each box is judged empty
   before it samples on, by the same bisection on a grid of 2**52 cells per
   axis, which no box gets down to, driven by the exact box test
   (`exact.BoxTest`): the atoms a box leaves undecided, as rational rows,
-  refuted by a Motzkin certificate.  If no box is kept within PROOF_CALLS
-  tests, the result is a proved ``empty-region``; otherwise sampling
-  carries on untouched.  Sorted integrals take the same proof: their points
-  are sorted copies of points of a box with identical bounds, so they never
-  leave it.
+  refuted together with the box's bounds by a Motzkin certificate.  If no
+  box is kept within PROOF_CALLS tests, the result is a proved
+  ``empty-region``; otherwise sampling carries on untouched.  Sorted
+  integrals take the same proof: their points are sorted copies of points
+  of a box with identical bounds, so they never leave it.
 
 The streams are generated here, all of one integral as arrays: each
 reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,

@@ -12,9 +12,9 @@ membership of a batch of points, vectorised over (N, k) arrays.  The other,
 `_Bound.decide`, is the box test: a three-valued verdict over an
 axis-aligned box from float interval bounds.  Its float mode leaves an atom
 the bounds do not decide undecided (None); its exact mode, given an
-`exact._Exact`, trusts the bounds only beyond a rounding margin and leaves
+`exact.BoxTest`, trusts the bounds only beyond a rounding margin and leaves
 the residual of the box: the atoms it leaves undecided, as exact rational
-rows, which `exact.BoxTest` refutes.  In a batch, a nested clause
+rows, which the `BoxTest` refutes.  In a batch, a nested clause
 that holds nothing but comparisons runs over all rows under a mask of the
 rows its parent has not decided; `in`, `splits` and `descending` children
 run on a copy of those rows alone.
@@ -608,7 +608,7 @@ class _Bound:
         Atoms are judged by the float interval bounds of their sides.
         Without ex this is the float box test: an atom the bounds leave
         undecided is None, and so is the region unless the other atoms
-        decide it.  With ex (an `exact._Exact` set to the same box) the
+        decide it.  With ex (an `exact.BoxTest` called on the same box) the
         bounds count only beyond a margin that covers their rounding; an
         atom within the margin becomes its exact row, judged on the box in
         rationals, and what stays undecided is a residual over those rows.
@@ -787,9 +787,6 @@ class IntervalPiece:
     hi_open: bool = True
     src: str = ""
 
-    def endpoints(self, params: dict[str, float]) -> tuple[float, float]:
-        return self.lo.eval_scalar(params), self.hi.eval_scalar(params)
-
 
 @dataclass(frozen=True)
 class NumericPiece:
@@ -804,11 +801,8 @@ class IntervalUnion:
     pieces: list[IntervalPiece]
 
     def evaluated(self, params: dict[str, float]) -> list[NumericPiece]:
-        out = []
-        for p in self.pieces:
-            lo, hi = p.endpoints(params)
-            out.append(NumericPiece(lo, hi, p.lo_open, p.hi_open))
-        return out
+        return [NumericPiece(p.lo.eval_scalar(params), p.hi.eval_scalar(params), p.lo_open,
+                             p.hi_open) for p in self.pieces]
 
 
 def merge_numeric(pieces: list[NumericPiece]) -> list[NumericPiece]:
@@ -844,14 +838,9 @@ def merge_intervals(u: IntervalUnion, params: dict[str, float]) -> list[NumericP
     return merge_numeric(u.evaluated(params))
 
 
-def interval_contains(pieces, x: float, params: dict[str, float] | None = None) -> bool:
-    """Membership in a union, respecting open/closed endpoints.
-
-    Accepts either an IntervalUnion (params required) or a list of numeric
-    pieces.
-    """
-    if isinstance(pieces, IntervalUnion):
-        pieces = pieces.evaluated(params or {})
+def interval_contains(pieces: list[NumericPiece], x: float) -> bool:
+    """Membership in a union of numeric pieces, respecting open/closed
+    endpoints."""
     for p in pieces:
         lo_ok = x > p.lo if p.lo_open else x >= p.lo
         hi_ok = x < p.hi if p.hi_open else x <= p.hi

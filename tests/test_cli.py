@@ -241,6 +241,27 @@ def test_verify_unknown_suite_rejected():
         cli.make_parser().parse_args(["verify", "nosuch"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "L7", "--tol", "1e-9"],
+    ["verify", "L7", "--theta", "0.3"],
+    ["verify", "tables26", "--format", "csv"],
+    ["verify", "divisor", "--epsilon", "0.1"],
+    ["buchstab", "1", "1.5", "0.5", "--catalog", "missing.txt"],
+    ["buchstab", "1", "1.5", "0.5", "--theta", "0.9"],
+    ["buchstab", "1", "2", "0.5", "--seed", "3"],
+    ["typeii", "0.36", "0.141", "--seed", "3"],
+    ["typeii", "0.36", "0.141", "--budget", "4096"],
+    ["typeii", "0.36", "0.141", "--tol", "1e-9"],
+])
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_markdown_format():
     code, out = run_cli(["buchstab", "1", "1", "0.5", "--format", "markdown"])
     assert code == 0

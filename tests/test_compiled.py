@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sievelab.catalog import default_catalog, loads
-from sievelab.exact import _Exact
+from sievelab.exact import BoxTest
 from sievelab.params import ThetaParams
 from sievelab.quadrature import _descending
-from sievelab.regions import (CHUNK_ROWS, RegionError, _bound, contains, definitely, rowwise,
+from sievelab.regions import (CHUNK_ROWS, RegionError, contains, definitely, rowwise,
                               subset_sums)
 
 CAT = default_catalog()
@@ -302,7 +302,8 @@ def test_definitely_is_monotone_under_inclusion(name, seed, corner, width):
 )
 def test_float_and_exact_box_tests_agree(name, theta, seed, corner, width):
     # The float box test is the exact mode without its margin: where both
-    # decide a box they agree, and an exact verdict holds at points in it.
+    # decide a box they agree, and an exact verdict, a refutation included,
+    # holds at points in it.
     vals, region = ThetaParams(theta).values(), CAT.region(name)
     rng = np.random.default_rng(seed)
     if name in SAMPLED:
@@ -313,10 +314,9 @@ def test_float_and_exact_box_tests_agree(name, theta, seed, corner, width):
     span = np.maximum(hi - lo, 1e-2)  # U234's box collapses below theta = 29/56
     a = lo + corner * rng.random(len(lo)) * span
     b = a + width * (0.01 + rng.random(len(lo))) * span
-    bound, ex = _bound(region, len(a), vals, CAT), _Exact(vals, len(a))
-    ex.set_box(a.tolist(), b.tolist())
-    fast, exact = bound.decide(a, b), bound.decide(a.tolist(), b.tolist(), ex)
-    if not isinstance(exact, bool):
+    test = BoxTest(region, len(a), vals, CAT)
+    fast, exact = test.bound.decide(a, b), test(a.tolist(), b.tolist())
+    if exact is None:
         return
     assert fast is None or fast is exact
     inside = region.eval(a + rng.random((512, len(a))) * (b - a), vals, CAT)

@@ -344,6 +344,34 @@ def test_region_without_first_round_hits_proved_empty(name, samples, monkeypatch
     assert 0 < proofs[0][1] <= quadrature.PROOF_CALLS
 
 
+@pytest.mark.parametrize("name, point, proved, calls", [
+    ("I1", (0.52,), True, 9),
+    ("I2", (0.52,), True, 1),
+    ("U234", (0.52,), True, 1),
+    ("I1", (0.50,), True, 1),
+    ("U233", (0.52,), False, 94),
+    ("I3", (0.52,), False, 128),
+    ("I4", (0.52,), False, 128),
+    ("I5", (0.32, 0.20), False, 126),
+    ("U234", (0.56,), False, 128),
+])
+def test_proof_verdicts_and_box_test_counts(name, point, proved, calls, monkeypatch):
+    # each proof's verdict and the box tests it makes, pinned
+    box_test, made = exact.BoxTest.__call__, [0]
+
+    def counting(self, lo, hi):
+        made[0] += 1
+        return box_test(self, lo, hi)
+
+    monkeypatch.setattr(exact.BoxTest, "__call__", counting)
+    spec = CAT.integrals[name]
+    vals = ThetaParams(*point).values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    assert quadrature._proved_empty(region, lo, hi, vals, CAT) is proved
+    assert made[0] == calls
+
+
 @pytest.mark.parametrize("name", ["cal2", "cal3", "cal4", "cal5", "cal6", "S235", "I3", "I5",
                                   "U233"])
 def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):

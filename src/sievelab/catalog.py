@@ -113,10 +113,18 @@ def _form(acc: dict) -> AffineForm:
 _CHAIN_FOLLOW = frozenset(("<", "<=", ">", ">=", "+", "-", "*", "/"))
 
 
+# Tokens an affine expression may hold, besides numbers, variables and the
+# names of _SYMBOLS.
+_AFFINE_OPS = frozenset(("+", "-", "*", "/", "(", ")"))
+
+
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[str], forms: dict | None = None):
         self.toks = tokens + [None]  # the sentinel None ends every expression
         self.i = 0
+        # the AffineForm of each token span parse_affine has used up, which
+        # the parsers of one catalog share
+        self.forms = {} if forms is None else forms
 
     def peek(self) -> str | None:
         return self.toks[self.i]
@@ -226,7 +234,33 @@ class _Parser:
     # ----- affine grammar -----
 
     def parse_affine(self) -> AffineForm:
-        return _form(self.parse_sum())
+        """An affine expression, parsed once per distinct token span.
+
+        The span runs from the cursor over the tokens an expression may
+        hold, up to a ")" that closes a parenthesis opened before it.  A
+        form is stored only when the parse used up exactly its span: then
+        the tokens after the span cannot have changed it, and any text the
+        parse rejects is parsed afresh, with the same error.
+        """
+        start, depth = self.i, 0
+        end = start
+        while (tok := self.toks[end]) is not None:
+            if tok == ")" and not depth:
+                break
+            if tok in _AFFINE_OPS:
+                depth += (tok == "(") - (tok == ")")
+            elif not (tok in _SYMBOLS or tok[0].isdigit() or _VAR_RE.fullmatch(tok)):
+                break
+            end += 1
+        span = tuple(self.toks[start:end])
+        form = self.forms.get(span)
+        if form is not None:
+            self.i = end
+            return form
+        form = _form(self.parse_sum())
+        if self.i == end:
+            self.forms[span] = form
+        return form
 
     def parse_sum(self) -> dict:
         acc = self.parse_term()
@@ -272,9 +306,10 @@ class _Parser:
         raise RegionError(f"unknown symbol {tok!r}")
 
 
-def _parse_all(text: str, parse):
-    """parse(parser) over the tokens of text, which it must use up."""
-    p = _Parser(_tokenize(text))
+def _parse_all(text: str, parse, forms: dict | None = None):
+    """parse(parser) over the tokens of text, which it must use up; forms
+    is the parser's memo of affine expressions."""
+    p = _Parser(_tokenize(text), forms)
     node = parse(p)
     if p.peek() is not None:
         raise RegionError(f"trailing tokens in {text!r}")
@@ -366,15 +401,18 @@ def loads(text: str) -> Catalog:
     cat = Catalog()
     # the lines of the text, comments stripped and blank lines dropped
     lines = (s for s in (line.split("#", 1)[0].strip() for line in text.splitlines()) if s)
-    # bound and piece endpoints repeat a few texts many times; each distinct
-    # text is parsed once (AffineForm is immutable, so records share it)
+    # A catalog repeats a few affine expressions many times: the packaged
+    # one writes 2,015 comparison sides and endpoints in 187 distinct
+    # expressions.  Each is parsed once (AffineForm is immutable, so
+    # records share it), and each distinct endpoint text tokenized once.
+    forms: dict[tuple, AffineForm] = {}
     endpoints: dict[str, AffineForm] = {}
 
     def endpoint(expr: str) -> AffineForm:
         expr = expr.strip()
         form = endpoints.get(expr)
         if form is None:
-            form = endpoints[expr] = parse_affine_expr(expr)
+            form = endpoints[expr] = _parse_all(expr, _Parser.parse_affine, forms)
         return form
 
     def body(header: str):
@@ -406,7 +444,7 @@ def loads(text: str) -> Catalog:
                     raise RegionError(f"unexpected line in region {name}: {row!r}")
             if not where:
                 raise RegionError(f"region {name} has no where clause")
-            tree = parse_bool_expr(" ".join(where))
+            tree = _parse_all(" ".join(where), _Parser.parse_bool, forms)
             _add(cat.regions, "region", name, RegionSpec(name, dim, tree, bounds))
         elif line.startswith("ranges "):
             (name,) = _match(r"ranges\s+(\S+)", line, "ranges header")

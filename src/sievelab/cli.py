@@ -314,6 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(usage_error=p.error)  # see main
         return p
 
     b = command("buchstab", ("--format",), help="tabulate omega and its envelopes")
@@ -344,7 +345,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = make_parser()
-    args = ap.parse_args(argv)
+    # An argument no parser takes is reported by the subcommand's parser,
+    # with its usage line: parse_args would print the top-level one.
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     # a given --budget is a hard cap; else the command's default
     if "budget" in args and args.budget is None:
         args.budget = I56_BUDGET if getattr(args, "suite", "") == "I56" else DEFAULT_BUDGET

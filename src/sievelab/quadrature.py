@@ -35,8 +35,18 @@ SeedSequence or a Generator per stream: the seed hash runs in numpy over
 batches of keys, each stream sets the PCG64 state directly and takes one
 random_raw call, and integers(2) is read as the top bit of each 32-bit half
 of a word (numpy's bounded-integer method; tests/test_streams.py guards
-this).  One round draws every stream and evaluates the region and the
-weight over blocks of many streams' points.
+this).
+
+A stream is drawn in order and continues from its last point, which it
+keeps: in Gray-code order each point is the one before XOR one scrambled
+direction number.  One round draws every stream and evaluates the region
+and the weight over blocks of many streams' points.  It takes the streams
+in order of the number of points each draws, so that the streams of one
+length lie together in a block: their sums are row sums of the block's
+values reshaped to (streams, length), and their points are mapped into
+their cells by repeating each stream's cell row.  A stream's sums are taken
+over its own values in its own order, so neither the blocks nor their order
+change a result.
 """
 from __future__ import annotations
 
@@ -250,47 +260,74 @@ def _words(value) -> tuple[int, ...]:
     return tuple(words)
 
 
+def _entropy(batch) -> np.ndarray:
+    """The words of each key, entry after entry, as SeedSequence splits
+    them, one row per key.  Each entry must split into as many words as the
+    first key's entry in its place."""
+    width = [len(_words(v)) for v in batch[0]]
+    keys = np.array(batch, dtype=object)
+    low = np.array([1 << 32 * (w - 1) if w > 1 else 0 for w in width], dtype=object)
+    high = np.array([1 << 32 * w for w in width], dtype=object)
+    if not ((keys >= low) & (keys < high)).all():
+        raise ValueError("every key's entries must be non-negative integers of as many "
+                         "32-bit words as the first key's")
+    shift = 32 * np.arange(max(width))
+    words = keys[:, :, None] >> shift & _MASK32
+    return words[:, shift < 32 * np.array(width)[:, None]].astype(np.uint32)
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """The constants XORed in and multiplied by in count hashmix calls, as
+    two (count, 1) arrays: each call's multiplier is the next call's XOR."""
+    const = [init]
+    for _ in range(count):
+        const.append(const[-1] * mult & _MASK32)
+    const = np.array(const, dtype=np.uint32)[:, None]
+    return const[:-1], const[1:]
+
+
 def _seed_hash(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(row).generate_state(8, uint32) for every row of entropy
     words (at least _POOL_SIZE of them), shape (n, 8): numpy's hashmix, mix
-    and generate_state in uint32 arithmetic, all rows at once."""
-    const = _INIT_A
+    and generate_state in uint32 arithmetic, all rows at once.  The hashmix
+    calls a step makes on distinct pool words run together, each with its
+    own constants."""
+    words = entropy.shape[1]
 
-    def hashmix(value, mult=_MULT_A):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
+    def hashmix(value, calls, xor, mult):
+        value = value ^ xor[calls]
+        value *= mult[calls]
         return value ^ (value >> 16)
 
     def mix(x, y):
         value = _MIX_L * x - _MIX_R * y
         return value ^ (value >> 16)
 
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    const = _INIT_B
-    return np.stack([hashmix(pool[i % _POOL_SIZE], _MULT_B) for i in range(8)], axis=1)
+    calls = _POOL_SIZE**2 + _POOL_SIZE * (words - _POOL_SIZE)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, calls)
+    entropy = entropy.T
+    pool = hashmix(entropy[:_POOL_SIZE], slice(0, _POOL_SIZE), xor, mult)
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # pool[src] into each other word
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], slice(call, call + len(dst)), xor, mult))
+        call += len(dst)
+    for src in range(_POOL_SIZE, words):  # each further word into all of them
+        pool = mix(pool, hashmix(entropy[src], slice(call, call + _POOL_SIZE), xor, mult))
+        call += _POOL_SIZE
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    return hashmix(pool[np.arange(8) % _POOL_SIZE], slice(0, 8), xor, mult).T
 
 
 def _seed_states(keys):
     """SeedSequence(list(key), spawn_key=(0,)).generate_state(4, uint64)
     of each key in turn, as a list of four ints.  SEED_BATCH keys are hashed
-    together; their entries must split into the same numbers of words."""
+    together."""
     for a in range(0, len(keys), SEED_BATCH):
-        batch = keys[a : a + SEED_BATCH]
-        split = functools.cache(_words)  # the keys share their seed
-        runs = np.hstack([np.array([split(v) for v in entry], dtype=np.uint32)
-                          for entry in zip(*batch)])
+        runs = _entropy(keys[a : a + SEED_BATCH])
         # With a spawn key SeedSequence pads the run entropy with zeros to
         # the pool size; the spawn key (0,) is one more zero word.
-        entropy = np.zeros((len(batch), max(runs.shape[1], _POOL_SIZE) + 1), dtype=np.uint32)
+        entropy = np.zeros((len(runs), max(runs.shape[1], _POOL_SIZE) + 1), dtype=np.uint32)
         entropy[:, : runs.shape[1]] = runs
         out = _seed_hash(entropy).astype(np.uint64)
         # two 32-bit words make a 64-bit one, low word first
@@ -307,7 +344,10 @@ class _Streams:
     spawn_key=(0,))) and draws from it, by two integers(2, dtype=uint32)
     calls, a digital shift and one random lower-triangular bit matrix per
     dimension (LMS+shift, Owen 1995).  Point i is the shift XORed with the
-    scrambled direction numbers of the set bits of i's Gray code.
+    scrambled direction numbers of the set bits of i's Gray code, so it is
+    point i - 1 XOR the one of i's lowest set bit (Gray codes of
+    neighbours differ there).  Each stream keeps its last point, `last`,
+    and `n`, the points it has drawn; a draw continues from them.
 
     The same bits are made here without a SeedSequence or a Generator: the
     seed hash runs in numpy for SEED_BATCH keys at once, each stream sets the
@@ -353,7 +393,8 @@ class _Streams:
             self.columns[a:b] = digits[..., ::-1]
         self.scrambled = np.zeros((n, SOBOL_BITS, dim), dtype=np.uint32)
         self.bits = 0  # leading columns of `scrambled` filled so far
-        self.n = np.zeros(n, dtype=np.int64)
+        self.last = self.shift.copy()  # each stream's last point drawn
+        self.n = np.zeros(n, dtype=np.int64)  # points drawn
         self.total = np.zeros(n)
         self.total_sq = np.zeros(n)
         self.hits = np.zeros(n, dtype=np.int64)
@@ -379,46 +420,50 @@ class _Streams:
             self.scrambled[:, b] = np.bitwise_xor.reduce(self.columns * set_bits, axis=2)
         self.bits = bits
 
-    def _at(self, sid: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Integer points of streams sid at the given indices, one row each."""
-        gray = index ^ (index >> 1)
-        bits = np.arange(int(gray.max()).bit_length())
-        on = ((gray[:, None] >> bits) & 1).astype(np.uint32)
-        used = self.scrambled[sid, : len(bits)] * on[:, :, None]
-        return self.shift[sid] ^ np.bitwise_xor.reduce(used, axis=1)
-
-    def points(self, sid: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """Points start .. start + count - 1 of each stream sid (count >= 1),
-        concatenated in order, as floats in [0, 1)."""
-        self._reserve(int((start + count - 1).max()).bit_length())
-        offsets = np.cumsum(count) - count
-        piece = np.repeat(np.arange(len(sid)), count)
-        index = np.arange(int(count.sum())) + (start - offsets)[piece]
-        # Gray-code order: point i is point i - 1 XOR the direction number
-        # of i's lowest set bit, so a running XOR over those differences,
-        # each segment seeded with its first point, yields the points once
-        # the running XOR up to the segment before is taken off.
-        low_bit = np.bitwise_count(index ^ (index - 1)) - 1
-        rows = sid[piece] * SOBOL_BITS + low_bit
+    def points(self, sid: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next `count` points of each stream sid (count >= 1), shape
+        (len(sid), count, dim), as floats in [0, 1), written into out when
+        it is given.  Each stream continues from its last point; its first
+        point, point 0, is its shift."""
+        start = self.n[sid]
+        self._reserve(int(start.max() + count - 1).bit_length())
+        # Row q * SOBOL_BITS + b of `scrambled` is stream q's direction
+        # number b, and i's lowest set bit is one less than the number of
+        # bits set in i ^ (i - 1).  Indices are below 2**30: int32 holds
+        # them, and halves the memory these passes read.
+        index = start.astype(np.int32)[:, None] + np.arange(count, dtype=np.int32)
+        rows = (sid * SOBOL_BITS - 1)[:, None] + np.bitwise_count(index ^ (index - 1))
         pts = self.scrambled.reshape(-1, self.dim).take(rows, axis=0)
-        pts[offsets] = self._at(sid, start)
-        np.bitwise_xor.accumulate(pts, axis=0, out=pts)
-        if len(sid) > 1:
-            before = pts[offsets[1:] - 1]
-            pts[count[0] :] ^= np.repeat(before, count[1:], axis=0)
-        return pts * (1.0 / (1 << SOBOL_BITS))
+        first = pts[:, 0]
+        first[start == 0] = 0  # point 0 is `last` as set up, the shift
+        first ^= self.last[sid]
+        # One running XOR over all the streams' rows, then the running XOR
+        # up to the stream before taken off each stream
+        flat = pts.reshape(-1, self.dim)
+        np.bitwise_xor.accumulate(flat, axis=0, out=flat)
+        flat[count:] ^= np.repeat(pts[:-1, -1], count, axis=0)
+        self.last[sid] = pts[:, -1]
+        self.n[sid] += count
+        return np.multiply(pts, 1.0 / (1 << SOBOL_BITS), out=out)
 
     def run(self, count: np.ndarray, sample) -> None:
         """Draw count[q] further points of every stream q and add them to its
-        sums; sample(stream of each row, points) returns the integrand
-        values and the region indicator, and may overwrite the points.
+        sums.
 
-        Streams are sampled together in blocks of at most BLOCK_ROWS rows, a
-        longer stream alone in blocks of BLOCK_ROWS; each stream's sums are
-        taken over its whole run of values, so they do not depend on the
-        blocks.
+        The streams are taken in stable order of their counts and sampled
+        together in blocks of at most BLOCK_ROWS rows, a longer stream alone
+        in pieces of BLOCK_ROWS.  A block is a list of groups, each of
+        streams sid that draw one length of points: u, shape (len(sid),
+        length, dim), holds them stream after stream, a view of the
+        block's rows x.  sample(x, groups), groups the (sid, u) pairs,
+        returns the integrand values and the region indicator of the rows
+        of x, and may overwrite x.  A group's sums are the row sums of its
+        values as a (len(sid), length) array, each the pairwise sum
+        g[a:b].sum() takes over one stream's whole run of values, so they
+        depend neither on the blocks nor on their order.
         """
         live = np.flatnonzero(count)
+        live = live[np.argsort(count[live], kind="stable")]
         ends = np.cumsum(count[live])  # rows up to the end of each stream
         first = 0
         while first < len(live):
@@ -427,29 +472,36 @@ class _Streams:
             limit = ends[first] - count[live[first]] + BLOCK_ROWS
             last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
             sid, first = live[first:last], last
-            m, start = count[sid], self.n[sid]
+            m = count[sid]
             if len(sid) == 1 and m[0] > BLOCK_ROWS:
                 cuts = range(0, int(m[0]), BLOCK_ROWS)
-                parts = [self._sample(sample, sid, start + a, np.minimum(m - a, BLOCK_ROWS))
+                parts = [self._sample(sample, [(sid, min(int(m[0]) - a, BLOCK_ROWS))])
                          for a in cuts]
                 g, inside = (np.concatenate(p) for p in zip(*parts))
+                groups = [(sid, int(m[0]))]
             else:
-                g, inside = self._sample(sample, sid, start, m)
-            # Each stream's values as one row, rows of a length together:
-            # a row sum is the pairwise sum g[a:b].sum() takes.
-            begins = np.cumsum(m) - m
+                bounds = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), len(sid)]
+                groups = [(sid[a:b], int(m[a])) for a, b in itertools.pairwise(bounds)]
+                g, inside = self._sample(sample, groups)
             g_sq = g * g
-            for length in np.unique(m).tolist():
-                sel = np.flatnonzero(m == length)
-                rows = begins[sel, None] + np.arange(length)
-                q = sid[sel]
-                self.total[q] += g[rows].sum(axis=1)
-                self.total_sq[q] += g_sq[rows].sum(axis=1)
-                self.hits[q] += np.count_nonzero(inside[rows], axis=1)
-            self.n[sid] += m
+            a = 0
+            for q, length in groups:
+                rows = slice(a, a + len(q) * length)
+                a = rows.stop
+                self.total[q] += g[rows].reshape(-1, length).sum(axis=1)
+                self.total_sq[q] += g_sq[rows].reshape(-1, length).sum(axis=1)
+                self.hits[q] += np.count_nonzero(inside[rows].reshape(-1, length), axis=1)
 
-    def _sample(self, sample, sid, start, count):
-        return sample(np.repeat(sid, count), self.points(sid, start, count))
+    def _sample(self, sample, groups):
+        """sample() of the next points of each group's streams, drawn into
+        one block."""
+        x = np.empty((sum(len(q) * length for q, length in groups), self.dim))
+        views, a = [], 0
+        for q, length in groups:
+            u = x[a : a + len(q) * length].reshape(len(q), length, self.dim)
+            a += len(q) * length
+            views.append((q, self.points(q, length, out=u)))
+        return sample(x, views)
 
 
 def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
@@ -595,11 +647,16 @@ def integrate(
     value = 0.0
     err = float("inf")
 
-    def sample(sid: np.ndarray, u: np.ndarray):
-        stratum = sid // REPLICATES
-        x = u  # in place: the points are not used again
-        x *= box_width.take(stratum, axis=0)
-        x += box_lo.take(stratum, axis=0)
+    def sample(x: np.ndarray, groups):
+        # each stream's points into its stratum's cell, in place: the
+        # points are not used again.  Each cell row is repeated once per
+        # point: broadcast from shape (len(sid), 1, k), numpy's inner loop
+        # ran over the k coordinates alone and took longer.
+        for sid, u in groups:
+            stratum = sid // REPLICATES
+            rows = u.reshape(-1, k)
+            rows *= np.repeat(box_width[stratum], u.shape[1], axis=0)
+            rows += np.repeat(box_lo[stratum], u.shape[1], axis=0)
         if spec.sorted:
             x = _descending(x)
         inside = region.eval(x, vals, cat)

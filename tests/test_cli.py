@@ -259,6 +259,7 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
+    assert err.startswith(f"usage: sievelab {argv[0]} ")
     assert "unrecognized arguments" in err
 
 

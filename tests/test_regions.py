@@ -648,6 +648,31 @@ def test_bool_parse_errors(text):
         parse_bool_expr(text)
 
 
+# A where clause that uses up the spans the clauses below begin with.
+SHARED_SPANS = ("region P dim=2\n"
+                "  where t1 + 1 < 2 and t1 < 1 and t2 + (2) > 1 and t1 + 2 > 0\nend\n")
+
+
+@pytest.mark.parametrize("text", ["t1 < 1 t2", "t1 <", "t1 + 2", "(t1 < 1", "t1 + (2",
+                                  "t1 + (2 < 1", "t1 + 1 2 < 1", "t1 + 1 < 2 t2",
+                                  "t2 + (2) t1 > 1"])
+def test_memoised_spans_fail_as_a_fresh_parse(text):
+    with pytest.raises(RegionError) as fresh:
+        parse_bool_expr(text)
+    with pytest.raises(RegionError) as loaded:
+        loads(SHARED_SPANS + f"region B dim=2\n  where {text}\nend\n")
+    assert str(loaded.value) == str(fresh.value)
+
+
+def test_each_distinct_expression_parsed_once_per_catalog():
+    cat = loads(SHARED_SPANS + "region B dim=2\n  bound t1 = [0, t1 + 1]\n"
+                "  where t1 + 1 < 2 and t2 > 0\nend\n")
+    first = cat.regions["P"].tree.children[0].atom.lhs
+    assert cat.regions["B"].tree.children[0].atom.lhs is first
+    assert cat.regions["B"].bounds[1][1] is first
+    assert cat == loads(dumps(cat))
+
+
 REGION_A = "region A dim=2\n  where t1 < 1/2\nend\n"
 
 

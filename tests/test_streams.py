@@ -92,21 +92,21 @@ def test_directions_equal_scipy_unscrambled_points():
     sizes=st.lists(st.lists(SIZES, min_size=1, max_size=3), min_size=1, max_size=5),
 )
 def test_points_equal_scipy_engines(dim, seed, sizes):
-    # Up to three streams drawn together, each with its own sequence of
-    # draw sizes; every draw equals the scipy engine's, array for array.
+    # Up to three streams, each with its own sequence of draw sizes, those
+    # of one size in a round drawn together; every draw equals the scipy
+    # engine's, array for array.
     keys = [(seed, s, r) for s, r in [(0, 0), (3, 1), (1 << 30, 0)][: len(sizes[0])]]
     draws = [[row[j % len(row)] for row in sizes] for j in range(len(keys))]
     streams = _Streams(dim, keys)
     want = [scipy_points(dim, key, d) for key, d in zip(keys, draws)]
-    start = np.zeros(len(keys), dtype=np.int64)
-    sid = np.arange(len(keys))
     for i in range(len(sizes)):
         count = np.array([d[i] for d in draws])
-        got = streams.points(sid, start, count)
-        offsets = np.concatenate(([0], np.cumsum(count)))
-        for q in range(len(keys)):
-            np.testing.assert_array_equal(got[offsets[q] : offsets[q + 1]], want[q][i])
-        start += count
+        for size in np.unique(count).tolist():
+            sid = np.flatnonzero(count == size)
+            got = streams.points(sid, size)
+            for q, pts in zip(sid, got):
+                np.testing.assert_array_equal(pts, want[q][i])
+        np.testing.assert_array_equal(streams.n, [sum(d[: i + 1]) for d in draws])
 
 
 def test_long_draw_equals_scipy_engine():
@@ -115,18 +115,26 @@ def test_long_draw_equals_scipy_engine():
     streams = _Streams(dim, [key])
     want = scipy_points(dim, key, sizes)
     zero = np.zeros(1, dtype=np.int64)
-    np.testing.assert_array_equal(streams.points(zero, zero, zero + sizes[0]), want[0])
-    np.testing.assert_array_equal(streams.points(zero, zero + sizes[0], zero + sizes[1]), want[1])
+    np.testing.assert_array_equal(streams.points(zero, sizes[0])[0], want[0])
+    np.testing.assert_array_equal(streams.points(zero, sizes[1])[0], want[1])
+
+
+def row_streams(groups):
+    """The stream of each row of a block, from the groups run passes."""
+    return np.concatenate([np.repeat(sid, u.shape[1]) for sid, u in groups])
+
+
+def integrand(x, sid):
+    inside = x[:, 0] < 0.6
+    return np.where(inside, 1.0 / (x.sum(axis=1) + 0.1 * sid), 0.0), inside
 
 
 def run_sums(dim, keys, rounds, block_rows, monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_ROWS", block_rows)
     streams = _Streams(dim, keys)
 
-    def sample(sid, u):
-        inside = u[:, 0] < 0.6
-        g = np.where(inside, 1.0 / (u.sum(axis=1) + 0.1 * sid), 0.0)
-        return g, inside
+    def sample(x, groups):
+        return integrand(x, row_streams(groups))
 
     for count in rounds:
         streams.run(np.array(count), sample)
@@ -156,9 +164,65 @@ def test_sums_do_not_depend_on_blocks(dim, rounds, block_rows):
     for q, key in enumerate(keys):
         drawn = [row[q] for row in rounds if row[q]]
         for u in scipy_points(dim, key, drawn):
-            inside = u[:, 0] < 0.6
-            want[q] += np.where(inside, 1.0 / (u.sum(axis=1) + 0.1 * q), 0.0).sum()
+            want[q] += integrand(u, q)[0].sum()
     np.testing.assert_array_equal(whole.total, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    rounds=st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(1, 40), st.sampled_from([16, 32])),
+                 min_size=7, max_size=7),
+        min_size=1,
+        max_size=3,
+    ),
+    long=st.integers(0, 6),
+    extra=st.integers(1, 100),
+)
+def test_run_draws_and_sums_each_stream_in_its_own_order(dim, rounds, long, extra):
+    # Streams that draw nothing in a round, groups of equal lengths, and in
+    # every round one stream longer than a block, drawn in pieces: each
+    # stream's points are the scipy engine's, and its sums are those of its
+    # own values, in its own order, round by round.
+    block_rows = 64
+    keys = [(5, s, r) for s in range(4) for r in range(2)][:7]
+    for row in rounds:
+        row[long] = block_rows + extra
+    got = []
+
+    def sample(x, groups):
+        for sid, u in groups:
+            for q, pts in zip(sid.tolist(), u):
+                got[q].append(pts.copy())
+        return integrand(x, row_streams(groups))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "BLOCK_ROWS", block_rows)
+        streams = _Streams(dim, keys)
+        drawn = []
+        for row in rounds:
+            got = [[] for _ in keys]
+            streams.run(np.array(row), sample)
+            drawn.append(got)
+    total, total_sq, hits = np.zeros(len(keys)), np.zeros(len(keys)), np.zeros(len(keys), int)
+    for q, key in enumerate(keys):
+        sizes = [row[q] for row in rounds if row[q]]
+        want = iter(scipy_points(dim, key, sizes))
+        for row, pieces in zip(rounds, drawn):
+            if not row[q]:
+                assert pieces[q] == []
+                continue
+            u = next(want)
+            np.testing.assert_array_equal(np.concatenate(pieces[q]), u)
+            g, inside = integrand(u, q)
+            total[q] += g.sum()
+            total_sq[q] += (g * g).sum()
+            hits[q] += np.count_nonzero(inside)
+    np.testing.assert_array_equal(streams.n, np.sum(rounds, axis=0))
+    np.testing.assert_array_equal(streams.total, total)
+    np.testing.assert_array_equal(streams.total_sq, total_sq)
+    np.testing.assert_array_equal(streams.hits, hits)
 
 
 def test_integrate_builds_no_scrambled_engine(monkeypatch):

@@ -271,7 +271,10 @@ def _prune(work):
 
 def _farkas(rows) -> dict | None:
     """Weights {row index: y > 0} proving that the rows have no common real
-    solution, or None when they have one.
+    solution, or None when it finds none.  None is not a proof that they
+    have one: a row bounded tighter by another is dropped whatever rows
+    each is made from, and Chernikov's rule may then drop the only
+    contradiction (tests/test_regions.py, test_farkas_refutes_after_box_rows).
 
     Fourier-Motzkin elimination over the integers, keeping strictness (a
     sum of rows is strict when a strict row has a positive weight; Dantzig &

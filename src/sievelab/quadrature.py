@@ -2,9 +2,9 @@
 with indicator rejection over region bounding boxes.
 
 Estimates are deterministic for a fixed seed: every (stratum, replicate)
-pair owns a scrambled Sobol stream seeded from (seed, stratum, replicate),
-rounds refine allocation by stratum spread, and results are reduced in fixed
-stratum order.  The error estimate is the spread of the replicate totals.
+pair owns a scrambled Sobol stream drawn from the seed, rounds refine
+allocation by stratum spread, and results are reduced in fixed stratum
+order.  The error estimate is the spread of the replicate totals.
 
 One bisection, _bisect, serves both questions a three-valued box test
 answers here; it takes the test as a function of a box.  It works on a grid
@@ -14,7 +14,7 @@ undecided box is halved at the grid's edges until each box is judged empty
 
 - The strata are the kept cells of the sampling grid under the float box
   test (`regions.definitely`), numbered in grid order; a stratum's number
-  is part of its seed key.  Float interval evaluation is monotone under
+  picks its streams' scrambles.  Float interval evaluation is monotone under
   inclusion, so the kept cells are exactly the cells a per-cell test keeps.
 - An integral whose first round has no hit tries to prove its region empty
   before it samples on, by the same bisection on a grid of 2**52 cells per
@@ -26,16 +26,13 @@ undecided box is halved at the grid's edges until each box is judged empty
   integrals take the same proof: their points are sorted copies of points
   of a box with identical bounds, so they never leave it.
 
-The streams are generated here, all of one integral as arrays: each
-reproduces the LMS+shift scrambled Sobol engine ``qmc.Sobol(d,
-scramble=True)`` seeded from the same key bit for bit, from the same
-direction numbers, computed here by the Joe-Kuo recurrence for up to
-MAX_DIM = 24 dimensions.  Set-up makes the engine's random bits without a
-SeedSequence or a Generator per stream: the seed hash runs in numpy over
-batches of keys, each stream sets the PCG64 state directly and takes one
-random_raw call, and integers(2) is read as the top bit of each 32-bit half
-of a word (numpy's bounded-integer method; tests/test_streams.py guards
-this).
+The streams are generated here, all of one integral as arrays: each is an
+LMS+shift scrambled Sobol sequence with its own random shift and matrices,
+over the direction numbers computed here by the Joe-Kuo recurrence for up
+to MAX_DIM = 24 dimensions.  Every scramble of an integral comes from one
+draw of ``np.random.default_rng(seed)``, in which stream stratum *
+REPLICATES + replicate takes its own run of words, so its scramble depends
+only on the seed and that number.
 
 A stream is drawn in order and continues from its last point, which it
 keeps: in Gray-code order each point is the one before XOR one scrambled
@@ -53,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +176,6 @@ def _descending(x: np.ndarray) -> np.ndarray:
 SOBOL_BITS = 30
 _LSB = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)  # bit k -> 2^k
 _MSB = _LSB[::-1].copy()  # binary digit p after the point -> 2^(29-p)
-_STRICTLY_LOWER = np.tril(np.ones((SOBOL_BITS, SOBOL_BITS), dtype=np.uint32), -1)
 
 
 # Primitive polynomials and initial direction numbers m_0 .. m_{s-1} of
@@ -224,173 +219,39 @@ def _directions(dim: int) -> np.ndarray:
     return v * _MSB[:, None]
 
 
-# numpy's SeedSequence: the entropy words are hashed into a pool of four
-# 32-bit words, which generate_state hashes again into the output words.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG64: a 128-bit LCG with this multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# Generator words unpacked together, in one buffer.  Unpacking took 3.6, 5.7
-# and 11.2 us per stream at d = 2, 3, 6 in chunks of 2^14 words (128 KB),
-# 4.7, 7.1 and 15.4 us in chunks of 2^13, and 3.4, 4.9 and 10.1 us in
-# chunks of 2^15, for twice the buffer (2-core machine).
-CHUNK_WORDS = 1 << 14
-# Keys hashed together.  Against the per-stream SeedSequence set-up, the
-# peak RSS of a quad-affine pass rose by about 1.3 MB when all of an
-# integral's keys (8,320 for cal2) were hashed at once, by about 0.6 MB in
-# batches of 1024 (single runs) and by 0.3 MB in batches of 256 (median of
-# 10), which cost 3.6 us per key against 2.5 us in batches of 1024 (2-core
-# machine).
-SEED_BATCH = 256
-
-
-def _words(value) -> tuple[int, ...]:
-    """The 32-bit words of one key entry, low first, as SeedSequence splits
-    an integer (0 is one word)."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return tuple(words)
-
-
-def _entropy(batch) -> np.ndarray:
-    """The words of each key, entry after entry, as SeedSequence splits
-    them, one row per key.  Each entry must split into as many words as the
-    first key's entry in its place."""
-    width = [len(_words(v)) for v in batch[0]]
-    keys = np.array(batch, dtype=object)
-    low = np.array([1 << 32 * (w - 1) if w > 1 else 0 for w in width], dtype=object)
-    high = np.array([1 << 32 * w for w in width], dtype=object)
-    if not ((keys >= low) & (keys < high)).all():
-        raise ValueError("every key's entries must be non-negative integers of as many "
-                         "32-bit words as the first key's")
-    shift = 32 * np.arange(max(width))
-    words = keys[:, :, None] >> shift & _MASK32
-    return words[:, shift < 32 * np.array(width)[:, None]].astype(np.uint32)
-
-
-def _hash_constants(init: int, mult: int, count: int):
-    """The constants XORed in and multiplied by in count hashmix calls, as
-    two (count, 1) arrays: each call's multiplier is the next call's XOR."""
-    const = [init]
-    for _ in range(count):
-        const.append(const[-1] * mult & _MASK32)
-    const = np.array(const, dtype=np.uint32)[:, None]
-    return const[:-1], const[1:]
-
-
-def _seed_hash(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(8, uint32) for every row of entropy
-    words (at least _POOL_SIZE of them), shape (n, 8): numpy's hashmix, mix
-    and generate_state in uint32 arithmetic, all rows at once.  The hashmix
-    calls a step makes on distinct pool words run together, each with its
-    own constants."""
-    words = entropy.shape[1]
-
-    def hashmix(value, calls, xor, mult):
-        value = value ^ xor[calls]
-        value *= mult[calls]
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = _MIX_L * x - _MIX_R * y
-        return value ^ (value >> 16)
-
-    calls = _POOL_SIZE**2 + _POOL_SIZE * (words - _POOL_SIZE)
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, calls)
-    entropy = entropy.T
-    pool = hashmix(entropy[:_POOL_SIZE], slice(0, _POOL_SIZE), xor, mult)
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):  # pool[src] into each other word
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], slice(call, call + len(dst)), xor, mult))
-        call += len(dst)
-    for src in range(_POOL_SIZE, words):  # each further word into all of them
-        pool = mix(pool, hashmix(entropy[src], slice(call, call + _POOL_SIZE), xor, mult))
-        call += _POOL_SIZE
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
-    return hashmix(pool[np.arange(8) % _POOL_SIZE], slice(0, 8), xor, mult).T
-
-
-def _seed_states(keys):
-    """SeedSequence(list(key), spawn_key=(0,)).generate_state(4, uint64)
-    of each key in turn, as a list of four ints.  SEED_BATCH keys are hashed
-    together."""
-    for a in range(0, len(keys), SEED_BATCH):
-        runs = _entropy(keys[a : a + SEED_BATCH])
-        # With a spawn key SeedSequence pads the run entropy with zeros to
-        # the pool size; the spawn key (0,) is one more zero word.
-        entropy = np.zeros((len(runs), max(runs.shape[1], _POOL_SIZE) + 1), dtype=np.uint32)
-        entropy[:, : runs.shape[1]] = runs
-        out = _seed_hash(entropy).astype(np.uint64)
-        # two 32-bit words make a 64-bit one, low word first
-        yield from (out[:, 0::2] | out[:, 1::2] << np.uint64(32)).tolist()
-
-
 class _Streams:
-    """Scrambled Sobol streams, one per seed key, held as arrays, with the
-    running sums of the integrand over each stream's points.
+    """Scrambled Sobol streams held as arrays, with the running sums of the
+    integrand over each stream's points.
 
-    Stream q reproduces ``qmc.Sobol(dim, scramble=True,
-    seed=np.random.default_rng(np.random.SeedSequence(keys[q])))`` bit for
-    bit: the engine spawns the generator PCG64(SeedSequence(key,
-    spawn_key=(0,))) and draws from it, by two integers(2, dtype=uint32)
-    calls, a digital shift and one random lower-triangular bit matrix per
-    dimension (LMS+shift, Owen 1995).  Point i is the shift XORed with the
-    scrambled direction numbers of the set bits of i's Gray code, so it is
-    point i - 1 XOR the one of i's lowest set bit (Gray codes of
-    neighbours differ there).  Each stream keeps its last point, `last`,
-    and `n`, the points it has drawn; a draw continues from them.
+    Each stream scrambles the direction numbers of `_directions` by a
+    random digital shift and one random unit lower-triangular bit matrix per
+    dimension (LMS+shift; Owen 1995, Matousek 1998).  All n streams' bits
+    come from one draw of ``np.random.default_rng(seed)``, ``integers(0,
+    2**30, (n, dim, SOBOL_BITS + 1), dtype=uint32)``: per stream and
+    dimension, entry 0 is the shift, and entry k + 1, cut to the bits below
+    k with bit k set, is column k, the matrix's image of bit k.  Each of
+    these integers takes one 32-bit word of the generator, in order, so
+    stream q's bits depend only on (seed, q).
 
-    The same bits are made here without a SeedSequence or a Generator: the
-    seed hash runs in numpy for SEED_BATCH keys at once, each stream sets the
-    PCG64 state that seed gives and takes one random_raw call, and
-    integers(2) by numpy's bounded-integer (Lemire) method is the top bit of
-    each 32-bit half of a word, low half first.  tests/test_streams.py
-    checks this against the Generator calls.
+    Point i is the shift XORed with the scrambled direction numbers of the
+    set bits of i's Gray code, so it is point i - 1 XOR the one of i's
+    lowest set bit (Gray codes of neighbours differ there).  Each stream
+    keeps its last point, `last`, and `n`, the points it has drawn; a draw
+    continues from them.
     """
 
-    def __init__(self, dim: int, keys):
-        n = len(keys)
+    def __init__(self, dim: int, n: int, seed: int):
         self.dim = dim
-        self.shift = np.empty((n, dim), dtype=np.uint32)
-        # columns[q, j, k]: the scrambling matrix's image of bit k
-        self.columns = np.empty((n, dim, SOBOL_BITS), dtype=np.uint32)
-        # two 32-bit numbers per word: dim * 30 for the shift, then dim * 900
-        words = dim * (SOBOL_BITS + SOBOL_BITS * SOBOL_BITS) // 2
-        chunk = max(1, CHUNK_WORDS // words)
-        raw = np.empty((min(n, chunk), words), dtype="<u8")
-        bitgen = np.random.PCG64()
-        seeds = _seed_states(keys)
-        for a in range(0, n, chunk):
-            b = min(n, a + chunk)
-            for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(itertools.islice(seeds, b - a)):
-                # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps
-                # from 0 with initstate added after the first
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-                state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                raw[i] = bitgen.random_raw(words)
-            bits = raw[: b - a].view("<u4")  # low half of each word first
-            bits >>= 31
-            self.shift[a:b] = bits[:, : dim * SOBOL_BITS].reshape(-1, dim, SOBOL_BITS) @ _LSB
-            ltm = bits[:, dim * SOBOL_BITS :].reshape(-1, dim, SOBOL_BITS, SOBOL_BITS)
-            # unit diagonal, random below it; row p gives output digit p
-            ltm &= _STRICTLY_LOWER
-            digits = _MSB @ ltm + _MSB
-            self.columns[a:b] = digits[..., ::-1]
+        # one shift word and SOBOL_BITS column words per stream and dimension
+        draw = np.random.default_rng(seed).integers(
+            0, 1 << SOBOL_BITS, (n, dim, SOBOL_BITS + 1), dtype=np.uint32)
+        self.shift = draw[..., 0]
+        # columns[q, j, k]: the scrambling matrix's image of bit k, bit k
+        # itself plus random bits below it.  Made in place in the draw: a
+        # copy raised the peak RSS of the quad-affine benchmark by about 1 MB.
+        self.columns = draw[..., 1:]
+        self.columns &= _LSB - 1
+        self.columns |= _LSB
         self.scrambled = np.zeros((n, SOBOL_BITS, dim), dtype=np.uint32)
         self.bits = 0  # leading columns of `scrambled` filled so far
         self.last = self.shift.copy()  # each stream's last point drawn
@@ -586,7 +447,8 @@ def integrate(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if rel_tol is not None and math.isnan(rel_tol):
         raise ValueError("rel_tol must not be NaN")
-    _words(seed)  # a negative seed is rejected before any work
+    if seed < 0:  # rejected before any work, with default_rng's message
+        raise ValueError("expected non-negative integer")
     cat = cat or default_catalog()
     region = cat.region(spec.region)
     vals = _params_dict(params)
@@ -635,7 +497,7 @@ def integrate(
             f"({REPLICATES * n_strata} for {n_strata} strata of {region.name})"
         )
 
-    streams = _Streams(k, [(seed, s, r) for s in range(n_strata) for r in range(REPLICATES)])
+    streams = _Streams(k, REPLICATES * n_strata, seed)
     # cell s has digit s // bins**i % bins along axis i
     digits = cells[:, None] // bins ** np.arange(k) % bins
     box_lo = np.take_along_axis(edges, digits, axis=0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sievelab import catalog, regions
 from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
                               parse_affine_expr, parse_bool_expr)
-from sievelab.exact import BoxTest
+from sievelab.exact import BoxTest, _farkas
 from sievelab.params import _climb, theta_only
 from sievelab.regions import (
     PARAM_NAMES,
@@ -564,6 +564,28 @@ def test_certify_empty_at_ties():
     lt, le = BoxTest(cat.region("lt"), 1, {}, cat), BoxTest(cat.region("le"), 1, {}, cat)
     assert lt([0.5], [0.75]) is False and lt.certificates == []  # no certificate needed
     assert le([0.5], [0.75]) is None
+
+
+# Eight rows (a, b, strict) for a . t < b, or <=, whose sixth, first and
+# fourth, weighted 14, 5 and 1, sum to 0 < 0, and the box rows of
+# [0, 1] x [-1, 1].  After t1 is eliminated three derived rows bound t2 by
+# the same 3/22; dominance keeps the first, which has two ancestors, and the
+# lower bound's two more make four after two eliminations, past Chernikov's
+# limit, so the contradiction is dropped.
+_MISSED = [((-8, -14), -5, True), ((2, 9), 2, True), ((5, 0), 2, False),
+           ((-44, 0), -17, True), ((5, 0), 2, False), ((6, 5), 3, True),
+           ((-44, 0), -17, True), ((-19, -20), -10, True)]
+_BOX_ROWS = [((-1, 0), 0, False), ((1, 0), 1, False), ((0, -1), 1, False), ((0, 1), 1, False)]
+
+
+def test_farkas_refutes_the_rows_alone():
+    assert _farkas(_MISSED) == {5: 14, 0: 5, 3: 1}
+
+
+@pytest.mark.xfail(strict=True, reason="dominance pruning with Chernikov's rule drops the "
+                   "only contradiction: _farkas is incomplete")
+def test_farkas_refutes_after_box_rows():
+    assert _farkas(_BOX_ROWS + _MISSED) is not None
 
 
 def test_definitely_agrees_with_sampling():

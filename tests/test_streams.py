@@ -1,6 +1,8 @@
 """The array-backed Sobol streams of sievelab.quadrature against scipy's
-scrambled engine, and the invariance of their sums under blocking."""
+unscrambled engine, scrambled in the test by each stream's own shift and
+matrices, and the invariance of their sums under blocking."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -10,16 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from sievelab import quadrature
-from sievelab.quadrature import (
-    _LSB,
-    _MSB,
-    _STRICTLY_LOWER,
-    BLOCK_ROWS,
-    MAX_DIM,
-    SOBOL_BITS,
-    _directions,
-    _Streams,
-)
+from sievelab.quadrature import BLOCK_ROWS, MAX_DIM, SOBOL_BITS, _directions, _Streams
 
 # draw sizes: single points, small odd sizes, and powers of two and their
 # neighbours, so that draws cross 2^k
@@ -29,45 +22,71 @@ SIZES = st.one_of(
 )
 
 
-def scipy_points(dim, key, sizes):
-    rng = np.random.default_rng(np.random.SeedSequence(list(key)))
-    engine = qmc.Sobol(dim, scramble=True, seed=rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [engine.random(m) for m in sizes]
+@functools.cache
+def reference_setup(dim, n, seed):
+    """Shift and matrix columns of n streams, as documented: one draw of
+    default_rng(seed), whose entry 0 per stream and dimension is the shift
+    and whose entry k + 1, taken below 2^k, plus 2^k, is column k."""
+    draw = np.random.default_rng(seed).integers(
+        0, 1 << SOBOL_BITS, (n, dim, SOBOL_BITS + 1), dtype=np.uint32)
+    columns = np.empty((n, dim, SOBOL_BITS), dtype=np.uint32)
+    for k in range(SOBOL_BITS):
+        columns[..., k] = draw[..., k + 1] % (1 << k) + (1 << k)
+    return draw[..., 0], columns
 
 
-def reference_setup(dim, keys):
-    """Shift and matrix columns of each key's stream from the generator the
-    scipy engine is given, by the two integers(2) calls the engine makes."""
-    shift = np.empty((len(keys), dim), dtype=np.uint32)
-    columns = np.empty((len(keys), dim, SOBOL_BITS), dtype=np.uint32)
-    for q, key in enumerate(keys):
-        ss = np.random.SeedSequence(list(key), spawn_key=(0,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        shift[q] = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ _LSB
-        ltm = rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
-        digits = _MSB @ (ltm & _STRICTLY_LOWER) + _MSB
-        columns[q] = digits[:, ::-1]
-    return shift, columns
+def reference_points(dim, n, seed, q, sizes):
+    """Successive draws of `sizes` points of stream q of n: scipy's
+    unscrambled points as 30-bit integers, each coordinate multiplied by
+    its scrambling matrix over GF(2) (the XOR of the columns of its set
+    bits) and XORed with the shift."""
+    shift, columns = reference_setup(dim, n, seed)
+    engine = qmc.Sobol(dim, scramble=False)
+    out = []
+    for m in sizes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x = (engine.random(m) * (1 << SOBOL_BITS)).astype(np.uint32)
+        bits = x[:, :, None] >> np.arange(SOBOL_BITS, dtype=np.uint32) & 1
+        y = np.bitwise_xor.reduce(bits * columns[q], axis=2) ^ shift[q]
+        out.append(y / (1 << SOBOL_BITS))
+    return out
 
 
-def test_setup_equals_generator_draws(monkeypatch):
-    # Seeds of one, two and three 32-bit words, a stratum of 2**30, more streams
-    # than one chunk holds at dim = 1, and several hash batches.
-    monkeypatch.setattr(quadrature, "SEED_BATCH", 16)
+def test_setup_equals_generator_draws():
+    # Seeds of one, two and three 32-bit words
     for seed in (0, 2**32 + 5, 2**64 + 5):
-        keys = [(seed, s, r) for s in range(10) for r in range(4)] + [(seed, 1 << 30, 0)]
         for dim in range(1, MAX_DIM + 1):
-            streams = _Streams(dim, keys)
-            shift, columns = reference_setup(dim, keys)
+            streams = _Streams(dim, 41, seed)
+            shift, columns = reference_setup(dim, 41, seed)
             np.testing.assert_array_equal(streams.shift, shift)
             np.testing.assert_array_equal(streams.columns, columns)
 
 
-def test_negative_key_rejected():
+def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        _Streams(2, [(-1, 0, 0)])
+        _Streams(2, 1, -1)
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+def test_scrambles_are_unit_lower_triangular_and_prefix_stable(dim):
+    for seed, n in ((0, 1), (3, 17), (2**40 + 1, 64)):
+        streams = _Streams(dim, n + 5, seed)
+        # column k holds bit k and no higher one
+        assert (streams.columns >> np.arange(SOBOL_BITS, dtype=np.uint32) == 1).all()
+        fewer = _Streams(dim, n, seed)
+        np.testing.assert_array_equal(streams.shift[:n], fewer.shift)
+        np.testing.assert_array_equal(streams.columns[:n], fewer.columns)
+
+
+def test_first_points_are_a_dyadic_net():
+    # LMS+shift keeps the (0, m, 1)-net property: the first 2^m points of a
+    # one-dimensional stream lie one in each interval [i / 2^m, (i+1) / 2^m)
+    streams = _Streams(1, 8, 99)
+    pts = streams.points(np.arange(8), 1 << 12)[..., 0]
+    for m in range(13):
+        cells = np.sort(np.floor(pts[:, : 1 << m] * (1 << m)), axis=1)
+        np.testing.assert_array_equal(cells, np.broadcast_to(np.arange(1 << m), cells.shape))
 
 
 def test_directions_equal_scipy_unscrambled_points():
@@ -93,12 +112,12 @@ def test_directions_equal_scipy_unscrambled_points():
 )
 def test_points_equal_scipy_engines(dim, seed, sizes):
     # Up to three streams, each with its own sequence of draw sizes, those
-    # of one size in a round drawn together; every draw equals the scipy
-    # engine's, array for array.
-    keys = [(seed, s, r) for s, r in [(0, 0), (3, 1), (1 << 30, 0)][: len(sizes[0])]]
-    draws = [[row[j % len(row)] for row in sizes] for j in range(len(keys))]
-    streams = _Streams(dim, keys)
-    want = [scipy_points(dim, key, d) for key, d in zip(keys, draws)]
+    # of one size in a round drawn together; every draw equals the
+    # reference's, array for array.
+    n = len(sizes[0])
+    draws = [[row[j % len(row)] for row in sizes] for j in range(n)]
+    streams = _Streams(dim, n, seed)
+    want = [reference_points(dim, n, seed, q, d) for q, d in enumerate(draws)]
     for i in range(len(sizes)):
         count = np.array([d[i] for d in draws])
         for size in np.unique(count).tolist():
@@ -110,13 +129,13 @@ def test_points_equal_scipy_engines(dim, seed, sizes):
 
 
 def test_long_draw_equals_scipy_engine():
-    dim, key = 3, (7, 2, 1)
+    dim, n, q = 3, 10, 9
     sizes = [5, BLOCK_ROWS + 1000]
-    streams = _Streams(dim, [key])
-    want = scipy_points(dim, key, sizes)
-    zero = np.zeros(1, dtype=np.int64)
-    np.testing.assert_array_equal(streams.points(zero, sizes[0])[0], want[0])
-    np.testing.assert_array_equal(streams.points(zero, sizes[1])[0], want[1])
+    streams = _Streams(dim, n, 7)
+    want = reference_points(dim, n, 7, q, sizes)
+    sid = np.array([q])
+    np.testing.assert_array_equal(streams.points(sid, sizes[0])[0], want[0])
+    np.testing.assert_array_equal(streams.points(sid, sizes[1])[0], want[1])
 
 
 def row_streams(groups):
@@ -129,9 +148,9 @@ def integrand(x, sid):
     return np.where(inside, 1.0 / (x.sum(axis=1) + 0.1 * sid), 0.0), inside
 
 
-def run_sums(dim, keys, rounds, block_rows, monkeypatch):
+def run_sums(dim, n, seed, rounds, block_rows, monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_ROWS", block_rows)
-    streams = _Streams(dim, keys)
+    streams = _Streams(dim, n, seed)
 
     def sample(x, groups):
         return integrand(x, row_streams(groups))
@@ -152,18 +171,18 @@ def run_sums(dim, keys, rounds, block_rows, monkeypatch):
     block_rows=st.integers(1, 4000),
 )
 def test_sums_do_not_depend_on_blocks(dim, rounds, block_rows):
-    keys = [(11, s, r) for s in range(3) for r in range(2)]
+    n, seed = 6, 11
     with pytest.MonkeyPatch.context() as mp:
-        blocked = run_sums(dim, keys, rounds, block_rows, mp)
+        blocked = run_sums(dim, n, seed, rounds, block_rows, mp)
     with pytest.MonkeyPatch.context() as mp:
-        whole = run_sums(dim, keys, rounds, 1 << 20, mp)
+        whole = run_sums(dim, n, seed, rounds, 1 << 20, mp)
     for field in ("n", "total", "total_sq", "hits"):
         np.testing.assert_array_equal(getattr(blocked, field), getattr(whole, field))
     # and each stream's sums are its own values summed per round
-    want = np.zeros(len(keys))
-    for q, key in enumerate(keys):
+    want = np.zeros(n)
+    for q in range(n):
         drawn = [row[q] for row in rounds if row[q]]
-        for u in scipy_points(dim, key, drawn):
+        for u in reference_points(dim, n, seed, q, drawn):
             want[q] += integrand(u, q)[0].sum()
     np.testing.assert_array_equal(whole.total, want)
 
@@ -183,10 +202,10 @@ def test_sums_do_not_depend_on_blocks(dim, rounds, block_rows):
 def test_run_draws_and_sums_each_stream_in_its_own_order(dim, rounds, long, extra):
     # Streams that draw nothing in a round, groups of equal lengths, and in
     # every round one stream longer than a block, drawn in pieces: each
-    # stream's points are the scipy engine's, and its sums are those of its
+    # stream's points are the reference's, and its sums are those of its
     # own values, in its own order, round by round.
     block_rows = 64
-    keys = [(5, s, r) for s in range(4) for r in range(2)][:7]
+    n, seed = 7, 5
     for row in rounds:
         row[long] = block_rows + extra
     got = []
@@ -199,16 +218,16 @@ def test_run_draws_and_sums_each_stream_in_its_own_order(dim, rounds, long, extr
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "BLOCK_ROWS", block_rows)
-        streams = _Streams(dim, keys)
+        streams = _Streams(dim, n, seed)
         drawn = []
         for row in rounds:
-            got = [[] for _ in keys]
+            got = [[] for _ in range(n)]
             streams.run(np.array(row), sample)
             drawn.append(got)
-    total, total_sq, hits = np.zeros(len(keys)), np.zeros(len(keys)), np.zeros(len(keys), int)
-    for q, key in enumerate(keys):
+    total, total_sq, hits = np.zeros(n), np.zeros(n), np.zeros(n, int)
+    for q in range(n):
         sizes = [row[q] for row in rounds if row[q]]
-        want = iter(scipy_points(dim, key, sizes))
+        want = iter(reference_points(dim, n, seed, q, sizes))
         for row, pieces in zip(rounds, drawn):
             if not row[q]:
                 assert pieces[q] == []

@@ -4,14 +4,14 @@ region program, after batch membership and the float box test.
 On each box the program is evaluated in three-valued logic by the box
 test in its exact mode (`regions._Bound.decide` given a `BoxTest`), and
 the atoms the box leaves undecided become rows with integer coefficients
-in the box's coordinates, strict where the catalog's comparison is:
-`descending` gives strict rows, `in(...)` and each bipartition of
-`splits(...)` substitute group and subset sums, and `tmin`/`tmax` give
-conjunctions or disjunctions of rows.  Catalog coefficients stay exact and
-parameter values enter as the rationals their floats are.  What is left is
-refuted, together with the box's bounds, by Fourier-Motzkin elimination
-that keeps strictness, and each refutation is a Motzkin transposition
-certificate.
+in the box's coordinates, strict where the catalog's comparison is.  The
+program holds plain comparisons only (compiling has written out tsum,
+tmin, tmax and descending), and `in(...)` and each bipartition of
+`splits(...)` substitute group and subset sums.  Catalog coefficients stay
+exact and parameter values enter as the rationals their floats are.  What
+is left is refuted, together with the box's bounds, by Fourier-Motzkin
+elimination that keeps strictness, and each refutation is a Motzkin
+transposition certificate.
 
 A row (a, b, strict) with integer entries means a . t < b when strict and
 a . t <= b otherwise, over the coordinates t of the box.  A residual is
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .regions import SPECIALS, RegionSpec, _Bound, _bound
+from .regions import RegionSpec, _Bound, _bound
 
 __all__ = ["BoxTest", "Certificate"]
 
@@ -107,7 +107,7 @@ class BoxTest:
     their float values, exactly.
 
     It is the exact side of `_Bound.decide`, which builds the box's
-    residual with its `row`, `descent`, `decide`, `fold` and `negate`: the
+    residual with its `row`, `decide`, `fold` and `negate`: the
     rows map their program's variables to the box's coordinates.  The
     residual is refuted once, together with the box's bounds; it branches
     into at most EXACT_BRANCHES conjunctions and an elimination holds at
@@ -168,8 +168,8 @@ class BoxTest:
                 parent = self.vectors(sub[2])
                 out = tuple(_add([parent[i] for i in g], zero) for g in sub[1].arg[0])
             else:
-                _, mask, dim, node, parent = sub
-                parent, form = self.vectors(parent)[:dim], node.arg[2]
+                _, mask, node, parent = sub
+                parent, form = self.vectors(parent), node.arg[2]
                 if form is not None:
                     parent += (zero[:-1] + (self.value(form.const, form.params),),)
                 out = (_add([v for i, v in enumerate(parent) if mask >> i & 1], zero),
@@ -178,33 +178,19 @@ class BoxTest:
         return out
 
     def row(self, bound: _Bound, c: int, sub):
-        """Column c of the bound program through sub, as a residual of rows
-        in the box's coordinates: tmin and tmax make a junction of rows."""
+        """Column c of the bound program through sub, as a row in the box's
+        coordinates, or its verdict when no coordinate is left."""
         key = (bound.prog, c, sub)
         out = self.rows.get(key)
         if out is None:
             rel, const, params, terms = bound.prog.exact(c)
-            vec, dim = self.vectors(sub), bound.prog.dim
-            lin, extremes = self.zero[:-1] + (self.value(const, params),), []
-            for i, w in terms:
-                name = SPECIALS[i - dim] if i >= dim else None
-                if name in ("tmax", "tmin"):
-                    extremes.append((name, w))
-                else:
-                    v = _add(vec, self.zero) if name else vec[i]  # tsum, or a variable
-                    lin = tuple(x + w * y for x, y in zip(lin, v))
-            if rel in (">", ">="):  # as rhs - lhs < 0, or <= 0
-                lin, extremes = tuple(-x for x in lin), [(n, -w) for n, w in extremes]
-            out = self.rows[key] = _extremes(lin, extremes, vec, rel in ("<", ">"))
-        return out
-
-    def descent(self, i: int, sub):
-        """Row of the descending pair t_i > t_(i+1) through sub."""
-        key = ("desc", i, sub)
-        out = self.rows.get(key)
-        if out is None:
             vec = self.vectors(sub)
-            out = self.rows[key] = _int_row([y - x for x, y in zip(vec[i], vec[i + 1])], True)
+            lin = self.zero[:-1] + (self.value(const, params),)
+            for i, w in terms:
+                lin = tuple(x + w * y for x, y in zip(lin, vec[i]))
+            if rel in (">", ">="):  # as rhs - lhs < 0, or <= 0
+                lin = tuple(-x for x in lin)
+            out = self.rows[key] = _int_row(lin, rel in ("<", ">"))
         return out
 
     def decide(self, f):
@@ -234,18 +220,6 @@ def _add(vectors, zero):
     for v in vectors:
         out = tuple(x + y for x, y in zip(out, v))
     return out
-
-
-def _extremes(lin, extremes, vec, strict):
-    """The row lin . (t, 1) + sum w * ext(s) < 0 (or <= 0) for tmin/tmax
-    terms (ext, w) over the variables s = vec: w * tmin is the least of
-    w * s_j when w > 0 and the largest when w < 0, w * tmax the reverse; a
-    largest term must keep the row at every j, a least one at some j."""
-    if not extremes:
-        return _int_row(lin, strict)
-    (name, w), rest = extremes[0], extremes[1:]
-    alts = [_extremes(tuple(x + w * y for x, y in zip(lin, v)), rest, vec, strict) for v in vec]
-    return _fold("and" if (name == "tmax") == (w > 0) else "or", alts)
 
 
 def _prune(work):

@@ -126,8 +126,9 @@ def _rest(x: np.ndarray) -> np.ndarray:
 
 
 def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
+    """The weight of the region's points, or None for the unit weight."""
     if kind == "one":
-        return lambda x: np.ones(x.shape[0])
+        return None
     if kind == "reciprocal":
 
         def recip(x):
@@ -522,6 +523,8 @@ def integrate(
         if spec.sorted:
             x = _descending(x)
         inside = region.eval(x, vals, cat)
+        if wfn is None:
+            return inside.astype(float), inside
         g = np.zeros(len(x))
         if inside.any():
             g[inside] = wfn(x[inside])

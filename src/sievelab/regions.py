@@ -7,33 +7,35 @@ grouped point in another region and exists-bipartition ("splits") into a
 two-dimensional region.
 
 A region is evaluated through a program compiled once per (region, catalog,
-point dimension) and kept on the catalog.  Two walkers run it.  One gives
-membership of a batch of points, vectorised over (N, k) arrays.  The other,
-`_Bound.decide`, is the box test: a three-valued verdict over an
-axis-aligned box from float interval bounds.  Its float mode leaves an atom
-the bounds do not decide undecided (None); its exact mode, given an
-`exact.BoxTest`, trusts the bounds only beyond a rounding margin and leaves
-the residual of the box: the atoms it leaves undecided, as exact rational
-rows, which the `BoxTest` refutes.  In a batch, a nested clause
-that holds nothing but comparisons runs over all rows under a mask of the
-rows its parent has not decided; `in`, `splits` and `descending` children
-run on a copy of those rows alone.
+point dimension) and kept on the catalog.  At a fixed dimension every atom
+but `in` and `splits` comes down to affine comparisons: compiling writes
+tsum out as t1 + ... + tk, a comparison with tmin or tmax as a junction of
+the comparison at each coordinate, descending as the comparisons
+t_i > t_(i+1), and true / false as the empty and / or.  Two walkers run
+the program.  One gives membership of a batch of points, vectorised over
+(N, k) arrays.  The other, `_Bound.decide`, is the box test: a
+three-valued verdict over an axis-aligned box from float interval bounds.
+Its float mode leaves an atom the bounds do not decide undecided (None);
+its exact mode, given an `exact.BoxTest`, trusts the bounds only beyond a
+rounding margin and leaves the residual of the box: the atoms it leaves
+undecided, as exact rational rows, which the `BoxTest` refutes.  In a
+batch, a nested clause that holds nothing but comparisons runs over all
+rows under a mask of the rows its parent has not decided; `in` and
+`splits` children run on a copy of those rows alone.
 
 Only the batch walker needs numpy, and it, `rowwise`, `subset_sums`,
 `RegionSpec.box` and `partitions_into` import it where they run.  The box
 walker works on lists of floats, so a point's membership (`contains`: a
-point is a box with equal corners) loads no numpy.  Two rare box-walker
-cases still do: a `splits` atom, and a box of eight or more coordinates
-whose tsum is summed pairwise as numpy sums it.  `subset_sums` serves the
-`splits` atom alone, in both walkers; `divisors` enumerates its subsets
-without it, in pure Python.
+point is a box with equal corners) loads no numpy; only a `splits` atom
+does.  `subset_sums` serves the `splits` atom alone, in both walkers;
+`divisors` enumerates its subsets without it, in pure Python.
 
-Reductions along the rows of a batch (the tsum/tmin/tmax aggregates, the
-descending test, a bipartition's total) go through `rowwise`.  numpy
-reduces a short row slowly, so `rowwise` folds fewer than eight columns one
-column at a time in index order, which gives numpy's own bits: numpy adds
-and multiplies a row of fewer than eight terms left to right.  From eight
-columns on numpy sums pairwise, and its reduction is used.
+Reductions along the rows of a batch (a bipartition's total, and the
+quadrature's weights) go through `rowwise`.  numpy reduces a short row
+slowly, so `rowwise` folds fewer than eight columns one column at a time
+in index order, which gives numpy's own bits: numpy adds and multiplies a
+row of fewer than eight terms left to right.  From eight columns on numpy
+sums pairwise, and its reduction is used.
 """
 
 from __future__ import annotations
@@ -264,9 +266,8 @@ def definitely(region: RegionSpec, lo: np.ndarray, hi: np.ndarray, params, catal
 # Compiled programs
 # ---------------------------------------------------------------------------
 
-# A compiled form is (constant, ((param, w), ...), ((key, w), ...)) with float
-# coefficients, its terms in the order the form adds them: variables by index
-# (key i - 1), then the specials (key dim + position in SPECIALS).
+# A compiled form is (constant, ((param, w), ...), ((i - 1, w), ...)) with float
+# coefficients, its variables t_i in index order, the order the form adds them.
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
@@ -274,8 +275,7 @@ _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 def _terms(form: AffineForm, dim: int, num=float) -> tuple[tuple[int, float], ...]:
     if form.max_var > dim:
         raise RegionError(f"variable t{form.max_var} out of range for dimension {dim}")
-    out = [(i - 1, num(c)) for i, c in form.vars]
-    return tuple(out + [(dim + SPECIALS.index(n), num(c)) for n, c in form.specials])
+    return tuple((i - 1, num(c)) for i, c in form.vars)
 
 
 def _compiled(form: AffineForm, dim: int) -> tuple:
@@ -289,10 +289,6 @@ def _base(const: float, weights, params: dict[str, float]) -> float:
             raise RegionError(f"missing parameter {name!r}")
         const += w * params[name]
     return const
-
-
-# The numpy reductions behind SPECIALS, in its order.
-_AGGREGATES = ("maximum", "minimum", "add")
 
 
 def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -312,17 +308,12 @@ def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _values(base: float, terms, x: np.ndarray, aggs: list):
-    """A form at every row of x: base, then each term in order.  aggs holds
-    the aggregate columns of x, filled on first use.  Multiplying by 1 and
-    adding a zero base are skipped; neither changes a value."""
-    dim, acc = x.shape[1], None
+def _values(base: float, terms, x: np.ndarray):
+    """A form at every row of x: base, then each term in order.  Multiplying
+    by 1 and adding a zero base are skipped; neither changes a value."""
+    acc = None
     for key, w in terms:
-        if key >= dim and aggs[key - dim] is None:
-            import numpy as np
-
-            aggs[key - dim] = rowwise(getattr(np, _AGGREGATES[key - dim]), x)
-        v = x[:, key] if key < dim else aggs[key - dim]
+        v = x[:, key]
         if w != 1.0:
             v = v * w
         acc = (v + base if base else v) if acc is None else acc + v
@@ -334,21 +325,6 @@ def _floats(v) -> list[float]:
     array) as a list of floats."""
     tolist = getattr(v, "tolist", None)  # an array, read without importing numpy
     return list(map(float, v if tolist is None else tolist()))
-
-
-def _extend(v, aggregates: bool) -> list[float]:
-    """A corner of a box as floats, with the aggregate values appended
-    (summed as numpy sums a row: pairwise from eight terms on)."""
-    v = _floats(v)
-    if aggregates and v:
-        if len(v) < 8:
-            total = _sum(v)
-        else:
-            import numpy as np
-
-            total = float(np.sum(v))
-        v += [max(v), min(v), total]
-    return v
 
 
 def _bounds(base: float, terms, lo: list[float], hi: list[float]) -> tuple[float, float]:
@@ -392,8 +368,8 @@ def subset_sums(x: np.ndarray) -> np.ndarray:
 class _Node:
     """A node of a compiled program: 'and' / 'or' (the columns of their
     comparisons, then their other children cheapest first by a static count
-    of the comparisons a point costs), 'not', 'desc', 'const', 'in' (grouped
-    membership) or 'splits'.  A junction is `masked` when its subtree holds
+    of the comparisons a point costs), 'not', 'in' (grouped membership) or
+    'splits'.  A junction is `masked` when its subtree holds
     only comparisons: it then runs over its parent's whole batch under a
     mask of live rows instead of on a gathered copy of them."""
 
@@ -409,23 +385,24 @@ class _Node:
 class _Program:
     """A region compiled for one catalog and one point dimension.
 
-    Comparisons become numbered columns of compiled forms.  `not` is pushed
-    down to the atoms (a negated comparison flips its relation), membership
-    without groups is inlined and nested and/or nodes of the same kind are
-    merged.  Structural errors raise here; parameters are bound per call.
+    Comparisons become numbered columns of compiled forms, with tsum, tmin,
+    tmax and descending written out at this dimension (`_comparison`) and
+    true / false as the empty and / or.  `not` is pushed down to the atoms
+    (a negated comparison flips its relation), membership without groups is
+    inlined and nested and/or nodes of the same kind are merged.  Structural
+    errors raise here; parameters are bound per call.
     """
 
     def __init__(self, spec: RegionSpec, catalog, dim: int):
         self.spec, self.dim = spec, dim
         self.columns: list[tuple] = []  # (relation, lhs, rhs) compiled forms
-        self.atoms: list[Comparison] = []  # the comparison of each column, as written
+        self.forms: list[tuple] = []  # (lhs, rhs) of each column, as rational forms
         self.rows: dict[int, tuple] = {}  # exact rows of columns, made on first use
-        self.aggregates = False
         self.root = self._junction("and", [self._compile(spec.tree, catalog, False, {spec.name})])
 
     def _compile(self, tree: BoolNode, catalog, neg: bool, seen: set) -> _Node:
         if tree.op == "const":
-            return _Node("const", arg=tree.value != neg)
+            return self._junction("and" if tree.value != neg else "or", [])
         if tree.op == "not":
             return self._compile(tree.children[0], catalog, not neg, seen)
         if tree.op in ("and", "or"):
@@ -436,51 +413,74 @@ class _Program:
         if isinstance(atom, Comparison):
             if atom.rel not in _OPS:
                 raise RegionError(f"bad relation {atom.rel!r}")
-            rel = _NEGATED[atom.rel] if neg else atom.rel
-            self.columns.append((rel, _compiled(atom.lhs, self.dim), _compiled(atom.rhs, self.dim)))
-            self.atoms.append(atom)
-            self.aggregates |= bool(atom.lhs.specials or atom.rhs.specials)
-            return _Node("col", arg=len(self.columns) - 1)
+            return self._comparison(_NEGATED[atom.rel] if neg else atom.rel, atom.lhs, atom.rhs)
         if isinstance(atom, Descending):
-            node = _Node("desc")
-        elif not isinstance(atom, (Membership, Splits)):
+            t = [AffineForm.make(vars={i: 1}) for i in range(1, self.dim + 1)]
+            pairs = [self._comparison("<=" if neg else ">", a, b) for a, b in zip(t, t[1:])]
+            return self._junction("or" if neg else "and", pairs)
+        if not isinstance(atom, (Membership, Splits)):
             raise RegionError(f"bad atom {atom!r}")
-        else:
-            target = catalog.region(atom.region)
-            width = 2 if isinstance(atom, Splits) else len(atom.groups) or self.dim
-            if target.dimension is not None and width > target.dimension:
-                raise RegionError(
-                    f"region {target.name} has dimension {target.dimension}, got {width}")
-            if isinstance(atom, Splits):
-                k = self.dim + (atom.append is not None)
-                if k > MAX_SPLIT:
-                    raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} coordinates")
-                if atom.append is None:
-                    append = None
-                elif atom.append.vars or atom.append.specials:
-                    raise RegionError("form references point variables; scalar context")
-                else:
-                    append = _compiled(atom.append, 0)
-                prog = _program(target, catalog, 2)
-                node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append, atom.append))
-            elif not atom.groups:
-                if target.name in seen:
-                    raise RegionError(f"region {target.name} refers to itself")
-                return self._compile(target.tree, catalog, neg, seen | {target.name})
+        target = catalog.region(atom.region)
+        width = 2 if isinstance(atom, Splits) else len(atom.groups) or self.dim
+        if target.dimension is not None and width > target.dimension:
+            raise RegionError(f"region {target.name} has dimension {target.dimension}, got {width}")
+        if isinstance(atom, Splits):
+            k = self.dim + (atom.append is not None)
+            if k > MAX_SPLIT:
+                raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} coordinates")
+            if atom.append is None:
+                append = None
+            elif atom.append.vars or atom.append.specials:
+                raise RegionError("form references point variables; scalar context")
             else:
-                for i in (i for grp in atom.groups for i in grp if i > self.dim):
-                    raise RegionError(f"group index t{i} out of range")
-                prog = _program(target, catalog, width)
-                groups = tuple(tuple(i - 1 for i in grp) for grp in atom.groups)
-                node = _Node("in", width + prog.root.cost, arg=(groups, prog))
+                append = _compiled(atom.append, 0)
+            prog = _program(target, catalog, 2)
+            node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append, atom.append))
+        elif not atom.groups:
+            if target.name in seen:
+                raise RegionError(f"region {target.name} refers to itself")
+            return self._compile(target.tree, catalog, neg, seen | {target.name})
+        else:
+            for i in (i for grp in atom.groups for i in grp if i > self.dim):
+                raise RegionError(f"group index t{i} out of range")
+            prog = _program(target, catalog, width)
+            groups = tuple(tuple(i - 1 for i in grp) for grp in atom.groups)
+            node = _Node("in", width + prog.root.cost, arg=(groups, prog))
         return _Node("not", 0.0, children=[node]) if neg else node
+
+    def _comparison(self, rel: str, lhs: AffineForm, rhs: AffineForm) -> _Node:
+        """lhs rel rhs as columns.  tsum becomes t1 + ... + tk.  A w*tmin or
+        w*tmax term becomes the comparison at each t_j in its place, joined
+        by `and` when the term must keep the relation at every j and by `or`
+        when at some j: a tmax that raises the side the relation keeps
+        smaller, or a tmin that lowers it, must keep it at every j.  Several
+        such terms nest.  The sides stay apart, as the box test bounds each
+        on its own."""
+        sides = [lhs, rhs]
+        for s, form in enumerate(sides):
+            for name, w in form.specials:
+                rest = AffineForm(form.const, form.params, form.vars,
+                                  tuple(x for x in form.specials if x[0] != name))
+                if name == "tsum":
+                    sides[s] = rest + AffineForm.make(vars=dict.fromkeys(range(1, self.dim + 1), w))
+                    return self._comparison(rel, *sides)
+                raises = (w > 0) == (s == (rel in (">", ">=")))
+                alts = []
+                for j in range(1, self.dim + 1):
+                    sides[s] = rest + AffineForm.make(vars={j: w})
+                    alts.append(self._comparison(rel, *sides))
+                return self._junction("and" if raises == (name == "tmax") else "or", alts)
+        self.columns.append((rel, _compiled(lhs, self.dim), _compiled(rhs, self.dim)))
+        self.forms.append((lhs, rhs))
+        return _Node("col", arg=len(self.columns) - 1)
 
     def exact(self, c: int) -> tuple:
         """Column c with the catalog's rational coefficients: its relation and
-        lhs - rhs as (constant, ((param, w), ...), ((key, w), ...))."""
+        lhs - rhs as (constant, ((param, w), ...), ((i - 1, w), ...))."""
         row = self.rows.get(c)
         if row is None:
-            form = self.atoms[c].lhs - self.atoms[c].rhs
+            lhs, rhs = self.forms[c]
+            form = lhs - rhs
             row = self.rows[c] = (self.columns[c][0], form.const, form.params,
                                   _terms(form, self.dim, Fraction))
         return row
@@ -544,12 +544,12 @@ class _Bound:
             # other child: a masked clause over all rows of x, anything else
             # on a copy of the rows it can still change.
             is_and = kind == "and"
-            out, aggs = np.full(len(x), is_and), [None] * len(SPECIALS)
+            out = np.full(len(x), is_and)
             for i, c in enumerate(node.cols):
                 if i and not self._undecided(out, is_and, live).any():
                     return out
                 rel, lbase, lterms, rbase, rterms = self.column(c)
-                v = _OPS[rel](_values(lbase, lterms, x, aggs), _values(rbase, rterms, x, aggs))
+                v = _OPS[rel](_values(lbase, lterms, x), _values(rbase, rterms, x))
                 if is_and:
                     out &= v
                 else:
@@ -568,10 +568,6 @@ class _Bound:
             return out
         if kind == "not":
             return ~self._run(node.children[0], x)
-        if kind == "desc":
-            return rowwise(np.logical_and, x[:, :-1] > x[:, 1:])
-        if kind == "const":
-            return np.full(len(x), node.arg)
         if kind == "in":
             groups, prog = node.arg
             cols = [np.zeros(len(x)) for _ in groups]
@@ -614,10 +610,9 @@ class _Bound:
         rationals, and what stays undecided is a residual over those rows.
         So every verdict is exact.
         """
+        lo, hi = _floats(lo), _floats(hi)
         mag = 0.0 if ex is None else 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
-        agg = self.prog.aggregates
-        return self._walk(self.prog.root, _extend(lo, agg), _extend(hi, agg), None, ex or _Float,
-                          mag)
+        return self._walk(self.prog.root, lo, hi, None, ex or _Float, mag)
 
     def _walk(self, node: _Node, lo: list[float], hi: list[float], sub, ex, mag: float):
         """decide at node, over the variables sub maps to the box's
@@ -654,29 +649,14 @@ class _Bound:
             return ex.fold(kind, items)
         if kind == "not":
             return ex.negate(self._walk(node.children[0], lo, hi, sub, ex, mag))
-        if kind == "desc":
-            m, items = MARGIN * (1.0 + 2.0 * mag) if mag else 0.0, []
-            for i in range(self.prog.dim - 1):
-                if lo[i] > hi[i + 1] + m:
-                    continue
-                if hi[i] + m <= lo[i + 1]:
-                    return False
-                items.append(ex.decide(ex.descent(i, sub)))
-            return ex.fold("and", items)
-        if kind == "const":
-            return node.arg
         if kind == "in":
             groups, prog = node.arg
             glo = [_sum(lo[i] for i in g) for g in groups]
             ghi = [_sum(hi[i] for i in g) for g in groups]
             if mag:
                 mag = max(mag, 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
-            agg = prog.aggregates
-            return self.sub(prog)._walk(prog.root, _extend(glo, agg), _extend(ghi, agg),
-                                        ("in", node, sub), ex, mag)
+            return self.sub(prog)._walk(prog.root, glo, ghi, ("in", node, sub), ex, mag)
         prog, append, _ = node.arg
-        dim = self.prog.dim
-        lo, hi = lo[:dim], hi[:dim]
         if append is not None:
             extra = self.base(append)
             lo, hi, mag = lo + [extra], hi + [extra], mag and mag + abs(extra)
@@ -684,11 +664,10 @@ class _Bound:
 
         sums = subset_sums(np.array([lo, hi])).tolist()
         total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
-        target, agg, items = self.sub(prog), prog.aggregates, []
+        target, items = self.sub(prog), []
         for mask, (s_lo, s_hi) in enumerate(zip(*sums)):
-            v = target._walk(prog.root, _extend((s_lo, total_lo - s_hi), agg),
-                             _extend((s_hi, total_hi - s_lo), agg),
-                             ("splits", mask, dim, node, sub), ex, mag)
+            v = target._walk(prog.root, [s_lo, total_lo - s_hi], [s_hi, total_hi - s_lo],
+                             ("splits", mask, node, sub), ex, mag)
             if v is True:
                 return v
             items.append(v)
@@ -723,7 +702,7 @@ class _Float:
     def negate(v):
         return None if v is None else not v
 
-    row = descent = decide = staticmethod(lambda *_: None)
+    row = decide = staticmethod(lambda *_: None)
 
 
 def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:

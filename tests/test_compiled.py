@@ -1,8 +1,11 @@
 """Properties of the compiled region programs: the subset-sum and row
-helpers, the sorting network, batch invariance of point evaluation and
-soundness and monotonicity of the box test."""
+helpers, the sorting network, batch invariance of point evaluation,
+soundness and monotonicity of the box test, and the compiled form of
+tsum, tmin, tmax and descending."""
 
 import functools
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,3 +340,124 @@ def test_splits_matches_per_mask_reference(name, dim):
         want |= target.eval(np.stack([s, total - s], axis=1), vals, CAT)
     assert 0 < want.sum() < len(x)
     assert np.array_equal(CAT.region(name).eval(x, vals, CAT), want)
+
+
+# Regions written with tsum, tmin, tmax, descending, true and false, and the
+# same regions with those written out by hand.  Constants, coordinates and
+# box corners are multiples of 1/64 and coefficients multiples of 1/2, so
+# every float sum is exact and a point often lies on a comparison's boundary.
+_RELS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_SIXTY_FOURTHS = st.integers(-8, 8) | st.integers(-64, 64)
+_HALVES = st.sampled_from([Fraction(n, 2) for n in (-4, -3, -2, -1, 1, 2, 3, 4)])
+
+
+@st.composite
+def _generic_trees(draw, k):
+    """A boolean tree of comparisons, descending, true and false, over k
+    coordinates: ("cmp", lhs, rel, rhs) with each side (constant, {symbol:
+    coefficient}), ("desc",), ("true",), ("false",), ("not", x) or
+    ("and" | "or", [x, y])."""
+    symbols = st.sampled_from(["tsum", "tmin", "tmax"]) | st.sampled_from(
+        [f"t{i}" for i in range(1, k + 1)])
+    sides = st.tuples(_SIXTY_FOURTHS.map(lambda n: Fraction(n, 64)),
+                      st.dictionaries(symbols, _HALVES, max_size=3))
+    comparisons = st.tuples(st.just("cmp"), sides, st.sampled_from(sorted(_RELS)), sides)
+    atoms = comparisons | comparisons | st.sampled_from([("desc",), ("true",), ("false",)])
+    return draw(st.recursive(atoms, lambda kids: kids.map(lambda x: ("not", x))
+                             | st.tuples(st.sampled_from(["and", "or"]),
+                                         st.lists(kids, min_size=2, max_size=2)),
+                             max_leaves=4))
+
+
+def _side_text(side, k, hand):
+    const, terms = side
+    out = f"{const.numerator}/{const.denominator}"
+    for name, w in terms.items():
+        if hand and name == "tsum":
+            name = "(" + " + ".join(f"t{i}" for i in range(1, k + 1)) + ")"
+        out += f" {'-' if w < 0 else '+'} {abs(w.numerator)}*{name}/{w.denominator}"
+    return out
+
+
+def _written_out(lhs, rel, rhs, k):
+    """The comparison with each tmax and tmin replaced by every coordinate
+    in turn, lhs first and tmax before tmin: joined by `and` when a larger
+    extreme makes the comparison harder to hold for tmax, or easier for
+    tmin, and by `or` otherwise."""
+    for s, (const, terms) in enumerate((lhs, rhs)):
+        for name in ("tmax", "tmin"):
+            if name in terms:
+                w, rest = terms[name], {n: c for n, c in terms.items() if n != name}
+                harder = (w > 0) == ((s == 0) == (rel in ("<", "<=")))
+                alts = []
+                for j in range(1, k + 1):
+                    sub = (const, {**rest, f"t{j}": rest.get(f"t{j}", 0) + w})
+                    alts.append(_written_out(*((sub, rel, rhs) if s == 0 else (lhs, rel, sub)), k))
+                return "(" + (" and " if harder == (name == "tmax") else " or ").join(alts) + ")"
+    return f"{_side_text(lhs, k, True)} {rel} {_side_text(rhs, k, True)}"
+
+
+def _tree_text(tree, k, hand):
+    kind = tree[0]
+    if kind == "cmp":
+        return _written_out(*tree[1:], k) if hand else \
+            f"{_side_text(tree[1], k, False)} {tree[2]} {_side_text(tree[3], k, False)}"
+    if kind == "desc":
+        if not hand:
+            return "descending"
+        return "(" + " and ".join(f"t{i} > t{i + 1}" for i in range(1, k)) + ")" if k > 1 \
+            else "0 <= 0"
+    if kind in ("true", "false"):
+        return kind if not hand else "0 <= 0" if kind == "true" else "0 < 0"
+    if kind == "not":
+        return f"not ({_tree_text(tree[1], k, hand)})"
+    return "(" + f" {kind} ".join(_tree_text(c, k, hand) for c in tree[1]) + ")"
+
+
+def _truth(tree, x):
+    """The tree at the point x of Fractions, in rationals."""
+    kind = tree[0]
+    if kind == "cmp":
+        _, lhs, rel, rhs = tree
+        value = {"tsum": sum(x), "tmin": min(x), "tmax": max(x),
+                 **{f"t{i}": v for i, v in enumerate(x, 1)}}
+        lv, rv = (c + sum(w * value[n] for n, w in t.items()) for c, t in (lhs, rhs))
+        return _RELS[rel](lv, rv)
+    if kind == "desc":
+        return all(a > b for a, b in zip(x, x[1:]))
+    if kind in ("true", "false"):
+        return kind == "true"
+    if kind == "not":
+        return not _truth(tree[1], x)
+    return (all if kind == "and" else any)(_truth(c, x) for c in tree[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generic_atoms_compile_as_written_out(data):
+    # eval and contains give the exact verdicts of both regions at grid
+    # points; definitely and BoxTest give the same verdict on both regions
+    # for a grid box, and a decided verdict holds at grid points in it
+    k = data.draw(st.integers(1, 9))
+    tree = data.draw(_generic_trees(k))
+    cat = loads("".join(f"region {name} dim={k}\n  where {_tree_text(tree, k, hand)}\nend\n"
+                        for name, hand in (("A", False), ("B", True))))
+    regions = cat.region("A"), cat.region("B")
+    grid = st.lists(_SIXTY_FOURTHS, min_size=k, max_size=k)
+    points = [data.draw(grid) for _ in range(6)]
+    want = [_truth(tree, [Fraction(n, 64) for n in p]) for p in points]
+    x = np.array(points) / 64
+    for region in regions:
+        assert region.eval(x, {}, cat).tolist() == want
+        assert [contains(region, p, {}, cat) for p in x] == want
+    for _ in range(2):
+        lo, hi = zip(*(sorted(p) for p in zip(data.draw(grid), data.draw(grid))))
+        inner = [data.draw(st.tuples(*(st.integers(a, b) for a, b in zip(lo, hi))))
+                 for _ in range(4)]
+        truths = {_truth(tree, [Fraction(n, 64) for n in p]) for p in (lo, hi, *inner)}
+        lo, hi = np.array(lo) / 64, np.array(hi) / 64
+        fast = [definitely(r, lo, hi, {}, cat) for r in regions]
+        exact = [BoxTest(r, k, {}, cat)(lo.tolist(), hi.tolist()) for r in regions]
+        assert fast[0] is fast[1] and exact[0] is exact[1]
+        for verdict in (fast[0], exact[0]):
+            assert verdict is None or truths == {verdict}

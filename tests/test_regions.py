@@ -73,18 +73,22 @@ def test_affine_linearity():
 
 
 def test_affine_interval_bounds_sound():
-    # the compiled interval bounds the box test judges a column by
+    # the compiled interval bounds the box test judges a column by: each
+    # side of each column, with tsum, tmin and tmax written out, over the box
     rng = random.Random(9)
-    f = aff("1 - 2*theta + 3*t1 - t2 + tsum/2")
+    cat = loads("region A dim=2\n  where 1 - 2*theta + 3*t1 - t2 + tsum/2 < tmax - tmin/4\nend\n")
     params = {"theta": 0.51}
+    exact_params = {"theta": Fraction(params["theta"])}
     lo, hi = [0.1, 0.2], [0.3, 0.5]
-    const, weights, terms = regions._compiled(f, 2)
-    a, b = regions._bounds(regions._base(const, weights, params), terms,
-                           regions._extend(lo, True), regions._extend(hi, True))
-    for _ in range(200):
-        x = [Fraction(rng.uniform(0.1, 0.3)), Fraction(rng.uniform(0.2, 0.5))]
-        v = exact_value(f, {"theta": Fraction(params["theta"])}, x)
-        assert a - 1e-12 <= v <= b + 1e-12
+    prog = regions._program(cat.region("A"), cat, 2)
+    assert len(prog.columns) == 4  # one for each coordinate tmax and tmin may take
+    for (_, *sides), forms in zip(prog.columns, prog.forms):
+        for (const, weights, terms), form in zip(sides, forms):
+            assert not form.specials
+            a, b = regions._bounds(regions._base(const, weights, params), terms, lo, hi)
+            for _ in range(100):
+                x = [Fraction(rng.uniform(0.1, 0.3)), Fraction(rng.uniform(0.2, 0.5))]
+                assert a - 1e-12 <= exact_value(form, exact_params, x) <= b + 1e-12
 
 
 # ---------------------------------------------------------------------------

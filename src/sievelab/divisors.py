@@ -7,8 +7,9 @@ the subset enumeration decides it exactly at every scale.
 
 The signed count below sqrt(n) walks the subsets depth first in index
 order, in pure Python.  Each subset it reaches is summed left to right from
-0.0, as `regions.subset_sums` sums it, so its sum is bitwise the entry of
-the full 2^k table.  A branch is cut only where every subset below it is
+0.0, as `regions.subset_sums` sums it, so its sum is bitwise the subset's
+row of the full (2^k, 1) table that `subset_sums` makes of the alphas as
+one (k, 1) column.  A branch is cut only where every subset below it is
 decided with no tie: its partial sum is already above 1/2, or every
 extension stays below 1/2 and their signs cancel.  Every subset within
 TIE_TOL of 1/2 is still reached, so the count and the DegeneracyError are

@@ -13,15 +13,20 @@ tsum out as t1 + ... + tk, a comparison with tmin or tmax as a junction of
 the comparison at each coordinate, descending as the comparisons
 t_i > t_(i+1), and true / false as the empty and / or.  Two walkers run
 the program.  One gives membership of a batch of points, vectorised over
-(N, k) arrays.  The other, `_Bound.decide`, is the box test: a
-three-valued verdict over an axis-aligned box from float interval bounds.
-Its float mode leaves an atom the bounds do not decide undecided (None);
-its exact mode, given an `exact.BoxTest`, trusts the bounds only beyond a
-rounding margin and leaves the residual of the box: the atoms it leaves
-undecided, as exact rational rows, which the `BoxTest` refutes.  In a
-batch, a nested clause that holds nothing but comparisons runs over all
-rows under a mask of the rows its parent has not decided; `in` and
-`splits` children run on a copy of those rows alone.
+a coordinate-major (k, N) copy of the (N, k) batch.  The other,
+`_Bound.decide`, is the box test: a three-valued verdict over an
+axis-aligned box from float interval bounds.  Its float mode leaves an
+atom the bounds do not decide undecided (None); its exact mode, given an
+`exact.BoxTest`, trusts the bounds only beyond a rounding margin and
+leaves the residual of the box: the atoms it leaves undecided, as exact
+rational rows, which the `BoxTest` refutes.
+
+`_Bound.eval` copies each chunk of a batch once, as float64, into a
+(k, N) array, so a coordinate is one contiguous row.  Every comparison
+reads whole rows, and a gather of points takes the same columns of every
+row.  A nested clause that holds nothing but comparisons runs over all
+points under a mask of the points its parent has not decided; `in` and
+`splits` children run on a copy of those points alone.
 
 Only the batch walker needs numpy, and it, `rowwise`, `subset_sums`,
 `RegionSpec.box` and `partitions_into` import it where they run.  The box
@@ -30,12 +35,10 @@ point is a box with equal corners) loads no numpy; only a `splits` atom
 does.  `subset_sums` serves the `splits` atom alone, in both walkers;
 `divisors` enumerates its subsets without it, in pure Python.
 
-Reductions along the rows of a batch (a bipartition's total, and the
-quadrature's weights) go through `rowwise`.  numpy reduces a short row
-slowly, so `rowwise` folds fewer than eight columns one column at a time
-in index order, which gives numpy's own bits: numpy adds and multiplies a
-row of fewer than eight terms left to right.  From eight columns on numpy
-sums pairwise, and its reduction is used.
+Sums over the coordinates of a point add them left to right, as numpy
+reduces a row of fewer than eight terms.  Only a bipartition's total
+keeps numpy's row reduction, which adds eight or more terms pairwise:
+it is reduced over a row-major copy when k >= 8.
 """
 
 from __future__ import annotations
@@ -292,12 +295,14 @@ def _base(const: float, weights, params: dict[str, float]) -> float:
 
 
 def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(x, axis=1), bit for bit, for an (n, k) array.
+    """ufunc.reduce(x, axis=1), bit for bit, for an (n, k) array: the
+    quadrature's weights, and a bipartition's total.
 
-    Fewer than eight columns are folded one at a time in index order, from
-    the ufunc's identity when it has one, as numpy reduces such a row; the
-    fold runs over whole columns and is many times faster.  From eight
-    columns on numpy adds pairwise, so its reduction is used.
+    numpy reduces a short row slowly, so fewer than eight columns are
+    folded one at a time in index order, from the ufunc's identity when it
+    has one, as numpy reduces such a row; the fold runs over whole columns
+    and is many times faster.  From eight columns on numpy adds a C-ordered
+    row pairwise, so its reduction is used.
     """
     k = x.shape[1]
     if not 0 < k < 8:
@@ -309,11 +314,12 @@ def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
 
 
 def _values(base: float, terms, x: np.ndarray):
-    """A form at every row of x: base, then each term in order.  Multiplying
-    by 1 and adding a zero base are skipped; neither changes a value."""
+    """A form at every point of a (k, n) x: base, then each term in order.
+    Multiplying by 1 and adding a zero base are skipped; neither changes a
+    value."""
     acc = None
     for key, w in terms:
-        v = x[:, key]
+        v = x[key]
         if w != 1.0:
             v = v * w
         acc = (v + base if base else v) if acc is None else acc + v
@@ -349,19 +355,19 @@ def _sum(values) -> float:
 
 
 def subset_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over every subset of the columns of an (n, k) array, as (n, 2**k):
+    """Sums over every subset of the rows of a (k, n) array, as (2**k, n):
     the bipartitions a `splits` atom searches.
 
-    Column m sums the columns whose bits are set in m, added in index order
-    by doubling, so each sum equals x[:, bits].sum(axis=1) bit for bit while
+    Row m sums the rows whose bits are set in m, added in index order by
+    doubling, so each sum equals x[bits].T.sum(axis=1) bit for bit while
     fewer than eight terms are summed (numpy sums eight or more pairwise).
     """
     import numpy as np
 
-    n, k = x.shape
-    out = np.zeros((n, 1 << k))
+    k, n = x.shape
+    out = np.zeros((1 << k, n))
     for i in range(k):
-        np.add(out[:, : 1 << i], x[:, i, None], out=out[:, 1 << i : 2 << i])
+        np.add(out[: 1 << i], x[i], out=out[1 << i : 2 << i])
     return out
 
 
@@ -369,9 +375,9 @@ class _Node:
     """A node of a compiled program: 'and' / 'or' (the columns of their
     comparisons, then their other children cheapest first by a static count
     of the comparisons a point costs), 'not', 'in' (grouped membership) or
-    'splits'.  A junction is `masked` when its subtree holds
-    only comparisons: it then runs over its parent's whole batch under a
-    mask of live rows instead of on a gathered copy of them."""
+    'splits'.  A junction is `masked` when its subtree holds only
+    comparisons: it then runs over all the points of its parent's batch
+    under a mask of the live ones instead of on a gathered copy of them."""
 
     __slots__ = ("kind", "cols", "children", "arg", "cost", "masked")
 
@@ -531,20 +537,21 @@ class _Bound:
         if len(x) > CHUNK_ROWS:
             chunks = range(0, len(x), CHUNK_ROWS)
             return np.concatenate([self.eval(x[i : i + CHUNK_ROWS]) for i in chunks])
-        return self._run(self.prog.root, x)
+        return self._run(self.prog.root, np.ascontiguousarray(x.T, dtype=float))
 
     def _run(self, node: _Node, x: np.ndarray, live=None) -> np.ndarray:
-        """Verdicts of node on the rows of x; only the rows where the mask
-        live is set (all rows when it is None) count, the others are junk."""
+        """Verdicts of node on the points of a (k, n) x, one per column;
+        only the points where the mask live is set (all when it is None)
+        count, the others are junk."""
         import numpy as np
 
         kind = node.kind
         if kind == "and" or kind == "or":
-            # Comparisons in order while a live row is undecided, then each
-            # other child: a masked clause over all rows of x, anything else
-            # on a copy of the rows it can still change.
+            # Comparisons in order while a live point is undecided, then each
+            # other child: a masked clause over all points of x, anything
+            # else on a copy of the points it can still change.
             is_and = kind == "and"
-            out = np.full(len(x), is_and)
+            out = np.full(x.shape[1], is_and)
             for i, c in enumerate(node.cols):
                 if i and not self._undecided(out, is_and, live).any():
                     return out
@@ -560,7 +567,7 @@ class _Bound:
                     break
                 if not child.masked:
                     rows = np.flatnonzero(todo)
-                    out[rows] = self._run(child, x[rows])
+                    out[rows] = self._run(child, np.take(x, rows, axis=1))
                 elif is_and:
                     out &= self._run(child, x, todo)
                 else:
@@ -570,15 +577,14 @@ class _Bound:
             return ~self._run(node.children[0], x)
         if kind == "in":
             groups, prog = node.arg
-            cols = [np.zeros(len(x)) for _ in groups]
-            for col, grp in zip(cols, groups):
+            sums = np.zeros((len(groups), x.shape[1]))
+            for row, grp in zip(sums, groups):
                 for i in grp:
-                    col += x[:, i]
-            return self.sub(prog).eval(np.stack(cols, axis=1))
+                    row += x[i]
+            return self.sub(prog)._run(prog.root, sums)
         prog, append, _ = node.arg
         if append is not None:
-            extra = np.full((len(x), 1), self.base(append))
-            x = np.concatenate([x, extra], axis=1)
+            x = np.concatenate([x, np.full((1, x.shape[1]), self.base(append))])
         return _bipartition_hits(x, self.sub(prog))
 
     @staticmethod
@@ -662,10 +668,10 @@ class _Bound:
             lo, hi, mag = lo + [extra], hi + [extra], mag and mag + abs(extra)
         import numpy as np
 
-        sums = subset_sums(np.array([lo, hi])).tolist()
+        sums = subset_sums(np.array([lo, hi]).T).tolist()
         total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
         target, items = self.sub(prog), []
-        for mask, (s_lo, s_hi) in enumerate(zip(*sums)):
+        for mask, (s_lo, s_hi) in enumerate(sums):
             v = target._walk(prog.root, [s_lo, total_lo - s_hi], [s_hi, total_hi - s_lo],
                              ("splits", mask, node, sub), ex, mag)
             if v is True:
@@ -706,32 +712,36 @@ class _Float:
 
 
 def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
-    """Rows of x with a bipartition (I, J) of their coordinates such that
-    (sum_I, sum_J) lies in the bound two-dimensional target.
+    """Points of a (k, n) x with a bipartition (I, J) of their coordinates
+    such that (sum_I, sum_J) lies in the bound two-dimensional target.
 
-    Masks run in blocks of about BLOCK_PAIRS / rows: the low bits of a mask
-    index a subset-sum table, the high bits are added on top in index order,
-    and rows that found a bipartition are dropped between blocks.  The pairs
-    (sum_I, sum_J) are the columns of the transpose of a (2, pairs) buffer,
-    so the target reads each coordinate contiguously.
+    Masks run in blocks of about BLOCK_PAIRS / points: the low bits of a
+    mask index a (2**j, n) subset-sum table, the high bits are added on top
+    in index order, and points that found a bipartition are dropped between
+    blocks.  The pairs (sum_I, sum_J) of a block are the columns of one
+    (2, 2**j * n) buffer, mask-major, which the target reads as its batch.
     """
     import numpy as np
 
-    n, k = x.shape
-    total, hit, live = rowwise(np.add, x), np.zeros(n, dtype=bool), np.arange(n)
+    k, n = x.shape
+    total = rowwise(np.add, x.T if k < 8 else np.ascontiguousarray(x.T))
+    hit, live = np.zeros(n, dtype=bool), np.arange(n)
     j = min(k, max(0, (BLOCK_PAIRS // max(n, 1)).bit_length() - 1))
-    low = subset_sums(x[:, :j])
+    low, rest = subset_sums(x[:j]), x[j:]
     for high in range(1 << (k - j)):
         sums = low
         for b in (b for b in range(k - j) if high >> b & 1):
-            sums = sums + x[live, j + b][:, None]
+            sums = sums + rest[b]
         pairs = np.empty((2,) + sums.shape)
         pairs[0] = sums
-        np.subtract(total[live][:, None], sums, out=pairs[1])
-        found = target.eval(pairs.reshape(2, -1).T).reshape(sums.shape).any(axis=1)
+        np.subtract(total, sums, out=pairs[1])
+        v = target._run(target.prog.root, pairs.reshape(2, -1))
+        found = np.logical_or.reduce(v.reshape(sums.shape), axis=0)
         if found.any():
             hit[live[found]] = True
-            live, low = live[~found], low[~found]
+            keep = np.flatnonzero(~found)
+            live, total = live[keep], total[keep]
+            low, rest = low.take(keep, axis=1), rest.take(keep, axis=1)
             if not live.size:
                 break
     return hit
@@ -853,8 +863,8 @@ def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catal
     """Exists-bipartition of the alpha entries landing in the 2-d region."""
     import numpy as np
 
-    x = np.asarray(alpha, dtype=float).reshape(1, -1)
-    if x.shape[1] > MAX_SPLIT:
+    x = np.asarray(alpha, dtype=float).reshape(-1, 1)
+    if len(x) > MAX_SPLIT:
         raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} entries")
     if region2d.dimension not in (2, None):
         raise RegionError("partition target must be two-dimensional")

@@ -56,14 +56,15 @@ def draw(rng, spec, lo, hi, n):
     )
 )
 def test_subset_sums_equal_numpy_sums(x):
-    # Equal as floats, so bit for bit up to the sign of a zero.
+    # Equal as floats, so bit for bit up to the sign of a zero.  The table
+    # is coordinate-major: it takes the (k, n) transpose of the rows.
     n, k = x.shape
-    table = subset_sums(x)
-    assert table.shape == (n, 1 << k)
+    table = subset_sums(x.T)
+    assert table.shape == (1 << k, n)
     for mask in range(1 << k):
         sel = [i for i in range(k) if mask >> i & 1]
         want = x[:, sel].sum(axis=1) if sel else np.zeros(n)
-        assert (table[:, mask] == want).all(), (mask, sel)
+        assert (table[mask] == want).all(), (mask, sel)
 
 
 def bits(a):
@@ -119,6 +120,22 @@ def test_batch_invariance_across_chunks(name):
     whole = region.eval(x, vals, CAT)
     rows = np.concatenate([region.eval(x[i : i + 97], vals, CAT) for i in range(0, len(x), 97)])
     assert np.array_equal(whole, rows)
+
+
+def test_eval_is_float64_in_any_layout():
+    # 0.75 + (0.25 - 2**-26) is below 1 in float64 but rounds to 1 in
+    # float32, so a float32 evaluation would put this point outside.
+    point = np.array([[0.75, 0.25 - 2.0**-26]], dtype=np.float32)
+    simplex2 = CAT.region("simplex2")
+    assert contains(simplex2, point[0], {}, CAT)
+    assert simplex2.eval(point, {}, CAT).tolist() == [True]
+    rng = np.random.default_rng(11)
+    for name in sorted(SAMPLED):
+        spec, region, vals, lo, hi = setting(name)
+        x = draw(rng, spec, lo, hi, 601)
+        for y in (x, np.asfortranarray(x), x[::2], x.astype(np.float32)):
+            want = region.eval(np.array(y, dtype=np.float64, order="C"), vals, CAT)
+            assert np.array_equal(region.eval(y, vals, CAT), want), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,19 +343,36 @@ def test_float_and_exact_box_tests_agree(name, theta, seed, corner, width):
     assert inside.all() if exact else not inside.any()
 
 
-@pytest.mark.parametrize("name,dim", [("GG", 3), ("GG", 5), ("V_nofloor", 4)])
-def test_splits_matches_per_mask_reference(name, dim):
+@pytest.mark.parametrize("name,dim,rows", [
+    pytest.param("GG", 3, 1 << 13, id="GG-3"),
+    pytest.param("GG", 5, 1 << 13, id="GG-5"),
+    pytest.param("V_nofloor", 4, 1 << 13, id="V_nofloor-4"),
+    *(("GG", dim, rows) for dim in (8, 9) for rows in (1, 100, 5000, 9000, 40000)),
+])
+def test_splits_matches_per_mask_reference(name, dim, rows):
     # Enough rows that masks run in several blocks and rows are dropped
-    # between them; the reference tries every mask on every row.
+    # between them; the reference tries every mask on every row.  The row
+    # counts from 1 to 40,000 take the first block's low-bit count from k
+    # down to 0 and cross CHUNK_ROWS.  From 8 coordinates on numpy sums a
+    # row pairwise, which is the total the reference takes: two coordinates
+    # summing to just below theta and the rest a few ulps each put
+    # t1 + t2 = theta, a boundary of g3, g4 and g5, within an ulp or two of
+    # either total.
     vals = ThetaParams(0.52).values()
-    x = np.random.default_rng(dim).random((1 << 13, dim)) * (0.8 / dim)
+    rng = np.random.default_rng(dim)
+    if dim < 8:
+        x = rng.random((rows, dim)) * (0.8 / dim)
+    else:
+        a = 0.2 + 0.1 * rng.random(rows)
+        x = np.column_stack([a, 0.52 - a - rng.integers(0, 4, rows) * 2.0**-54,
+                             rng.integers(0, 4, (rows, dim - 2)) * 2.0**-56])
     target = CAT.region("gunion" if name == "GG" else "Tstar3")
     total = x.sum(axis=1)
     want = np.zeros(len(x), dtype=bool)
     for mask in range(1 << dim):
         s = x[:, [i for i in range(dim) if mask >> i & 1]].sum(axis=1)
         want |= target.eval(np.stack([s, total - s], axis=1), vals, CAT)
-    assert 0 < want.sum() < len(x)
+    assert rows == 1 or 0 < want.sum() < len(x)
     assert np.array_equal(CAT.region(name).eval(x, vals, CAT), want)
 
 

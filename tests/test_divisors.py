@@ -46,13 +46,13 @@ def random_pattern(rng, k):
 
 def brute_mobius(alphas):
     """Signed count of the subsets with sum below 1/2 over the full table of
-    2^k subset sums, made by doubling: the first twelve alphas by
-    `regions.subset_sums`, each later one added on top in index order, one
-    block of 4096 sums at a time.  Each sum is bitwise the doubling table's.
-    None when a sum lies within TIE_TOL of 1/2."""
-    x = np.array([alphas], dtype=float)
+    2^k subset sums, made by doubling: the first twelve alphas, as one
+    column, by `regions.subset_sums`, each later one added on top in index
+    order, one block of 4096 sums at a time.  Each sum is bitwise the
+    doubling table's.  None when a sum lies within TIE_TOL of 1/2."""
+    x = np.array(alphas, dtype=float)[:, None]
     j = min(len(alphas), 12)
-    low, signs = subset_sums(x[:, :j])[0], np.ones(1)
+    low, signs = subset_sums(x[:j])[:, 0], np.ones(1)
     for _ in range(j):
         signs = np.concatenate([signs, -signs])
     total = 0

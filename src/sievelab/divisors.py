@@ -19,7 +19,9 @@ those of the full table.  Nothing here imports numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 __all__ = [
     "FactorizationPattern",
@@ -58,7 +60,7 @@ class FactorizationPattern:
             raise ValueError(f"pattern capped at {MAX_K} factors")
         if any(a <= 0 for a in entries):
             raise ValueError("pattern entries must be positive")
-        if abs(sum(entries) - 1.0) > SUM_TOL:
+        if abs(reduce(add, entries, 0.0) - 1.0) > SUM_TOL:  # left to right
             raise ValueError("pattern entries must sum to 1")
         for a, b in zip(entries, entries[1:]):
             if a - b < 1e-9:

@@ -83,12 +83,10 @@ def nu_prime(theta: float) -> float:
 # Parameter points
 # ---------------------------------------------------------------------------
 
-DELTA_DEFAULT = 1e-100
-
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """One, two or three modulus exponents plus the small constants.
+    """One, two or three modulus exponents plus the small constant eps.
 
     theta is always the total exponent.  In two-parameter mode theta1 >=
     theta2 is required (the standard normalisation); a three-parameter point
@@ -100,7 +98,6 @@ class ThetaParams:
     theta2: float | None = None
     theta3: float | None = None
     eps: float = 0.0
-    delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
         parts = [self.theta1] + [t for t in (self.theta2, self.theta3) if t is not None]
@@ -109,7 +106,7 @@ class ThetaParams:
         for t in parts:
             if not 0 < t < 1:
                 raise ValueError("each exponent must lie in (0, 1)")
-        if not 0 < sum(parts) < 1:
+        if not 0 < self.theta < 1:
             raise ValueError("total exponent must lie in (0, 1)")
         if self.theta2 is not None and self.theta3 is None and self.theta1 < self.theta2:
             raise ValueError("two-parameter mode requires theta1 >= theta2")
@@ -131,7 +128,7 @@ class ThetaParams:
         t1, t2 = self.theta1, self.theta2 + self.theta3
         if t1 < t2:
             t1, t2 = t2, t1
-        return ThetaParams(t1, t2, eps=self.eps, delta=self.delta)
+        return ThetaParams(t1, t2, eps=self.eps)
 
     def values(self) -> dict[str, float]:
         """Evaluation dictionary for affine forms (derived values included)."""
@@ -142,7 +139,7 @@ class ThetaParams:
             "eps": self.eps,
             "eps2": self.eps * self.eps,
             # delta is an arbitrarily small positive constant; numerically 0.
-            "delta": 0.0 if self.delta <= 1e-50 else self.delta,
+            "delta": 0.0,
         }
         if self.theta2 is not None:
             out["theta2"] = self.theta2

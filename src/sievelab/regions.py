@@ -28,17 +28,17 @@ row.  A nested clause that holds nothing but comparisons runs over all
 points under a mask of the points its parent has not decided; `in` and
 `splits` children run on a copy of those points alone.
 
-Only the batch walker needs numpy, and it, `rowwise`, `subset_sums`,
-`RegionSpec.box` and `partitions_into` import it where they run.  The box
-walker works on lists of floats, so a point's membership (`contains`: a
-point is a box with equal corners) loads no numpy; only a `splits` atom
-does.  `subset_sums` serves the `splits` atom alone, in both walkers;
-`divisors` enumerates its subsets without it, in pure Python.
+Only the batch walker needs numpy, and it, `subset_sums`, `RegionSpec.box`
+and `partitions_into` import it where they run.  The box walker works on
+lists of floats, so a point's membership (`contains`: a point is a box with
+equal corners) loads no numpy; only a `splits` atom does.  `subset_sums`
+serves the `splits` atom alone, in both walkers; `divisors` enumerates its
+subsets without it, in pure Python.
 
-Sums over the coordinates of a point add them left to right, as numpy
-reduces a row of fewer than eight terms.  Only a bipartition's total
-keeps numpy's row reduction, which adds eight or more terms pairwise:
-it is reduced over a row-major copy when k >= 8.
+Every sum over the coordinates of a point adds them left to right, at
+every width and in both walkers: tsum, the group sums of `in`, and the
+subset sums and totals of `splits`.  A bipartition's total is the sum over
+its full subset, so an empty part sums to exactly 0.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "definitely",
     "partitions_into",
     "subset_sums",
-    "rowwise",
     "merge_intervals",
     "interval_contains",
 ]
@@ -294,25 +293,6 @@ def _base(const: float, weights, params: dict[str, float]) -> float:
     return const
 
 
-def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(x, axis=1), bit for bit, for an (n, k) array: the
-    quadrature's weights, and a bipartition's total.
-
-    numpy reduces a short row slowly, so fewer than eight columns are
-    folded one at a time in index order, from the ufunc's identity when it
-    has one, as numpy reduces such a row; the fold runs over whole columns
-    and is many times faster.  From eight columns on numpy adds a C-ordered
-    row pairwise, so its reduction is used.
-    """
-    k = x.shape[1]
-    if not 0 < k < 8:
-        return ufunc.reduce(x, axis=1)
-    acc = x[:, 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, x[:, 0])
-    for i in range(1, k):
-        acc = ufunc(acc, x[:, i])
-    return acc
-
-
 def _values(base: float, terms, x: np.ndarray):
     """A form at every point of a (k, n) x: base, then each term in order.
     Multiplying by 1 and adding a zero base are skipped; neither changes a
@@ -347,7 +327,7 @@ def _bounds(base: float, terms, lo: list[float], hi: list[float]) -> tuple[float
 
 
 def _sum(values) -> float:
-    """Left-to-right sum, as numpy adds columns one at a time."""
+    """Left-to-right sum; the built-in sum is compensated from Python 3.12 on."""
     acc = 0.0
     for v in values:
         acc += v
@@ -359,8 +339,7 @@ def subset_sums(x: np.ndarray) -> np.ndarray:
     the bipartitions a `splits` atom searches.
 
     Row m sums the rows whose bits are set in m, added in index order by
-    doubling, so each sum equals x[bits].T.sum(axis=1) bit for bit while
-    fewer than eight terms are summed (numpy sums eight or more pairwise).
+    doubling; the last row is the total.
     """
     import numpy as np
 
@@ -617,7 +596,7 @@ class _Bound:
         So every verdict is exact.
         """
         lo, hi = _floats(lo), _floats(hi)
-        mag = 0.0 if ex is None else 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
+        mag = 0.0 if ex is None else 1.0 + _sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
         return self._walk(self.prog.root, lo, hi, None, ex or _Float, mag)
 
     def _walk(self, node: _Node, lo: list[float], hi: list[float], sub, ex, mag: float):
@@ -660,7 +639,7 @@ class _Bound:
             glo = [_sum(lo[i] for i in g) for g in groups]
             ghi = [_sum(hi[i] for i in g) for g in groups]
             if mag:
-                mag = max(mag, 1.0 + sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
+                mag = max(mag, 1.0 + _sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
             return self.sub(prog)._walk(prog.root, glo, ghi, ("in", node, sub), ex, mag)
         prog, append, _ = node.arg
         if append is not None:
@@ -669,7 +648,7 @@ class _Bound:
         import numpy as np
 
         sums = subset_sums(np.array([lo, hi]).T).tolist()
-        total_lo, total_hi = float(np.sum(lo)), float(np.sum(hi))
+        total_lo, total_hi = sums[-1]
         target, items = self.sub(prog), []
         for mask, (s_lo, s_hi) in enumerate(sums):
             v = target._walk(prog.root, [s_lo, total_lo - s_hi], [s_hi, total_hi - s_lo],
@@ -690,8 +669,9 @@ class _Bound:
         if size is None:
             _, lhs, rhs = self.prog.columns[c]
             size = self.sizes[c] = (
-                sum(abs(f[0]) + sum(abs(w * self.params[p]) for p, w in f[1]) for f in (lhs, rhs)),
-                sum(abs(w) for f in (lhs, rhs) for _, w in f[2]))
+                _sum(abs(f[0]) + _sum(abs(w * self.params[p]) for p, w in f[1])
+                     for f in (lhs, rhs)),
+                _sum(abs(w) for f in (lhs, rhs) for _, w in f[2]))
         return MARGIN * (1.0 + size[0] + size[1] * mag)
 
 
@@ -720,14 +700,18 @@ def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
     in index order, and points that found a bipartition are dropped between
     blocks.  The pairs (sum_I, sum_J) of a block are the columns of one
     (2, 2**j * n) buffer, mask-major, which the target reads as its batch.
+    sum_J is the total less sum_I, and the total is the full mask's sum,
+    added the same way, so an empty J is exactly 0.
     """
     import numpy as np
 
     k, n = x.shape
-    total = rowwise(np.add, x.T if k < 8 else np.ascontiguousarray(x.T))
     hit, live = np.zeros(n, dtype=bool), np.arange(n)
     j = min(k, max(0, (BLOCK_PAIRS // max(n, 1)).bit_length() - 1))
     low, rest = subset_sums(x[:j]), x[j:]
+    total = low[-1]
+    for row in rest:
+        total = total + row  # not +=: low[-1] is a view of the table
     for high in range(1 << (k - j)):
         sums = low
         for b in (b for b in range(k - j) if high >> b & 1):

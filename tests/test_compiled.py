@@ -16,9 +16,8 @@ from hypothesis.extra.numpy import arrays
 from sievelab.catalog import default_catalog, loads
 from sievelab.exact import BoxTest
 from sievelab.params import ThetaParams
-from sievelab.quadrature import _descending
-from sievelab.regions import (CHUNK_ROWS, RegionError, contains, definitely, rowwise,
-                              subset_sums)
+from sievelab.quadrature import _descending, rowwise
+from sievelab.regions import CHUNK_ROWS, RegionError, contains, definitely, subset_sums
 
 CAT = default_catalog()
 
@@ -71,6 +70,12 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
+def left_to_right(columns, n):
+    """The sum of each row of the (k, n) columns, added in index order
+    from +0.0: numpy adds eight or more terms of a row pairwise."""
+    return functools.reduce(np.add, columns, np.zeros(n))
+
+
 # floats with ties and zeros of both signs
 ROW_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0]),
                          st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
@@ -80,8 +85,13 @@ ROW_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0]),
 @given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 12)),
               elements=ROW_ELEMENTS))
 def test_rowwise_equals_numpy_reductions(x):
-    for ufunc, want in ((np.add, x.sum(axis=1)), (np.multiply, x.prod(axis=1)),
-                        (np.minimum, x.min(axis=1)), (np.maximum, x.max(axis=1))):
+    # Every ufunc folds the columns in index order.  From 8 columns on
+    # numpy's reductions take another order: a sum adds pairwise, and from
+    # 9 on a minimum or maximum can pick the other zero of a tie of -0.0
+    # and 0.0.  numpy's product folds in index order at every width.
+    for ufunc, want in ((np.add, left_to_right(x.T, len(x))), (np.multiply, x.prod(axis=1)),
+                        (np.minimum, functools.reduce(np.minimum, x.T)),
+                        (np.maximum, functools.reduce(np.maximum, x.T))):
         got = rowwise(ufunc, x)
         assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), ufunc
     assert np.array_equal(rowwise(np.logical_and, x > 0), (x > 0).all(axis=1))
@@ -353,27 +363,43 @@ def test_splits_matches_per_mask_reference(name, dim, rows):
     # Enough rows that masks run in several blocks and rows are dropped
     # between them; the reference tries every mask on every row.  The row
     # counts from 1 to 40,000 take the first block's low-bit count from k
-    # down to 0 and cross CHUNK_ROWS.  From 8 coordinates on numpy sums a
-    # row pairwise, which is the total the reference takes: two coordinates
-    # summing to just below theta and the rest a few ulps each put
+    # down to 0 and cross CHUNK_ROWS.  The reference adds each subset sum
+    # and the total left to right: from 8 coordinates on, two coordinates
+    # summing to theta or just above and the rest a few ulps each put
     # t1 + t2 = theta, a boundary of g3, g4 and g5, within an ulp or two of
-    # either total.
+    # the total, which numpy's pairwise row sum would put elsewhere.
     vals = ThetaParams(0.52).values()
     rng = np.random.default_rng(dim)
     if dim < 8:
         x = rng.random((rows, dim)) * (0.8 / dim)
     else:
         a = 0.2 + 0.1 * rng.random(rows)
-        x = np.column_stack([a, 0.52 - a - rng.integers(0, 4, rows) * 2.0**-54,
+        x = np.column_stack([a, 0.52 - a + rng.integers(0, 4, rows) * 2.0**-54,
                              rng.integers(0, 4, (rows, dim - 2)) * 2.0**-56])
     target = CAT.region("gunion" if name == "GG" else "Tstar3")
-    total = x.sum(axis=1)
+    total = left_to_right(x.T, rows)
     want = np.zeros(len(x), dtype=bool)
     for mask in range(1 << dim):
-        s = x[:, [i for i in range(dim) if mask >> i & 1]].sum(axis=1)
+        s = left_to_right(x.T[[i for i in range(dim) if mask >> i & 1]], rows)
         want |= target.eval(np.stack([s, total - s], axis=1), vals, CAT)
     assert rows == 1 or 0 < want.sum() < len(x)
     assert np.array_equal(CAT.region(name).eval(x, vals, CAT), want)
+
+
+# Every point splits into Zle by the bipartition (all coordinates, none),
+# whose empty part must sum to exactly 0.
+EMPTY_PART = loads("region Zle dim=2\n  where t2 <= 0\nend\n"
+                   "region SZ dim=any\n  where splits(Zle)\nend\n")
+
+
+@pytest.mark.parametrize("dim", [2, 5, 7, 8, 9, 12])
+def test_an_empty_part_sums_to_zero(dim):
+    # A bipartition's total is its full subset's sum, so the empty part, the
+    # total less that sum, is 0 in both walkers at every dimension.
+    region = EMPTY_PART.region("SZ")
+    x = 1.0 - np.random.default_rng(dim).random((2000, dim))  # in (0, 1]
+    assert region.eval(x, {}, EMPTY_PART).all()
+    assert all(contains(region, p, {}, EMPTY_PART) for p in x[:300])
 
 
 # Regions written with tsum, tmin, tmax, descending, true and false, and the

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import itertools
 import math
@@ -580,3 +581,34 @@ def test_pinned_fine_grid_results(name):
     value, err, samples, flag = PINNED_FINE_2_16[name]
     want = QuadratureResult(float.fromhex(value), float.fromhex(err), samples, DEFAULT_SEED, flag)
     assert res == want
+
+
+SUM = builtins.sum  # this interpreter's own
+
+
+def compensated_sum(iterable, /, start=0):
+    """The built-in sum of CPython 3.12 and later over floats: the first is
+    added to the int 0, the rest with Neumaier's compensation, which is
+    added at the end when nonzero and finite.  Other arguments go to the
+    built-in sum of this interpreter."""
+    items = list(iterable)
+    if type(start) is not int or start or not items or any(type(v) is not float for v in items):
+        return SUM(items, start)
+    total, c = 0 + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_2_16) + sorted(PINNED_FINE_2_16))
+def test_pinned_results_under_a_compensated_sum(monkeypatch, name):
+    # Python 3.12 made the built-in sum of floats compensated; a result must
+    # not depend on it, so every pinned result holds under its emulation.
+    assert compensated_sum([0.1] * 10) == 1.0  # 0.9999999999999999 added in order
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    if name in PINNED_2_16:
+        test_pinned_fixed_seed_results(name)
+    else:
+        test_pinned_fine_grid_results(name)

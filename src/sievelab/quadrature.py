@@ -40,10 +40,11 @@ direction number.  One round draws every stream and evaluates the region
 and the weight over blocks of many streams' points.  It takes the streams
 in order of the number of points each draws, so that the streams of one
 length lie together in a block: their sums are row sums of the block's
-values reshaped to (streams, length), and their points are mapped into
-their cells by repeating each stream's cell row.  A stream's sums are taken
-over its own values in its own order, so neither the blocks nor their order
-change a result.
+values reshaped to (streams, length).  A block is coordinate-major, one row
+per coordinate, so each stream's run of points is mapped into its cell by
+broadcasting the cell's bounds along it, and the region's program reads the
+block without copying it.  A stream's sums are taken over its own values in
+its own order, so neither the blocks nor their order change a result.
 """
 from __future__ import annotations
 
@@ -117,19 +118,20 @@ def _params_dict(params) -> dict[str, float]:
 
 
 def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc over each row of an (n, k) array, k >= 1, folded over whole
-    columns in index order from the ufunc's identity if it has one: a sum
-    adds left to right, as tsum does, where numpy's reduction adds eight or
-    more terms pairwise, and short rows fold many times faster."""
-    acc = x[:, 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, x[:, 0])
-    for i in range(1, x.shape[1]):
-        acc = ufunc(acc, x[:, i])
+    """ufunc over each point of a (k, n) array, k >= 1, folded over whole
+    rows in index order from the ufunc's identity: a sum adds left to
+    right, as tsum does, where numpy's reduction adds eight or more terms
+    pairwise."""
+    acc = ufunc(ufunc.identity, x[0])
+    for row in x[1:]:
+        ufunc(acc, row, out=acc)
     return acc
 
 
 def _rest(x: np.ndarray) -> np.ndarray:
-    """1 - sum(t) for each region point t of a singular weight; raises
-    unless every coordinate and 1 - sum(t) is at least FLOOR_MIN."""
+    """1 - sum(t) for each region point t, a column of x, of a singular
+    weight; raises unless every coordinate and 1 - sum(t) is at least
+    FLOOR_MIN."""
     rest = 1.0 - rowwise(np.add, x)
     if x.min() < FLOOR_MIN or rest.min() < FLOOR_MIN:
         raise SpecificationError("integrand unbounded: a region point has a coordinate or "
@@ -168,21 +170,22 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
 
 
 def _descending(x: np.ndarray) -> np.ndarray:
-    """The rows of x sorted in descending order, by a sorting network of
-    np.maximum / np.minimum exchanges between columns (insertion order,
-    k(k-1)/2 exchanges): on 16,384 rows of 2 to 6 columns it took 20 to
-    350 us against about 0.9 ms for np.sort (2-core machine).  On finite
-    coordinates of at least +0.0, as sampled points are, it returns the
-    values of -np.sort(-x)."""
-    cols = [x[:, i].copy() for i in range(x.shape[1])]
-    spare = np.empty(len(x))
-    for i in range(1, len(cols)):
+    """The points of a (k, n) x, its columns, sorted in descending order into
+    one new (k, n) array, by a sorting network of np.maximum / np.minimum
+    exchanges between rows (insertion order, k(k-1)/2 exchanges): on 16,384
+    points of 2 to 6 coordinates it took 25 to 250 us against 0.8 to 1 ms
+    for np.sort along axis 0 (2-core machine).  On finite coordinates of at
+    least +0.0, as sampled points are, it returns the values of
+    -np.sort(-x, axis=0)."""
+    out = x.copy()
+    spare = np.empty(x.shape[1])
+    for i in range(1, len(out)):
         for j in range(i, 0, -1):
-            a, b = cols[j - 1], cols[j]
-            np.maximum(a, b, out=spare)
-            np.minimum(a, b, out=b)
-            cols[j - 1], spare = spare, a
-    return np.stack(cols, axis=1)
+            a, b = out[j - 1], out[j]
+            np.minimum(a, b, out=spare)
+            np.maximum(a, b, out=a)
+            b[...] = spare
+    return out
 
 
 # Sobol points are 30-bit binary fractions, as in qmc.Sobol's default engine.
@@ -286,19 +289,23 @@ class _Streams:
             raise ValueError(f"a Sobol stream holds at most 2**{SOBOL_BITS} points")
         if bits <= self.bits:
             return
-        # Only the bits a stream has reached are scrambled: all 30 up front
-        # took about 25 ms for the 8,320 streams of cal2 (2-core machine).
-        v = _directions(self.dim)
+        # Only the bits a stream has reached are scrambled, each by the XOR of
+        # the columns of v_b's set bits (at most b + 1): for cal2's 8,320
+        # streams about 4.5 ms against 13 ms for all 30 columns masked (2 cores).
+        v = _directions(self.dim).tolist()
         for b in range(self.bits, bits):
-            set_bits = (v[b][:, None] >> np.arange(SOBOL_BITS, dtype=np.uint32)) & 1
-            self.scrambled[:, b] = np.bitwise_xor.reduce(self.columns * set_bits, axis=2)
+            for d, w in enumerate(v[b]):
+                acc = self.scrambled[:, b, d]
+                for k in range(SOBOL_BITS):
+                    if w >> k & 1:
+                        acc ^= self.columns[:, d, k]
         self.bits = bits
 
     def points(self, sid: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next `count` points of each stream sid (count >= 1), shape
-        (len(sid), count, dim), as floats in [0, 1), written into out when
-        it is given.  Each stream continues from its last point; its first
-        point, point 0, is its shift."""
+        """The next `count` points of each stream sid (count >= 1),
+        coordinate-major, shape (dim, len(sid), count), as floats in [0, 1),
+        written into out when it is given.  Each stream continues from its
+        last point; its first point, point 0, is its shift."""
         start = self.n[sid]
         self._reserve(int(start.max() + count - 1).bit_length())
         # Row q * SOBOL_BITS + b of `scrambled` is stream q's direction
@@ -312,13 +319,14 @@ class _Streams:
         first[start == 0] = 0  # point 0 is `last` as set up, the shift
         first ^= self.last[sid]
         # One running XOR over all the streams' rows, then the running XOR
-        # up to the stream before taken off each stream
+        # up to the stream before taken off each stream, down the rows: along
+        # a coordinate-major last axis it took 2.5 to 5 times as long.
         flat = pts.reshape(-1, self.dim)
         np.bitwise_xor.accumulate(flat, axis=0, out=flat)
         flat[count:] ^= np.repeat(pts[:-1, -1], count, axis=0)
         self.last[sid] = pts[:, -1]
         self.n[sid] += count
-        return np.multiply(pts, 1.0 / (1 << SOBOL_BITS), out=out)
+        return np.multiply(pts.transpose(2, 0, 1), 1.0 / (1 << SOBOL_BITS), out=out)
 
     def run(self, count: np.ndarray, sample) -> None:
         """Draw count[q] further points of every stream q and add them to its
@@ -326,12 +334,13 @@ class _Streams:
 
         The streams are taken in stable order of their counts and sampled
         together in blocks of at most BLOCK_ROWS rows, a longer stream alone
-        in pieces of BLOCK_ROWS.  A block is a list of groups, each of
-        streams sid that draw one length of points: u, shape (len(sid),
-        length, dim), holds them stream after stream, a view of the
-        block's rows x.  sample(x, groups), groups the (sid, u) pairs,
-        returns the integrand values and the region indicator of the rows
-        of x, and may overwrite x.  A group's sums are the row sums of its
+        in pieces of BLOCK_ROWS.  A block x is coordinate-major, shape (dim,
+        rows), a point per column, and a list of groups, each of streams sid
+        that draw one length of points: u, shape (dim, len(sid), length),
+        holds them stream after stream, a view of x's columns.
+        sample(x, groups), groups the (sid, u) pairs, returns the integrand
+        values and the region indicator of the points of x, and may
+        overwrite x.  A group's sums are the row sums of its
         values as a (len(sid), length) array, each the pairwise sum
         g[a:b].sum() takes over one stream's whole run of values, so they
         depend neither on the blocks nor on their order.
@@ -369,10 +378,10 @@ class _Streams:
     def _sample(self, sample, groups):
         """sample() of the next points of each group's streams, drawn into
         one block."""
-        x = np.empty((sum(len(q) * length for q, length in groups), self.dim))
+        x = np.empty((self.dim, sum(len(q) * length for q, length in groups)))
         views, a = [], 0
         for q, length in groups:
-            u = x[a : a + len(q) * length].reshape(len(q), length, self.dim)
+            u = x[:, a : a + len(q) * length].reshape(self.dim, len(q), length)
             a += len(q) * length
             views.append((q, self.points(q, length, out=u)))
         return sample(x, views)
@@ -511,10 +520,10 @@ def integrate(
         )
 
     streams = _Streams(k, REPLICATES * n_strata, seed)
-    # cell s has digit s // bins**i % bins along axis i
-    digits = cells[:, None] // bins ** np.arange(k) % bins
-    box_lo = np.take_along_axis(edges, digits, axis=0)
-    box_width = np.take_along_axis(edges, digits + 1, axis=0) - box_lo
+    # cell s has digit s // bins**i % bins along axis i; box_lo is (k, strata)
+    digits = cells // bins ** np.arange(k)[:, None] % bins
+    box_lo = np.take_along_axis(edges.T, digits, axis=1)
+    box_width = np.take_along_axis(edges.T, digits + 1, axis=1) - box_lo
     frac = 1.0 / n_cells  # equal cell volumes
     total_n = 0
     round_total = FIRST_ROUND
@@ -524,22 +533,21 @@ def integrate(
 
     def sample(x: np.ndarray, groups):
         # each stream's points into its stratum's cell, in place: the
-        # points are not used again.  Each cell row is repeated once per
-        # point: broadcast from shape (len(sid), 1, k), numpy's inner loop
-        # ran over the k coordinates alone and took longer.
+        # points are not used again.  A cell bound is broadcast along the
+        # stream's run of points, numpy's contiguous inner loop.
         for sid, u in groups:
             stratum = sid // REPLICATES
-            rows = u.reshape(-1, k)
-            rows *= np.repeat(box_width[stratum], u.shape[1], axis=0)
-            rows += np.repeat(box_lo[stratum], u.shape[1], axis=0)
+            u *= box_width[:, stratum, None]
+            u += box_lo[:, stratum, None]
         if spec.sorted:
             x = _descending(x)
-        inside = region.eval(x, vals, cat)
+        # x.T is (rows, k); its own transpose, the block, is not copied again
+        inside = region.eval(x.T, vals, cat)
         if wfn is None:
             return inside.astype(float), inside
-        g = np.zeros(len(x))
+        g = np.zeros(x.shape[1])
         if inside.any():
-            g[inside] = wfn(x[inside])
+            g[inside] = wfn(x[:, inside])
         return g, inside
 
     while True:

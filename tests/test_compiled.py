@@ -82,29 +82,28 @@ ROW_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0]),
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 12)),
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(0, 40)),
               elements=ROW_ELEMENTS))
 def test_rowwise_equals_numpy_reductions(x):
-    # Every ufunc folds the columns in index order.  From 8 columns on
-    # numpy's reductions take another order: a sum adds pairwise, and from
-    # 9 on a minimum or maximum can pick the other zero of a tie of -0.0
-    # and 0.0.  numpy's product folds in index order at every width.
-    for ufunc, want in ((np.add, left_to_right(x.T, len(x))), (np.multiply, x.prod(axis=1)),
-                        (np.minimum, functools.reduce(np.minimum, x.T)),
-                        (np.maximum, functools.reduce(np.maximum, x.T))):
+    # Each point is a column of the (k, n) x, and every ufunc folds its
+    # coordinates in index order.  From 8 coordinates on numpy's sum of a
+    # row adds pairwise; its product folds in index order at every width.
+    n = x.shape[1]
+    for ufunc, want in ((np.add, left_to_right(x, n)), (np.multiply, x.prod(axis=0))):
         got = rowwise(ufunc, x)
         assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), ufunc
-    assert np.array_equal(rowwise(np.logical_and, x > 0), (x > 0).all(axis=1))
+    assert np.array_equal(rowwise(np.logical_and, x > 0), (x > 0).all(axis=0))
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 6)),
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(0, 40)),
               elements=st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
                                  st.floats(0.0, 1e3, allow_nan=False))))
 def test_sorting_network_equals_negated_sort(x):
+    # points are the columns of the (k, n) x
     got = _descending(x)
     assert got.flags.c_contiguous
-    assert np.array_equal(bits(got), bits(-np.sort(-x, axis=1)))
+    assert np.array_equal(bits(got), bits(-np.sort(-x, axis=0)))
 
 
 @settings(max_examples=60, deadline=None)

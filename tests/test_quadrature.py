@@ -179,6 +179,25 @@ def test_budget_caps_the_points_a_region_sees(monkeypatch):
     assert res.samples <= 4096 and seen[0] <= 4096
 
 
+def test_sampled_blocks_reach_the_region_uncopied(monkeypatch):
+    # A batch is the (rows, k) transpose of a C-ordered float64 block, so the
+    # program's coordinate-major copy, np.ascontiguousarray(batch.T), is the
+    # block itself: the drawn block for cal2, the sorted one for S235.
+    blocks, evaluate = [], RegionSpec.eval
+
+    def recording(self, x, *args, **kwargs):
+        blocks.append(x.T)
+        return evaluate(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(RegionSpec, "eval", recording)
+    named_integral("S235", ThetaParams(0.52), budget=1 << 16)
+    integrate(CAT.integrals["cal2"], {}, budget=1 << 16)
+    assert len(blocks) > 2
+    for block in blocks:
+        assert block.flags.c_contiguous and block.dtype == np.float64
+        assert np.ascontiguousarray(block, dtype=float) is block
+
+
 def test_integral_beyond_direction_table_rejected():
     wide = dataclasses.replace(CAT.integrals["cal6"], name="wide", dim=25)
     with pytest.raises(SpecificationError, match="at most 24 allowed"):

@@ -83,7 +83,7 @@ def test_first_points_are_a_dyadic_net():
     # LMS+shift keeps the (0, m, 1)-net property: the first 2^m points of a
     # one-dimensional stream lie one in each interval [i / 2^m, (i+1) / 2^m)
     streams = _Streams(1, 8, 99)
-    pts = streams.points(np.arange(8), 1 << 12)[..., 0]
+    pts = streams.points(np.arange(8), 1 << 12)[0]
     for m in range(13):
         cells = np.sort(np.floor(pts[:, : 1 << m] * (1 << m)), axis=1)
         np.testing.assert_array_equal(cells, np.broadcast_to(np.arange(1 << m), cells.shape))
@@ -123,8 +123,9 @@ def test_points_equal_scipy_engines(dim, seed, sizes):
         for size in np.unique(count).tolist():
             sid = np.flatnonzero(count == size)
             got = streams.points(sid, size)
-            for q, pts in zip(sid, got):
-                np.testing.assert_array_equal(pts, want[q][i])
+            assert got.shape == (dim, len(sid), size)
+            for q, pts in zip(sid, got.transpose(1, 0, 2)):
+                np.testing.assert_array_equal(pts, want[q][i].T)
         np.testing.assert_array_equal(streams.n, [sum(d[: i + 1]) for d in draws])
 
 
@@ -134,18 +135,19 @@ def test_long_draw_equals_scipy_engine():
     streams = _Streams(dim, n, 7)
     want = reference_points(dim, n, 7, q, sizes)
     sid = np.array([q])
-    np.testing.assert_array_equal(streams.points(sid, sizes[0])[0], want[0])
-    np.testing.assert_array_equal(streams.points(sid, sizes[1])[0], want[1])
+    np.testing.assert_array_equal(streams.points(sid, sizes[0])[:, 0], want[0].T)
+    np.testing.assert_array_equal(streams.points(sid, sizes[1])[:, 0], want[1].T)
 
 
 def row_streams(groups):
-    """The stream of each row of a block, from the groups run passes."""
-    return np.concatenate([np.repeat(sid, u.shape[1]) for sid, u in groups])
+    """The stream of each point of a block, from the groups run passes."""
+    return np.concatenate([np.repeat(sid, u.shape[2]) for sid, u in groups])
 
 
 def integrand(x, sid):
-    inside = x[:, 0] < 0.6
-    return np.where(inside, 1.0 / (x.sum(axis=1) + 0.1 * sid), 0.0), inside
+    """Values and indicator of the points of a (dim, rows) x."""
+    inside = x[0] < 0.6
+    return np.where(inside, 1.0 / (x.sum(axis=0) + 0.1 * sid), 0.0), inside
 
 
 def run_sums(dim, n, seed, rounds, block_rows, monkeypatch):
@@ -183,7 +185,7 @@ def test_sums_do_not_depend_on_blocks(dim, rounds, block_rows):
     for q in range(n):
         drawn = [row[q] for row in rounds if row[q]]
         for u in reference_points(dim, n, seed, q, drawn):
-            want[q] += integrand(u, q)[0].sum()
+            want[q] += integrand(u.T, q)[0].sum()
     np.testing.assert_array_equal(whole.total, want)
 
 
@@ -212,7 +214,7 @@ def test_run_draws_and_sums_each_stream_in_its_own_order(dim, rounds, long, extr
 
     def sample(x, groups):
         for sid, u in groups:
-            for q, pts in zip(sid.tolist(), u):
+            for q, pts in zip(sid.tolist(), u.transpose(1, 0, 2)):
                 got[q].append(pts.copy())
         return integrand(x, row_streams(groups))
 
@@ -232,8 +234,8 @@ def test_run_draws_and_sums_each_stream_in_its_own_order(dim, rounds, long, extr
             if not row[q]:
                 assert pieces[q] == []
                 continue
-            u = next(want)
-            np.testing.assert_array_equal(np.concatenate(pieces[q]), u)
+            u = next(want).T
+            np.testing.assert_array_equal(np.concatenate(pieces[q], axis=1), u)
             g, inside = integrand(u, q)
             total[q] += g.sum()
             total_sq[q] += (g * g).sum()

@@ -11,7 +11,8 @@ Each command imports what it calls: `typeii`, `integral` and the `L7`,
 `regions`); `buchstab` and the `buchstab` suite load `buchstab` and numpy;
 the `divisor` and `tables26` suites load `divisors` and `tables`, which
 need neither numpy nor the catalog.  Only `integral` and the three
-quadrature suites load `quadrature`.  `default_catalog` and `load_catalog`
+quadrature suites load `quadrature`, and through it `cubature` where a
+region is one polytope; `verify calibration` samples.  `default_catalog` and `load_catalog`
 stay readable as attributes of this module, imported on first use.
 Output is deterministic for a fixed configuration (seed included); the csv
 format prints full precision, plain/markdown print 6 significant digits.
@@ -240,16 +241,17 @@ def _verify_I56(args):
 
 
 def _verify_calibration(args):
-    from .quadrature import integrate
+    # a check of the sampler: integrate would take these simplices by cubature
+    from .quadrature import sampled
 
     cat = _catalog(args)
     tol, rel_tol = 1e-9, 5e-4
     for k in range(2, 7):
-        res = integrate(cat.record("integrals", f"cal{k}"), {}, tol=tol, rel_tol=rel_tol,
+        res = sampled(cat.record("integrals", f"cal{k}"), {}, tol=tol, rel_tol=rel_tol,
                         seed=args.seed, budget=args.budget, cat=cat)
         expected = 1.0 / math.factorial(k)
         detail = f"value {res.value:.6g} vs {expected:.6g}"
-        # integrate stops short of the error it was asked for only when the budget runs out
+        # sampling stops short of the error it was asked for only when the budget runs out
         target = max(tol, rel_tol * abs(res.value))
         if res.est_error > target:
             detail += (f"; budget ran out at {res.samples} samples with est_error "

@@ -126,12 +126,7 @@ class BoxTest:
         self.certificates: list[Certificate] = []
 
     def __call__(self, lo, hi):
-        # the corners as integers over 2**shift: floats are dyadic rationals
-        ratios = [float(v).as_integer_ratio() for v in (*lo, *hi)]
-        self.shift = max(d.bit_length() - 1 for _, d in ratios)
-        ints = [n << (self.shift - d.bit_length() + 1) for n, d in ratios]
-        self.lo, self.hi = ints[: self.k], ints[self.k :]
-        f = self.bound.decide(lo, hi, self)
+        f = self.residual(lo, hi)
         if f is True or f is False:
             return f
         try:
@@ -142,6 +137,17 @@ class BoxTest:
             return None
         self.certificates += found
         return False
+
+    def residual(self, lo, hi):
+        """The program on the closed box [lo, hi], judged exactly: True,
+        False, or the residual of the atoms it leaves undecided.  The box
+        becomes the one `box_rows` and `decide` read."""
+        # the corners as integers over 2**shift: floats are dyadic rationals
+        ratios = [float(v).as_integer_ratio() for v in (*lo, *hi)]
+        self.shift = max(d.bit_length() - 1 for _, d in ratios)
+        ints = [n << (self.shift - d.bit_length() + 1) for n, d in ratios]
+        self.lo, self.hi = ints[: self.k], ints[self.k :]
+        return self.bound.decide(lo, hi, self)
 
     def box_rows(self) -> tuple:
         """lo <= t <= hi as rows."""

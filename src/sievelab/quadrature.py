@@ -1,5 +1,11 @@
-"""Loss-integral evaluation: stratified, replicated quasi-random sampling
-with indicator rejection over region bounding boxes.
+"""Loss-integral evaluation.  `integrate` takes an integral whose region
+compiles to one conjunction of comparisons, under the weight `one` or
+`reciprocal`, by deterministic cubature over the region's polytope
+(`cubature`, imported only then), with the flag ``cubature``.  Every other
+integral, and one whose polytope is not full-dimensional or whose first
+two Gauss rules would pass the budget, it hands to `sampled`: stratified,
+replicated quasi-random sampling with indicator rejection over region
+bounding boxes, described below.
 
 Estimates are deterministic for a fixed seed: every (stratum, replicate)
 pair owns a scrambled Sobol stream drawn from the seed, rounds refine
@@ -58,7 +64,7 @@ import numpy as np
 from . import buchstab
 from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
 from .params import ThetaParams
-from .regions import RegionError, definitely
+from .regions import RegionError, _bound, definitely
 
 __all__ = [
     "QuadratureResult",
@@ -440,31 +446,11 @@ def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
     return next(kept, None) is None
 
 
-def integrate(
-    spec: IntegralDef,
-    params,
-    tol: float = 1e-3,
-    seed: int = DEFAULT_SEED,
-    budget: int = DEFAULT_BUDGET,
-    rel_tol: float | None = None,
-    cat: Catalog | None = None,
-    weight_variant: str = "",
-) -> QuadratureResult:
-    """Estimate multiplier * integral of the weight over the region.
-
-    Sampling stops once the replicate-spread error estimate reaches tol
-    (absolute, or rel_tol relative when given) or the budget is exhausted.
-    The budget caps the samples, and the region sees no other points.  A
-    reciprocal- or Buchstab-weighted integral raises SpecificationError
-    when a sampled region point has a coordinate, or 1 - sum(t), below
-    FLOOR_MIN.
-
-    When the first round finds no region point, _bisect bisects the box
-    with the exact box test for up to PROOF_CALLS tests.  If it proves the
-    region empty, the result is 0 with est_error 0, the samples of that
-    round and the flag "empty-region".  Otherwise sampling goes on as if
-    the proof had not run, and a run without hits ends in "no-hits".
-    """
+def _setup(spec: IntegralDef, params, tol: float, seed: int, rel_tol: float | None,
+           cat: Catalog | None):
+    """The checks an integral passes before any work, in order; then its
+    catalog, region, parameter values and sampling box (lo, hi), the box
+    None when it is empty."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if rel_tol is not None and math.isnan(rel_tol):
@@ -482,10 +468,86 @@ def integrate(
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise SpecificationError(f"region {region.name} has a non-finite bounding box")
     if (hi <= lo).any():
-        return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-box")
+        return cat, region, vals, None
     if spec.sorted and (np.ptp(lo) > 1e-15 or np.ptp(hi) > 1e-15):
         # sorting is measure-preserving only over an exchangeable box
         raise SpecificationError(f"sorted integral {spec.name} needs identical bounds")
+    return cat, region, vals, (lo, hi)
+
+
+def integrate(
+    spec: IntegralDef,
+    params,
+    tol: float = 1e-3,
+    seed: int = DEFAULT_SEED,
+    budget: int = DEFAULT_BUDGET,
+    rel_tol: float | None = None,
+    cat: Catalog | None = None,
+    weight_variant: str = "",
+) -> QuadratureResult:
+    """Multiplier * integral of the weight over the region: by cubature
+    where the region is one convex polytope, else by `sampled`.
+
+    The cubature (`cubature.integrate`) applies when the region's compiled
+    program is one conjunction of comparisons, the weight is `one` or
+    `reciprocal` with no weight_variant, and the region's points in the
+    sampling box make a full-dimensional polytope.  Its result has the flag
+    "cubature" and the seed it was given, which it does not use.  For the
+    unit weight the value is the exact volume, rounded once, with est_error
+    0 and samples 0.  For the reciprocal weight, samples counts the
+    integrand evaluations of the Gauss rules run, never more than the
+    budget, and est_error is the difference of the last two rules, which
+    stop once it reaches tol (or rel_tol relative, as in `sampled`) or the
+    next rule would pass the budget; where even the first two rules would
+    pass it, the integral is sampled.  A reciprocal weight raises
+    SpecificationError when a region point has a coordinate, or 1 - sum(t),
+    below FLOOR_MIN.  Every error `sampled` raises for bad arguments or a
+    bad box is raised first.
+    """
+    cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
+    if box is not None and spec.weight in ("one", "reciprocal") and not weight_variant:
+        root = _bound(region, spec.dim, vals, cat).prog.root
+        if root.kind == "and" and not root.children:
+            from . import cubature
+
+            wfn = _weight_fn(spec.weight, vals)
+            out = cubature.integrate(spec, region, vals, *box, wfn, tol, rel_tol, budget, cat)
+            if out is not None:
+                return QuadratureResult(*out, seed, flag="cubature")
+    return sampled(spec, params, tol, seed, budget, rel_tol, cat, weight_variant)
+
+
+def sampled(
+    spec: IntegralDef,
+    params,
+    tol: float = 1e-3,
+    seed: int = DEFAULT_SEED,
+    budget: int = DEFAULT_BUDGET,
+    rel_tol: float | None = None,
+    cat: Catalog | None = None,
+    weight_variant: str = "",
+) -> QuadratureResult:
+    """Estimate multiplier * integral of the weight over the region by
+    sampling.
+
+    Sampling stops once the replicate-spread error estimate reaches tol
+    (absolute, or rel_tol relative when given) or the budget is exhausted.
+    The budget caps the samples, and the region sees no other points.  A
+    reciprocal- or Buchstab-weighted integral raises SpecificationError
+    when a sampled region point has a coordinate, or 1 - sum(t), below
+    FLOOR_MIN.
+
+    When the first round finds no region point, _bisect bisects the box
+    with the exact box test for up to PROOF_CALLS tests.  If it proves the
+    region empty, the result is 0 with est_error 0, the samples of that
+    round and the flag "empty-region".  Otherwise sampling goes on as if
+    the proof had not run, and a run without hits ends in "no-hits".
+    """
+    cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
+    if box is None:
+        return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-box")
+    lo, hi = box
+    k = spec.dim
     vol = float(np.prod(hi - lo))
     wfn = _weight_fn(spec.weight, vals, weight_variant)
     scale = float(spec.mult) / (math.factorial(k) if spec.sorted else 1.0)
@@ -646,15 +708,17 @@ def eval_L7(
     budget: int = DEFAULT_BUDGET,
     cat: Catalog | None = None,
 ) -> QuadratureResult:
-    """Sum of the three sieve-level loss integrals at a given starting point."""
+    """Sum of the three sieve-level loss integrals at a given starting point,
+    with the flag the three share, else none."""
     if not 0 < kappa_val <= 0.125:
         raise ValueError("L7 is defined for 0 < kappa <= 1/8")
     cat = cat or default_catalog()
     vals = {"kappa": kappa_val}
-    total, err, n = 0.0, 0.0, 0
+    total, err, n, flags = 0.0, 0.0, 0, set()
     for name in ("L71", "L72", "L73"):
         res = integrate(cat.record("integrals", name), vals, tol / 3.0, seed, budget, cat=cat)
         total += res.value
         err += res.est_error
         n += res.samples
-    return QuadratureResult(total, err, n, seed)
+        flags.add(res.flag)
+    return QuadratureResult(total, err, n, seed, flags.pop() if len(flags) == 1 else "")

@@ -204,6 +204,7 @@ def test_integral_no_hits_where_the_exact_test_finds_a_point(tmp_path):
     # along it and the exact test finds it non-empty, so sampling goes on.
     from sievelab.catalog import default_catalog, dumps, loads
     from sievelab.params import theta_only
+    from sievelab.quadrature import sampled
     from sievelab.regions import contains
 
     where = "where kappa < t2 and t2 < t1 and t1 + t2 > 1/2 and 2*t1 + t2 < 1 and not in(G)"
@@ -212,12 +213,18 @@ def test_integral_no_hits_where_the_exact_test_finds_a_point(tmp_path):
     text = text.replace(where, "where t2 < t1 and 1/2 < t1 + t2 and t1 + t2 < 1/2 + 1/1000000000")
     cat = loads(text)
     assert contains(cat.region("U233"), [0.3, 0.2 + 5e-10], theta_only(0.52).values(), cat)
+    res = sampled(cat.integrals["U233"], theta_only(0.52), budget=65536, cat=cat)
+    assert (res.value, res.est_error, res.samples, res.seed, res.flag) == (
+        0.0, 0.0014029855978384665, 65536, 24301, "no-hits")
+    # The strip is one conjunction, a full-dimensional polytope, which the
+    # command integrates by cubature.
     path = tmp_path / "cat.txt"
     path.write_text(text)
     code, out = run_cli(["integral", "U233", "--theta", "0.52", "--budget", "65536",
                          "--format", "csv", "--catalog", str(path)])
     assert code == 0
-    assert out.splitlines()[1] == "U233,0.0,0.0014029855978384665,65536,24301,no-hits,computed"
+    name, value, _, _, seed, flag, _ = out.splitlines()[1].split(",")
+    assert (name, seed, flag) == ("U233", "24301", "cubature") and float(value) > 0
 
 
 def test_byte_identical_reruns():
@@ -291,6 +298,21 @@ def test_verify_calibration_says_when_the_budget_ran_out():
                         "6.91e-07 [computed]")
     assert lines[3].startswith("[pass] simplex volume k=5:")
     assert "; budget ran out at 65252 samples" in lines[3]
+
+
+def test_verify_calibration_still_samples():
+    # the suite checks the sampler, so its output is the sampler's, byte for
+    # byte, though integrate takes the simplices by cubature
+    code, out = run_cli(["verify", "calibration", "--seed", "2", "--budget", "65536"])
+    assert code == 4
+    assert out == (
+        "[pass] simplex volume k=2: value 0.500017 vs 0.5 [computed]\n"
+        "[pass] simplex volume k=3: value 0.166771 vs 0.166667 [computed]\n"
+        "[pass] simplex volume k=4: value 0.0416781 vs 0.0416667 [computed]\n"
+        "[pass] simplex volume k=5: value 0.00831853 vs 0.00833333; budget ran out at 65252 "
+        "samples with est_error 2.75e-05 above its target 4.16e-06 [computed]\n"
+        "[FAIL] simplex volume k=6: value 0.00138145 vs 0.00138889; budget ran out at 65340 "
+        "samples with est_error 7.82e-06 above its target 6.91e-07 [computed]\n")
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "nan"]])

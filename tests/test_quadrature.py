@@ -190,8 +190,8 @@ def test_sampled_blocks_reach_the_region_uncopied(monkeypatch):
         return evaluate(self, x, *args, **kwargs)
 
     monkeypatch.setattr(RegionSpec, "eval", recording)
-    named_integral("S235", ThetaParams(0.52), budget=1 << 16)
-    integrate(CAT.integrals["cal2"], {}, budget=1 << 16)
+    quadrature.sampled(CAT.integrals["S235"], ThetaParams(0.52), budget=1 << 16)
+    quadrature.sampled(CAT.integrals["cal2"], {}, budget=1 << 16)
     assert len(blocks) > 2
     for block in blocks:
         assert block.flags.c_contiguous and block.dtype == np.float64
@@ -282,8 +282,8 @@ def test_budget_is_a_hard_cap():
 def test_budget_below_one_point_per_stratum_rejected():
     # cal2 keeps 2080 of its 4096 cells; four replicates need 8320 points
     with pytest.raises(SpecificationError, match="below one point per stratum"):
-        integrate(CAT.integrals["cal2"], {}, tol=1e-4, budget=1 << 12)
-    res = integrate(CAT.integrals["cal2"], {}, tol=1e-4, budget=8320)
+        quadrature.sampled(CAT.integrals["cal2"], {}, tol=1e-4, budget=1 << 12)
+    res = quadrature.sampled(CAT.integrals["cal2"], {}, tol=1e-4, budget=8320)
     assert res.samples == 8320 and abs(res.value - 0.5) < 0.01
 
 
@@ -328,7 +328,7 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
 
     monkeypatch.setattr(quadrature, "definitely", counting)
     monkeypatch.setattr(quadrature, "_bisect", recording)
-    integrate(spec, params, tol=1.0, budget=max(1 << 15, 4 * len(want)))
+    quadrature.sampled(spec, params, tol=1.0, budget=max(1 << 15, 4 * len(want)))
     # one call, for the strata, which caps no box tests
     assert kept == [(math.inf, want)]
     if name == "I3":  # a two-way grid: the whole box, then each cell
@@ -407,7 +407,7 @@ def test_no_proof_after_a_first_round_with_hits(name, monkeypatch):
         params = {}
     else:
         params = ThetaParams(0.32, 0.20) if name == "I5" else theta_only(0.52)
-    res = integrate(CAT.integrals[name], params, budget=1 << 16)
+    res = quadrature.sampled(CAT.integrals[name], params, budget=1 << 16)
     assert res.value > 0 and res.flag == ""
 
 
@@ -570,6 +570,8 @@ PINNED_2_16 = {
 def test_pinned_fixed_seed_results(name):
     if name in ("I5", "I6"):
         res = named_integral(name, ThetaParams(0.32, 0.20), tol=3e-6, budget=1 << 16)
+    elif name.startswith("S23"):  # conjunctions, which integrate takes by cubature
+        res = quadrature.sampled(CAT.integrals[name], theta_only(0.52), budget=1 << 16)
     else:
         res = named_integral(name, theta_only(0.52), budget=1 << 16)
     value, err, samples, flag = PINNED_2_16[name]
@@ -594,12 +596,24 @@ PINNED_FINE_2_16 = {
 @pytest.mark.parametrize("name", sorted(PINNED_FINE_2_16))
 def test_pinned_fine_grid_results(name):
     if name.startswith("cal"):
-        res = integrate(CAT.integrals[name], {}, budget=1 << 16)
+        res = quadrature.sampled(CAT.integrals[name], {}, budget=1 << 16)
     else:
-        res = eval_L7(1 / int(name[-2:]), budget=1 << 16)
+        res = sampled_L7(1 / int(name[-2:]), budget=1 << 16)
     value, err, samples, flag = PINNED_FINE_2_16[name]
     want = QuadratureResult(float.fromhex(value), float.fromhex(err), samples, DEFAULT_SEED, flag)
     assert res == want
+
+
+def sampled_L7(kappa: float, budget: int) -> QuadratureResult:
+    """eval_L7's sum of L71-L73 at its default tol, each part sampled."""
+    total, err, n = 0.0, 0.0, 0
+    for name in ("L71", "L72", "L73"):
+        res = quadrature.sampled(CAT.integrals[name], {"kappa": kappa}, 1e-3 / 3.0, DEFAULT_SEED,
+                                 budget)
+        total += res.value
+        err += res.est_error
+        n += res.samples
+    return QuadratureResult(total, err, n, DEFAULT_SEED)
 
 
 SUM = builtins.sum  # this interpreter's own

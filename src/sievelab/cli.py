@@ -12,8 +12,9 @@ Each command imports what it calls: `typeii`, `integral` and the `L7`,
 the `divisor` and `tables26` suites load `divisors` and `tables`, which
 need neither numpy nor the catalog.  Only `integral` and the three
 quadrature suites load `quadrature`, and through it `cubature` where a
-region is one polytope; `verify calibration` samples.  `default_catalog` and `load_catalog`
-stay readable as attributes of this module, imported on first use.
+region is one polytope; `verify calibration` samples.  `default_catalog`
+and `load_catalog` stay readable as attributes of this module, imported on
+first use.
 Output is deterministic for a fixed configuration (seed included); the csv
 format prints full precision, plain/markdown print 6 significant digits.
 The provenance column distinguishes published reference values from
@@ -248,7 +249,7 @@ def _verify_calibration(args):
     tol, rel_tol = 1e-9, 5e-4
     for k in range(2, 7):
         res = sampled(cat.record("integrals", f"cal{k}"), {}, tol=tol, rel_tol=rel_tol,
-                        seed=args.seed, budget=args.budget, cat=cat)
+                      seed=args.seed, budget=args.budget, cat=cat)
         expected = 1.0 / math.factorial(k)
         detail = f"value {res.value:.6g} vs {expected:.6g}"
         # sampling stops short of the error it was asked for only when the budget runs out

@@ -62,7 +62,8 @@ def test_l7_keeps_the_flag_its_parts_share(tmp_path):
     assert eval_L7(1 / 11).flag == "cubature"
     # U71 cut down to t1 < t2 < t1: L71 is sampled and proved empty, while
     # L72 and L73 stay cubatures
-    where = "where kappa < t3 and t3 < t2 and t2 < t1 and t1 + t2 + t3 > 1/2 and 2*t1 + 2*t2 + t3 < 1"
+    where = ("where kappa < t3 and t3 < t2 and t2 < t1 and t1 + t2 + t3 > 1/2"
+             " and 2*t1 + 2*t2 + t3 < 1")
     text = dumps(CAT)
     assert text.count(where) == 2  # U235 and U71
     start = text.index("region U71 ")

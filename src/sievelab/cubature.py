@@ -24,10 +24,10 @@ conjunction of comparison columns and its weight is `one` or `reciprocal`.
 - The rule.  Weight `one` gives the exact volume, the sum of |det| / k!
   over the simplices.  Weight `reciprocal` takes Stroud's conical product
   rule on each simplex: n Gauss-Jacobi nodes per axis of the collapsed
-  (Duffy) coordinates, axis i under the weight (1 - u)^(k - 1 - i),
-  computed by Golub-Welsch.  Rules of n = 2, 4, 6, ... nodes per axis run
-  until two in a row differ by no more than the target, or the next one
-  would pass the budget.
+  (Duffy) coordinates, axis i under the weight (1 - u)^(k - 1 - i), the
+  eigenvalues of Golub and Welsch's matrix found by Sturm bisection.
+  Rules of n = 2, 4, 6, ... nodes per axis run until two in a row differ
+  by no more than the target, or the next one would pass the budget.
 
 References: Stroud 1971, *Approximate Calculation of Multiple Integrals*;
 Golub & Welsch 1969; Bareiss 1968.
@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -46,12 +47,14 @@ from .exact import BoxTest
 from .quadrature import _rest
 
 SLACK = 1e-6  # feasibility slack of the float solutions, which are checked exactly after
-SUBSETS = 1 << 12  # row subsets solved in floats together
-# Row subsets a polytope may have.  The catalog's have at most 3,003 (S237
-# and L73, 15 rows in 5 dimensions); 40,000-50,000 subsets of random rows
-# in 4 and 5 dimensions took about 0.15 s to solve (2-core machine).
+# Row subsets a polytope may have, all solved in floats at once.  The
+# catalog's polytopes have at most 3,003 (S237 and L73, 15 rows in 5
+# dimensions).  54,264 subsets of 21 random rows in 6 dimensions took
+# 0.18 s and raised the peak RSS by 30 MB; 53,130 in 5 dimensions took
+# 0.16 s and 25 MB (2-core machine).
 MAX_SUBSETS = 1 << 16
 BLOCK = 1 << 14  # rule points evaluated together
+TINY = sys.float_info.min  # a Sturm pivot nearer 0 is taken as -TINY
 
 
 def integrate(spec, region, vals, lo, hi, wfn, tol, rel_tol, budget, cat):
@@ -141,28 +144,25 @@ def _vertices(rows, k):
         return None
     ints = [(r[0], r[1].numerator, r[1].denominator) for r in rows]
     verts, tight, seen = [], [], set()
-    combos = itertools.combinations(range(len(rows)), k)
-    while chunk := list(itertools.islice(combos, SUBSETS)):
-        idx = np.array(chunk, dtype=np.intp)
-        m = a[idx]
-        keep = np.abs(np.linalg.det(m)) > 0.5
-        idx, m = idx[keep], m[keep]
-        if not len(idx):
+    idx = np.array(list(itertools.combinations(range(len(rows)), k)), dtype=np.intp)
+    idx = idx.reshape(-1, k)
+    m = a[idx]
+    keep = np.abs(np.linalg.det(m)) > 0.5
+    idx, m = idx[keep], m[keep]
+    x = np.linalg.solve(m, b[idx][..., None])[..., 0]
+    feasible = (x @ a.T <= b + SLACK).all(axis=1)
+    for subset in idx[feasible].tolist():
+        mask = sum(1 << i for i in subset)
+        if any(t & mask == mask for t in tight):
             continue
-        x = np.linalg.solve(m, b[idx][..., None])[..., 0]
-        feasible = (x @ a.T <= b + SLACK).all(axis=1)
-        for subset in idx[feasible].tolist():
-            mask = sum(1 << i for i in subset)
-            if any(t & mask == mask for t in tight):
-                continue
-            v = _solve([ints[i] for i in subset])
-            if v in seen:
-                continue
-            seen.add(v)
-            t = _tight(v, ints)
-            if t is not None:
-                verts.append(v)
-                tight.append(t)
+        v = _solve([ints[i] for i in subset])
+        if v in seen:
+            continue
+        seen.add(v)
+        t = _tight(v, ints)
+        if t is not None:
+            verts.append(v)
+            tight.append(t)
     return verts, tight
 
 
@@ -272,19 +272,41 @@ def _det(verts, simplex) -> Fraction:
 @functools.cache
 def _jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights of n points on [0, 1] under the weight
-    (1 - u)^alpha: the Jacobi polynomials' recurrence on [-1, 1] with
-    exponents (alpha, 0) as a symmetric tridiagonal matrix, whose
-    eigenvalues are the nodes and whose eigenvectors' first entries give the
-    weights (Golub & Welsch 1969), mapped by u = (1 + x) / 2."""
-    j = np.arange(n, dtype=float)
-    s = 2 * j + alpha
-    diag = -alpha * alpha / np.where(s > 0, s * (s + 2), 1.0)
-    diag[0] = -alpha / (alpha + 2)
-    j, s = j[1:], s[1:]
-    off = np.sqrt(4 * j * (j + alpha) * j * (j + alpha) / (s * s * (s + 1) * (s - 1)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    (1 - u)^alpha, mapped by u = (1 + x) / 2 from [-1, 1] and exponents
+    (alpha, 0).  The nodes are the eigenvalues of the symmetric tridiagonal
+    matrix of the Jacobi polynomials' recurrence (Golub & Welsch 1969),
+    each bisected to the last bit on the count of negative pivots of
+    J - x I (Sturm), and the weights the Christoffel numbers 1 / sum of the
+    orthonormal polynomials' squares.  Only +, -, *, / and sqrt are used,
+    which IEEE arithmetic rounds alike on every machine, unlike a LAPACK
+    eigensolver, whose kernels add in an order of their own."""
+    s = [2 * j + alpha for j in range(n)]
+    diag = [-alpha / (alpha + 2)] + [-alpha * alpha / (x * (x + 2)) for x in s[1:]]
+    off2 = [0.0] + [4 * (j * (j + alpha)) ** 2 / (x * x * (x + 1) * (x - 1))
+                    for j, x in enumerate(s[1:], 1)]
+
+    def below(x: float) -> int:  # the eigenvalues below x
+        count, q = 0, 1.0
+        for a, b2 in zip(diag, off2):
+            q = a - x - b2 / q
+            if abs(q) < TINY:
+                q = -TINY
+            count += q < 0
+        return count
+
+    nodes = []
+    for rank in range(n):
+        lo, hi = -1.0, 1.0
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (lo, mid) if below(mid) > rank else (mid, hi)
+        nodes.append(mid)
+    x, off = np.array(nodes), np.sqrt(off2)
+    prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        prev, p = p, ((x - diag[j]) * p - off[j] * prev) / off[j + 1]
+        total += p * p
     # mu_0 = 2**(alpha + 1) / (alpha + 1) on [-1, 1], and du = dx / 2
-    return (1 + x) / 2, vec[0] ** 2 / (alpha + 1)
+    return (1 + x) / 2, 1 / (total * (alpha + 1))
 
 
 def _rule(corners, scales, wfn, n: int) -> float:

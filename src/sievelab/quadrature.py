@@ -514,7 +514,7 @@ def integrate(
             out = cubature.integrate(spec, region, vals, *box, wfn, tol, rel_tol, budget, cat)
             if out is not None:
                 return QuadratureResult(*out, seed, flag="cubature")
-    return sampled(spec, params, tol, seed, budget, rel_tol, cat, weight_variant)
+    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, weight_variant)
 
 
 def sampled(
@@ -544,6 +544,12 @@ def sampled(
     the proof had not run, and a run without hits ends in "no-hits".
     """
     cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
+    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, weight_variant)
+
+
+def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box, tol: float,
+            seed: int, budget: int, rel_tol: float | None, weight_variant: str) -> QuadratureResult:
+    """`sampled` after `_setup`, which gave cat, region, vals and box."""
     if box is None:
         return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-box")
     lo, hi = box

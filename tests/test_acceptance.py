@@ -19,7 +19,7 @@ from sievelab.divisors import (
     mobius_half_sum,
 )
 from sievelab.params import ThetaParams, theta_only, type_ii_range
-from sievelab.quadrature import DEFAULT_BUDGET, eval_L7, integrate, named_integral
+from sievelab.quadrature import DEFAULT_BUDGET, eval_L7, named_integral, sampled
 from sievelab.tables import verify_triple_tables
 
 CAT = default_catalog()
@@ -205,15 +205,15 @@ def test_criterion_7_calibration_and_determinism():
     ok = True
     details = []
     for k in range(2, 7):
-        res = integrate(
+        res = sampled(
             CAT.integrals[f"cal{k}"], {}, tol=1e-9, rel_tol=5e-4, budget=DEFAULT_BUDGET
         )
         expected = 1 / math.factorial(k)
         dev = abs(res.value - expected) / expected
         ok &= dev <= 0.003
         details.append(f"k={k}:{dev:.1e}")
-    a = integrate(CAT.integrals["cal4"], {}, tol=1e-9, budget=1 << 19, seed=123)
-    b = integrate(CAT.integrals["cal4"], {}, tol=1e-9, budget=1 << 19, seed=123)
+    a = sampled(CAT.integrals["cal4"], {}, tol=1e-9, budget=1 << 19, seed=123)
+    b = sampled(CAT.integrals["cal4"], {}, tol=1e-9, budget=1 << 19, seed=123)
     ok &= a == b
     elapsed = time.monotonic() - start
     report(

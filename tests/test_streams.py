@@ -258,5 +258,5 @@ def test_integrate_builds_no_scrambled_engine(monkeypatch):
     monkeypatch.setattr(qmc.Sobol, "__init__", counting_init)
     _directions.cache_clear()
     cat = quadrature.default_catalog()
-    quadrature.integrate(cat.integrals["cal3"], {}, budget=1 << 16, seed=12345)
-    assert built == []
+    res = quadrature.sampled(cat.integrals["cal3"], {}, budget=1 << 16, seed=12345)
+    assert res.samples > 0 and built == []

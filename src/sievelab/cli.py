@@ -11,8 +11,8 @@ Each command imports what it calls: `typeii`, `integral` and the `L7`,
 `regions`); `buchstab` and the `buchstab` suite load `buchstab` and numpy;
 the `divisor` and `tables26` suites load `divisors` and `tables`, which
 need neither numpy nor the catalog.  Only `integral` and the three
-quadrature suites load `quadrature`, and through it `cubature` where a
-region is one polytope; `verify calibration` samples.  `default_catalog`
+quadrature suites load `quadrature`, and through it `cubature` for the
+weights `one` and `reciprocal`; `verify calibration` samples.  `default_catalog`
 and `load_catalog` stay readable as attributes of this module, imported on
 first use.
 Output is deterministic for a fixed configuration (seed included); the csv

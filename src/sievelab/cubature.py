@@ -1,12 +1,15 @@
-"""Deterministic integration over a region that is one convex polytope: the
-path `quadrature.integrate` takes when a region's compiled program is one
-conjunction of comparison columns and its weight is `one` or `reciprocal`.
+"""Deterministic integration over a region that is one convex polytope on
+its sampling box: the path `quadrature.integrate` takes when the weight is
+`one` or `reciprocal` and the region's residual on the sampling box is one
+conjunction of comparisons.
 
 - Rows.  The exact box test (`exact.BoxTest`) judges the program on the
-  whole sampling box; the columns it leaves undecided are integer rows
-  a . t <= b, strict or not, which does not matter for volume.  To them are
-  added the box's bounds, its floats taken as the dyadic rationals they
-  are, and for a sorted integral t1 >= t2 >= ... >= tk.  A sorted integral
+  whole sampling box, deciding every `in`, `splits` and `not` it can.  When
+  what it leaves undecided is one conjunction with no junction inside, its
+  atoms are integer rows a . t <= b, strict or not, which does not matter
+  for volume; any other residual is sampled.  To these rows are added the
+  box's bounds, its floats taken as the dyadic rationals they are, and for
+  a sorted integral t1 >= t2 >= ... >= tk.  A sorted integral
   is mult/k! times the integral over the box of the region's indicator and
   weight at the sorted point, which is mult times the integral over the
   region's points with t1 >= ... >= tk.  Of rows with one direction only
@@ -57,20 +60,21 @@ BLOCK = 1 << 14  # rule points evaluated together
 TINY = sys.float_info.min  # a Sturm pivot nearer 0 is taken as -TINY
 
 
-def integrate(spec, region, vals, lo, hi, wfn, tol, rel_tol, budget, cat):
+def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
     """(value, est_error, samples) of mult times the integral of the weight
-    wfn (None for the unit weight) over the region's points in the box [lo,
-    hi], or None when the polytope is not full-dimensional, its rows have
-    more than MAX_SUBSETS k-subsets or are too large for the float
-    singularity test to be exact, or the rules n = 2 and n = 4 together
-    need more than `budget` evaluations.
+    wfn (None for the unit weight) over the points in the box [lo, hi] of
+    the region of the exact box test `test`, or None when the region's
+    residual on the box is no conjunction, the polytope is not
+    full-dimensional, its rows have more than MAX_SUBSETS k-subsets or are
+    too large for the float singularity test to be exact, or the rules n = 2
+    and n = 4 together need more than `budget` evaluations.
 
     A reciprocal weight raises SpecificationError when a vertex has a
     coordinate, or 1 - sum(t), below FLOOR_MIN: region points come
     arbitrarily close to every vertex, and a linear function's minimum over
     the polytope is at one."""
     k = spec.dim
-    rows = _rows(BoxTest(region, k, vals, cat), lo, hi, spec.sorted)
+    rows = _rows(test, lo, hi, spec.sorted)
     if rows is None or math.comb(len(rows), k) > MAX_SUBSETS:
         return None
     found = _vertices(rows, k)
@@ -107,13 +111,17 @@ def integrate(spec, region, vals, lo, hi, wfn, tol, rel_tol, budget, cat):
 def _rows(test: BoxTest, lo, hi, descending: bool):
     """The polytope's rows (a, b), a . t <= b with a primitive integer
     direction a and a rational b, the tightest of each direction, sorted; or
-    None when the box test finds no point in the box."""
+    None when the box test finds no point in the box, or leaves a residual
+    that is a disjunction or a conjunction holding one."""
     f = test.residual(lo, hi)
-    if f is False:
+    if f is False or f is not True and f[0] == "or":
         return None
     given = [(a, b) for a, b, _ in test.box_rows()]
     if f is not True:
-        given += [(a, b) for a, b, _ in (f[1] if f[0] == "and" else [f])]
+        atoms = f[1] if f[0] == "and" else [f]
+        if any(isinstance(g[0], str) for g in atoms):  # a junction, not a row
+            return None
+        given += [(a, b) for a, b, _ in atoms]
     if descending:
         k = len(lo)
         given += [(tuple(int(j == i + 1) - int(j == i) for j in range(k)), 0)

@@ -1,11 +1,11 @@
-"""Loss-integral evaluation.  `integrate` takes an integral whose region
-compiles to one conjunction of comparisons, under the weight `one` or
-`reciprocal`, by deterministic cubature over the region's polytope
-(`cubature`, imported only then), with the flag ``cubature``.  Every other
-integral, and one whose polytope is not full-dimensional or whose first
-two Gauss rules would pass the budget, it hands to `sampled`: stratified,
-replicated quasi-random sampling with indicator rejection over region
-bounding boxes, described below.
+"""Loss-integral evaluation.  `integrate` takes an integral under the
+weight `one` or `reciprocal` whose region's residual on the sampling box is
+one conjunction of comparisons by deterministic cubature over that
+polytope (`cubature`, imported only for these weights), with the flag
+``cubature``.  Every other integral, and one whose polytope is not
+full-dimensional, has too many rows or needs Gauss rules past the budget,
+it hands to `sampled`: stratified, replicated quasi-random sampling with
+indicator rejection over region bounding boxes, described below.
 
 Estimates are deterministic for a fixed seed: every (stratum, replicate)
 pair owns a scrambled Sobol stream drawn from the seed, rounds refine
@@ -64,7 +64,7 @@ import numpy as np
 from . import buchstab
 from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
 from .params import ThetaParams
-from .regions import RegionError, _bound, definitely
+from .regions import RegionError, definitely
 
 __all__ = [
     "QuadratureResult",
@@ -274,8 +274,10 @@ class _Streams:
         self.columns = draw[..., 1:]
         self.columns &= _LSB - 1
         self.columns |= _LSB
-        self.scrambled = np.zeros((n, SOBOL_BITS, dim), dtype=np.uint32)
-        self.bits = 0  # leading columns of `scrambled` filled so far
+        # scrambled[b, q]: stream q's direction number b.  Bit-major, so
+        # that the zero pages of the bits no stream reaches are never written.
+        self.scrambled = np.zeros((SOBOL_BITS, n, dim), dtype=np.uint32)
+        self.bits = 0  # leading bits of `scrambled` filled so far
         self.last = self.shift.copy()  # each stream's last point drawn
         self.n = np.zeros(n, dtype=np.int64)  # points drawn
         self.total = np.zeros(n)
@@ -301,7 +303,7 @@ class _Streams:
         v = _directions(self.dim).tolist()
         for b in range(self.bits, bits):
             for d, w in enumerate(v[b]):
-                acc = self.scrambled[:, b, d]
+                acc = self.scrambled[b, :, d]
                 for k in range(SOBOL_BITS):
                     if w >> k & 1:
                         acc ^= self.columns[:, d, k]
@@ -314,12 +316,13 @@ class _Streams:
         last point; its first point, point 0, is its shift."""
         start = self.n[sid]
         self._reserve(int(start.max() + count - 1).bit_length())
-        # Row q * SOBOL_BITS + b of `scrambled` is stream q's direction
-        # number b, and i's lowest set bit is one less than the number of
-        # bits set in i ^ (i - 1).  Indices are below 2**30: int32 holds
-        # them, and halves the memory these passes read.
+        # Row b * n + q of `scrambled` is stream q's direction number b, and
+        # i's lowest set bit is one less than the number of bits set in
+        # i ^ (i - 1).  Indices are below 2**30: int32 holds them, and halves
+        # the memory these passes read.
+        n = np.int64(len(self.n))
         index = start.astype(np.int32)[:, None] + np.arange(count, dtype=np.int32)
-        rows = (sid * SOBOL_BITS - 1)[:, None] + np.bitwise_count(index ^ (index - 1))
+        rows = (sid - n)[:, None] + n * np.bitwise_count(index ^ (index - 1))
         pts = self.scrambled.reshape(-1, self.dim).take(rows, axis=0)
         first = pts[:, 0]
         first[start == 0] = 0  # point 0 is `last` as set up, the shift
@@ -436,13 +439,16 @@ def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
         boxes.append(tuple(zip(*part)) for part in itertools.product(*halves))
 
 
-def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat) -> bool:
+def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat, test=None) -> bool:
     """Whether no point of [lo, hi] lies in the region: the bisection on
     the proof's grid, driven by the exact box test, drops every box within
-    PROOF_CALLS tests.  It stops at the first box it keeps."""
-    from .exact import BoxTest  # compiled only where a proof runs
+    PROOF_CALLS tests.  It stops at the first box it keeps.  test is the
+    region's exact box test when one is already built, whose rows it reuses."""
+    if test is None:
+        from .exact import BoxTest  # compiled only where a proof runs
 
-    kept = _bisect(BoxTest(region, len(lo), vals, cat), lo, hi, PROOF_BINS, PROOF_CALLS)
+        test = BoxTest(region, len(lo), vals, cat)
+    kept = _bisect(test, lo, hi, PROOF_BINS, PROOF_CALLS)
     return next(kept, None) is None
 
 
@@ -486,12 +492,16 @@ def integrate(
     weight_variant: str = "",
 ) -> QuadratureResult:
     """Multiplier * integral of the weight over the region: by cubature
-    where the region is one convex polytope, else by `sampled`.
+    where the region is one convex polytope on the sampling box, else by
+    `sampled`.
 
-    The cubature (`cubature.integrate`) applies when the region's compiled
-    program is one conjunction of comparisons, the weight is `one` or
-    `reciprocal` with no weight_variant, and the region's points in the
-    sampling box make a full-dimensional polytope.  Its result has the flag
+    The cubature (`cubature.integrate`) applies when the weight is `one` or
+    `reciprocal` with no weight_variant, the region's residual on the
+    sampling box (the exact box test's verdict on the whole box, every
+    `in`, `splits` and `not` it decides folded away) is one conjunction of
+    comparisons, and the region's points in the box make a full-dimensional
+    polytope.  The box test built to tell serves the emptiness proof of a
+    sampled integral too.  Its result has the flag
     "cubature" and the seed it was given, which it does not use.  For the
     unit weight the value is the exact volume, rounded once, with est_error
     0 and samples 0.  For the reciprocal weight, samples counts the
@@ -505,16 +515,17 @@ def integrate(
     bad box is raised first.
     """
     cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
+    test = None
     if box is not None and spec.weight in ("one", "reciprocal") and not weight_variant:
-        root = _bound(region, spec.dim, vals, cat).prog.root
-        if root.kind == "and" and not root.children:
-            from . import cubature
+        from . import cubature
+        from .exact import BoxTest
 
-            wfn = _weight_fn(spec.weight, vals)
-            out = cubature.integrate(spec, region, vals, *box, wfn, tol, rel_tol, budget, cat)
-            if out is not None:
-                return QuadratureResult(*out, seed, flag="cubature")
-    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, weight_variant)
+        test = BoxTest(region, spec.dim, vals, cat)
+        out = cubature.integrate(spec, test, *box, _weight_fn(spec.weight, vals), tol, rel_tol,
+                                 budget)
+        if out is not None:
+            return QuadratureResult(*out, seed, flag="cubature")
+    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, weight_variant, test)
 
 
 def sampled(
@@ -548,8 +559,11 @@ def sampled(
 
 
 def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box, tol: float,
-            seed: int, budget: int, rel_tol: float | None, weight_variant: str) -> QuadratureResult:
-    """`sampled` after `_setup`, which gave cat, region, vals and box."""
+            seed: int, budget: int, rel_tol: float | None, weight_variant: str,
+            test=None) -> QuadratureResult:
+    """`sampled` after `_setup`, which gave cat, region, vals and box; test,
+    the exact box test `integrate` built, if any, serves the emptiness
+    proof."""
     if box is None:
         return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-box")
     lo, hi = box
@@ -644,7 +658,7 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
             batch = ((budget - total_n) * weights / REPLICATES).astype(np.int64)
         streams.run(np.repeat(batch, REPLICATES), sample)
         total_n += REPLICATES * int(batch.sum())
-        if first and not streams.hits.any() and _proved_empty(region, lo, hi, vals, cat):
+        if first and not streams.hits.any() and _proved_empty(region, lo, hi, vals, cat, test):
             return QuadratureResult(0.0, 0.0, total_n, seed, flag="empty-region")
         first = False
 

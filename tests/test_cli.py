@@ -199,6 +199,15 @@ def test_integral_proved_empty_by_the_exact_test():
     assert out.splitlines()[1] == "U234,0.0,0.0,16384,24301,empty-region,computed"
 
 
+def test_integral_sampled_where_the_residual_is_nested():
+    # U233's residual on its sampling box holds a disjunction, so the
+    # command samples it to convergence
+    code, out = run_cli(["integral", "U233", "--theta", "0.52", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "U233,0.36047029195812275,9.119519342252187e-05,360448,24301,-,computed")
+
+
 def test_integral_no_hits_where_the_exact_test_finds_a_point(tmp_path):
     # A strip of width 1e-9 that the first round misses: bisection stalls
     # along it and the exact test finds it non-empty, so sampling goes on.

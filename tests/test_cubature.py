@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 from sievelab import cubature, quadrature
 from sievelab.catalog import default_catalog, dumps, loads
 from sievelab.exact import BoxTest
-from sievelab.params import theta_only
+from sievelab.params import ThetaParams, theta_only
 from sievelab.quadrature import (
     DEFAULT_SEED,
     QuadratureResult,
@@ -73,6 +73,51 @@ def test_l7_keeps_the_flag_its_parts_share(tmp_path):
              for n in ("L71", "L72", "L73")]
     assert parts == ["empty-region", "cubature", "cubature"]
     assert eval_L7(1 / 11, cat=cat).flag == ""
+
+
+I56_POINTS = [(0.32, 0.20), (0.33, 0.19)]
+
+
+@pytest.mark.parametrize("point", I56_POINTS)
+@pytest.mark.parametrize("name", ["I5", "I6"])
+def test_i5_i6_are_polytopes_on_their_sampling_boxes(name, point):
+    # the whole sampling box decides not in(G), and I6's in(C2; ...), so
+    # what is left is one conjunction, integrated by cubature
+    spec, params = CAT.integrals[name], ThetaParams(*point)
+    res = integrate(spec, params, tol=1e-30, rel_tol=1e-12, budget=4096)
+    assert res.flag == "cubature" and res.samples <= 4096
+    assert res.est_error <= 1e-12 * res.value
+    # at verify I56's tolerance the first rules already reach the target
+    coarse = named_integral(name, params, tol=3e-6)
+    assert coarse.flag == "cubature" and abs(coarse.value - res.value) <= coarse.est_error
+
+
+@pytest.mark.parametrize("point", I56_POINTS)
+@pytest.mark.parametrize("name", ["I5", "I6"])
+def test_i5_i6_agree_with_pooled_sampling(name, point):
+    spec, params = CAT.integrals[name], ThetaParams(*point)
+    want = named_integral(name, params, tol=3e-6).value
+    runs = [quadrature.sampled(spec, params, tol=1e-15, seed=seed, budget=1 << 19)
+            for seed in range(1, 5)]
+    mean = sum(r.value for r in runs) / len(runs)
+    pooled = math.sqrt(sum(r.est_error**2 for r in runs)) / len(runs)
+    assert abs(mean - want) <= 4 * pooled
+
+
+def test_a_nested_residual_is_sampled():
+    # U233's not in(G) stays undecided on the sampling box: its residual is
+    # a conjunction holding a disjunction, which is no polytope
+    spec, params = CAT.integrals["U233"], theta_only(0.52)
+    vals = params.values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    test = BoxTest(region, spec.dim, vals, CAT)
+    wfn = quadrature._weight_fn(spec.weight, vals)
+    assert cubature.integrate(spec, test, lo, hi, wfn, 1e-3, None, 1 << 22) is None
+    f = test.residual(lo, hi)
+    assert f[0] == "and" and any(g[0] == "or" for g in f[1])
+    assert integrate(spec, params, budget=1 << 16) == quadrature.sampled(spec, params,
+                                                                          budget=1 << 16)
 
 
 def test_too_small_a_budget_falls_back_to_sampling():
@@ -165,3 +210,19 @@ def test_unit_weight_cubature_is_the_polytope_volume(box):
         assert res is FALLBACK  # empty or lower-dimensional
     else:
         assert res.flag == "cubature" and abs(res.value - want) <= 1e-12
+
+
+def test_the_residual_not_the_syntax_picks_the_route():
+    # a disjunction the sampling box decides is a box; one it leaves open
+    # is sampled
+    cat = loads("region Q dim=2\n  bound t1 = [0, 1/4]\n  bound t2 = [0, 1]\n"
+                "  where t1 < 1/2 or t2 < 1/3\nend\n"
+                "region R dim=2\n  bound t1 = [0, 1]\n  bound t2 = [0, 1]\n"
+                "  where t1 < 1/2 or t2 < 1/3\nend\n"
+                "integral Q dim=2 region=Q weight=one mult=1\n"
+                "integral R dim=2 region=R weight=one mult=1\n")
+    res = integrate(cat.integrals["Q"], {}, cat=cat)
+    assert res == QuadratureResult(0.25, 0.0, 0, DEFAULT_SEED, "cubature")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_sample", lambda *args, **kwargs: FALLBACK)
+        assert integrate(cat.integrals["R"], {}, cat=cat) is FALLBACK

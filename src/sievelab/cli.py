@@ -12,9 +12,9 @@ Each command imports what it calls: `typeii`, `integral` and the `L7`,
 the `divisor` and `tables26` suites load `divisors` and `tables`, which
 need neither numpy nor the catalog.  Only `integral` and the three
 quadrature suites load `quadrature`, and through it `cubature` for the
-weights `one` and `reciprocal`; `verify calibration` samples.  `default_catalog`
-and `load_catalog` stay readable as attributes of this module, imported on
-first use.
+weights `one` and `reciprocal`; `verify calibration` samples.
+`default_catalog` and `load_catalog` stay readable as attributes of this
+module, imported on first use.
 Output is deterministic for a fixed configuration (seed included); the csv
 format prints full precision, plain/markdown print 6 significant digits.
 The provenance column distinguishes published reference values from

@@ -114,14 +114,12 @@ def _rows(test: BoxTest, lo, hi, descending: bool):
     None when the box test finds no point in the box, or leaves a residual
     that is a disjunction or a conjunction holding one."""
     f = test.residual(lo, hi)
-    if f is False or f is not True and f[0] == "or":
+    if f is False:
         return None
-    given = [(a, b) for a, b, _ in test.box_rows()]
-    if f is not True:
-        atoms = f[1] if f[0] == "and" else [f]
-        if any(isinstance(g[0], str) for g in atoms):  # a junction, not a row
-            return None
-        given += [(a, b) for a, b, _ in atoms]
+    atoms = () if f is True else f[1] if f[0] == "and" else (f,)
+    if any(isinstance(g[0], str) for g in atoms):  # a junction, not a row
+        return None
+    given = [(a, b) for a, b, _ in (*test.box_rows(), *atoms)]
     if descending:
         k = len(lo)
         given += [(tuple(int(j == i + 1) - int(j == i) for j in range(k)), 0)

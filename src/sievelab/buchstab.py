@@ -21,8 +21,6 @@ __all__ = [
     "omega_lower",
     "omega_upper",
     "omega_many",
-    "omega_lower_many",
-    "omega_upper_many",
 ]
 
 DEFAULT_GRID_STEP = 1e-4
@@ -175,31 +173,3 @@ def omega_upper(u: float) -> float:
         return UPPER_4
     return min(omega(u), UPPER_34) if u >= 3.0 else omega(u)
 
-
-def _envelope_many(u, clamp, band: float, tail: float) -> np.ndarray:
-    """An envelope over an array: the closed forms below 3, clamp(omega,
-    band) on [3, 4), tail from 4 on; the same branches as the scalar
-    envelopes."""
-    u = np.asarray(u, dtype=float)
-    if u.size and float(u.min()) < 1.0:
-        raise ValueError("omega is defined for u >= 1")
-    out = np.full(u.shape, tail)
-    part = u <= 2.0
-    out[part] = 1.0 / u[part]
-    part = (u > 2.0) & (u <= 3.0)
-    out[part] = _closed_form_23(u[part])
-    part = (u > 3.0) & (u < 4.0)
-    out[part] = _closed_form_34(u[part])
-    part = (u >= 3.0) & (u < 4.0)
-    out[part] = clamp(out[part], band)
-    return out
-
-
-def omega_lower_many(u: np.ndarray) -> np.ndarray:
-    """omega_lower over an array of u >= 1."""
-    return _envelope_many(u, np.maximum, LOWER_34, LOWER_4)
-
-
-def omega_upper_many(u: np.ndarray) -> np.ndarray:
-    """omega_upper over an array of u >= 1."""
-    return _envelope_many(u, np.minimum, UPPER_34, UPPER_4)

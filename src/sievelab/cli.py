@@ -39,7 +39,6 @@ EXIT_AMBIGUOUS = 3
 EXIT_VERIFY = 4
 
 MAX_TABLE_ROWS = 10**6  # rows of the longest table `buchstab` builds
-I56_BUDGET = 1 << 26  # samples per integral of `verify I56` without --budget
 
 
 def _fmt(x: float, full: bool) -> str:
@@ -299,7 +298,7 @@ FLAGS = {
     "--format": dict(choices=("plain", "csv", "markdown"), default="plain"),
     "--seed": dict(type=int, default=DEFAULT_SEED),
     "--tol": dict(type=float, default=1e-3),
-    "--budget": dict(type=int, default=None),  # see main
+    "--budget": dict(type=int, default=DEFAULT_BUDGET),
     "--catalog": dict(default=None),
     "--epsilon": dict(type=float, default=None),
     "--theta": dict(type=float, default=None),
@@ -353,9 +352,6 @@ def main(argv=None) -> int:
     args, extra = ap.parse_known_args(argv)
     if extra:
         args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
-    # a given --budget is a hard cap; else the command's default
-    if "budget" in args and args.budget is None:
-        args.budget = I56_BUDGET if getattr(args, "suite", "") == "I56" else DEFAULT_BUDGET
     try:
         return args.func(args)
     except AmbiguityError as exc:

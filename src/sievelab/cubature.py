@@ -177,28 +177,32 @@ def _solve(rows):
     denominator).  The rows are nonsingular."""
     den = math.lcm(*(q for _, _, q in rows))
     m = [[x * den for x in a] + [p * (den // q)] for a, p, q in rows]
-    d = _eliminate(m)
+    _, d = _eliminate(m)
     num = [row[-1] for row in m]
     g = math.gcd(d, *num) * (1 if d > 0 else -1)
     return tuple(x // g for x in num), d // g
 
 
-def _eliminate(m: list) -> int:
-    """Fraction-free Gauss-Jordan elimination of k integer rows in place,
-    every division exact (Bareiss 1968): the leading k x k block, which is
-    nonsingular, ends as d times the identity, d its determinant up to
-    sign, which is returned."""
-    prev = 1
-    for i in range(len(m)):
-        p = next(r for r in range(i, len(m)) if m[r][i])
-        m[i], m[p] = m[p], m[i]
-        pivot = m[i]
+def _eliminate(m: list) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows in place,
+    every division exact (Bareiss 1968), skipping each column with no pivot
+    left: (rank, last pivot).  Of k rows whose leading k x k block is
+    nonsingular, that block ends as d times the identity, d the last pivot
+    and the block's determinant up to sign."""
+    rank, prev = 0, 1
+    for j in range(len(m[0]) if m else 0):
+        p = next((r for r in range(rank, len(m)) if m[r][j]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        pivot = m[rank]
         for r, row in enumerate(m):
-            if r != i:
-                f = row[i]
-                m[r] = [(pivot[i] * x - f * y) // prev for x, y in zip(row, pivot)]
-        prev = pivot[i]
-    return prev
+            if r != rank:
+                f = row[j]
+                m[r] = [(pivot[j] * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = pivot[j]
+        rank += 1
+    return rank, prev
 
 
 def _tight(v, ints):
@@ -230,8 +234,8 @@ class _Faces:
         out = self.dims.get(face)
         if out is None:
             (n0, d0), *rest = (v for i, v in enumerate(self.verts) if face >> i & 1)
-            out = self.dims[face] = _rank([[x * d0 - y * d for x, y in zip(n, n0)]
-                                           for n, d in rest])
+            out = self.dims[face] = _eliminate([[x * d0 - y * d for x, y in zip(n, n0)]
+                                                for n, d in rest])[0]
         return out
 
     def triangulate(self, face: int, d: int) -> list:
@@ -254,25 +258,11 @@ class _Faces:
         return out
 
 
-def _rank(vectors) -> int:
-    """The rank of integer vectors, by fraction-free elimination."""
-    rows = [v for v in vectors if any(v)]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        j = next(j for j, x in enumerate(pivot) if x)
-        rank += 1
-        rows = [r if not r[j] else [pivot[j] * x - r[j] * y for x, y in zip(r, pivot)]
-                for r in rows]
-        rows = [[x // g for x in r] for r in rows if (g := math.gcd(*r))]
-    return rank
-
-
 def _det(verts, simplex) -> Fraction:
     """|det(v_1 - v_0, ..., v_k - v_0)| of a simplex's vertices, exactly."""
     (n0, d0), *rest = (verts[v] for v in simplex)
     m = [[x * d0 - y * d for x, y in zip(n, n0)] for n, d in rest]
-    return Fraction(abs(_eliminate(m)), math.prod(d * d0 for _, d in rest))
+    return Fraction(abs(_eliminate(m)[1]), math.prod(d * d0 for _, d in rest))
 
 
 @functools.cache

@@ -145,7 +145,7 @@ def _rest(x: np.ndarray) -> np.ndarray:
     return rest
 
 
-def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
+def _weight_fn(kind: str, vals: dict[str, float]):
     """The weight of the region's points, or None for the unit weight."""
     if kind == "one":
         return None
@@ -159,13 +159,7 @@ def _weight_fn(kind: str, vals: dict[str, float], variant: str = ""):
         if "kappa" not in vals:
             raise SpecificationError("buchstab weight needs a kappa value")
         kap = vals["kappa"]
-        omega_eval = {
-            "": buchstab.default_table().omega_many,
-            "lower": buchstab.omega_lower_many,
-            "upper": buchstab.omega_upper_many,
-        }.get(variant)
-        if omega_eval is None:
-            raise SpecificationError(f"unknown weight variant {variant!r}")
+        omega_eval = buchstab.default_table().omega_many
 
         def buch(x):
             u = np.clip(_rest(x) / kap, 1.0, None)
@@ -489,14 +483,13 @@ def integrate(
     budget: int = DEFAULT_BUDGET,
     rel_tol: float | None = None,
     cat: Catalog | None = None,
-    weight_variant: str = "",
 ) -> QuadratureResult:
     """Multiplier * integral of the weight over the region: by cubature
     where the region is one convex polytope on the sampling box, else by
     `sampled`.
 
     The cubature (`cubature.integrate`) applies when the weight is `one` or
-    `reciprocal` with no weight_variant, the region's residual on the
+    `reciprocal`, the region's residual on the
     sampling box (the exact box test's verdict on the whole box, every
     `in`, `splits` and `not` it decides folded away) is one conjunction of
     comparisons, and the region's points in the box make a full-dimensional
@@ -516,7 +509,7 @@ def integrate(
     """
     cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
     test = None
-    if box is not None and spec.weight in ("one", "reciprocal") and not weight_variant:
+    if box is not None and spec.weight in ("one", "reciprocal"):
         from . import cubature
         from .exact import BoxTest
 
@@ -525,7 +518,7 @@ def integrate(
                                  budget)
         if out is not None:
             return QuadratureResult(*out, seed, flag="cubature")
-    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, weight_variant, test)
+    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, test)
 
 
 def sampled(
@@ -536,7 +529,6 @@ def sampled(
     budget: int = DEFAULT_BUDGET,
     rel_tol: float | None = None,
     cat: Catalog | None = None,
-    weight_variant: str = "",
 ) -> QuadratureResult:
     """Estimate multiplier * integral of the weight over the region by
     sampling.
@@ -555,12 +547,11 @@ def sampled(
     the proof had not run, and a run without hits ends in "no-hits".
     """
     cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
-    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, weight_variant)
+    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol)
 
 
 def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box, tol: float,
-            seed: int, budget: int, rel_tol: float | None, weight_variant: str,
-            test=None) -> QuadratureResult:
+            seed: int, budget: int, rel_tol: float | None, test=None) -> QuadratureResult:
     """`sampled` after `_setup`, which gave cat, region, vals and box; test,
     the exact box test `integrate` built, if any, serves the emptiness
     proof."""
@@ -569,7 +560,7 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
     lo, hi = box
     k = spec.dim
     vol = float(np.prod(hi - lo))
-    wfn = _weight_fn(spec.weight, vals, weight_variant)
+    wfn = _weight_fn(spec.weight, vals)
     scale = float(spec.mult) / (math.factorial(k) if spec.sorted else 1.0)
 
     # Grid resolution: sorted integrals remix cells under the sorting map
@@ -695,7 +686,6 @@ def named_integral(
     seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
     cat: Catalog | None = None,
-    weight_variant: str = "",
     min_alpha_floor: bool = True,
 ) -> QuadratureResult:
     """Evaluate one of the catalogued loss integrals at a parameter point.
@@ -718,7 +708,7 @@ def named_integral(
         regions = dict(cat.regions)
         regions["G"] = cat.region("G_nofloor")
         cat = Catalog(regions, cat.ranges, cat.integrals, cat.groups)
-    return integrate(spec, params, tol, seed, budget, cat=cat, weight_variant=weight_variant)
+    return integrate(spec, params, tol, seed, budget, cat=cat)
 
 
 def eval_L7(

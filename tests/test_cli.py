@@ -7,6 +7,7 @@ import pytest
 
 import sievelab
 from sievelab import cli
+from sievelab.shared import DEFAULT_BUDGET
 
 
 def run_cli(argv):
@@ -162,9 +163,9 @@ def test_verify_i56_reads_catalog(tmp_path):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("extra, budget", [([], 1 << 26), (["--budget", "4096"], 4096)])
+@pytest.mark.parametrize("extra, budget", [([], DEFAULT_BUDGET), (["--budget", "4096"], 4096)])
 def test_verify_i56_honours_budget(extra, budget, monkeypatch):
-    # the suite's own budget is a default: an explicit --budget caps it
+    # the suite runs at the default budget, and an explicit --budget caps it
     from sievelab import quadrature as qd
 
     seen = []

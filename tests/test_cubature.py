@@ -160,6 +160,42 @@ def test_integer_elimination_solves_exactly(rows):
     assert [Fraction(x, d) for x in num] == [r[k] / r[i] for i, r in enumerate(m)]
 
 
+def _fraction_rank_det(rows):
+    """The rank of integer rows by Gauss elimination in Fraction, and the
+    product of the pivots up to sign, their determinant when square."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for j in range(len(m[0])):
+        p = next((r for r in range(rank, len(m)) if m[r][j]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        det *= m[rank][j]
+        for r in range(rank + 1, len(m)):
+            f = m[r][j] / m[rank][j]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_elimination_rank_and_determinant(n, data):
+    # products of n x r and r x k factors: rank at most r, so columns with
+    # no pivot left are common, and every division must stay exact
+    k = data.draw(st.one_of(st.just(n), st.integers(1, 7)))
+    r = data.draw(st.one_of(st.just(min(n, k)), st.integers(0, min(n, k))))
+    factor = st.integers(-3, 3)
+    left = data.draw(st.lists(st.lists(factor, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = data.draw(st.lists(st.lists(factor, min_size=k, max_size=k), min_size=r, max_size=r))
+    rows = [[sum(row[i] * right[i][j] for i in range(r)) for j in range(k)] for row in left]
+    want_rank, want_det = _fraction_rank_det(rows)
+    rank, pivot = cubature._eliminate([row[:] for row in rows])
+    assert rank == want_rank
+    if rank == n == k:
+        assert abs(pivot) == abs(want_det)
+
+
 FALLBACK = QuadratureResult(-1.0, 0.0, 0, 0, "sampled")
 
 

@@ -107,37 +107,6 @@ def test_region_shrink_monotonicity():
     assert shrunk.value <= full.value + 3 * (full.est_error + shrunk.est_error)
 
 
-def test_buchstab_weight_bracketing():
-    # Same nodes, envelope weights: lower <= table <= upper pointwise, so
-    # the ordering is exact for a fixed seed.
-    extra = (
-        "region floorbox dim=3\n"
-        "  bound t1 = [3/20, 3/10]\n"
-        "  bound t2 = [3/20, 3/10]\n"
-        "  bound t3 = [3/20, 3/10]\n"
-        "  where tsum < 4/5\n"
-        "end\n"
-        "integral floorint dim=3 region=floorbox weight=buchstab mult=1\n"
-    )
-    cat2 = loads(dumps(CAT) + extra)
-    p = theta_only(0.52)
-    lo = integrate(cat2.integrals["floorint"], p, tol=1e-9, budget=FAST, cat=cat2,
-                   weight_variant="lower")
-    mid = integrate(cat2.integrals["floorint"], p, tol=1e-9, budget=FAST, cat=cat2)
-    hi = integrate(cat2.integrals["floorint"], p, tol=1e-9, budget=FAST, cat=cat2,
-                   weight_variant="upper")
-    # The envelopes use the closed forms while the middle weight reads the
-    # table, so the pointwise ordering holds up to the trapezoid error of
-    # the 1e-4 grid.
-    table_slack = 1e-8 * abs(mid.value)
-    assert lo.value <= mid.value + table_slack
-    assert mid.value <= hi.value + table_slack
-    assert mid.value > 0
-    with pytest.raises(SpecificationError):
-        integrate(cat2.integrals["floorint"], p, tol=1e-9, budget=FAST, cat=cat2,
-                  weight_variant="middle")
-
-
 def test_unbounded_integrand_rejected():
     extra = (
         "region badbox dim=2\n"

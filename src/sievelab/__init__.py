@@ -30,7 +30,7 @@ _EXPORTS = {
                      "nu_prime", "tau", "tau_prime", "type_ii_range"), "params"),
     **dict.fromkeys(("QuadratureResult", "eval_L7", "integrate", "named_integral"), "quadrature"),
     **dict.fromkeys(("AffineForm", "IntervalUnion", "RegionSpec", "contains",
-                     "interval_contains", "merge_intervals", "partitions_into"), "regions"),
+                     "interval_contains"), "regions"),
     **dict.fromkeys(("AmbiguityError", "RegionError"), "shared"),
 }
 

@@ -65,7 +65,8 @@ def _emit_table(header, rows, fmt, out=None):
             out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _build_params(args):
+def _build_params(args, theta3=None):
+    """The point the --theta flags give; only typeii takes --theta3."""
     from .params import ThetaParams
 
     eps = args.epsilon or 0.0
@@ -73,7 +74,7 @@ def _build_params(args):
         return ThetaParams(args.theta, eps=eps)
     if args.theta1 is None:
         raise RegionError("supply --theta or --theta1/--theta2")
-    return ThetaParams(args.theta1, args.theta2, args.theta3, eps=eps)
+    return ThetaParams(args.theta1, args.theta2, theta3, eps=eps)
 
 
 def cmd_buchstab(args) -> int:
@@ -117,7 +118,8 @@ def cmd_typeii(args) -> int:
         raise RegionError(f"typeii takes at most three coordinates, got {len(point)}")
     if point and any(v is not None for v in (args.theta, args.theta1, args.theta2, args.theta3)):
         raise RegionError("give the point as coordinates or by --theta flags, not both")
-    params = ThetaParams(*point, eps=args.epsilon or 0.0) if point else _build_params(args)
+    params = (ThetaParams(*point, eps=args.epsilon or 0.0) if point
+              else _build_params(args, args.theta3))
     cat = _catalog(args)
     report = type_ii_range(params, cat, family=args.family)
     full = args.format == "csv"
@@ -331,7 +333,8 @@ def make_parser() -> argparse.ArgumentParser:
     t.add_argument("--family", choices=("auto", "a", "e"), default="auto")
     t.set_defaults(func=cmd_typeii)
 
-    i = command("integral", FLAGS, help="evaluate a named loss integral")
+    i = command("integral", [f for f in FLAGS if f != "--theta3"],
+                help="evaluate a named loss integral")
     i.add_argument("name", choices=NAMED)
     i.add_argument(
         "--g-floor", choices=("on", "off"), default="on", dest="g_floor",

@@ -200,12 +200,10 @@ class BoxTest:
         return out
 
     def decide(self, f):
-        """A residual judged exactly on the box: rows that hold or fail at
-        every point of it become True or False."""
+        """A row judged exactly on the box: True or False when it holds or
+        fails at every point of it."""
         if f is True or f is False:
             return f
-        if f[0] == "and" or f[0] == "or":
-            return _fold(f[0], map(self.decide, f[1]))
         a, b, strict = f
         low = high = 0
         for x, l, h in zip(a, self.lo, self.hi):

@@ -21,19 +21,20 @@ atom the bounds do not decide undecided (None); its exact mode, given an
 leaves the residual of the box: the atoms it leaves undecided, as exact
 rational rows, which the `BoxTest` refutes.
 
-`_Bound.eval` copies each chunk of a batch once, as float64, into a
-(k, N) array, so a coordinate is one contiguous row.  Every comparison
-reads whole rows, and a gather of points takes the same columns of every
-row.  A nested clause that holds nothing but comparisons runs over all
-points under a mask of the points its parent has not decided; `in` and
-`splits` children run on a copy of those points alone.
+`_Bound.eval` copies a batch once, as float64, into a (k, N) array, so a
+coordinate is one contiguous row.  Every comparison reads whole rows, and
+a gather of points takes the same columns of every row.  A nested clause
+that holds nothing but comparisons runs over all points under a mask of
+the points its parent has not decided; `in` and `splits` children run on
+a copy of those points alone.
 
-Only the batch walker needs numpy, and it, `subset_sums`, `RegionSpec.box`
-and `partitions_into` import it where they run.  The box walker works on
-lists of floats, so a point's membership (`contains`: a point is a box with
-equal corners) loads no numpy; only a `splits` atom does.  `subset_sums`
-serves the `splits` atom alone, in both walkers; `divisors` enumerates its
-subsets without it, in pure Python.
+The entry points are `RegionSpec.eval` for a batch, `definitely` for a
+box and `contains` for a point (a box with equal corners).  Only the batch
+walker needs numpy; it, `subset_sums` and `RegionSpec.box` import it where
+they run.  The box walker works on lists of floats, the subset sums of a
+`splits` atom included, so no box test loads numpy: not `definitely`, not
+`contains` and not the exact `exact.BoxTest`.  `subset_sums` serves the
+batch walker alone; `divisors` enumerates its subsets in pure Python.
 
 Every sum over the coordinates of a point adds them left to right, at
 every width and in both walkers: tsum, the group sums of `in`, and the
@@ -67,9 +68,7 @@ __all__ = [
     "RegionError",
     "contains",
     "definitely",
-    "partitions_into",
     "subset_sums",
-    "merge_intervals",
     "interval_contains",
 ]
 
@@ -98,7 +97,6 @@ SPECIALS = ("tmax", "tmin", "tsum")
 
 MAX_SPLIT = 24  # bipartitions are enumerated over at most this many coordinates
 MARGIN = 2.0**-40  # the exact test trusts a float box verdict beyond this share of its size
-CHUNK_ROWS = 1 << 15  # rows evaluated together, to bound the temporaries
 BLOCK_PAIRS = 1 << 14  # rows x masks per block of a bipartition search
 
 
@@ -511,11 +509,6 @@ class _Bound:
     def eval(self, x: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        if not len(x):
-            return np.zeros(0, dtype=bool)
-        if len(x) > CHUNK_ROWS:
-            chunks = range(0, len(x), CHUNK_ROWS)
-            return np.concatenate([self.eval(x[i : i + CHUNK_ROWS]) for i in chunks])
         return self._run(self.prog.root, np.ascontiguousarray(x.T, dtype=float))
 
     def _run(self, node: _Node, x: np.ndarray, live=None) -> np.ndarray:
@@ -645,9 +638,9 @@ class _Bound:
         if append is not None:
             extra = self.base(append)
             lo, hi, mag = lo + [extra], hi + [extra], mag and mag + abs(extra)
-        import numpy as np
-
-        sums = subset_sums(np.array([lo, hi]).T).tolist()
+        sums = [(0.0, 0.0)]  # every subset's (lo, hi), added as subset_sums adds them
+        for a, b in zip(lo, hi):
+            sums += [(s + a, t + b) for s, t in sums]
         total_lo, total_hi = sums[-1]
         target, items = self.sub(prog), []
         for mask, (s_lo, s_hi) in enumerate(sums):
@@ -806,11 +799,6 @@ def merge_numeric(pieces: list[NumericPiece]) -> list[NumericPiece]:
     return out
 
 
-def merge_intervals(u: IntervalUnion, params: dict[str, float]) -> list[NumericPiece]:
-    """Merged numeric pieces of the union at the given parameter point."""
-    return merge_numeric(u.evaluated(params))
-
-
 def interval_contains(pieces: list[NumericPiece], x: float) -> bool:
     """Membership in a union of numeric pieces, respecting open/closed
     endpoints."""
@@ -841,15 +829,3 @@ def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bo
     if not all(map(math.isfinite, x)):
         raise RegionError(f"point {x} has a non-finite coordinate")
     return _bound(region, len(x), params, catalog).decide(x, x)
-
-
-def partitions_into(alpha, region2d: RegionSpec, params: dict[str, float], catalog) -> bool:
-    """Exists-bipartition of the alpha entries landing in the 2-d region."""
-    import numpy as np
-
-    x = np.asarray(alpha, dtype=float).reshape(-1, 1)
-    if len(x) > MAX_SPLIT:
-        raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} entries")
-    if region2d.dimension not in (2, None):
-        raise RegionError("partition target must be two-dimensional")
-    return bool(_bipartition_hits(x, _Bound(_program(region2d, catalog, 2), params))[0])

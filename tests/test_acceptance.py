@@ -78,8 +78,8 @@ def test_criterion_3_i5_i6():
     details = []
     for t1, t2 in ((0.32, 0.20), (0.33, 0.19)):
         p = ThetaParams(t1, t2)
-        r5 = named_integral("I5", p, tol=3e-6, budget=1 << 26)
-        r6 = named_integral("I6", p, tol=3e-6, budget=1 << 26)
+        r5 = named_integral("I5", p, tol=3e-6)
+        r6 = named_integral("I6", p, tol=3e-6)
         total = r5.value + r6.value
         bound = 1e-5 + 3 * (r5.est_error + r6.est_error)
         ok &= total <= bound

@@ -269,6 +269,7 @@ def test_verify_unknown_suite_rejected():
     ["typeii", "0.36", "0.141", "--seed", "3"],
     ["typeii", "0.36", "0.141", "--budget", "4096"],
     ["typeii", "0.36", "0.141", "--tol", "1e-9"],
+    ["integral", "I5", "--theta1", "0.3", "--theta2", "0.1", "--theta3", "0.1"],
 ])
 def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from sievelab.catalog import default_catalog, loads
 from sievelab.exact import BoxTest
 from sievelab.params import ThetaParams
 from sievelab.quadrature import _descending, rowwise
-from sievelab.regions import CHUNK_ROWS, RegionError, contains, definitely, subset_sums
+from sievelab.regions import RegionError, contains, definitely, subset_sums
 
 CAT = default_catalog()
 
@@ -125,7 +125,7 @@ def test_batch_invariance(name, seed, n, data):
 @pytest.mark.parametrize("name", ["D1", "U234"])
 def test_batch_invariance_across_chunks(name):
     spec, region, vals, lo, hi = setting(name)
-    x = draw(np.random.default_rng(8), spec, lo, hi, CHUNK_ROWS + 300)
+    x = draw(np.random.default_rng(8), spec, lo, hi, 33_068)
     whole = region.eval(x, vals, CAT)
     rows = np.concatenate([region.eval(x[i : i + 97], vals, CAT) for i in range(0, len(x), 97)])
     assert np.array_equal(whole, rows)
@@ -362,7 +362,7 @@ def test_splits_matches_per_mask_reference(name, dim, rows):
     # Enough rows that masks run in several blocks and rows are dropped
     # between them; the reference tries every mask on every row.  The row
     # counts from 1 to 40,000 take the first block's low-bit count from k
-    # down to 0 and cross CHUNK_ROWS.  The reference adds each subset sum
+    # down to 0.  The reference adds each subset sum
     # and the total left to right: from 8 coordinates on, two coordinates
     # summing to theta or just above and the rest a few ulps each put
     # t1 + t2 = theta, a boundary of g3, g4 and g5, within an ulp or two of

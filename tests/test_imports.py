@@ -26,7 +26,7 @@ EXPORTS = {
                "nu_prime", "tau", "tau_prime", "type_ii_range"],
     "quadrature": ["QuadratureResult", "eval_L7", "integrate", "named_integral"],
     "regions": ["AffineForm", "IntervalUnion", "RegionError", "RegionSpec", "contains",
-                "interval_contains", "merge_intervals", "partitions_into"],
+                "interval_contains"],
 }
 
 
@@ -45,9 +45,15 @@ def loaded_after(*argvs, watch=HEAVY):
         "    stages.append([m for m in watch if m in sys.modules])\n"
         "print(json.dumps(stages))\n"
     )
+    return python(code)
+
+
+def python(code, *argv):
+    """What code, run with argv in a fresh interpreter that imports this
+    checkout's sievelab, prints as JSON; it must exit 0."""
     src = os.path.dirname(os.path.dirname(sievelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     return json.loads(out.stdout)
 
@@ -105,6 +111,35 @@ def test_errors_and_defaults_are_the_shared_modules_objects():
         assert module.DEFAULT_BUDGET is shared.DEFAULT_BUDGET
 
 
+def test_box_tests_on_splits_regions_load_no_numpy():
+    # The box walker sums the subsets of a splits atom in Python floats, so
+    # contains, definitely and the exact BoxTest run with numpy blocked.
+    # D1 is not in(G), and G holds splits(gunion) and splits(Tstar3).
+    from sievelab.catalog import default_catalog
+    from sievelab.params import ThetaParams
+
+    lo, hi = default_catalog().region("D1").box(ThetaParams(0.52).values(), 3)
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from sievelab.catalog import default_catalog\n"
+        "from sievelab.exact import BoxTest\n"
+        "from sievelab.params import ThetaParams\n"
+        "from sievelab.regions import contains, definitely\n"
+        "cat, vals = default_catalog(), ThetaParams(0.52).values()\n"
+        "lo, hi = json.loads(sys.argv[1])\n"
+        "out = [contains(cat.region(name), point, vals, cat) for name in ('S_fam', 'GG')\n"
+        "       for point in ([0.3, 0.2, 0.1], [0.3, 0.25, 0.2])]\n"
+        "out.append(definitely(cat.region('GG'), [0.2, 0.1, 0.05], [0.22, 0.12, 0.06], vals, cat))\n"
+        "test = BoxTest(cat.region('D1'), 3, vals, cat)\n"
+        "half = [(a + b) / 2 for a, b in zip(lo, hi)]\n"
+        "out += [test(lo, hi), test(lo, half), test(half, hi)]\n"
+        "print(json.dumps(out))\n"
+    )
+    got = python(code, json.dumps([lo.tolist(), hi.tolist()]))
+    assert got == [True, False, True, False, True, None, False, False]
+
+
 def test_integral_loads_the_sampling_modules():
     _, after = loaded_after(["integral", "S235", "--theta", "0.52", "--budget", "65536"])
     assert {"numpy", "sievelab.quadrature", "sievelab.buchstab"} <= set(after)
@@ -117,7 +152,7 @@ def test_export_is_its_home_modules_object(module, name):
 
 def test_exports_listed():
     names = {n for names in EXPORTS.values() for n in names}
-    assert len(names) == 35
+    assert len(names) == 33
     assert names <= set(dir(sievelab))
     assert set(sievelab.__all__) == names
 

@@ -31,9 +31,7 @@ from sievelab.regions import (
     contains,
     definitely,
     interval_contains,
-    merge_intervals,
     merge_numeric,
-    partitions_into,
     Membership,
     RegionSpec,
     Splits,
@@ -193,7 +191,7 @@ def test_u235_literal():
 
 
 # ---------------------------------------------------------------------------
-# partitions_into
+# splits: the box walker's bipartition search, through contains
 # ---------------------------------------------------------------------------
 
 
@@ -210,14 +208,15 @@ def brute_partition(entries, region, vals):
 
 def test_partition_examples():
     vals = theta_only(0.52).values()
-    assert partitions_into((0.45, 0.30), CAT.region("Tstar3"), vals, CAT)
+    assert contains(CAT.region("V_nofloor"), (0.45, 0.30), vals, CAT)  # splits(Tstar3)
+    cat = loads(dumps(CAT) + "\nregion G1split dim=any\n  where splits(g1)\nend\n")
     vals51 = theta_only(0.51).values()
-    assert not partitions_into((0.5,), CAT.region("g1"), vals51, CAT)
+    assert not contains(cat.region("G1split"), (0.5,), vals51, cat)
 
 
 def test_partition_against_brute_oracle():
     rng = random.Random(91)
-    reg = CAT.region("gunion")
+    reg, target = CAT.region("GG"), CAT.region("gunion")  # GG is splits(gunion)
     for _ in range(400):
         k = rng.randint(1, 5)
         entries = [rng.uniform(0.05, 0.3) for _ in range(k)]
@@ -225,22 +224,22 @@ def test_partition_against_brute_oracle():
             continue
         vals = theta_only(rng.choice([0.51, 0.53])).values()
         alpha = tuple(sorted(entries, reverse=True))
-        got = partitions_into(alpha, reg, vals, CAT)
-        want = brute_partition(list(alpha), reg, vals)
+        got = contains(reg, alpha, vals, CAT)
+        want = brute_partition(list(alpha), target, vals)
         assert got == want
 
 
 def test_partition_permutation_invariant():
     rng = random.Random(2)
     vals = theta_only(0.52).values()
-    reg = CAT.region("S")
+    reg = CAT.region("S_fam")  # splits(S)
     for _ in range(100):
         entries = [rng.uniform(0.05, 0.3) for _ in range(4)]
         if sum(entries) > 1:
             continue
-        base = partitions_into(tuple(entries), reg, vals, CAT)
+        base = contains(reg, tuple(entries), vals, CAT)
         rng.shuffle(entries)
-        assert partitions_into(tuple(entries), reg, vals, CAT) == base
+        assert contains(reg, tuple(entries), vals, CAT) == base
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +253,20 @@ def piece(lo, hi, lo_open=True, hi_open=True):
 
 def test_merge_overlapping():
     u = IntervalUnion([piece(0, "1/10"), piece("1/20", "1/5")])
-    merged = merge_intervals(u, {})
+    merged = merge_numeric(u.evaluated({}))
     assert len(merged) == 1
     assert merged[0].lo == 0.0 and merged[0].hi == pytest.approx(0.2)
 
 
 def test_open_touching_does_not_merge():
     u = IntervalUnion([piece(0, "1/10"), piece("1/10", "1/5")])
-    merged = merge_intervals(u, {})
+    merged = merge_numeric(u.evaluated({}))
     assert len(merged) == 2
 
 
 def test_closed_touching_merges():
     u = IntervalUnion([piece(0, "1/10", hi_open=False), piece("1/10", "1/5")])
-    merged = merge_intervals(u, {})
+    merged = merge_numeric(u.evaluated({}))
     assert len(merged) == 1
 
 
@@ -281,7 +280,7 @@ def test_merge_union_example():
         ]
     )
     vals = {"theta1": 0.36, "theta2": 0.141}
-    merged = merge_intervals(u, vals)
+    merged = merge_numeric(u.evaluated(vals))
     assert len(merged) == 1
     assert merged[0].lo == pytest.approx(0.0, abs=1e-15)
     assert merged[0].hi == pytest.approx((5 - 8 * 0.36 - 8 * 0.141) / 6, abs=1e-15)

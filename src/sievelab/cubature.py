@@ -14,12 +14,11 @@ conjunction of comparisons.
   weight at the sorted point, which is mult times the integral over the
   region's points with t1 >= ... >= tk.  Of rows with one direction only
   the tightest is kept.
-- Vertices.  Every k-subset of rows is tested for singularity and solved in
-  floats, many at once; the subsets that are nonsingular and feasible
-  within SLACK are solved again in integers, by fraction-free Gauss-Jordan
-  elimination (Bareiss), checked against every row and kept once each as
-  (numerators, denominator).  A subset whose rows are all tight at a vertex
-  already found is not solved again.
+- Vertices.  Exact double description, in integers: the box's corners
+  are cut by every other row in index order, each cut keeping the vertices
+  on its side and adding one where it crosses an edge, the edges found by
+  their common tight rows alone.  Each vertex is kept as (numerators,
+  denominator) with the rows tight at it.
 - Triangulation.  Pulling: a face is triangulated by coning its
   lowest-numbered vertex over each of its facets that misses that vertex,
   triangulated the same way.  The facets of a face F are the sets F ∩
@@ -33,7 +32,8 @@ conjunction of comparisons.
   by no more than the target, or the next one would pass the budget.
 
 References: Stroud 1971, *Approximate Calculation of Multiple Integrals*;
-Golub & Welsch 1969; Bareiss 1968.
+Golub & Welsch 1969; Bareiss 1968; Motzkin, Raiffa, Thompson & Thrall
+1953; Fukuda & Prodon 1996.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ import numpy as np
 from .exact import BoxTest
 from .quadrature import _rest
 
-SLACK = 1e-6  # feasibility slack of the float solutions, which are checked exactly after
-# Row subsets a polytope may have, all solved in floats at once.  The
-# catalog's polytopes have at most 3,003 (S237 and L73, 15 rows in 5
-# dimensions).  54,264 subsets of 21 random rows in 6 dimensions took
-# 0.18 s and raised the peak RSS by 30 MB; 53,130 in 5 dimensions took
-# 0.16 s and 25 MB (2-core machine).
+# The route's cap on a polytope's k-subsets of rows; past it the integral is
+# sampled.  The catalog's polytopes have at most 3,003 (S237 and L73, 15
+# rows in 5 dimensions).  U234's residual at theta = 0.52 has 53 rows in 6
+# dimensions, 2.3e7 subsets: its double description takes about 50 ms to
+# find one vertex (2-core machine), and the sampler proves it empty.
 MAX_SUBSETS = 1 << 16
 BLOCK = 1 << 14  # rule points evaluated together
 TINY = sys.float_info.min  # a Sturm pivot nearer 0 is taken as -TINY
@@ -65,9 +64,8 @@ def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
     wfn (None for the unit weight) over the points in the box [lo, hi] of
     the region of the exact box test `test`, or None when the region's
     residual on the box is no conjunction, the polytope is not
-    full-dimensional, its rows have more than MAX_SUBSETS k-subsets or are
-    too large for the float singularity test to be exact, or the rules n = 2
-    and n = 4 together need more than `budget` evaluations.
+    full-dimensional, its rows have more than MAX_SUBSETS k-subsets, or the
+    rules n = 2 and n = 4 together need more than `budget` evaluations.
 
     A reciprocal weight raises SpecificationError when a vertex has a
     coordinate, or 1 - sum(t), below FLOOR_MIN: region points come
@@ -77,10 +75,9 @@ def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
     rows = _rows(test, lo, hi, spec.sorted)
     if rows is None or math.comb(len(rows), k) > MAX_SUBSETS:
         return None
-    found = _vertices(rows, k)
-    if found is None or not found[0]:
+    verts, tight = _vertices(rows, k)
+    if not verts:
         return None
-    verts, tight = found
     faces = _Faces(verts, tight, len(rows))
     everything = (1 << len(verts)) - 1
     if faces.dim(everything) < k:
@@ -136,51 +133,55 @@ def _rows(test: BoxTest, lo, hi, descending: bool):
 def _vertices(rows, k):
     """The polytope's vertices, each (numerators, denominator) in lowest
     terms with a positive denominator, and the bit mask of the rows tight at
-    each; or None when the rows are too large for the float singularity
-    test to be exact."""
-    a = np.array([r[0] for r in rows], dtype=float)
-    b = np.array([float(r[1]) for r in rows])
-    # A k-subset of primitive integer directions is singular exactly when
-    # its integer determinant is 0, else it is at least 1 in size.  The
-    # float determinant errs by less than 1/4 while Hadamard's bound, the
-    # product of the k longest row lengths, times k 2**(k-52) (LU with
-    # partial pivoting grows entries by at most 2**(k-1)) stays below 1/4.
-    norms = np.sort(np.linalg.norm(a, axis=1))[::-1]
-    if float(np.prod(norms[:k])) * k * 2.0 ** (k - 52) >= 0.25:
-        return None
-    ints = [(r[0], r[1].numerator, r[1].denominator) for r in rows]
-    verts, tight, seen = [], [], set()
-    idx = np.array(list(itertools.combinations(range(len(rows)), k)), dtype=np.intp)
-    idx = idx.reshape(-1, k)
-    m = a[idx]
-    keep = np.abs(np.linalg.det(m)) > 0.5
-    idx, m = idx[keep], m[keep]
-    x = np.linalg.solve(m, b[idx][..., None])[..., 0]
-    feasible = (x @ a.T <= b + SLACK).all(axis=1)
-    for subset in idx[feasible].tolist():
-        mask = sum(1 << i for i in subset)
-        if any(t & mask == mask for t in tight):
-            continue
-        v = _solve([ints[i] for i in subset])
-        if v in seen:
-            continue
-        seen.add(v)
-        t = _tight(v, ints)
-        if t is not None:
-            verts.append(v)
-            tight.append(t)
-    return verts, tight
+    each; or [], [] when the box rows leave some axis no width.  Exact
+    double description (Motzkin et al. 1953): the box's corners, cut by
+    every other row in index order.  A cut keeps the vertices on its side
+    and adds a vertex on each edge it crosses; the edges are the pairs whose
+    common tight rows lie in no third vertex's (Fukuda & Prodon 1996).
 
-
-def _solve(rows):
-    """The solution of the rows' equations a . t = p / q as (numerators,
-    denominator).  The rows are nonsingular."""
-    den = math.lcm(*(q for _, _, q in rows))
-    m = [[x * den for x in a] + [p * (den // q)] for a, p, q in rows]
-    _, d = _eliminate(m)
-    num = [row[-1] for row in m]
-    g = math.gcd(d, *num) * (1 if d > 0 else -1)
-    return tuple(x // g for x in num), d // g
+    The vertices are ordered by their tight rows' indices, which is the
+    order of their least nonsingular k-subsets of tight rows: where two
+    vertices' tight rows first differ, the lesser row is independent of
+    those before it, as a combination of them would be tight at both.  The
+    pulling triangulation's apexes, and so the rule's sums, depend on it."""
+    index = {a: i for i, (a, _) in enumerate(rows)}
+    unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    # each axis's two box rows and bounds, (row of lo, lo) and (row of hi, hi)
+    ends = [((l, -rows[l][1]), (h, rows[h][1]))
+            for l, h in ((index[tuple(-x for x in e)], index[e]) for e in unit)]
+    if any(lo >= hi for (_, lo), (_, hi) in ends):
+        return [], []
+    verts = []  # (numerators, denominator, tight rows)
+    for corner in itertools.product(*ends):
+        den = math.lcm(*(x.denominator for _, x in corner))
+        verts.append(([x.numerator * (den // x.denominator) for _, x in corner], den,
+                      sum(1 << i for i, _ in corner)))
+    boxed = sum(1 << i for axis in ends for i, _ in axis)
+    for i, (a, b) in enumerate(rows):
+        if boxed >> i & 1:
+            continue
+        sides = [b.denominator * sum(x * y for x, y in zip(a, num)) - b.numerator * den
+                 for num, den, _ in verts]
+        masks = [t for _, _, t in verts]
+        cut = []
+        for u, su in enumerate(sides):
+            if su >= 0:
+                continue
+            nu, du, _ = verts[u]
+            for w, sw in enumerate(sides):
+                common = masks[u] & masks[w]
+                if sw <= 0 or common.bit_count() < k - 1 or any(
+                        t & common == common for v, t in enumerate(masks) if v != u and v != w):
+                    continue  # no edge: too few common rows, or a third vertex has them
+                nw, dw, _ = verts[w]
+                num = [sw * x - su * y for x, y in zip(nu, nw)]
+                den = sw * du - su * dw
+                g = math.gcd(den, *num)
+                cut.append(([x // g for x in num], den // g, common | 1 << i))
+        verts = [(num, den, mask | (s == 0) << i)
+                 for (num, den, mask), s in zip(verts, sides) if s <= 0] + cut
+    verts.sort(key=lambda v: [i for i in range(len(rows)) if v[2] >> i & 1])
+    return [(tuple(num), den) for num, den, _ in verts], [mask for _, _, mask in verts]
 
 
 def _eliminate(m: list) -> tuple[int, int]:
@@ -203,19 +204,6 @@ def _eliminate(m: list) -> tuple[int, int]:
         prev = pivot[j]
         rank += 1
     return rank, prev
-
-
-def _tight(v, ints):
-    """The bit mask of the rows tight at v, or None when v breaks one."""
-    num, d = v
-    mask = 0
-    for i, (a, p, q) in enumerate(ints):
-        lhs, rhs = q * sum(x * y for x, y in zip(a, num)), p * d
-        if lhs > rhs:
-            return None
-        if lhs == rhs:
-            mask |= 1 << i
-    return mask
 
 
 class _Faces:

@@ -124,6 +124,7 @@ class BoxTest:
         self.rows: dict = {}
         self.subs: dict = {}
         self.certificates: list[Certificate] = []
+        self.last: tuple = (None, None)  # the last box's ratios and residual
 
     def __call__(self, lo, hi):
         f = self.residual(lo, hi)
@@ -141,13 +142,16 @@ class BoxTest:
     def residual(self, lo, hi):
         """The program on the closed box [lo, hi], judged exactly: True,
         False, or the residual of the atoms it leaves undecided.  The box
-        becomes the one `box_rows` and `decide` read."""
-        # the corners as integers over 2**shift: floats are dyadic rationals
+        becomes the one `box_rows` and `decide` read.  The last box and its
+        residual are kept, so the same box asked again is not walked again."""
         ratios = [float(v).as_integer_ratio() for v in (*lo, *hi)]
-        self.shift = max(d.bit_length() - 1 for _, d in ratios)
-        ints = [n << (self.shift - d.bit_length() + 1) for n, d in ratios]
-        self.lo, self.hi = ints[: self.k], ints[self.k :]
-        return self.bound.decide(lo, hi, self)
+        if ratios != self.last[0]:
+            # the corners as integers over 2**shift: floats are dyadic rationals
+            self.shift = max(d.bit_length() - 1 for _, d in ratios)
+            ints = [n << (self.shift - d.bit_length() + 1) for n, d in ratios]
+            self.lo, self.hi = ints[: self.k], ints[self.k :]
+            self.last = ratios, self.bound.decide(lo, hi, self)
+        return self.last[1]
 
     def box_rows(self) -> tuple:
         """lo <= t <= hi as rows."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -120,6 +121,21 @@ def test_a_nested_residual_is_sampled():
                                                                           budget=1 << 16)
 
 
+def test_the_emptiness_proof_reuses_the_route_checks_residual(monkeypatch):
+    # U234's 53 rows pass MAX_SUBSETS, so it is sampled; the proof's first
+    # box is the sampling box, whose residual the route check has walked
+    spec, vals = CAT.integrals["U234"], theta_only(0.52).values()
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    test = BoxTest(region, spec.dim, vals, CAT)
+    walks = []
+    decide = test.bound.decide
+    monkeypatch.setattr(test.bound, "decide", lambda *args: walks.append(args) or decide(*args))
+    assert cubature.integrate(spec, test, lo, hi, None, 1e-3, None, 1 << 22) is None
+    assert quadrature._proved_empty(region, lo, hi, vals, CAT, test)
+    assert len(walks) == 1 and len(test.certificates) == 1
+
+
 def test_too_small_a_budget_falls_back_to_sampling():
     # the rules n = 2 and 4 over S237's simplices need more than 100
     # evaluations, and the sampler needs a point per stratum and replicate
@@ -140,26 +156,6 @@ def test_cubature_stays_within_its_budget(name, vals, budget):
         assert res.samples >= 2**spec.dim + 4**spec.dim
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda k: st.lists(
-    st.tuples(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
-              st.integers(-99, 99), st.integers(1, 99)),
-    min_size=k, max_size=k)))
-def test_integer_elimination_solves_exactly(rows):
-    # the vertices' exact solve against elimination in Fraction
-    k = len(rows)
-    m = [[Fraction(x) for x in a] + [Fraction(p, q)] for a, p, q in rows]
-    for i in range(k):
-        p = next((r for r in range(i, k) if m[r][i]), None)
-        if p is None:
-            return  # singular
-        m[i], m[p] = m[p], m[i]
-        m = [r if r is m[i] else [x - r[i] / m[i][i] * y for x, y in zip(r, m[i])] for r in m]
-    num, d = cubature._solve([(tuple(a), p, q) for a, p, q in rows])
-    assert d > 0 and math.gcd(d, *num) == 1
-    assert [Fraction(x, d) for x in num] == [r[k] / r[i] for i, r in enumerate(m)]
-
-
 def _fraction_rank_det(rows):
     """The rank of integer rows by Gauss elimination in Fraction, and the
     product of the pivots up to sign, their determinant when square."""
@@ -176,6 +172,113 @@ def _fraction_rank_det(rows):
             m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank, det
+
+
+def _polytope_rows(lo, hi, cuts):
+    """The rows of {lo <= t <= hi, a . t <= c}, made primitive, the tightest
+    of each direction kept and sorted, as `cubature._rows` makes them."""
+    k = len(lo)
+    unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    given = [(tuple(-x for x in e), -l) for e, l in zip(unit, lo)] + list(zip(unit, hi)) + cuts
+    best = {}
+    for a, b in given:
+        g = math.gcd(*a)
+        a, b = tuple(x // g for x in a), Fraction(b) / g
+        if a not in best or b < best[a]:
+            best[a] = b
+    return sorted(best.items())
+
+
+def _integer_solve(rows):
+    """The solution of a . t = b over k rows as (numerators, denominator) in
+    lowest terms, by Gauss-Jordan elimination that cross-multiplies integer
+    rows, or None when they are singular."""
+    k = len(rows)
+    m = [[x * b.denominator for x in a] + [b.numerator] for a, b in rows]
+    for i in range(k):
+        p = next((r for r in range(i, k) if m[r][i]), None)
+        if p is None:
+            return None
+        m[i], m[p] = m[p], m[i]
+        m = [r if j == i else [m[i][i] * x - r[i] * y for x, y in zip(r, m[i])]
+             for j, r in enumerate(m)]
+    den = math.lcm(*(r[i] for i, r in enumerate(m)))  # positive
+    num = [r[k] * (den // r[i]) for i, r in enumerate(m)]
+    g = math.gcd(den, *num)
+    return tuple(x // g for x in num), den // g
+
+
+def _oracle_vertices(rows, k):
+    """Every k-subset of rows solved, in `itertools.combinations` order: the
+    feasible solutions, each at its first nonsingular subset, and the bit
+    masks of the rows tight at each."""
+    verts = {}
+    for subset in itertools.combinations(range(len(rows)), k):
+        x = _integer_solve([rows[i] for i in subset])
+        if x is None or x in verts:
+            continue
+        num, den = x
+        sides = [b.denominator * sum(w * y for w, y in zip(a, num)) - b.numerator * den
+                 for a, b in rows]
+        if all(s <= 0 for s in sides):
+            verts[x] = sum(1 << i for i, s in enumerate(sides) if s == 0)
+    return list(verts), list(verts.values())
+
+
+def _full_dimensional(verts, k) -> bool:
+    """Whether points (numerators, denominator) span k dimensions."""
+    if len(verts) <= k:
+        return False
+    (n0, d0), *rest = verts
+    return _fraction_rank_det([[Fraction(x, d) - Fraction(y, d0) for x, y in zip(n, n0)]
+                               for n, d in rest])[0] == k
+
+
+def _assert_vertices_match(rows, k):
+    verts, tight = cubature._vertices(rows, k)
+    want, want_tight = _oracle_vertices(rows, k)
+    bound = dict(rows)
+    upper = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    if any(-bound[tuple(-x for x in e)] >= bound[e] for e in upper):
+        # an axis with no width: no vertices, and the oracle's are flat
+        assert verts == tight == [] and not _full_dimensional(want, k)
+    else:
+        assert (verts, tight) == (want, want_tight)
+
+
+quarter = st.integers(-4, 8).map(lambda n: Fraction(n, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.lists(quarter, min_size=k, max_size=k),
+    st.lists(st.integers(1, 6).map(lambda n: Fraction(n, 4)), min_size=k, max_size=k),
+    st.lists(st.tuples(
+        st.one_of(  # unit directions tighten the box, down to no width
+            st.tuples(st.integers(0, k - 1), st.sampled_from([-1, 1])).map(
+                lambda e: tuple(e[1] * int(i == e[0]) for i in range(k))),
+            st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any).map(tuple)),
+        st.integers(-3, 4).map(lambda n: Fraction(n, 4))), min_size=1, max_size=7))))
+def test_vertices_match_every_subset_solved(box):
+    # the double description against every k-subset of rows solved
+    # exactly: the same vertices, tight rows and order, degenerate
+    # vertices, flat and empty polytopes included
+    lo, widths, cuts = box
+    hi = [x + w for x, w in zip(lo, widths)]
+    # each cut a . t <= a . mid + offset, near the box's middle
+    cuts = [(a, sum(x * (l + h) / 2 for x, l, h in zip(a, lo, hi)) + offset) for a, offset in cuts]
+    _assert_vertices_match(_polytope_rows(lo, hi, cuts), len(lo))
+
+
+def test_l72_at_one_eighth_has_a_corner_in_lowest_terms():
+    # the box [1/8, 5/16]^4 in sixteenths: its corner (2, 2, 2, 2)/16 is
+    # the vertex (1, 1, 1, 1)/8
+    spec, vals = CAT.integrals["L72"], {"kappa": 1 / 8}
+    region = CAT.region(spec.region)
+    lo, hi = region.box(vals, spec.dim)
+    rows = cubature._rows(BoxTest(region, spec.dim, vals, CAT), lo, hi, spec.sorted)
+    assert ((1, 1, 1, 1), 8) in cubature._vertices(rows, spec.dim)[0]
+    _assert_vertices_match(rows, spec.dim)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,17 +8,17 @@ conjunction of comparisons.
   what it leaves undecided is one conjunction with no junction inside, its
   atoms are integer rows a . t <= b, strict or not, which does not matter
   for volume; any other residual is sampled.  To these rows are added the
-  box's bounds, its floats taken as the dyadic rationals they are, and for
-  a sorted integral t1 >= t2 >= ... >= tk.  A sorted integral
+  box's bounds, in integers over a power of two as its floats are dyadic,
+  and for a sorted integral t1 >= t2 >= ... >= tk.  A sorted integral
   is mult/k! times the integral over the box of the region's indicator and
   weight at the sorted point, which is mult times the integral over the
   region's points with t1 >= ... >= tk.  Of rows with one direction only
-  the tightest is kept.
-- Vertices.  Exact double description, in integers: the box's corners
-  are cut by every other row in index order, each cut keeping the vertices
-  on its side and adding one where it crosses an edge, the edges found by
-  their common tight rows alone.  Each vertex is kept as (numerators,
-  denominator) with the rows tight at it.
+  the tightest is kept, by cross-multiplying; only its b becomes a Fraction.
+- Vertices.  Exact double description, in integers: the box's corners,
+  over one denominator, are cut by every other row in index order, each cut
+  keeping the vertices on its side and adding one where it crosses an edge,
+  the edges found by their common tight rows alone.  Each vertex is kept as
+  (numerators, denominator) with the rows tight at it.
 - Triangulation.  Pulling: a face is triangulated by coning its
   lowest-numbered vertex over each of its facets that misses that vertex,
   triangulated the same way.  The facets of a face F are the sets F ∩
@@ -121,13 +121,13 @@ def _rows(test: BoxTest, lo, hi, descending: bool):
         k = len(lo)
         given += [(tuple(int(j == i + 1) - int(j == i) for j in range(k)), 0)
                   for i in range(k - 1)]
-    best = {}
+    best = {}  # direction: (b, g), the bound b / g
     for a, b in given:
         g = math.gcd(*a)
-        a, b = tuple(x // g for x in a), Fraction(b, g)
-        if a not in best or b < best[a]:
-            best[a] = b
-    return sorted(best.items())
+        a = tuple(x // g for x in a)
+        if a not in best or b * best[a][1] < best[a][0] * g:
+            best[a] = b, g
+    return sorted((a, Fraction(b, g)) for a, (b, g) in best.items())
 
 
 def _vertices(rows, k):
@@ -145,23 +145,23 @@ def _vertices(rows, k):
     those before it, as a combination of them would be tight at both.  The
     pulling triangulation's apexes, and so the rule's sums, depend on it."""
     index = {a: i for i, (a, _) in enumerate(rows)}
-    unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    # each axis's two box rows and bounds, (row of lo, lo) and (row of hi, hi)
-    ends = [((l, -rows[l][1]), (h, rows[h][1]))
-            for l, h in ((index[tuple(-x for x in e)], index[e]) for e in unit)]
+    bs = [(b.numerator, b.denominator) for _, b in rows]
+    axes = [(index[tuple(-e for e in unit)], index[unit])
+            for unit in (tuple(int(i == j) for i in range(k)) for j in range(k))]
+    den = math.lcm(*(bs[i][1] for axis in axes for i in axis))
+    # each axis's two box rows and bounds over den, (row of lo, lo) and (row of hi, hi)
+    ends = [((l, -bs[l][0] * (den // bs[l][1])), (h, bs[h][0] * (den // bs[h][1])))
+            for l, h in axes]
     if any(lo >= hi for (_, lo), (_, hi) in ends):
         return [], []
-    verts = []  # (numerators, denominator, tight rows)
-    for corner in itertools.product(*ends):
-        den = math.lcm(*(x.denominator for _, x in corner))
-        verts.append(([x.numerator * (den // x.denominator) for _, x in corner], den,
-                      sum(1 << i for i, _ in corner)))
-    boxed = sum(1 << i for axis in ends for i, _ in axis)
-    for i, (a, b) in enumerate(rows):
+    verts = [([x for _, x in corner], den, sum(1 << i for i, _ in corner))  # (nums, den, tight)
+             for corner in itertools.product(*ends)]
+    boxed = sum(1 << i for axis in axes for i in axis)
+    for i, (a, _) in enumerate(rows):
         if boxed >> i & 1:
             continue
-        sides = [b.denominator * sum(x * y for x, y in zip(a, num)) - b.numerator * den
-                 for num, den, _ in verts]
+        bn, bd = bs[i]
+        sides = [bd * sum(x * y for x, y in zip(a, num)) - bn * den for num, den, _ in verts]
         masks = [t for _, _, t in verts]
         cut = []
         for u, su in enumerate(sides):
@@ -181,7 +181,8 @@ def _vertices(rows, k):
         verts = [(num, den, mask | (s == 0) << i)
                  for (num, den, mask), s in zip(verts, sides) if s <= 0] + cut
     verts.sort(key=lambda v: [i for i in range(len(rows)) if v[2] >> i & 1])
-    return [(tuple(num), den) for num, den, _ in verts], [mask for _, _, mask in verts]
+    return ([(tuple(x // g for x in num), den // g) for num, den, _ in verts
+             for g in (math.gcd(den, *num),)], [mask for _, _, mask in verts])
 
 
 def _eliminate(m: list) -> tuple[int, int]:

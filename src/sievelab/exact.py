@@ -7,27 +7,28 @@ the atoms the box leaves undecided become rows with integer coefficients
 in the box's coordinates, strict where the catalog's comparison is.  The
 program holds plain comparisons only (compiling has written out tsum,
 tmin, tmax and descending), and `in(...)` and each bipartition of
-`splits(...)` substitute group and subset sums.  Catalog coefficients stay
-exact and parameter values enter as the rationals their floats are.  What
-is left is refuted, together with the box's bounds, by Fourier-Motzkin
-elimination that keeps strictness, and each refutation is a Motzkin
-transposition certificate.
+`splits(...)` substitute group and subset sums.  The arithmetic is in
+integers throughout: a column is its catalog coefficients over one
+denominator (`regions._Program.exact`), a parameter the ratio of integers
+its float is, a substituted sum an integer vector over one denominator,
+and a row is reduced by its gcd.  What is left is refuted, together with
+the box's bounds, by Fourier-Motzkin elimination that keeps strictness,
+and each refutation is a Motzkin transposition certificate.
 
 A row (a, b, strict) with integer entries means a . t < b when strict and
 a . t <= b otherwise, over the coordinates t of the box.  A residual is
 True, False, a row, or a junction ("and" | "or", frozenset of residuals).
 
-`BoxTest` is this test on one box at a time, the box test of the
-quadrature's emptiness proof, which imports this module only when a proof
-runs.  Residuals are refuted in a canonical order of their items, so a
-certificate does not depend on the process's string hashes.
+`BoxTest` is this test on one box at a time.  The quadrature builds one to
+route every `one` or `reciprocal` integral, and one for an emptiness proof
+that has none.  Residuals are refuted in a canonical order of their items,
+so a certificate does not depend on the process's string hashes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .regions import RegionSpec, _Bound, _bound
 
@@ -87,18 +88,6 @@ def _negate(f):
     return tuple(-x for x in a), -b, not strict
 
 
-def _int_row(lin, strict: bool):
-    """lin[:-1] . t + lin[-1] < 0 (<= 0 unless strict) as an integer row in
-    lowest terms, or its verdict when no coordinate is left."""
-    den = math.lcm(*(x.denominator for x in lin))
-    *a, c = (x.numerator * (den // x.denominator) for x in lin)
-    g = math.gcd(*a)
-    if not g:
-        return 0 < -c if strict else 0 <= -c
-    g = math.gcd(g, c)
-    return tuple(x // g for x in a), -c // g, strict
-
-
 class BoxTest:
     """The exact box test of one emptiness proof of a k-dimensional region.
     Called on a closed box [lo, hi], it returns True when every point of the
@@ -120,7 +109,7 @@ class BoxTest:
     def __init__(self, region: RegionSpec, k: int, params: dict[str, float], catalog):
         self.bound = _bound(region, k, params, catalog)
         self.params, self.k = params, k
-        self.zero = (Fraction(0),) * (k + 1)
+        self.ratios: dict[str, tuple[int, int]] = {}  # each parameter read, as its float's ratio
         self.rows: dict = {}
         self.subs: dict = {}
         self.certificates: list[Certificate] = []
@@ -161,46 +150,62 @@ class BoxTest:
             rows += [(tuple(-u for u in unit), -l, False), (unit, h, False)]
         return tuple(rows)
 
-    def value(self, const: Fraction, params) -> Fraction:
-        """const + sum w * param, exactly (the float box test has already
-        checked that every parameter is given)."""
-        return const + sum(w * Fraction(self.params[name]) for name, w in params)
+    def value(self, form) -> tuple[int, int]:
+        """The constant and parameter terms of an integer form (`regions._ints`)
+        as (numerator, denominator): floats are dyadic, so the largest
+        parameter denominator is a common one."""
+        den, const, params = form[:3]
+        for name, _ in params:  # each is given: the float box test has read it
+            if name not in self.ratios:
+                self.ratios[name] = float(self.params[name]).as_integer_ratio()
+        terms = [(w, *self.ratios[name]) for name, w in params]
+        scale = max((d for _, _, d in terms), default=1)
+        return const * scale + sum(w * n * (scale // d) for w, n, d in terms), den * scale
 
     def vectors(self, sub) -> tuple:
-        """The affine forms in the box's coordinates (k coefficients, then a
-        constant) of the variables of a program reached through sub."""
+        """The variables of a program reached through sub as affine forms in
+        the box's coordinates, k coefficients then a constant, in integers
+        over one positive denominator: (forms, denominator)."""
         out = self.subs.get(sub)
         if out is None:
-            zero = self.zero
+            zero = (0,) * (self.k + 1)
             if sub is None:
-                out = tuple(zero[:i] + (Fraction(1),) + zero[i + 1 :] for i in range(self.k))
+                out = tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(self.k)), 1
             elif sub[0] == "in":
-                parent = self.vectors(sub[2])
-                out = tuple(_add([parent[i] for i in g], zero) for g in sub[1].arg[0])
+                parent, den = self.vectors(sub[2])
+                out = tuple(tuple(map(sum, zip(zero, *(parent[i] for i in g))))
+                            for g in sub[1].arg[0]), den
             else:
                 _, mask, node, parent = sub
-                parent, form = self.vectors(parent), node.arg[2]
-                if form is not None:
-                    parent += (zero[:-1] + (self.value(form.const, form.params),),)
-                out = (_add([v for i, v in enumerate(parent) if mask >> i & 1], zero),
-                       _add([v for i, v in enumerate(parent) if not mask >> i & 1], zero))
+                parent, den = self.vectors(parent)
+                if node.arg[2] is not None:  # the appended value, over den times its own
+                    num, d = self.value(node.arg[2])
+                    parent = (*(tuple(x * d for x in v) for v in parent), zero[:-1] + (num * den,))
+                    den *= d
+                parts = ([v for i, v in enumerate(parent) if mask >> i & 1],
+                         [v for i, v in enumerate(parent) if not mask >> i & 1])
+                out = tuple(tuple(map(sum, zip(zero, *part))) for part in parts), den
             self.subs[sub] = out
         return out
 
     def row(self, bound: _Bound, c: int, sub):
-        """Column c of the bound program through sub, as a row in the box's
-        coordinates, or its verdict when no coordinate is left."""
+        """Column c of the bound program through sub, as a row in lowest terms
+        in the box's coordinates, or its verdict when no coordinate is left."""
         key = (bound.prog, c, sub)
         out = self.rows.get(key)
         if out is None:
-            rel, const, params, terms = bound.prog.exact(c)
-            vec = self.vectors(sub)
-            lin = self.zero[:-1] + (self.value(const, params),)
-            for i, w in terms:
-                lin = tuple(x + w * y for x, y in zip(lin, vec[i]))
-            if rel in (">", ">="):  # as rhs - lhs < 0, or <= 0
-                lin = tuple(-x for x in lin)
-            out = self.rows[key] = _int_row(lin, rel in ("<", ">"))
+            rel, *form = bound.prog.exact(c)
+            (vec, vden), (num, den) = self.vectors(sub), self.value(form)
+            # lhs - rhs < 0, or <= 0 (rhs - lhs for > and >=), over den * vden
+            sign = 1 if rel in ("<", "<=") else -1
+            lin = [0] * self.k + [sign * num * vden]
+            for i, w in form[3]:
+                w *= sign * den // form[0]
+                lin = [x + w * y for x, y in zip(lin, vec[i])]
+            *a, const = lin
+            strict, g = rel in ("<", ">"), math.gcd(*lin)
+            out = self.rows[key] = ((tuple(x // g for x in a), -const // g, strict) if any(a)
+                                    else 0 < -const if strict else 0 <= -const)
         return out
 
     def decide(self, f):
@@ -221,13 +226,6 @@ class BoxTest:
         if low > b or low == b and strict:
             return False
         return f
-
-
-def _add(vectors, zero):
-    out = zero
-    for v in vectors:
-        out = tuple(x + y for x, y in zip(out, v))
-    return out
 
 
 def _prune(work):

@@ -19,13 +19,14 @@ undecided box is halved at the grid's edges until each box is judged empty
 (dropped), judged full or one cell wide (kept).
 
 - The strata are the kept cells of the sampling grid under the float box
-  test (`regions.definitely`), numbered in grid order; a stratum's number
-  picks its streams' scrambles.  Float interval evaluation is monotone under
-  inclusion, so the kept cells are exactly the cells a per-cell test keeps.
+  test (`regions.definitely`, bound to the parameters once for every box),
+  numbered in grid order; a stratum's number picks its streams' scrambles.
+  Float interval evaluation is monotone under inclusion, so the kept cells
+  are exactly the cells a per-cell test keeps.
 - An integral whose first round has no hit tries to prove its region empty
   before it samples on, by the same bisection on a grid of 2**52 cells per
   axis, which no box gets down to, driven by the exact box test
-  (`exact.BoxTest`): the atoms a box leaves undecided, as rational rows,
+  (`exact.BoxTest`): the atoms a box leaves undecided, as integer rows,
   refuted together with the box's bounds by a Motzkin certificate.  If no
   box is kept within PROOF_CALLS tests, the result is a proved
   ``empty-region``; otherwise sampling carries on untouched.  Sorted
@@ -64,7 +65,7 @@ import numpy as np
 from . import buchstab
 from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
 from .params import ThetaParams
-from .regions import RegionError, definitely
+from .regions import RegionError, _bound, definitely  # noqa: F401 (definitely is re-exported)
 
 __all__ = [
     "QuadratureResult",
@@ -578,7 +579,7 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
         cells = np.arange(n_cells)
     else:
         live = np.zeros((bins,) * k, dtype=bool)  # grid axis i is array axis k - 1 - i
-        strata = _bisect(lambda a, b: definitely(region, a, b, vals, cat), lo, hi, bins)
+        strata = _bisect(_bound(region, k, vals, cat).decide, lo, hi, bins)
         for a, b in strata:
             live[tuple(slice(a[i], b[i]) for i in reversed(range(k)))] = True
         cells = np.flatnonzero(live)

@@ -272,10 +272,18 @@ _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-def _terms(form: AffineForm, dim: int, num=float) -> tuple[tuple[int, float], ...]:
+def _terms(form: AffineForm, dim: int) -> tuple[tuple[int, float], ...]:
     if form.max_var > dim:
         raise RegionError(f"variable t{form.max_var} out of range for dimension {dim}")
-    return tuple((i - 1, num(c)) for i, c in form.vars)
+    return tuple((i - 1, float(c)) for i, c in form.vars)
+
+
+def _ints(form: AffineForm) -> tuple:
+    """The form times den, the least common denominator of its coefficients:
+    (den, constant, ((param, w), ...), ((i - 1, w), ...)) in integers."""
+    den = math.lcm(form.const.denominator, *(w.denominator for _, w in form.params + form.vars))
+    return (den, int(form.const * den), tuple((p, int(w * den)) for p, w in form.params),
+            tuple((i - 1, int(w * den)) for i, w in form.vars))
 
 
 def _compiled(form: AffineForm, dim: int) -> tuple:
@@ -412,13 +420,13 @@ class _Program:
             if k > MAX_SPLIT:
                 raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} coordinates")
             if atom.append is None:
-                append = None
+                append = ints = None
             elif atom.append.vars or atom.append.specials:
                 raise RegionError("form references point variables; scalar context")
             else:
-                append = _compiled(atom.append, 0)
+                append, ints = _compiled(atom.append, 0), _ints(atom.append)
             prog = _program(target, catalog, 2)
-            node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append, atom.append))
+            node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append, ints))
         elif not atom.groups:
             if target.name in seen:
                 raise RegionError(f"region {target.name} refers to itself")
@@ -459,13 +467,12 @@ class _Program:
 
     def exact(self, c: int) -> tuple:
         """Column c with the catalog's rational coefficients: its relation and
-        lhs - rhs as (constant, ((param, w), ...), ((i - 1, w), ...))."""
+        lhs - rhs in integers over one positive denominator, as (relation,
+        den, constant, ((param, w), ...), ((i - 1, w), ...))."""
         row = self.rows.get(c)
         if row is None:
             lhs, rhs = self.forms[c]
-            form = lhs - rhs
-            row = self.rows[c] = (self.columns[c][0], form.const, form.params,
-                                  _terms(form, self.dim, Fraction))
+            row = self.rows[c] = (self.columns[c][0], *_ints(lhs - rhs))
         return row
 
     @staticmethod

@@ -43,6 +43,23 @@ def test_l7_matches_scipy_references(kappa, want):
     assert res.flag == "cubature" and abs(res.value - want) <= 1e-10
 
 
+# recorded before the exact layer's rows and vertices were made integer
+PINNED_BENCH_CUBATURES = [
+    ("S236", 0.012486088697804534, 2.4224438003577625e-06, 272),
+    ("S237", 0.0011918086761491717, 4.117748976929618e-08, 1056),
+    (1 / 11, 0.8331962140200264, 0.0016626701213802164, 1544),
+    (1 / 12, 1.2150552560604988, 0.002067306880060349, 10352),
+]
+
+
+@pytest.mark.parametrize("what, value, err, samples", PINNED_BENCH_CUBATURES)
+def test_the_bench_cubatures_are_pinned(what, value, err, samples):
+    # S236 and S237 at theta = 0.52, and L7 at tol 5e-3, as the bench runs them
+    res = (named_integral(what, theta_only(0.52)) if isinstance(what, str)
+           else eval_L7(what, tol=5e-3))
+    assert res == QuadratureResult(value, err, samples, DEFAULT_SEED, "cubature")
+
+
 def test_l72_at_one_twelfth_keeps_its_exact_vertices():
     # At kappa = float(1/12) the box bound (1 - 3 kappa)/2 is exactly 3/8, and
     # 2 t1 + 2 t2 + t3 <= 1 meets t2 = t3 = kappa just beyond it: vertices

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sievelab
-from sievelab import exact, quadrature
+from sievelab import exact, quadrature, regions
 from sievelab.catalog import default_catalog, dumps, loads
 from sievelab.params import ThetaParams, theta_only
 from sievelab.quadrature import (
@@ -305,6 +305,32 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
         assert calls[0] <= bins**spec.dim + 1
     else:
         assert calls[0] < bins**spec.dim
+
+
+@pytest.mark.parametrize("name", ["cal2", "cal6", "I3"])
+def test_the_strata_bind_the_box_test_once(name, monkeypatch):
+    # one binding of the region's program serves every box of the strata's
+    # bisection, which tests fewer boxes than a per-cell test (I3's two-way
+    # grid: the whole box, then each cell)
+    spec = CAT.integrals[name]
+    params = ThetaParams(0.52) if name == "I3" else {}
+    bins = 2 if name == "I3" else max(2, round(4096 ** (1 / spec.dim)))
+    bound, decide = quadrature._bound, regions._Bound.decide
+    binds, calls = [], [0]
+
+    def binding(*args):
+        binds.append(bound(*args))
+        return binds[-1]
+
+    def deciding(self, lo, hi, ex=None):
+        calls[0] += 1
+        return decide(self, lo, hi, ex)
+
+    monkeypatch.setattr(quadrature, "_bound", binding)
+    monkeypatch.setattr(regions._Bound, "decide", deciding)
+    quadrature.sampled(spec, params, tol=1.0, budget=1 << 16)
+    assert len(binds) == 1
+    assert calls[0] <= bins**spec.dim + 1 if name == "I3" else calls[0] < bins**spec.dim
 
 
 @pytest.mark.parametrize("name, samples", [("I1", 24576), ("I2", 16384)])

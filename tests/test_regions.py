@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ from sievelab import catalog, regions
 from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
                               parse_affine_expr, parse_bool_expr)
 from sievelab.exact import BoxTest, _farkas
-from sievelab.params import _climb, theta_only
+from sievelab.params import ThetaParams, _climb, theta_only
 from sievelab.regions import (
     PARAM_NAMES,
     SPECIALS,
@@ -567,6 +568,83 @@ def test_certify_empty_at_ties():
     lt, le = BoxTest(cat.region("lt"), 1, {}, cat), BoxTest(cat.region("le"), 1, {}, cat)
     assert lt([0.5], [0.75]) is False and lt.certificates == []  # no certificate needed
     assert le([0.5], [0.75]) is None
+
+
+class _FractionRows(BoxTest):
+    """The exact box test with each row built in Fraction from the catalog's
+    forms and the parameters' Fractions, then made an integer row in lowest
+    terms: the oracle of the integer rows."""
+
+    def row(self, bound, c, sub):
+        key = (bound.prog, c, sub)
+        if key not in self.rows:
+            (lhs, rhs), rel = bound.prog.forms[c], bound.prog.columns[c][0]
+            form, vec = lhs - rhs, self.fractions(sub)
+            lin = (Fraction(0),) * self.k + (self.at(form.const, form.params),)
+            for i, w in form.vars:
+                lin = tuple(x + w * y for x, y in zip(lin, vec[i - 1]))
+            if rel in (">", ">="):  # as rhs - lhs < 0, or <= 0
+                lin = tuple(-x for x in lin)
+            den = math.lcm(*(x.denominator for x in lin))
+            *a, c0 = (x.numerator * (den // x.denominator) for x in lin)
+            strict, g = rel in ("<", ">"), math.gcd(*a)
+            if not g:
+                self.rows[key] = 0 < -c0 if strict else 0 <= -c0
+            else:
+                g = math.gcd(g, c0)
+                self.rows[key] = tuple(x // g for x in a), -c0 // g, strict
+        return self.rows[key]
+
+    def at(self, const, params):
+        return const + sum(w * Fraction(self.params[name]) for name, w in params)
+
+    def fractions(self, sub):
+        """The variables reached through sub as Fraction forms in the box's
+        coordinates, k coefficients then a constant."""
+        zero = (Fraction(0),) * (self.k + 1)
+        if sub is None:
+            return [zero[:i] + (Fraction(1),) + zero[i + 1 :] for i in range(self.k)]
+        if sub[0] == "in":
+            parent = self.fractions(sub[2])
+            return [tuple(map(sum, zip(zero, *(parent[i] for i in g)))) for g in sub[1].arg[0]]
+        _, mask, node, parent = sub
+        parent = self.fractions(parent)
+        if node.arg[2] is not None:  # the appended value, as the catalog's rationals
+            den, const, params, _ = node.arg[2]
+            value = self.at(Fraction(const, den), [(p, Fraction(w, den)) for p, w in params])
+            parent.append(zero[:-1] + (value,))
+        return [tuple(map(sum, zip(zero, *(v for i, v in enumerate(parent)
+                                           if (mask >> i & 1) == side)))) for side in (1, 0)]
+
+
+# (region, dimension, parameters): the named integrals' regions, on their
+# sampling boxes, and the catalog's regions whose splits append a parameter
+# value, which no named integral reaches, on [0, 1/4]^k
+_EXACT_CASES = [
+    (CAT.integrals[n].region, CAT.integrals[n].dim, "pair" if n in ("I5", "I6") else "theta")
+    for n in ("I1", "I2", "I3", "I4", "I5", "I6", "U233", "U234", "S235", "S236", "S237")
+] + [("Uprime", k, "theta") for k in (2, 3, 4)] + [("Udprime", k, "pair") for k in (3, 4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_EXACT_CASES), st.floats(0.52, 4 / 7, exclude_max=True),
+       st.floats(0.29, 0.34), st.sampled_from([0.0, 1e-3, 2.0**-20]), st.data())
+def test_integer_rows_match_fraction_rows(case, theta, theta1, eps, data):
+    name, k, kind = case
+    params = (ThetaParams(theta, eps=eps) if kind == "theta"
+              else ThetaParams(theta1, theta - theta1, eps=eps))
+    region, vals = CAT.region(name), params.values()
+    lo, hi = region.box(vals, k) if region.bounds else (np.zeros(k), np.full(k, 0.25))
+    if (hi <= lo).any():
+        return
+    test, oracle = BoxTest(region, k, vals, CAT), _FractionRows(region, k, vals, CAT)
+    for _ in range(3):  # a dyadic sub-box of the box, the box itself among them
+        cells = [data.draw(st.integers(0, 4)) for _ in range(k)]
+        at = [data.draw(st.integers(0, 2**n - 1)) for n in cells]
+        a = (lo + (hi - lo) * np.array(at) / 2.0 ** np.array(cells)).tolist()
+        b = (lo + (hi - lo) * (np.array(at) + 1) / 2.0 ** np.array(cells)).tolist()
+        assert test.residual(a, b) == oracle.residual(a, b)
+    assert test.rows == oracle.rows
 
 
 # Eight rows (a, b, strict) for a . t < b, or <=, whose sixth, first and

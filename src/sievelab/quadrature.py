@@ -65,7 +65,7 @@ import numpy as np
 from . import buchstab
 from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
 from .params import ThetaParams
-from .regions import RegionError, _bound, definitely  # noqa: F401 (definitely is re-exported)
+from .regions import RegionError, _bound
 
 __all__ = [
     "QuadratureResult",

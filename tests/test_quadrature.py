@@ -266,7 +266,7 @@ def per_cell_live(region, vals, lo, hi, bins):
         d = [s // bins**i % bins for i in range(k)]
         cell_lo = np.array([edges[d[i]][i] for i in range(k)])
         cell_hi = np.array([edges[d[i] + 1][i] for i in range(k)])
-        if quadrature.definitely(region, cell_lo, cell_hi, vals, CAT) is not False:
+        if regions.definitely(region, cell_lo, cell_hi, vals, CAT) is not False:
             live.append(s)
     return live
 
@@ -281,12 +281,16 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
     bins = 2 if name == "I3" else max(2, round(4096 ** (1 / spec.dim)))
     want = per_cell_live(region, vals, lo, hi, bins)
 
-    definitely, bisect = quadrature.definitely, quadrature._bisect
-    calls, kept = [0], []
+    bound, decide, bisect = quadrature._bound, regions._Bound.decide, quadrature._bisect
+    binds, calls, kept = [], [0], []
 
-    def counting(*args):
+    def binding(*args):
+        binds.append(bound(*args))
+        return binds[-1]
+
+    def counting(self, lo, hi, ex=None):
         calls[0] += 1
-        return definitely(*args)
+        return decide(self, lo, hi, ex)
 
     def recording(test, lo, hi, n, cap=math.inf):
         boxes = list(bisect(test, lo, hi, n, cap))
@@ -296,41 +300,17 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
         kept.append((cap, sorted(cells)))
         return boxes
 
-    monkeypatch.setattr(quadrature, "definitely", counting)
+    monkeypatch.setattr(quadrature, "_bound", binding)
+    monkeypatch.setattr(regions._Bound, "decide", counting)
     monkeypatch.setattr(quadrature, "_bisect", recording)
     quadrature.sampled(spec, params, tol=1.0, budget=max(1 << 15, 4 * len(want)))
-    # one call, for the strata, which caps no box tests
-    assert kept == [(math.inf, want)]
+    # one call, for the strata, which caps no box tests, on one binding of
+    # the region's program for every box
+    assert kept == [(math.inf, want)] and len(binds) == 1
     if name == "I3":  # a two-way grid: the whole box, then each cell
         assert calls[0] <= bins**spec.dim + 1
     else:
         assert calls[0] < bins**spec.dim
-
-
-@pytest.mark.parametrize("name", ["cal2", "cal6", "I3"])
-def test_the_strata_bind_the_box_test_once(name, monkeypatch):
-    # one binding of the region's program serves every box of the strata's
-    # bisection, which tests fewer boxes than a per-cell test (I3's two-way
-    # grid: the whole box, then each cell)
-    spec = CAT.integrals[name]
-    params = ThetaParams(0.52) if name == "I3" else {}
-    bins = 2 if name == "I3" else max(2, round(4096 ** (1 / spec.dim)))
-    bound, decide = quadrature._bound, regions._Bound.decide
-    binds, calls = [], [0]
-
-    def binding(*args):
-        binds.append(bound(*args))
-        return binds[-1]
-
-    def deciding(self, lo, hi, ex=None):
-        calls[0] += 1
-        return decide(self, lo, hi, ex)
-
-    monkeypatch.setattr(quadrature, "_bound", binding)
-    monkeypatch.setattr(regions._Bound, "decide", deciding)
-    quadrature.sampled(spec, params, tol=1.0, budget=1 << 16)
-    assert len(binds) == 1
-    assert calls[0] <= bins**spec.dim + 1 if name == "I3" else calls[0] < bins**spec.dim
 
 
 @pytest.mark.parametrize("name, samples", [("I1", 24576), ("I2", 16384)])

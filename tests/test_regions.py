@@ -575,6 +575,19 @@ class _FractionRows(BoxTest):
     forms and the parameters' Fractions, then made an integer row in lowest
     terms: the oracle of the integer rows."""
 
+    def __init__(self, region, k, params, catalog):
+        super().__init__(region, k, params, catalog)
+        # the appended form of each splits atom the region reaches, by target
+        self.appends, todo = {}, [region.tree]
+        while todo:
+            node = todo.pop()
+            todo += node.children
+            if node.op == "atom" and isinstance(node.atom, (Membership, Splits)):
+                todo.append(catalog.region(node.atom.region).tree)
+                if isinstance(node.atom, Splits) and node.atom.append is not None:
+                    form = self.appends.setdefault(node.atom.region, node.atom.append)
+                    assert form == node.atom.append
+
     def row(self, bound, c, sub):
         key = (bound.prog, c, sub)
         if key not in self.rows:
@@ -609,10 +622,9 @@ class _FractionRows(BoxTest):
             return [tuple(map(sum, zip(zero, *(parent[i] for i in g)))) for g in sub[1].arg[0]]
         _, mask, node, parent = sub
         parent = self.fractions(parent)
-        if node.arg[2] is not None:  # the appended value, as the catalog's rationals
-            den, const, params, _ = node.arg[2]
-            value = self.at(Fraction(const, den), [(p, Fraction(w, den)) for p, w in params])
-            parent.append(zero[:-1] + (value,))
+        if node.arg[1] is not None:  # the appended value, from the catalog's form
+            form = self.appends[node.arg[0].spec.name]
+            parent.append(zero[:-1] + (self.at(form.const, form.params),))
         return [tuple(map(sum, zip(zero, *(v for i, v in enumerate(parent)
                                            if (mask >> i & 1) == side)))) for side in (1, 0)]
 

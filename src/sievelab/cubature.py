@@ -47,7 +47,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import BoxTest
-from .quadrature import _rest
 
 # The route's cap on a polytope's k-subsets of rows; past it the integral is
 # sampled.  The catalog's polytopes have at most 3,003 (S237 and L73, 15
@@ -88,7 +87,7 @@ def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
     if wfn is None:
         return float(mult * sum(dets, Fraction(0)) / math.factorial(k)), 0.0, 0
     points = np.array([[x / d for x in num] for num, d in verts])
-    _rest(points.T)
+    wfn(points.T)  # the weight raises SpecificationError at a vertex below its floors
     cost = len(simplices) * (2**k + 4**k)
     if cost > budget:
         return None

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .regions import RegionSpec, _Bound, _bound
+from .regions import RegionError, RegionSpec, _Bound, _bound
 
 __all__ = ["BoxTest", "Certificate"]
 
@@ -96,8 +96,9 @@ class BoxTest:
     their float values, exactly.
 
     It is the exact side of `_Bound.decide`, which builds the box's
-    residual with its `row`, `decide`, `fold` and `negate`: the
-    rows map their program's variables to the box's coordinates.  The
+    residual with its `row`, `decide`, `fold` and `negate`: every atom is
+    judged by its row alone, and the rows map their program's variables
+    to the box's coordinates.  The
     residual is refuted once, together with the box's bounds; it branches
     into at most EXACT_BRANCHES conjunctions and an elimination holds at
     most EXACT_ROWS rows.  The certificates of the boxes refuted gather in
@@ -155,8 +156,10 @@ class BoxTest:
         as (numerator, denominator): floats are dyadic, so the largest
         parameter denominator is a common one."""
         den, const, params = form[:3]
-        for name, _ in params:  # each is given: the float box test has read it
+        for name, _ in params:
             if name not in self.ratios:
+                if name not in self.params:
+                    raise RegionError(f"missing parameter {name!r}")
                 self.ratios[name] = float(self.params[name]).as_integer_ratio()
         terms = [(w, *self.ratios[name]) for name, w in params]
         scale = max((d for _, _, d in terms), default=1)

@@ -625,20 +625,18 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
         return g, inside
 
     while True:
-        # Allocation: equal on the first round, then half proportional and
-        # half by stratum spread.  The proportional floor keeps rarely-hit
-        # strata sampled; a pure spread rule starves any stratum whose hits
-        # are missed early and biases the total low.
-        if first:
-            weights = np.ones(n_strata) / n_strata
+        # Allocation: half proportional and half by stratum spread, equal
+        # while no stratum has spread (the first round: nothing is drawn
+        # yet).  The proportional floor keeps rarely-hit strata sampled; a
+        # pure spread rule starves any stratum whose hits are missed early
+        # and biases the total low.  Replicate variances are summed one
+        # replicate after another.
+        spread = sum(streams.var().reshape(n_strata, REPLICATES).T)
+        sigma = np.sqrt(np.maximum(spread / REPLICATES, 0.0))
+        if sigma.sum() > 0:
+            weights = 0.5 / n_strata + 0.5 * sigma / sigma.sum()
         else:
-            # replicate variances summed one replicate after another
-            spread = sum(streams.var().reshape(n_strata, REPLICATES).T)
-            sigma = np.sqrt(np.maximum(spread / REPLICATES, 0.0))
-            if sigma.sum() > 0:
-                weights = 0.5 / n_strata + 0.5 * sigma / sigma.sum()
-            else:
-                weights = np.ones(n_strata) / n_strata
+            weights = np.ones(n_strata) / n_strata
         # Per-replicate batches: the weighted share rounded up to a power of
         # two, at least MIN_BATCH.
         share = np.maximum((round_total * weights / REPLICATES).astype(np.int64), 1)

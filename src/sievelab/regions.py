@@ -15,11 +15,11 @@ t_i > t_(i+1), and true / false as the empty and / or.  Two walkers run
 the program.  One gives membership of a batch of points, vectorised over
 a coordinate-major (k, N) copy of the (N, k) batch.  The other,
 `_Bound.decide`, is the box test: a three-valued verdict over an
-axis-aligned box from float interval bounds.  Its float mode leaves an
-atom the bounds do not decide undecided (None); its exact mode, given an
-`exact.BoxTest`, trusts the bounds only beyond a rounding margin and
-leaves the residual of the box: the atoms it leaves undecided, as exact
-rational rows, which the `BoxTest` refutes.
+axis-aligned box.  Its float mode judges each atom by float interval
+bounds and leaves an atom they do not decide undecided (None); its exact
+mode, given an `exact.BoxTest`, judges each atom by its exact rational
+row alone and leaves the residual of the box: the rows it leaves
+undecided, which the `BoxTest` refutes.
 
 `_Bound.eval` copies a batch once, as float64, into a (k, N) array, so a
 coordinate is one contiguous row.  Every comparison reads whole rows, and
@@ -96,7 +96,6 @@ PARAM_NAMES = (
 SPECIALS = ("tmax", "tmin", "tsum")
 
 MAX_SPLIT = 24  # bipartitions are enumerated over at most this many coordinates
-MARGIN = 2.0**-40  # the exact test trusts a float box verdict beyond this share of its size
 BLOCK_PAIRS = 1 << 14  # rows x masks per block of a bipartition search
 
 
@@ -498,7 +497,6 @@ class _Bound:
         self.prog, self.params = prog, params
         self.cols: dict[int, tuple] = {}
         self.subs: dict[_Program, _Bound] = {}  # targets of in and splits nodes
-        self.sizes: dict[int, tuple] = {}  # for the exact test's margins
 
     def base(self, form: tuple) -> float:
         return _base(form[0], form[1], self.params)
@@ -586,65 +584,44 @@ class _Bound:
         """The region on the box [lo, hi] in three-valued logic: True or
         False where the box decides it.
 
-        Atoms are judged by the float interval bounds of their sides.
-        Without ex this is the float box test: an atom the bounds leave
+        Without ex this is the float box test: atoms are judged by the
+        float interval bounds of their sides, an atom the bounds leave
         undecided is None, and so is the region unless the other atoms
-        decide it.  With ex (an `exact.BoxTest` called on the same box) the
-        bounds count only beyond a margin that covers their rounding; an
-        atom within the margin becomes its exact row, judged on the box in
-        rationals, and what stays undecided is a residual over those rows.
-        So every verdict is exact.
+        decide it.  With ex (an `exact.BoxTest` called on the same box)
+        every atom is its exact row, judged on the box in rationals, and
+        what stays undecided is a residual over those rows.  So every
+        verdict of the exact mode is exact.
         """
-        lo, hi = _floats(lo), _floats(hi)
-        mag = 0.0 if ex is None else 1.0 + _sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
-        return self._walk(self.prog.root, lo, hi, None, ex or _Float, mag)
+        return self._walk(self.prog.root, _floats(lo), _floats(hi), None, ex or _Float)
 
-    def _walk(self, node: _Node, lo: list[float], hi: list[float], sub, ex, mag: float):
+    def _walk(self, node: _Node, lo: list[float], hi: list[float], sub, ex):
         """decide at node, over the variables sub maps to the box's
-        coordinates.  mag bounds the size of every coordinate, group sum and
-        subset sum below the root; it is 0 in the float test, which keeps
-        no margin."""
+        coordinates."""
         kind = node.kind
         if kind == "and" or kind == "or":
             stop, items = kind == "or", []
             for c in node.cols:
-                rel, lbase, lterms, rbase, rterms = self.column(c)
-                (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
-                if rel in (">", ">="):  # as b < a, b <= a
-                    (la, lb), (ra, rb) = (ra, rb), (la, lb)
-                m = self.margin(c, mag) if mag else 0.0
-                strict = rel in ("<", ">")
-                if lb + m < ra or lb + m == ra and not strict:
-                    v = True
-                elif la > rb + m or la == rb + m and strict:
-                    v = False
-                else:
-                    v = ex.row(self, c, sub)
-                    # beyond the margin on both sides the exact bounds leave it undecided too
-                    if lb <= ra + m or la + m >= rb:
-                        v = ex.decide(v)
+                v = self._interval(c, lo, hi) if ex is _Float else ex.decide(ex.row(self, c, sub))
                 if v is stop:
                     return v
                 items.append(v)
             for child in node.children:
-                v = self._walk(child, lo, hi, sub, ex, mag)
+                v = self._walk(child, lo, hi, sub, ex)
                 if v is stop:
                     return v
                 items.append(v)
             return ex.fold(kind, items)
         if kind == "not":
-            return ex.negate(self._walk(node.children[0], lo, hi, sub, ex, mag))
+            return ex.negate(self._walk(node.children[0], lo, hi, sub, ex))
         if kind == "in":
             groups, prog = node.arg
             glo = [_sum(lo[i] for i in g) for g in groups]
             ghi = [_sum(hi[i] for i in g) for g in groups]
-            if mag:
-                mag = max(mag, 1.0 + _sum(max(abs(a), abs(b)) for a, b in zip(glo, ghi)))
-            return self.sub(prog)._walk(prog.root, glo, ghi, ("in", node, sub), ex, mag)
+            return self.sub(prog)._walk(prog.root, glo, ghi, ("in", node, sub), ex)
         prog, append, _ = node.arg
         if append is not None:
             extra = self.base(append)
-            lo, hi, mag = lo + [extra], hi + [extra], mag and mag + abs(extra)
+            lo, hi = lo + [extra], hi + [extra]
         sums = [(0.0, 0.0)]  # every subset's (lo, hi), added as subset_sums adds them
         for a, b in zip(lo, hi):
             sums += [(s + a, t + b) for s, t in sums]
@@ -652,27 +629,25 @@ class _Bound:
         target, items = self.sub(prog), []
         for mask, (s_lo, s_hi) in enumerate(sums):
             v = target._walk(prog.root, [s_lo, total_lo - s_hi], [s_hi, total_hi - s_lo],
-                             ("splits", mask, node, sub), ex, mag)
+                             ("splits", mask, node, sub), ex)
             if v is True:
                 return v
             items.append(v)
         return ex.fold("or", items)
 
-    def margin(self, c: int, mag: float) -> float:
-        """MARGIN * (1 + s0 + s1 * mag) bounds how far the float bounds of
-        column c stray from the exact ones, when mag bounds every variable:
-        s0 sums the sizes of both sides' constant and parameter terms, s1
-        their coefficients.  Each rounding errs by at most 2**-53 of a
-        partial sum no larger than s0 + s1 * mag, and a column makes far
-        fewer than MARGIN * 2**53 = 8192 roundings."""
-        size = self.sizes.get(c)
-        if size is None:
-            _, lhs, rhs = self.prog.columns[c]
-            size = self.sizes[c] = (
-                _sum(abs(f[0]) + _sum(abs(w * self.params[p]) for p, w in f[1])
-                     for f in (lhs, rhs)),
-                _sum(abs(w) for f in (lhs, rhs) for _, w in f[2]))
-        return MARGIN * (1.0 + size[0] + size[1] * mag)
+    def _interval(self, c: int, lo: list[float], hi: list[float]):
+        """Column c by the float interval bounds of its sides: True or False
+        where they decide it, None where they do not."""
+        rel, lbase, lterms, rbase, rterms = self.column(c)
+        (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
+        if rel in (">", ">="):  # as b < a, b <= a
+            (la, lb), (ra, rb) = (ra, rb), (la, lb)
+        strict = rel in ("<", ">")
+        if lb < ra or lb == ra and not strict:
+            return True
+        if la > rb or la == rb and strict:
+            return False
+        return None
 
 
 class _Float:
@@ -687,8 +662,6 @@ class _Float:
     @staticmethod
     def negate(v):
         return None if v is None else not v
-
-    row = decide = staticmethod(lambda *_: None)
 
 
 def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:

@@ -4,6 +4,7 @@ soundness and monotonicity of the box test, and the compiled form of
 tsum, tmin, tmax and descending."""
 
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
@@ -330,9 +331,10 @@ def test_definitely_is_monotone_under_inclusion(name, seed, corner, width):
     st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
 )
 def test_float_and_exact_box_tests_agree(name, theta, seed, corner, width):
-    # The float box test is the exact mode without its margin: where both
-    # decide a box they agree, and an exact verdict, a refutation included,
-    # holds at points in it.
+    # The float box test judges each atom by float interval bounds, the
+    # exact mode by its exact row: on these boxes, where both decide they
+    # agree (test_exact_where_floats_round has boxes where they do not),
+    # and an exact verdict, a refutation included, holds at points in it.
     vals, region = ThetaParams(theta).values(), CAT.region(name)
     rng = np.random.default_rng(seed)
     if name in SAMPLED:
@@ -520,3 +522,74 @@ def test_generic_atoms_compile_as_written_out(data):
         assert fast[0] is fast[1] and exact[0] is exact[1]
         for verdict in (fast[0], exact[0]):
             assert verdict is None or truths == {verdict}
+
+
+# t1 <= 1/10 and t1 >= 1/3 at the floats of their constants, which lie on
+# the other side of them: 0.1 is above 1/10 and float(1/3) below 1/3.  A
+# float comparison with the float of the constant holds there; the exact
+# box test compares with the constant itself.  Both reach the exact test
+# on their own, through the group sum of an `in` and through a `splits`
+# bipartition.
+_TENTH = ("cmp", (Fraction(0), {"t1": Fraction(1)}), "<=", (Fraction(1, 10), {}))
+_THIRD = ("cmp", (Fraction(0), {"t1": Fraction(1)}), ">=", (Fraction(1, 3), {}))
+_NONPOSITIVE = ("cmp", (Fraction(0), {"t2": Fraction(1)}), "<=", (Fraction(0), {}))
+_SPLIT_TENTH = ("and", [_TENTH, _NONPOSITIVE])
+_ROUNDING_REGIONS = (
+    ("P", 1, _tree_text(_TENTH, 1, False)),
+    ("Q", 1, _tree_text(_THIRD, 1, False)),
+    ("P2", 2, _tree_text(_SPLIT_TENTH, 2, False)),
+    ("Q2", 2, _tree_text(_THIRD, 2, False)),
+    ("GP", 2, "in(P; t1+t2)"),
+    ("GQ", 2, "in(Q; t1+t2)"),
+    ("SP", "any", "splits(P2)"),
+    ("SQ", "any", "splits(Q2)"),
+)
+ROUNDING = loads("".join(f"region {name} dim={dim}\n  where {where}\nend\n"
+                         for name, dim, where in _ROUNDING_REGIONS))
+
+
+def _splits_truth(tree, x):
+    """Some bipartition (I, J) of the coordinates of x has (sum_I, sum_J)
+    in the two-dimensional tree, in rationals."""
+    return any(_truth(tree, [sum(x[i] for i in range(len(x)) if m >> i & 1),
+                             sum(x[i] for i in range(len(x)) if not m >> i & 1)])
+               for m in range(1 << len(x)))
+
+
+_ROUNDING_TRUTH = {
+    "P": lambda x: _truth(_TENTH, x),
+    "Q": lambda x: _truth(_THIRD, x),
+    "GP": lambda x: _truth(_TENTH, [x[0] + x[1]]),
+    "GQ": lambda x: _truth(_THIRD, [x[0] + x[1]]),
+    "SP": lambda x: _splits_truth(_SPLIT_TENTH, x),
+    "SQ": lambda x: _splits_truth(_THIRD, x),
+}
+
+
+@pytest.mark.parametrize("name,point", [
+    ("P", [0.1]),
+    ("Q", [1 / 3]),
+    ("GP", [0.05, 0.05]),
+    ("GQ", [0.25, 1 / 3 - 0.25]),  # both sums are float(1/3), exactly
+    ("SP", [0.1]),
+    ("SP", [0.05, 0.05]),
+    ("SQ", [1 / 3]),
+    ("SQ", [0.25, 1 / 3 - 0.25]),
+])
+def test_exact_where_floats_round(name, point):
+    # On the point box the exact test gives the rational verdict and
+    # contains the float one, and they differ.  On a box one ulp wide on
+    # either side of the point, and on both, the exact test gives the
+    # verdict of the rational truth at the corners, or None where they
+    # differ: every region here is monotone in each positive coordinate.
+    region, truth = ROUNDING.region(name), _ROUNDING_TRUTH[name]
+    p = np.array(point)
+    exact = truth([Fraction(v) for v in point])
+    assert BoxTest(region, len(p), {}, ROUNDING)(point, point) is exact
+    assert contains(region, p, {}, ROUNDING) is (not exact)
+    down, up = np.nextafter(p, -np.inf), np.nextafter(p, np.inf)
+    for lo, hi in ((down, p), (p, up), (down, up)):
+        corners = {truth([Fraction(float(v)) for v in c])
+                   for c in itertools.product(*zip(lo, hi))}
+        want = corners.pop() if len(corners) == 1 else None
+        assert BoxTest(region, len(p), {}, ROUNDING)(lo.tolist(), hi.tolist()) is want

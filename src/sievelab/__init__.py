@@ -4,7 +4,8 @@ Submodules: buchstab (the delay-equation weight function and its
 envelopes), regions (parametric affine region algebra), catalog (the
 structured-text region catalog), params (piecewise sieve parameters,
 classification, Type-II assembly), quadrature (loss integrals), cubature
-(loss integrals over one convex polytope, for quadrature), divisors
+(loss integrals over one convex polytope, for quadrature), exact (the exact
+box test and its emptiness certificates, for quadrature), divisors
 (squarefree factorization-pattern combinatorics), tables (divisor-triple
 example tables), shared (the error types and integral defaults, importing
 nothing), cli (command-line front end).

@@ -15,10 +15,6 @@ and a row is reduced by its gcd.  What is left is refuted, together with
 the box's bounds, by Fourier-Motzkin elimination that keeps strictness,
 and each refutation is a Motzkin transposition certificate.
 
-A row (a, b, strict) with integer entries means a . t < b when strict and
-a . t <= b otherwise, over the coordinates t of the box.  A residual is
-True, False, a row, or a junction ("and" | "or", frozenset of residuals).
-
 `BoxTest` is this test on one box at a time.  The quadrature builds one to
 route every `one` or `reciprocal` integral, and one for an emptiness proof
 that has none.  Residuals are refuted in a canonical order of their items,
@@ -30,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .regions import RegionError, RegionSpec, _Bound, _bound
+from .regions import RegionError, RegionSpec, _Bound, _bound, _fold
 
 __all__ = ["BoxTest", "Certificate"]
 
@@ -62,32 +58,6 @@ class Certificate:
                                                                                self.rows))
 
 
-def _fold(op: str, items):
-    """The junction op of residuals: constants decide or drop out, and
-    junctions of the same kind are merged."""
-    stop, out = op == "or", set()
-    for f in items:
-        if f is stop:
-            return stop
-        if f is not (not stop):
-            if f[0] == op:
-                out |= f[1]
-            else:
-                out.add(f)
-    if len(out) < 2:
-        return out.pop() if out else not stop
-    return op, frozenset(out)
-
-
-def _negate(f):
-    if f is True or f is False:
-        return not f
-    if f[0] == "and" or f[0] == "or":
-        return "or" if f[0] == "and" else "and", frozenset(map(_negate, f[1]))
-    a, b, strict = f
-    return tuple(-x for x in a), -b, not strict
-
-
 class BoxTest:
     """The exact box test of one emptiness proof of a k-dimensional region.
     Called on a closed box [lo, hi], it returns True when every point of the
@@ -95,22 +65,19 @@ class BoxTest:
     cannot tell, also when a cap is reached.  The parameters are taken at
     their float values, exactly.
 
-    It is the exact side of `_Bound.decide`, which builds the box's
-    residual with its `row`, `decide`, `fold` and `negate`: every atom is
-    judged by its row alone, and the rows map their program's variables
-    to the box's coordinates.  The
-    residual is refuted once, together with the box's bounds; it branches
-    into at most EXACT_BRANCHES conjunctions and an elimination holds at
-    most EXACT_ROWS rows.  The certificates of the boxes refuted gather in
-    `certificates`; a box the exact mode decides empty needs none.
+    It is the exact side of `_Bound.decide`, to which it supplies rows only:
+    `row` writes an atom as its row in the box's coordinates, and `decide`
+    judges that row on the box; the walk folds the verdicts into the box's
+    residual (`regions._fold`, `regions._negate`).  The residual is refuted
+    once, together with the box's bounds; it branches into at most
+    EXACT_BRANCHES conjunctions and an elimination holds at most EXACT_ROWS
+    rows.  The certificates of the boxes refuted gather in `certificates`;
+    a box the exact mode decides empty needs none.
     """
-
-    fold, negate = staticmethod(_fold), staticmethod(_negate)
 
     def __init__(self, region: RegionSpec, k: int, params: dict[str, float], catalog):
         self.bound = _bound(region, k, params, catalog)
         self.params, self.k = params, k
-        self.ratios: dict[str, tuple[int, int]] = {}  # each parameter read, as its float's ratio
         self.rows: dict = {}
         self.subs: dict = {}
         self.certificates: list[Certificate] = []
@@ -156,12 +123,11 @@ class BoxTest:
         as (numerator, denominator): floats are dyadic, so the largest
         parameter denominator is a common one."""
         den, const, params = form[:3]
-        for name, _ in params:
-            if name not in self.ratios:
-                if name not in self.params:
-                    raise RegionError(f"missing parameter {name!r}")
-                self.ratios[name] = float(self.params[name]).as_integer_ratio()
-        terms = [(w, *self.ratios[name]) for name, w in params]
+        terms = []
+        for name, w in params:
+            if name not in self.params:
+                raise RegionError(f"missing parameter {name!r}")
+            terms.append((w, *float(self.params[name]).as_integer_ratio()))
         scale = max((d for _, _, d in terms), default=1)
         return const * scale + sum(w * n * (scale // d) for w, n, d in terms), den * scale
 

@@ -19,8 +19,9 @@ undecided box is halved at the grid's edges until each box is judged empty
 (dropped), judged full or one cell wide (kept).
 
 - The strata are the kept cells of the sampling grid under the float box
-  test (`regions.definitely`, bound to the parameters once for every box),
-  numbered in grid order; a stratum's number picks its streams' scrambles.
+  test, `_Bound.decide` bound to the parameters once for all of them
+  (`regions.definitely` is its public entry point for one box), numbered
+  in grid order; a stratum's number picks its streams' scrambles.
   Float interval evaluation is monotone under inclusion, so the kept cells
   are exactly the cells a per-cell test keeps.
 - An integral whose first round has no hit tries to prove its region empty

@@ -15,11 +15,14 @@ t_i > t_(i+1), and true / false as the empty and / or.  Two walkers run
 the program.  One gives membership of a batch of points, vectorised over
 a coordinate-major (k, N) copy of the (N, k) batch.  The other,
 `_Bound.decide`, is the box test: a three-valued verdict over an
-axis-aligned box.  Its float mode judges each atom by float interval
-bounds and leaves an atom they do not decide undecided (None); its exact
-mode, given an `exact.BoxTest`, judges each atom by its exact rational
-row alone and leaves the residual of the box: the rows it leaves
-undecided, which the `BoxTest` refutes.
+axis-aligned box, folded in Kleene's strong logic (`_fold`, `_negate`).
+Its float mode judges each atom by float interval bounds and leaves an
+atom they do not decide undecided (None); its exact mode, given an
+`exact.BoxTest`, judges each atom by its exact row alone and leaves the
+residual of the box, which the `BoxTest` refutes.  A row (a, b, strict)
+with integer entries means a . t < b when strict and a . t <= b
+otherwise, over the coordinates t of the box.  A residual is True, False,
+None, a row, or a junction ("and" | "or", frozenset of residuals).
 
 `_Bound.eval` copies a batch once, as float64, into a (k, N) array, so a
 coordinate is one contiguous row.  Every comparison reads whole rows, and
@@ -256,8 +259,8 @@ class RegionSpec:
 
 def definitely(region: RegionSpec, lo: np.ndarray, hi: np.ndarray, params, catalog):
     """Tri-state box test: True/False when the region verdict is constant
-    over the whole box [lo, hi], None when undecided.  Used to prune
-    provably dead sampling cells without bias."""
+    over the whole box [lo, hi], None when undecided.  The public entry
+    point of the float box test for one box."""
     return _bound(region, len(lo), params, catalog).decide(lo, hi)
 
 
@@ -588,11 +591,11 @@ class _Bound:
         float interval bounds of their sides, an atom the bounds leave
         undecided is None, and so is the region unless the other atoms
         decide it.  With ex (an `exact.BoxTest` called on the same box)
-        every atom is its exact row, judged on the box in rationals, and
-        what stays undecided is a residual over those rows.  So every
-        verdict of the exact mode is exact.
+        every atom is its row (`ex.row`), judged on the box in integers
+        (`ex.decide`), and what stays undecided is a residual over those
+        rows.  So every verdict of the exact mode is exact.
         """
-        return self._walk(self.prog.root, _floats(lo), _floats(hi), None, ex or _Float)
+        return self._walk(self.prog.root, _floats(lo), _floats(hi), None, ex)
 
     def _walk(self, node: _Node, lo: list[float], hi: list[float], sub, ex):
         """decide at node, over the variables sub maps to the box's
@@ -601,7 +604,7 @@ class _Bound:
         if kind == "and" or kind == "or":
             stop, items = kind == "or", []
             for c in node.cols:
-                v = self._interval(c, lo, hi) if ex is _Float else ex.decide(ex.row(self, c, sub))
+                v = self._interval(c, lo, hi) if ex is None else ex.decide(ex.row(self, c, sub))
                 if v is stop:
                     return v
                 items.append(v)
@@ -610,9 +613,9 @@ class _Bound:
                 if v is stop:
                     return v
                 items.append(v)
-            return ex.fold(kind, items)
+            return _fold(kind, items)
         if kind == "not":
-            return ex.negate(self._walk(node.children[0], lo, hi, sub, ex))
+            return _negate(self._walk(node.children[0], lo, hi, sub, ex))
         if kind == "in":
             groups, prog = node.arg
             glo = [_sum(lo[i] for i in g) for g in groups]
@@ -633,7 +636,7 @@ class _Bound:
             if v is True:
                 return v
             items.append(v)
-        return ex.fold("or", items)
+        return _fold("or", items)
 
     def _interval(self, c: int, lo: list[float], hi: list[float]):
         """Column c by the float interval bounds of its sides: True or False
@@ -650,18 +653,34 @@ class _Bound:
         return None
 
 
-class _Float:
-    """The float box test's side of `_Bound.decide`: an atom the float
-    bounds leave undecided is None, and so is a junction that no other item
-    decides, or the negation of None."""
+def _fold(op: str, items):
+    """The junction op ("and" | "or") of residuals: a constant that decides
+    op returns, the other drops out, a junction of the same kind is merged,
+    and None stays unless another item decides op."""
+    stop, out = op == "or", set()
+    for f in items:
+        if f is stop:
+            return stop
+        if f is not (not stop):
+            if f is not None and f[0] == op:
+                out |= f[1]
+            else:
+                out.add(f)
+    if len(out) < 2:
+        return out.pop() if out else not stop
+    return op, frozenset(out)
 
-    @staticmethod
-    def fold(op: str, items: list):
-        return None if None in items else op == "and"
 
-    @staticmethod
-    def negate(v):
-        return None if v is None else not v
+def _negate(f):
+    """The negation of a residual; None stays None."""
+    if f is None:
+        return f
+    if f is True or f is False:
+        return not f
+    if f[0] == "and" or f[0] == "or":
+        return "or" if f[0] == "and" else "and", frozenset(map(_negate, f[1]))
+    a, b, strict = f
+    return tuple(-x for x in a), -b, not strict
 
 
 def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:

@@ -18,7 +18,7 @@ from sievelab.catalog import default_catalog, loads
 from sievelab.exact import BoxTest
 from sievelab.params import ThetaParams
 from sievelab.quadrature import _descending, rowwise
-from sievelab.regions import RegionError, contains, definitely, subset_sums
+from sievelab.regions import RegionError, _fold, _negate, contains, definitely, subset_sums
 
 CAT = default_catalog()
 
@@ -320,6 +320,38 @@ def test_definitely_is_monotone_under_inclusion(name, seed, corner, width):
     for _ in range(8):
         c, d = sub_box(rng, a, b)
         assert definitely(region, c, d, vals, CAT) is verdict
+
+
+@given(st.sampled_from(["and", "or"]), st.lists(st.sampled_from([True, False, None]),
+                                                max_size=6))
+def test_fold_is_kleene_logic_on_float_verdicts(op, items):
+    # The float box test folds by the exact mode's rule: without op's
+    # stopping constant a junction is None while an item is None and op's
+    # identity otherwise, and with it present it is that constant.
+    stop = op == "or"
+    rest = [v for v in items if v is not stop]
+    assert _fold(op, rest) is (None if None in rest else op == "and")
+    assert _fold(op, [*rest, stop]) is stop
+    assert _fold(op, items) is (stop if stop in items else _fold(op, rest))
+    assert _negate(None) is None
+    for v in (True, False):
+        assert _negate(v) is (not v)
+
+
+ROWS = st.tuples(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.integers(-9, 9),
+                 st.booleans())
+
+
+@given(st.sampled_from(["and", "or"]), st.lists(ROWS, min_size=1, max_size=5),
+       st.lists(ROWS, min_size=1, max_size=5))
+def test_fold_flattens_and_negate_is_an_involution(op, rows, more):
+    for r in rows:
+        assert _negate(_negate(r)) == r
+    nested = _fold(op, [*rows, _fold(op, more)])
+    assert nested == _fold(op, rows + more)
+    if nested[0] == op:
+        assert all(f[0] not in ("and", "or") for f in nested[1])
+    assert _negate(_negate(nested)) == nested
 
 
 @settings(max_examples=150, deadline=None)

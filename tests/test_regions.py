@@ -484,6 +484,31 @@ def test_env_catalog_parsed_once_per_version(tmp_path, monkeypatch):
     assert again is not first and again.groups["extra"] == ["g1"]
 
 
+def _outcome(test, *args):
+    """What a box test gives: its verdict, or the message of its RegionError."""
+    try:
+        return "returns", test(*args)
+    except RegionError as e:
+        return "raises", str(e)
+
+
+def test_box_tests_agree_on_missing_parameters():
+    # Without parameters, the float box test and the exact one stop at the
+    # same atom: both raise RegionError naming the same parameter, or both
+    # return a verdict.
+    raised = 0
+    for name, spec in CAT.regions.items():
+        k = spec.dimension or 3
+        lo, hi = [0.0] * k, [0.5] * k
+        fast = _outcome(definitely, spec, lo, hi, {}, CAT)
+        exact = _outcome(lambda: BoxTest(spec, k, {}, CAT)(lo, hi))
+        assert fast[0] == exact[0], name
+        if fast[0] == "raises":
+            assert fast == exact, name
+            raised += 1
+    assert raised  # the catalog has regions that read a parameter
+
+
 def test_definitely_rejects_boxes_beyond_the_region_dimension():
     vals = theta_only(0.52).values()
     box = np.zeros(3), np.full(3, 0.1)

@@ -15,9 +15,11 @@ and a row is reduced by its gcd.  What is left is refuted, together with
 the box's bounds, by Fourier-Motzkin elimination that keeps strictness,
 and each refutation is a Motzkin transposition certificate.
 
-`BoxTest` is this test on one box at a time.  The quadrature builds one to
-route every `one` or `reciprocal` integral, and one for an emptiness proof
-that has none.  Residuals are refuted in a canonical order of their items,
+`BoxTest` is this test on one box at a time.  The quadrature builds one
+per integral whose sampling box is not empty, and every box question of
+that integral reads it: the route its residual on the whole box, the
+strata its float bound (`bound.decide`) and the emptiness proof the test
+itself.  Residuals are refuted in a canonical order of their items,
 so a certificate does not depend on the process's string hashes.
 """
 
@@ -59,7 +61,7 @@ class Certificate:
 
 
 class BoxTest:
-    """The exact box test of one emptiness proof of a k-dimensional region.
+    """The exact box test of a k-dimensional region at one parameter point.
     Called on a closed box [lo, hi], it returns True when every point of the
     box lies in the region, False when no real point does, and None when it
     cannot tell, also when a cap is reached.  The parameters are taken at

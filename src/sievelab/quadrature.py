@@ -16,18 +16,20 @@ One bisection, _bisect, serves both questions a three-valued box test
 answers here; it takes the test as a function of a box.  It works on a grid
 over the sampling box: the whole box is tested first, breadth first, and an
 undecided box is halved at the grid's edges until each box is judged empty
-(dropped), judged full or one cell wide (kept).
+(dropped), judged full or one cell wide (kept).  Both tests come from the
+integral's one exact box test (`exact.BoxTest`), which `_setup` builds.
 
 - The strata are the kept cells of the sampling grid under the float box
-  test, `_Bound.decide` bound to the parameters once for all of them
+  test, its `bound.decide`, bound to the parameters once for all of them
   (`regions.definitely` is its public entry point for one box), numbered
   in grid order; a stratum's number picks its streams' scrambles.
   Float interval evaluation is monotone under inclusion, so the kept cells
-  are exactly the cells a per-cell test keeps.
+  are exactly the cells a per-cell test keeps.  If none is kept, every
+  cell is a stratum unless the proof below closes first.
 - An integral whose first round has no hit tries to prove its region empty
   before it samples on, by the same bisection on a grid of 2**52 cells per
-  axis, which no box gets down to, driven by the exact box test
-  (`exact.BoxTest`): the atoms a box leaves undecided, as integer rows,
+  axis, which no box gets down to, driven by the exact box test itself:
+  the atoms a box leaves undecided, as integer rows,
   refuted together with the box's bounds by a Motzkin certificate.  If no
   box is kept within PROOF_CALLS tests, the result is a proved
   ``empty-region``; otherwise sampling carries on untouched.  Sorted
@@ -65,8 +67,9 @@ import numpy as np
 
 from . import buchstab
 from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
+from .exact import BoxTest
 from .params import ThetaParams
-from .regions import RegionError, _bound
+from .regions import RegionError
 
 __all__ = [
     "QuadratureResult",
@@ -435,24 +438,18 @@ def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
         boxes.append(tuple(zip(*part)) for part in itertools.product(*halves))
 
 
-def _proved_empty(region, lo: np.ndarray, hi: np.ndarray, vals, cat, test=None) -> bool:
-    """Whether no point of [lo, hi] lies in the region: the bisection on
-    the proof's grid, driven by the exact box test, drops every box within
-    PROOF_CALLS tests.  It stops at the first box it keeps.  test is the
-    region's exact box test when one is already built, whose rows it reuses."""
-    if test is None:
-        from .exact import BoxTest  # compiled only where a proof runs
-
-        test = BoxTest(region, len(lo), vals, cat)
-    kept = _bisect(test, lo, hi, PROOF_BINS, PROOF_CALLS)
-    return next(kept, None) is None
+def _proved_empty(test: BoxTest, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether no point of [lo, hi] lies in the region of the exact box
+    test: the bisection on the proof's grid, driven by it, drops every box
+    within PROOF_CALLS tests.  It stops at the first box it keeps."""
+    return next(_bisect(test, lo, hi, PROOF_BINS, PROOF_CALLS), None) is None
 
 
 def _setup(spec: IntegralDef, params, tol: float, seed: int, rel_tol: float | None,
            cat: Catalog | None):
     """The checks an integral passes before any work, in order; then its
-    catalog, region, parameter values and sampling box (lo, hi), the box
-    None when it is empty."""
+    catalog, region, parameter values, sampling box (lo, hi) and exact box
+    test, both None when the box is empty."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if rel_tol is not None and math.isnan(rel_tol):
@@ -470,11 +467,11 @@ def _setup(spec: IntegralDef, params, tol: float, seed: int, rel_tol: float | No
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise SpecificationError(f"region {region.name} has a non-finite bounding box")
     if (hi <= lo).any():
-        return cat, region, vals, None
+        return cat, region, vals, None, None
     if spec.sorted and (np.ptp(lo) > 1e-15 or np.ptp(hi) > 1e-15):
         # sorting is measure-preserving only over an exchangeable box
         raise SpecificationError(f"sorted integral {spec.name} needs identical bounds")
-    return cat, region, vals, (lo, hi)
+    return cat, region, vals, (lo, hi), BoxTest(region, k, vals, cat)
 
 
 def integrate(
@@ -495,8 +492,8 @@ def integrate(
     sampling box (the exact box test's verdict on the whole box, every
     `in`, `splits` and `not` it decides folded away) is one conjunction of
     comparisons, and the region's points in the box make a full-dimensional
-    polytope.  The box test built to tell serves the emptiness proof of a
-    sampled integral too.  Its result has the flag
+    polytope.  That box test is `_setup`'s, which the strata and proof of a
+    sampled integral read too.  Its result has the flag
     "cubature" and the seed it was given, which it does not use.  For the
     unit weight the value is the exact volume, rounded once, with est_error
     0 and samples 0.  For the reciprocal weight, samples counts the
@@ -509,18 +506,15 @@ def integrate(
     below FLOOR_MIN.  Every error `sampled` raises for bad arguments or a
     bad box is raised first.
     """
-    cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
-    test = None
+    cat, region, vals, box, test = _setup(spec, params, tol, seed, rel_tol, cat)
     if box is not None and spec.weight in ("one", "reciprocal"):
         from . import cubature
-        from .exact import BoxTest
 
-        test = BoxTest(region, spec.dim, vals, cat)
         out = cubature.integrate(spec, test, *box, _weight_fn(spec.weight, vals), tol, rel_tol,
                                  budget)
         if out is not None:
             return QuadratureResult(*out, seed, flag="cubature")
-    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol, test)
+    return _sample(spec, cat, region, vals, box, test, tol, seed, budget, rel_tol)
 
 
 def sampled(
@@ -542,21 +536,20 @@ def sampled(
     when a sampled region point has a coordinate, or 1 - sum(t), below
     FLOOR_MIN.
 
-    When the first round finds no region point, _bisect bisects the box
-    with the exact box test for up to PROOF_CALLS tests.  If it proves the
-    region empty, the result is 0 with est_error 0, the samples of that
-    round and the flag "empty-region".  Otherwise sampling goes on as if
-    the proof had not run, and a run without hits ends in "no-hits".
+    When the float strata keep no cell, or the first round finds no region
+    point, _bisect bisects the box with the exact box test for up to
+    PROOF_CALLS tests.  If it proves the region empty, the result is 0 with
+    est_error 0, the samples drawn so far and the flag "empty-region".
+    Otherwise sampling goes on as if the proof had not run, over every cell
+    where none was kept, and a run without hits ends in "no-hits".
     """
-    cat, region, vals, box = _setup(spec, params, tol, seed, rel_tol, cat)
-    return _sample(spec, cat, region, vals, box, tol, seed, budget, rel_tol)
+    cat, region, vals, box, test = _setup(spec, params, tol, seed, rel_tol, cat)
+    return _sample(spec, cat, region, vals, box, test, tol, seed, budget, rel_tol)
 
 
-def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box, tol: float,
-            seed: int, budget: int, rel_tol: float | None, test=None) -> QuadratureResult:
-    """`sampled` after `_setup`, which gave cat, region, vals and box; test,
-    the exact box test `integrate` built, if any, serves the emptiness
-    proof."""
+def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box, test,
+            tol: float, seed: int, budget: int, rel_tol: float | None) -> QuadratureResult:
+    """`sampled` after `_setup`, which gave cat, region, vals, box and test."""
     if box is None:
         return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-box")
     lo, hi = box
@@ -576,17 +569,16 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
         bins = max(2, int(round((4096.0) ** (1.0 / k))))
     n_cells = bins**k
     edges = np.array([lo + (hi - lo) * i / bins for i in range(bins + 1)])
-    if spec.sorted:
-        cells = np.arange(n_cells)
-    else:
+    cells = np.arange(n_cells)
+    if not spec.sorted:
         live = np.zeros((bins,) * k, dtype=bool)  # grid axis i is array axis k - 1 - i
-        strata = _bisect(_bound(region, k, vals, cat).decide, lo, hi, bins)
-        for a, b in strata:
+        for a, b in _bisect(test.bound.decide, lo, hi, bins):
             live[tuple(slice(a[i], b[i]) for i in reversed(range(k)))] = True
-        cells = np.flatnonzero(live)
+        if live.any():
+            cells = np.flatnonzero(live)
+        elif _proved_empty(test, lo, hi):  # float bounds are rounded: only this is a proof
+            return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-region")
     n_strata = len(cells)
-    if not n_strata:
-        return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-region")
     if budget < REPLICATES * n_strata:
         # the budget is a hard cap, and every live stratum needs a point
         raise SpecificationError(
@@ -649,7 +641,7 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
             batch = ((budget - total_n) * weights / REPLICATES).astype(np.int64)
         streams.run(np.repeat(batch, REPLICATES), sample)
         total_n += REPLICATES * int(batch.sum())
-        if first and not streams.hits.any() and _proved_empty(region, lo, hi, vals, cat, test):
+        if first and not streams.hits.any() and _proved_empty(test, lo, hi):
             return QuadratureResult(0.0, 0.0, total_n, seed, flag="empty-region")
         first = False
 

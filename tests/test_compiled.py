@@ -18,7 +18,19 @@ from sievelab.catalog import default_catalog, loads
 from sievelab.exact import BoxTest
 from sievelab.params import ThetaParams
 from sievelab.quadrature import _descending, rowwise
-from sievelab.regions import RegionError, _fold, _negate, contains, definitely, subset_sums
+from sievelab.regions import (
+    MAX_SPLIT,
+    AffineForm,
+    BoolNode,
+    Comparison,
+    RegionError,
+    RegionSpec,
+    _fold,
+    _negate,
+    contains,
+    definitely,
+    subset_sums,
+)
 
 CAT = default_catalog()
 
@@ -433,6 +445,59 @@ def test_an_empty_part_sums_to_zero(dim):
     x = 1.0 - np.random.default_rng(dim).random((2000, dim))  # in (0, 1]
     assert region.eval(x, {}, EMPTY_PART).all()
     assert all(contains(region, p, {}, EMPTY_PART) for p in x[:300])
+
+
+# the regions of the catalog whose splits append a value, at a point each
+@pytest.mark.parametrize("name, point", [("Uprime", (0.52,)), ("Uj", (0.52,)),
+                                         ("Udprime", (0.32, 0.20))])
+def test_appended_splits_agree_with_contains(name, point):
+    # descending points in [0, tau) with sum(t) <= 1, where A_fam holds and
+    # the appended splits decides: at 3 coordinates Udprime holds at every
+    # one of them, so both verdicts are asked of the three dimensions together
+    vals = ThetaParams(*point).values()
+    region = CAT.region(name)
+    verdicts = set()
+    for dim in (3, 4, 5):
+        x = -np.sort(-np.random.default_rng(dim).random((4096, dim)) * vals["tau"], axis=1)
+        x = x[x.sum(axis=1) <= 1]
+        got = region.eval(x, vals, CAT).tolist()
+        assert got == [contains(region, p, vals, CAT) for p in x], dim
+        verdicts.update(got)
+    assert verdicts == {False, True}
+
+
+# Faults of compiling, each alone in its region: (region, dimension, message)
+COMPILE_ERRORS = loads(
+    "region S dim=2\n  where t1 < 1/2\nend\n"
+    "region Wide dim=3\n  where in(S; t1, t2, t3)\nend\n"
+    "region Many dim=any\n  where splits(S)\nend\n"
+    "region Append dim=2\n  where splits(S; append=t1)\nend\n"
+    "region Self dim=2\n  where t1 < 1 and in(Self)\nend\n"
+    "region Group dim=2\n  where in(S; t1, t3)\nend\n")
+COMPILE_ERRORS.regions.update(
+    Relation=RegionSpec("Relation", 2, BoolNode("atom", atom=Comparison(
+        AffineForm.make(vars={1: 1}), "=", AffineForm.make(const=Fraction(1, 2))))),
+    Atom=RegionSpec("Atom", 2, BoolNode("atom", atom="t1")))
+
+
+@pytest.mark.parametrize("name, dim, message", [
+    ("Relation", 2, "bad relation '='"),
+    ("Atom", 2, "bad atom 't1'"),
+    ("Wide", 3, "region S has dimension 2, got 3"),
+    ("Many", MAX_SPLIT + 1, f"bipartition enumeration capped at {MAX_SPLIT} coordinates"),
+    ("Append", 2, "form references point variables; scalar context"),
+    ("Self", 2, "region Self refers to itself"),
+    ("Group", 2, "group index t3 out of range"),
+])
+def test_compile_errors_are_typed(name, dim, message):
+    # one message, whichever evaluator compiles the program first
+    region = COMPILE_ERRORS.region(name)
+    for ask in (lambda: contains(region, [0.25] * dim, {}, COMPILE_ERRORS),
+                lambda: region.eval(np.full((1, dim), 0.25), {}, COMPILE_ERRORS),
+                lambda: BoxTest(region, dim, {}, COMPILE_ERRORS)):
+        with pytest.raises(RegionError) as err:
+            ask()
+        assert str(err.value) == message
 
 
 # Regions written with tsum, tmin, tmax, descending, true and false, and the

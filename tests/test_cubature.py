@@ -149,7 +149,7 @@ def test_the_emptiness_proof_reuses_the_route_checks_residual(monkeypatch):
     decide = test.bound.decide
     monkeypatch.setattr(test.bound, "decide", lambda *args: walks.append(args) or decide(*args))
     assert cubature.integrate(spec, test, lo, hi, None, 1e-3, None, 1 << 22) is None
-    assert quadrature._proved_empty(region, lo, hi, vals, CAT, test)
+    assert quadrature._proved_empty(test, lo, hi)
     assert len(walks) == 1 and len(test.certificates) == 1
 
 

@@ -281,7 +281,7 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
     bins = 2 if name == "I3" else max(2, round(4096 ** (1 / spec.dim)))
     want = per_cell_live(region, vals, lo, hi, bins)
 
-    bound, decide, bisect = quadrature._bound, regions._Bound.decide, quadrature._bisect
+    bound, decide, bisect = exact._bound, regions._Bound.decide, quadrature._bisect
     binds, calls, kept = [], [0], []
 
     def binding(*args):
@@ -300,7 +300,7 @@ def test_bisection_keeps_the_per_cell_strata(name, monkeypatch):
         kept.append((cap, sorted(cells)))
         return boxes
 
-    monkeypatch.setattr(quadrature, "_bound", binding)
+    monkeypatch.setattr(exact, "_bound", binding)
     monkeypatch.setattr(regions._Bound, "decide", counting)
     monkeypatch.setattr(quadrature, "_bisect", recording)
     quadrature.sampled(spec, params, tol=1.0, budget=max(1 << 15, 4 * len(want)))
@@ -364,7 +364,7 @@ def test_proof_verdicts_and_box_test_counts(name, point, proved, calls, monkeypa
     vals = ThetaParams(*point).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    assert quadrature._proved_empty(region, lo, hi, vals, CAT) is proved
+    assert quadrature._proved_empty(exact.BoxTest(region, spec.dim, vals, CAT), lo, hi) is proved
     assert made[0] == calls
 
 
@@ -414,7 +414,7 @@ def test_open_proof_stops_at_its_first_kept_box(monkeypatch):
     vals = ThetaParams(0.32, 0.20).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    assert not quadrature._proved_empty(region, lo, hi, vals, CAT)
+    assert not quadrature._proved_empty(exact.BoxTest(region, spec.dim, vals, CAT), lo, hi)
     assert len(verdicts) == 58 and verdicts[-1] is True
     assert True not in verdicts[:-1]
 
@@ -429,7 +429,8 @@ def test_proved_empty_regions_hold_no_box_point(name, theta):
     vals = theta_only(theta).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    if (hi <= lo).any() or not quadrature._proved_empty(region, lo, hi, vals, CAT):
+    if (hi <= lo).any() or not quadrature._proved_empty(
+            exact.BoxTest(region, spec.dim, vals, CAT), lo, hi):
         return
     x = lo + np.random.default_rng(0).random((1 << 14, spec.dim)) * (hi - lo)
     if spec.sorted:
@@ -497,7 +498,7 @@ def test_i4_proved_empty_near_its_threshold(theta):
     vals = theta_only(theta).values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    assert quadrature._proved_empty(region, lo, hi, vals, CAT)
+    assert quadrature._proved_empty(exact.BoxTest(region, spec.dim, vals, CAT), lo, hi)
 
 
 @pytest.mark.parametrize("region_name, theta, point", [
@@ -512,7 +513,61 @@ def test_regions_holding_points_are_not_proved_empty(region_name, theta, point):
     region = CAT.region(region_name)
     assert contains(region, point, vals, CAT)
     lo, hi = region.box(vals, len(point))
-    assert not quadrature._proved_empty(region, lo, hi, vals, CAT)
+    assert not quadrature._proved_empty(exact.BoxTest(region, len(point), vals, CAT), lo, hi)
+
+
+# a region the float strata keep no cell of, and its unit-weight integral
+NO_CELL = loads("region R dim=2\n  bound t1 = [0, 1]\n  bound t2 = [0, 1]\n"
+                "  where t1 + t2 > 3\nend\n"
+                "integral X dim=2 region=R weight=one mult=1\n")
+
+
+@pytest.mark.parametrize("run", [quadrature.sampled, integrate])
+def test_strata_without_a_cell_are_proved_empty(run, monkeypatch):
+    # float bounds are rounded: empty-region follows an exact proof
+    bisect, proofs = quadrature._bisect, []
+
+    def recording(test, lo, hi, n, cap=math.inf):
+        if cap == quadrature.PROOF_CALLS:
+            proofs.append(n)
+        return bisect(test, lo, hi, n, cap)
+
+    monkeypatch.setattr(quadrature, "_bisect", recording)
+    res = run(NO_CELL.integrals["X"], {}, cat=NO_CELL)
+    assert res == QuadratureResult(0.0, 0.0, 0, DEFAULT_SEED, "empty-region")
+    assert proofs == [quadrature.PROOF_BINS]
+
+
+def test_strata_without_a_cell_are_sampled_unless_proved_empty(monkeypatch):
+    # every cell of the 64 x 64 grid is a stratum; 16 points per replicate
+    # in each fill the budget in one round
+    monkeypatch.setattr(quadrature, "_proved_empty", lambda *args: False)
+    res = quadrature.sampled(NO_CELL.integrals["X"], {}, budget=1 << 18, cat=NO_CELL)
+    assert (res.value, res.samples, res.flag) == (0.0, 1 << 18, "no-hits")
+
+
+SPEC_ERRORS = loads(
+    "region Q dim=2\n  bound t1 = [0, 1/4]\n  bound t2 = [0, 1/4]\n  where t1 < t2\nend\n"
+    "region Far dim=2\n  bound t1 = [0, 1/4]\n  bound t2 = [0, kappa]\n  where t1 < t2\nend\n"
+    "region Oblong dim=2\n  bound t1 = [0, 1/4]\n  bound t2 = [0, 1/2]\n  where t1 < t2\nend\n"
+    "integral Far dim=2 region=Far weight=one mult=1\n"
+    "integral Oblong dim=2 region=Oblong weight=one mult=1 sorted\n"
+    "integral Buch dim=2 region=Q weight=buchstab mult=1\n")
+
+
+@pytest.mark.parametrize("spec, params, message", [
+    (SPEC_ERRORS.integrals["Far"], {"kappa": math.inf},
+     "region Far has a non-finite bounding box"),
+    (SPEC_ERRORS.integrals["Oblong"], {}, "sorted integral Oblong needs identical bounds"),
+    (SPEC_ERRORS.integrals["Buch"], {}, "buchstab weight needs a kappa value"),
+    (dataclasses.replace(SPEC_ERRORS.integrals["Buch"], weight="odd"), {},
+     "unknown weight kind 'odd'"),
+])
+@pytest.mark.parametrize("run", [quadrature.sampled, integrate])
+def test_specification_errors_are_typed(run, spec, params, message):
+    with pytest.raises(SpecificationError) as err:
+        run(spec, params, cat=SPEC_ERRORS)
+    assert str(err.value) == message
 
 
 # Fixed-seed results at budget 2^16 (value, est_error, samples, flag), as

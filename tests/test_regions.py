@@ -837,6 +837,13 @@ REGION_A = "region A dim=2\n  where t1 < 1/2\nend\n"
     ("region A dim=2\n  where t1 < 1/2\n", "record 'region A dim=2' has no end"),
     (REGION_A + "ranges A\n  piece (0, 1) src=x\n", "record 'ranges A' has no end"),
     (REGION_A + "regions B dim=2\n", "unrecognised catalog line"),
+    # the dangling references `Catalog.validate` rejects, each message whole
+    (REGION_A + "region B dim=2\n  where in(A) or in(C)\nend\n",
+     "^region B references unknown 'C'$"),
+    (REGION_A + "ranges C\n  piece (0, 1) src=x\nend\n", "^ranges record for unknown region 'C'$"),
+    (REGION_A + "integral I dim=2 region=C weight=one mult=1\n",
+     "^integral I references unknown 'C'$"),
+    (REGION_A + "group G: A C\n", "^group G lists unknown region 'C'$"),
 ])
 def test_catalog_parse_errors(text, match):
     with pytest.raises(RegionError, match=match):

@@ -1,19 +1,29 @@
-"""Deterministic integration over a region that is one convex polytope on
-its sampling box: the path `quadrature.integrate` takes when the weight is
-`one` or `reciprocal` and the region's residual on the sampling box is one
-conjunction of comparisons.
+"""Deterministic integration over a region whose residual on its sampling
+box is a formula of linear rows: the path `quadrature.integrate` takes
+when the weight is `one` or `reciprocal`.  The box is split into convex
+cells on the residual's rows, and the cells where the residual holds are
+polytopes, integrated by cubature: weighted model integration (Belle,
+Passerini & Van den Broeck 2015; Morettin, Passerini & Sebastiani 2017).
 
 - Rows.  The exact box test (`exact.BoxTest`) judges the program on the
-  whole sampling box, deciding every `in`, `splits` and `not` it can.  When
-  what it leaves undecided is one conjunction with no junction inside, its
-  atoms are integer rows a . t <= b, strict or not, which does not matter
-  for volume; any other residual is sampled.  To these rows are added the
-  box's bounds, in integers over a power of two as its floats are dyadic,
-  and for a sorted integral t1 >= t2 >= ... >= tk.  A sorted integral
+  whole sampling box, deciding every `in`, `splits` and `not` it can.  What
+  it leaves undecided is an and/or formula whose atoms are integer rows
+  a . t <= b, strict or not, which does not matter for volume.  The first
+  cell's rows are the box's bounds, in integers over a power of two as its
+  floats are dyadic, for a sorted integral t1 >= t2 >= ... >= tk, and the
+  rows of the residual's top-level conjunction.  A sorted integral
   is mult/k! times the integral over the box of the region's indicator and
   weight at the sorted point, which is mult times the integral over the
   region's points with t1 >= ... >= tk.  Of rows with one direction only
   the tightest is kept, by cross-multiplying; only its b becomes a Fraction.
+- Cells.  The rest of the residual is judged on a cell at its exact
+  vertices: a row holds when a . v <= b at every vertex v and fails when
+  a . v >= b at every one, and the formula is folded (`regions._fold`).  A
+  cell where it is True is kept, one where it is False dropped, and any
+  other is split on its least undecided row under `exact._order`: one
+  more cut of its vertices on each side.  A residual that is one
+  conjunction is one cell.  Past MAX_CELLS cells, or when no cell is kept,
+  the integral is sampled.
 - Vertices.  Exact double description, in integers: the box's corners,
   over one denominator, are cut by every other row in index order, each cut
   keeping the vertices on its side and adding one where it crosses an edge,
@@ -23,8 +33,9 @@ conjunction of comparisons.
   lowest-numbered vertex over each of its facets that misses that vertex,
   triangulated the same way.  The facets of a face F are the sets F ∩
   tight(row) of dimension dim F - 1.  Tight sets and dimensions are exact.
-- The rule.  Weight `one` gives the exact volume, the sum of |det| / k!
-  over the simplices.  Weight `reciprocal` takes Stroud's conical product
+- The rule.  It runs over the simplices of every cell kept, in the order
+  the cells are found.  Weight `one` gives the exact volume, the sum of
+  |det| / k! over the simplices.  Weight `reciprocal` takes Stroud's conical product
   rule on each simplex: n Gauss-Jacobi nodes per axis of the collapsed
   (Duffy) coordinates, axis i under the weight (1 - u)^(k - 1 - i), the
   eigenvalues of Golub and Welsch's matrix found by Sturm bisection.
@@ -38,6 +49,7 @@ Golub & Welsch 1969; Bareiss 1968; Motzkin, Raiffa, Thompson & Thrall
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -46,7 +58,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import BoxTest
+from .exact import BoxTest, _order
+from .regions import _fold
 
 # The route's cap on a polytope's k-subsets of rows; past it the integral is
 # sampled.  The catalog's polytopes have at most 3,003 (S237 and L73, 15
@@ -54,6 +67,12 @@ from .exact import BoxTest
 # dimensions, 2.3e7 subsets: its double description takes about 50 ms to
 # find one vertex (2-core machine), and the sampler proves it empty.
 MAX_SUBSETS = 1 << 16
+# The route's cap on the cells a residual is split into, counting every cell
+# made; past it the integral is sampled.  U233 makes 35 to 59 cells at the
+# 47 of 60 theta in [0.5, 4/7) where its whole-box residual is not False,
+# and 61 at theta = 0.545, about 0.2 ms each (2-core machine).  8 rows in 4
+# dimensions cut a box into at most 163 pieces, so into at most 325 cells.
+MAX_CELLS = 1 << 9
 BLOCK = 1 << 14  # rule points evaluated together
 TINY = sys.float_info.min  # a Sturm pivot nearer 0 is taken as -TINY
 
@@ -61,37 +80,36 @@ TINY = sys.float_info.min  # a Sturm pivot nearer 0 is taken as -TINY
 def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
     """(value, est_error, samples) of mult times the integral of the weight
     wfn (None for the unit weight) over the points in the box [lo, hi] of
-    the region of the exact box test `test`, or None when the region's
-    residual on the box is no conjunction, the polytope is not
-    full-dimensional, its rows have more than MAX_SUBSETS k-subsets, or the
-    rules n = 2 and n = 4 together need more than `budget` evaluations.
+    the region of the exact box test `test`; False when the box test finds
+    no point of the region in the box; or None when no cell of the
+    region's residual on the box is full-dimensional, a cell's rows have
+    more than MAX_SUBSETS k-subsets, the residual splits into more than
+    MAX_CELLS cells, or the rules n = 2 and n = 4 together need more than
+    `budget` evaluations.
 
-    A reciprocal weight raises SpecificationError when a vertex has a
-    coordinate, or 1 - sum(t), below FLOOR_MIN: region points come
-    arbitrarily close to every vertex, and a linear function's minimum over
-    the polytope is at one."""
+    samples counts the integrand evaluations of the Gauss rules run, 0 for
+    the unit weight.  A reciprocal weight raises SpecificationError when a
+    vertex of a cell kept has a coordinate, or 1 - sum(t), below FLOOR_MIN:
+    region points come arbitrarily close to every such vertex, and a linear
+    function's minimum over a polytope is at one."""
     k = spec.dim
-    rows = _rows(test, lo, hi, spec.sorted)
-    if rows is None or math.comb(len(rows), k) > MAX_SUBSETS:
+    first = _rows(test, lo, hi, spec.sorted)
+    if first is None:
+        return False
+    leaves = _cells(*first, k)
+    if not leaves:
         return None
-    verts, tight = _vertices(rows, k)
-    if not verts:
-        return None
-    faces = _Faces(verts, tight, len(rows))
-    everything = (1 << len(verts)) - 1
-    if faces.dim(everything) < k:
-        return None
-    simplices = faces.triangulate(everything, k)
-    dets = [_det(verts, s) for s in simplices]
+    simplices = [(verts, s) for verts, cones in leaves for s in cones]
+    dets = [_det(verts, s) for verts, s in simplices]
     mult = spec.mult
     if wfn is None:
         return float(mult * sum(dets, Fraction(0)) / math.factorial(k)), 0.0, 0
-    points = np.array([[x / d for x in num] for num, d in verts])
-    wfn(points.T)  # the weight raises SpecificationError at a vertex below its floors
+    points = [np.array([[x / d for x in num] for num, d in verts]) for verts, _ in leaves]
+    wfn(np.concatenate(points).T)  # the weight raises SpecificationError at a vertex below its floors
     cost = len(simplices) * (2**k + 4**k)
     if cost > budget:
         return None
-    corners = [points[s] for s in simplices]
+    corners = [p[s] for p, (_, cones) in zip(points, leaves) for s in cones]
     scales = [float(mult * d) for d in dets]
     prev, n = _rule(corners, scales, wfn, 2), 4
     while True:
@@ -105,17 +123,19 @@ def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
 
 
 def _rows(test: BoxTest, lo, hi, descending: bool):
-    """The polytope's rows (a, b), a . t <= b with a primitive integer
-    direction a and a rational b, the tightest of each direction, sorted; or
-    None when the box test finds no point in the box, or leaves a residual
-    that is a disjunction or a conjunction holding one."""
+    """The first cell's rows (a, b), a . t <= b with a primitive integer
+    direction a and a rational b, the tightest of each direction, sorted,
+    and the rest of the residual, its junctions folded into one formula; or
+    None when the box test finds no point in the box."""
     f = test.residual(lo, hi)
     if f is False:
         return None
-    atoms = () if f is True else f[1] if f[0] == "and" else (f,)
-    if any(isinstance(g[0], str) for g in atoms):  # a junction, not a row
-        return None
-    given = [(a, b) for a, b, _ in (*test.box_rows(), *atoms)]
+    given, junctions = [(a, b) for a, b, _ in test.box_rows()], []
+    for g in () if f is True else f[1] if f[0] == "and" else (f,):
+        if isinstance(g[0], str):
+            junctions.append(g)
+        else:
+            given.append(g[:2])
     if descending:
         k = len(lo)
         given += [(tuple(int(j == i + 1) - int(j == i) for j in range(k)), 0)
@@ -126,7 +146,82 @@ def _rows(test: BoxTest, lo, hi, descending: bool):
         a = tuple(x // g for x in a)
         if a not in best or b * best[a][1] < best[a][0] * g:
             best[a] = b, g
-    return sorted((a, Fraction(b, g)) for a, (b, g) in best.items())
+    return sorted((a, Fraction(b, g)) for a, (b, g) in best.items()), _fold("and", junctions)
+
+
+def _cells(rows, f, k: int):
+    """The full-dimensional cells on which the formula f holds, of the
+    first cell with rows `rows` (`_rows`), each (vertices, simplices) as
+    `_Faces.triangulate` gives them, in the order they are found; or None
+    when a cap is passed.
+
+    On a cell the formula's rows are judged at its vertices (`_judge`),
+    and a cell where the folded formula is True is kept, one where it is
+    False dropped.  Any other is split on the least row left undecided,
+    under `exact._order`, into the cells where it holds and where it fails,
+    taken in that order.  Both are full-dimensional, the row being
+    violated at one vertex and satisfied at another, strictly; only the
+    first cell can be empty or flat."""
+    if math.comb(len(rows), k) > MAX_SUBSETS:
+        return None
+    todo, made, leaves = [(rows, *_vertices(rows, k), f)], 1, []
+    while todo:
+        rows, verts, tight, f = todo.pop()
+        if not verts:
+            continue
+        faces = _Faces(verts, tight, len(rows))
+        everything = (1 << len(verts)) - 1
+        if faces.dim(everything) < k:
+            continue
+        f = f if f is True else _judge(f, verts)
+        if f is True:
+            leaves.append((verts, faces.triangulate(everything, k)))
+        elif f is not False:
+            made += 2
+            if made > MAX_CELLS or math.comb(len(rows) + 1, k) > MAX_SUBSETS:
+                return None
+            a, b, _ = min(_atoms(f), key=_order)
+            todo += [(*_split(rows, verts, tight, side, k), f)
+                     for side in ((tuple(-x for x in a), -b), (a, b))]
+    return leaves
+
+
+def _atoms(f):
+    """The rows of a formula."""
+    if f[0] == "and" or f[0] == "or":
+        for g in f[1]:
+            yield from _atoms(g)
+    else:
+        yield f
+
+
+def _judge(f, verts):
+    """The formula f on a cell with vertices verts, folded: a row is True
+    where a . v <= b at every vertex v, False where a . v >= b at every one,
+    which decides it but on the cell's boundary, a set of no volume."""
+    if f[0] == "and" or f[0] == "or":
+        return _fold(f[0], [_judge(g, verts) for g in f[1]])
+    a, b, _ = f
+    sides = [sum(x * y for x, y in zip(a, num)) - b * d for num, d in verts]
+    return True if max(sides) <= 0 else False if min(sides) >= 0 else f
+
+
+def _split(rows, verts, tight, row, k):
+    """The rows, vertices and tight rows of the cell cut by row (a, b), as
+    `_vertices` makes them: the cell's vertices cut once.  The row is new,
+    or tighter than the cell's row of its direction, which it replaces."""
+    a, b = row
+    g = math.gcd(*a)
+    a, b = tuple(x // g for x in a), Fraction(b, g)
+    i = bisect.bisect_left(rows, a, key=lambda r: r[0])
+    if i < len(rows) and rows[i][0] == a:
+        # every vertex tight at the old bound is cut off, and no edge kept has it
+        rows = [*rows[:i], (a, b), *rows[i + 1 :]]
+    else:
+        rows = [*rows[:i], (a, b), *rows[i:]]
+        tight = [t & (1 << i) - 1 | t >> i << i + 1 for t in tight]
+    cut = _cut([(num, d, t) for (num, d), t in zip(verts, tight)], rows, i, k)
+    return rows, *_ordered(cut, len(rows))
 
 
 def _vertices(rows, k):
@@ -134,15 +229,7 @@ def _vertices(rows, k):
     terms with a positive denominator, and the bit mask of the rows tight at
     each; or [], [] when the box rows leave some axis no width.  Exact
     double description (Motzkin et al. 1953): the box's corners, cut by
-    every other row in index order.  A cut keeps the vertices on its side
-    and adds a vertex on each edge it crosses; the edges are the pairs whose
-    common tight rows lie in no third vertex's (Fukuda & Prodon 1996).
-
-    The vertices are ordered by their tight rows' indices, which is the
-    order of their least nonsingular k-subsets of tight rows: where two
-    vertices' tight rows first differ, the lesser row is independent of
-    those before it, as a combination of them would be tight at both.  The
-    pulling triangulation's apexes, and so the rule's sums, depend on it."""
+    every other row in index order (`_cut`)."""
     index = {a: i for i, (a, _) in enumerate(rows)}
     bs = [(b.numerator, b.denominator) for _, b in rows]
     axes = [(index[tuple(-e for e in unit)], index[unit])
@@ -156,30 +243,49 @@ def _vertices(rows, k):
     verts = [([x for _, x in corner], den, sum(1 << i for i, _ in corner))  # (nums, den, tight)
              for corner in itertools.product(*ends)]
     boxed = sum(1 << i for axis in axes for i in axis)
-    for i, (a, _) in enumerate(rows):
-        if boxed >> i & 1:
+    for i in range(len(rows)):
+        if not boxed >> i & 1:
+            verts = _cut(verts, rows, i, k)
+    return _ordered(verts, len(rows))
+
+
+def _cut(verts, rows, i, k):
+    """The vertices (numerators, denominator, tight rows) of a polytope cut
+    by row i: those on its side, and a vertex on each edge it crosses.  The
+    edges are the pairs whose common tight rows lie in no third vertex's
+    (Fukuda & Prodon 1996), which needs every vertex's tight rows complete.
+    A new vertex is tight at the rows of its edge and at row i."""
+    a, b = rows[i]
+    bn, bd = b.numerator, b.denominator
+    sides = [bd * sum(x * y for x, y in zip(a, num)) - bn * den for num, den, _ in verts]
+    masks = [t for _, _, t in verts]
+    cut = []
+    for u, su in enumerate(sides):
+        if su >= 0:
             continue
-        bn, bd = bs[i]
-        sides = [bd * sum(x * y for x, y in zip(a, num)) - bn * den for num, den, _ in verts]
-        masks = [t for _, _, t in verts]
-        cut = []
-        for u, su in enumerate(sides):
-            if su >= 0:
-                continue
-            nu, du, _ = verts[u]
-            for w, sw in enumerate(sides):
-                common = masks[u] & masks[w]
-                if sw <= 0 or common.bit_count() < k - 1 or any(
-                        t & common == common for v, t in enumerate(masks) if v != u and v != w):
-                    continue  # no edge: too few common rows, or a third vertex has them
-                nw, dw, _ = verts[w]
-                num = [sw * x - su * y for x, y in zip(nu, nw)]
-                den = sw * du - su * dw
-                g = math.gcd(den, *num)
-                cut.append(([x // g for x in num], den // g, common | 1 << i))
-        verts = [(num, den, mask | (s == 0) << i)
-                 for (num, den, mask), s in zip(verts, sides) if s <= 0] + cut
-    verts.sort(key=lambda v: [i for i in range(len(rows)) if v[2] >> i & 1])
+        nu, du, _ = verts[u]
+        for w, sw in enumerate(sides):
+            common = masks[u] & masks[w]
+            if sw <= 0 or common.bit_count() < k - 1 or any(
+                    t & common == common for v, t in enumerate(masks) if v != u and v != w):
+                continue  # no edge: too few common rows, or a third vertex has them
+            nw, dw, _ = verts[w]
+            num = [sw * x - su * y for x, y in zip(nu, nw)]
+            den = sw * du - su * dw
+            g = math.gcd(den, *num)
+            cut.append(([x // g for x in num], den // g, common | 1 << i))
+    return [(num, den, mask | (s == 0) << i)
+            for (num, den, mask), s in zip(verts, sides) if s <= 0] + cut
+
+
+def _ordered(verts, n: int):
+    """Vertices (numerators, denominator, tight rows) in lowest terms, and
+    their tight rows, ordered by their tight rows' indices, which is the
+    order of their least nonsingular k-subsets of tight rows: where two
+    vertices' tight rows first differ, the lesser row is independent of
+    those before it, as a combination of them would be tight at both.  The
+    pulling triangulation's apexes, and so the rule's sums, depend on it."""
+    verts = sorted(verts, key=lambda v: [i for i in range(n) if v[2] >> i & 1])
     return ([(tuple(x // g for x in num), den // g) for num, den, _ in verts
              for g in (math.gcd(den, *num),)], [mask for _, _, mask in verts])
 

@@ -1,11 +1,15 @@
 """Loss-integral evaluation.  `integrate` takes an integral under the
-weight `one` or `reciprocal` whose region's residual on the sampling box is
-one conjunction of comparisons by deterministic cubature over that
-polytope (`cubature`, imported only for these weights), with the flag
-``cubature``.  Every other integral, and one whose polytope is not
-full-dimensional, has too many rows or needs Gauss rules past the budget,
-it hands to `sampled`: stratified, replicated quasi-random sampling with
-indicator rejection over region bounding boxes, described below.
+weight `one` or `reciprocal` by deterministic cubature (`cubature`,
+imported only for these weights), with the flag ``cubature``: the region's
+residual on the sampling box, an and/or formula of comparisons, is split
+into convex cells on its own rows, one cell when it is a conjunction, and
+the cells where it holds are integrated as polytopes.  Where that residual
+is False the result is ``empty-region`` with no sample.  Every other
+integral, Buchstab-weighted ones among them, and one that splits into more
+than `cubature.MAX_CELLS` cells, keeps no full-dimensional cell, has too
+many rows or needs Gauss rules past the budget, it hands to `sampled`:
+stratified, replicated quasi-random sampling with indicator rejection over
+region bounding boxes, described below.
 
 Estimates are deterministic for a fixed seed: every (stratum, replicate)
 pair owns a scrambled Sobol stream drawn from the seed, rounds refine
@@ -484,27 +488,30 @@ def integrate(
     cat: Catalog | None = None,
 ) -> QuadratureResult:
     """Multiplier * integral of the weight over the region: by cubature
-    where the region is one convex polytope on the sampling box, else by
-    `sampled`.
+    over the cells of its residual on the sampling box where the weight is
+    `one` or `reciprocal`, else by `sampled`.
 
-    The cubature (`cubature.integrate`) applies when the weight is `one` or
-    `reciprocal`, the region's residual on the
-    sampling box (the exact box test's verdict on the whole box, every
-    `in`, `splits` and `not` it decides folded away) is one conjunction of
-    comparisons, and the region's points in the box make a full-dimensional
-    polytope.  That box test is `_setup`'s, which the strata and proof of a
-    sampled integral read too.  Its result has the flag
-    "cubature" and the seed it was given, which it does not use.  For the
-    unit weight the value is the exact volume, rounded once, with est_error
-    0 and samples 0.  For the reciprocal weight, samples counts the
-    integrand evaluations of the Gauss rules run, never more than the
-    budget, and est_error is the difference of the last two rules, which
-    stop once it reaches tol (or rel_tol relative, as in `sampled`) or the
-    next rule would pass the budget; where even the first two rules would
-    pass it, the integral is sampled.  A reciprocal weight raises
-    SpecificationError when a region point has a coordinate, or 1 - sum(t),
-    below FLOOR_MIN.  Every error `sampled` raises for bad arguments or a
-    bad box is raised first.
+    The residual is the exact box test's verdict on the whole sampling box,
+    every `in`, `splits` and `not` it decides folded away: an and/or
+    formula of comparisons.  That box test is `_setup`'s, which the strata
+    and proof of a sampled integral read too.  Under those two weights,
+    where the residual is False the region holds no point of the box, and
+    the result is 0 with est_error 0, samples 0 and the flag
+    "empty-region".  Otherwise the cubature (`cubature.integrate`) splits the box into convex cells on the
+    residual's rows and integrates the full-dimensional cells where it
+    holds; it declines past `cubature.MAX_CELLS` cells or when no such cell
+    is left, and the integral is sampled.  Its result has the flag
+    "cubature" and the seed it was given, which it does not use; samples
+    counts integrand evaluations.  For the unit weight the value is the
+    exact volume, rounded once, with est_error 0 and samples 0.  For the
+    reciprocal weight, samples counts the evaluations of the Gauss rules
+    run, never more than the budget, and est_error is the difference of
+    the last two rules, which stop once it reaches tol (or rel_tol
+    relative, as in `sampled`) or the next rule would pass the budget;
+    where even the first two rules would pass it, the integral is sampled.
+    A reciprocal weight raises SpecificationError when a region point has a
+    coordinate, or 1 - sum(t), below FLOOR_MIN.  Every error `sampled`
+    raises for bad arguments or a bad box is raised first.
     """
     cat, region, vals, box, test = _setup(spec, params, tol, seed, rel_tol, cat)
     if box is not None and spec.weight in ("one", "reciprocal"):
@@ -512,6 +519,8 @@ def integrate(
 
         out = cubature.integrate(spec, test, *box, _weight_fn(spec.weight, vals), tol, rel_tol,
                                  budget)
+        if out is False:  # the residual on the whole sampling box is False
+            return QuadratureResult(0.0, 0.0, 0, seed, flag="empty-region")
         if out is not None:
             return QuadratureResult(*out, seed, flag="cubature")
     return _sample(spec, cat, region, vals, box, test, tol, seed, budget, rel_tol)

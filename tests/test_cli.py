@@ -200,13 +200,13 @@ def test_integral_proved_empty_by_the_exact_test():
     assert out.splitlines()[1] == "U234,0.0,0.0,16384,24301,empty-region,computed"
 
 
-def test_integral_sampled_where_the_residual_is_nested():
-    # U233's residual on its sampling box holds a disjunction, so the
-    # command samples it to convergence
+def test_integral_cubature_where_the_residual_is_nested():
+    # U233's residual on its sampling box holds disjunctions, split into
+    # cells on their rows and integrated by cubature
     code, out = run_cli(["integral", "U233", "--theta", "0.52", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[1] == (
-        "U233,0.36047029195812275,9.119519342252187e-05,360448,24301,-,computed")
+        "U233,0.36017729401372256,1.4854299970112894e-05,360,24301,cubature,computed")
 
 
 def test_integral_no_hits_where_the_exact_test_finds_a_point(tmp_path):

@@ -67,7 +67,7 @@ def test_l72_at_one_twelfth_keeps_its_exact_vertices():
     spec, vals = CAT.integrals["L72"], {"kappa": 1 / 12}
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    rows = cubature._rows(BoxTest(region, spec.dim, vals, CAT), lo, hi, spec.sorted)
+    rows, _ = cubature._rows(BoxTest(region, spec.dim, vals, CAT), lo, hi, spec.sorted)
     verts, _ = cubature._vertices(rows, spec.dim)
     assert len(verts) == 8
     assert len({tuple(x / d for x in num) for num, d in verts}) < 8
@@ -122,18 +122,33 @@ def test_i5_i6_agree_with_pooled_sampling(name, point):
     assert abs(mean - want) <= 4 * pooled
 
 
-def test_a_nested_residual_is_sampled():
+@pytest.mark.parametrize("theta", [0.52, 0.545])
+def test_u233_agrees_with_pooled_sampling(theta):
+    # U233's residual holds disjunctions: the cubature sums over its cells
+    spec, params = CAT.integrals["U233"], theta_only(theta)
+    want = named_integral("U233", params, tol=1e-6)
+    assert want.flag == "cubature" and want.est_error <= 1e-6
+    runs = [quadrature.sampled(spec, params, tol=1e-15, seed=seed, budget=1 << 19)
+            for seed in range(1, 5)]
+    mean = sum(r.value for r in runs) / len(runs)
+    pooled = math.sqrt(sum(r.est_error**2 for r in runs)) / len(runs)
+    assert abs(mean - want.value) <= 4 * pooled
+
+
+def test_a_residual_past_the_cell_cap_is_sampled(monkeypatch):
     # U233's not in(G) stays undecided on the sampling box: its residual is
-    # a conjunction holding a disjunction, which is no polytope
+    # a conjunction holding disjunctions, which split into more than 8 cells
     spec, params = CAT.integrals["U233"], theta_only(0.52)
     vals = params.values()
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
     test = BoxTest(region, spec.dim, vals, CAT)
-    wfn = quadrature._weight_fn(spec.weight, vals)
-    assert cubature.integrate(spec, test, lo, hi, wfn, 1e-3, None, 1 << 22) is None
     f = test.residual(lo, hi)
     assert f[0] == "and" and any(g[0] == "or" for g in f[1])
+    wfn = quadrature._weight_fn(spec.weight, vals)
+    assert cubature.integrate(spec, test, lo, hi, wfn, 1e-3, None, 1 << 22) is not None
+    monkeypatch.setattr(cubature, "MAX_CELLS", 8)
+    assert cubature.integrate(spec, test, lo, hi, wfn, 1e-3, None, 1 << 22) is None
     assert integrate(spec, params, budget=1 << 16) == quadrature.sampled(spec, params,
                                                                           budget=1 << 16)
 
@@ -293,7 +308,7 @@ def test_l72_at_one_eighth_has_a_corner_in_lowest_terms():
     spec, vals = CAT.integrals["L72"], {"kappa": 1 / 8}
     region = CAT.region(spec.region)
     lo, hi = region.box(vals, spec.dim)
-    rows = cubature._rows(BoxTest(region, spec.dim, vals, CAT), lo, hi, spec.sorted)
+    rows, _ = cubature._rows(BoxTest(region, spec.dim, vals, CAT), lo, hi, spec.sorted)
     assert ((1, 1, 1, 1), 8) in cubature._vertices(rows, spec.dim)[0]
     _assert_vertices_match(rows, spec.dim)
 
@@ -317,6 +332,7 @@ def test_elimination_rank_and_determinant(n, data):
 
 
 FALLBACK = QuadratureResult(-1.0, 0.0, 0, 0, "sampled")
+EMPTY = QuadratureResult(0.0, 0.0, 0, DEFAULT_SEED, "empty-region")
 
 
 def _reference_volume(lo, hi, cuts):
@@ -362,15 +378,15 @@ def test_unit_weight_cubature_is_the_polytope_volume(box):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_sample", lambda *args, **kwargs: FALLBACK)
         res = integrate(cat.integrals["P"], {}, cat=cat)
-    if want is None:
-        assert res is FALLBACK  # empty or lower-dimensional
+    if want is None:  # empty or lower-dimensional: proved empty on the box, or sampled
+        assert res is FALLBACK or res == EMPTY
     else:
         assert res.flag == "cubature" and abs(res.value - want) <= 1e-12
 
 
 def test_the_residual_not_the_syntax_picks_the_route():
-    # a disjunction the sampling box decides is a box; one it leaves open
-    # is sampled
+    # a disjunction the sampling box decides leaves a box; one it leaves
+    # open splits the box into cells on its rows
     cat = loads("region Q dim=2\n  bound t1 = [0, 1/4]\n  bound t2 = [0, 1]\n"
                 "  where t1 < 1/2 or t2 < 1/3\nend\n"
                 "region R dim=2\n  bound t1 = [0, 1]\n  bound t2 = [0, 1]\n"
@@ -379,6 +395,99 @@ def test_the_residual_not_the_syntax_picks_the_route():
                 "integral R dim=2 region=R weight=one mult=1\n")
     res = integrate(cat.integrals["Q"], {}, cat=cat)
     assert res == QuadratureResult(0.25, 0.0, 0, DEFAULT_SEED, "cubature")
+    res = integrate(cat.integrals["R"], {}, cat=cat)
+    assert res == QuadratureResult(2 / 3, 0.0, 0, DEFAULT_SEED, "cubature")
+
+
+def _formula(atoms: int):
+    """Formulas over atom numbers 0 .. atoms - 1: a number, or ("and" |
+    "or", two or three formulas)."""
+    return st.recursive(st.integers(0, atoms - 1), lambda inner: st.tuples(
+        st.sampled_from(["and", "or"]), st.lists(inner, min_size=2, max_size=3)), max_leaves=10)
+
+
+def _holds(f, signs) -> bool:
+    if isinstance(f, int):
+        return signs[f]
+    return (all if f[0] == "and" else any)(_holds(g, signs) for g in f[1])
+
+
+def _text(f, atoms) -> str:
+    if isinstance(f, int):
+        return atoms[f]
+    return "(" + f" {f[0]} ".join(_text(g, atoms) for g in f[1]) + ")"
+
+
+def _brute_volume(lo, hi, cuts, f) -> Fraction:
+    """The volume of the points of the box where f holds: every sign vector
+    of the cuts as one polytope, its volume summed where f holds."""
+    d, total = len(lo), Fraction(0)
+    for signs in itertools.product([True, False], repeat=len(cuts)):
+        if not _holds(f, signs):
+            continue
+        rows = _polytope_rows(lo, hi, [(a, c) if s else (tuple(-x for x in a), -c)
+                                       for (a, c), s in zip(cuts, signs)])
+        verts, tight = cubature._vertices(rows, d)
+        if not verts:
+            continue
+        faces, everything = cubature._Faces(verts, tight, len(rows)), (1 << len(verts)) - 1
+        if faces.dim(everything) == d:
+            total += sum((cubature._det(verts, s) for s in faces.triangulate(everything, d)),
+                         Fraction(0)) / math.factorial(d)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.sampled_from([Fraction(0), Fraction(1, 4)]), min_size=d, max_size=d),
+    st.lists(st.sampled_from([Fraction(3, 4), Fraction(1)]), min_size=d, max_size=d),
+    st.lists(st.tuples(st.lists(coefficient, min_size=d, max_size=d).filter(any).map(tuple),
+                       st.integers(-4, 6).map(lambda n: Fraction(n, 2))),
+             min_size=2, max_size=8))).flatmap(lambda box: st.tuples(
+                 st.just(box), _formula(len(box[2])))))
+def test_unit_weight_cells_sum_to_the_formulas_volume(case):
+    # a nested and/or formula of rows: the cells' volumes against every
+    # sign vector of the rows' polytopes
+    (lo, hi, cuts), f = case
+    d = len(lo)
+    atoms = [" + ".join(f"{w}*t{i + 1}" for i, w in enumerate(a) if w) + f" <= {c}"
+             for a, c in cuts]
+    lines = [f"region P dim={d}"]
+    lines += [f"  bound t{i + 1} = [{a}, {b}]" for i, (a, b) in enumerate(zip(lo, hi))]
+    lines += ["  where " + _text(f, atoms), "end", f"integral P dim={d} region=P weight=one mult=1"]
+    cat = loads("\n".join(lines) + "\n")
+    want = _brute_volume(lo, hi, cuts, f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_sample", lambda *args, **kwargs: FALLBACK)
-        assert integrate(cat.integrals["R"], {}, cat=cat) is FALLBACK
+        res = integrate(cat.integrals["P"], {}, cat=cat)
+    if want:
+        assert res == QuadratureResult(float(want), 0.0, 0, DEFAULT_SEED, "cubature")
+    else:
+        assert res is FALLBACK or res == EMPTY
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.lists(quarter, min_size=k, max_size=k),
+    st.lists(st.integers(1, 6).map(lambda n: Fraction(n, 4)), min_size=k, max_size=k),
+    st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any).map(tuple),
+                       st.integers(-3, 4).map(lambda n: Fraction(n, 4))), min_size=1, max_size=6),
+    st.booleans())))
+def test_a_split_cuts_the_cells_vertices_once(case):
+    # the last row cuts the polytope of the others: both sides' vertices, cut
+    # from the cell's, are those enumerated from the box's corners
+    lo, widths, cuts, negate = case
+    k = len(lo)
+    hi = [x + w for x, w in zip(lo, widths)]
+    cuts = [(a, sum(x * (l + h) / 2 for x, l, h in zip(a, lo, hi)) + c) for a, c in cuts]
+    (a, c), cuts = cuts[-1], cuts[:-1]
+    if negate:
+        a, c = tuple(-x for x in a), -c
+    rows = _polytope_rows(lo, hi, cuts)
+    verts, tight = cubature._vertices(rows, k)
+    sides = [sum(x * y for x, y in zip(a, num)) - c * d for num, d in verts]
+    if not sides or max(sides) <= 0 or min(sides) >= 0:
+        return  # no split: the row is decided on the cell
+    child = _polytope_rows(lo, hi, [*cuts, (a, c)])
+    assert cubature._split(rows, verts, tight, (a, c), k) == (child,
+                                                              *cubature._vertices(child, k))

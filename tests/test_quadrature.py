@@ -524,18 +524,28 @@ NO_CELL = loads("region R dim=2\n  bound t1 = [0, 1]\n  bound t2 = [0, 1]\n"
 
 @pytest.mark.parametrize("run", [quadrature.sampled, integrate])
 def test_strata_without_a_cell_are_proved_empty(run, monkeypatch):
-    # float bounds are rounded: empty-region follows an exact proof
-    bisect, proofs = quadrature._bisect, []
+    # float bounds are rounded: empty-region follows an exact proof.  The
+    # sampler's is the bisection of the proof; integrate's is the one walk
+    # of the sampling box, whose residual is False, and no bisection runs.
+    bisect, bisections, walks = quadrature._bisect, [], []
+    decide = regions._Bound.decide
 
     def recording(test, lo, hi, n, cap=math.inf):
-        if cap == quadrature.PROOF_CALLS:
-            proofs.append(n)
+        bisections.append(n)
         return bisect(test, lo, hi, n, cap)
 
+    def walking(self, lo, hi, ex=None):
+        if ex is not None:
+            walks.append(lo)
+        return decide(self, lo, hi, ex)
+
     monkeypatch.setattr(quadrature, "_bisect", recording)
+    monkeypatch.setattr(regions._Bound, "decide", walking)
     res = run(NO_CELL.integrals["X"], {}, cat=NO_CELL)
     assert res == QuadratureResult(0.0, 0.0, 0, DEFAULT_SEED, "empty-region")
-    assert proofs == [quadrature.PROOF_BINS]
+    assert len(walks) == 1
+    # the sampler bisects its 64 x 64 strata grid first
+    assert bisections == ([64, quadrature.PROOF_BINS] if run is quadrature.sampled else [])
 
 
 def test_strata_without_a_cell_are_sampled_unless_proved_empty(monkeypatch):
@@ -599,12 +609,13 @@ PINNED_2_16 = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_2_16))
 def test_pinned_fixed_seed_results(name):
-    # I5, I6 and the S23x are polytopes on their sampling boxes, which
-    # integrate takes by cubature
+    # I5, I6 and the S23x are polytopes on their sampling boxes, and U233
+    # splits into cells on its residual's rows, which integrate takes by
+    # cubature; sampled U233 pins the sorting network
     if name in ("I5", "I6"):
         res = quadrature.sampled(CAT.integrals[name], ThetaParams(0.32, 0.20), tol=3e-6,
                                  budget=1 << 16)
-    elif name.startswith("S23"):
+    elif name.startswith("S23") or name == "U233":
         res = quadrature.sampled(CAT.integrals[name], theta_only(0.52), budget=1 << 16)
     else:
         res = named_integral(name, theta_only(0.52), budget=1 << 16)

@@ -351,6 +351,8 @@ class Catalog:
     groups: dict[str, list[str]] = field(default_factory=dict)
     # compiled region programs by (region, dimension), made on first use
     programs: dict = field(default_factory=dict, repr=False, compare=False)
+    # atom ids of the programs' columns, by compiled (relation, lhs, rhs)
+    atoms: dict = field(default_factory=dict, repr=False, compare=False)
 
     def record(self, table: str, name: str):
         """The named record of one table: 'regions', 'ranges', 'integrals'

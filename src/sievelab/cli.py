@@ -232,7 +232,7 @@ def _verify_I56(args):
     from .quadrature import named_integral
 
     cat = _catalog(args)
-    for t1, t2 in ((0.32, 0.20), (0.33, 0.19)):
+    for t1, t2 in ((0.32, 0.20), (0.33, 0.1902)):
         params = ThetaParams(t1, t2)
         r5 = named_integral("I5", params, tol=3e-6, seed=args.seed, budget=args.budget, cat=cat)
         r6 = named_integral("I6", params, tol=3e-6, seed=args.seed, budget=args.budget, cat=cat)

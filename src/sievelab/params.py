@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Catalog, default_catalog
-from .regions import NumericPiece, contains, merge_numeric
+from .regions import NumericPiece, _hits, merge_numeric
 from .shared import AmbiguityError, RegionError
 
 __all__ = [
@@ -165,15 +165,15 @@ def theta_only(theta: float, eps: float = 0.0) -> ThetaParams:
 # ---------------------------------------------------------------------------
 
 def classify(params: ThetaParams, catalog_name: str, cat: Catalog | None = None) -> list[str]:
-    """All regions of the named group containing (theta1, theta2)."""
+    """All regions of the named group containing (theta1, theta2), as
+    `regions.contains` judges each, in one walk (`regions._hits`)."""
     cat = cat or default_catalog()
     group = cat.record("groups", catalog_name)
     p = params.reduce_to_two()
     if p.arity != 2:
         raise RegionError("classification needs a two-parameter point")
-    point = [p.theta1, p.theta2]
-    vals = p.values()
-    return [name for name in group if contains(cat.region(name), point, vals, cat)]
+    hits = _hits(map(cat.region, group), [p.theta1, p.theta2], p.values(), cat)
+    return [name for name, hit in zip(group, hits) if hit]
 
 
 @dataclass
@@ -243,11 +243,10 @@ def type_ii_range(
                 (name,) = leaves
                 break
         else:
-            point = [p.theta1, p.theta2]
-            for name in ("Imaster", "Jmaster"):
-                if contains(cat.region(name), point, vals, cat):
-                    break
-            else:
+            masters = ("Imaster", "Jmaster")
+            hits = _hits(map(cat.region, masters), [p.theta1, p.theta2], vals, cat)
+            name = next((name for name, hit in zip(masters, hits) if hit), None)
+            if name is None:
                 raise RegionError("no catalogued subregion contains the point")
     if name in _ASYMPTOTIC:
         return TypeIIRangeReport(

@@ -31,13 +31,16 @@ that holds nothing but comparisons runs over all points under a mask of
 the points its parent has not decided; `in` and `splits` children run on
 a copy of those points alone.
 
-The entry points are `RegionSpec.eval` for a batch, `definitely` for a
-box and `contains` for a point (a box with equal corners).  Only the batch
-walker needs numpy; it, `subset_sums` and `RegionSpec.box` import it where
-they run.  The box walker works on lists of floats, the subset sums of a
-`splits` atom included, so no box test loads numpy: not `definitely`, not
-`contains` and not the exact `exact.BoxTest`.  `subset_sums` serves the
-batch walker alone; `divisors` enumerates its subsets in pure Python.
+The entry points are `RegionSpec.eval` for a batch, `definitely` for a box
+and `contains` for a point (a box with equal corners), the one-region case
+of `_hits`, which walks a point through a list of regions and judges each
+distinct atom (compiled content, interned per catalog) once per call, where
+`in` and `splits` have not moved the point.  Only the batch walker needs
+numpy; it, `subset_sums` and `RegionSpec.box` import it where they run.  The
+box walker works on lists of floats, the subset sums of a `splits` atom
+included, so no box test loads numpy: not `definitely`, not `contains` and
+not the exact `exact.BoxTest`.  `subset_sums` serves the batch walker alone;
+`divisors` enumerates its subsets in pure Python.
 
 Every sum over the coordinates of a point adds them left to right, at
 every width and in both walkers: tsum, the group sums of `in`, and the
@@ -391,6 +394,7 @@ class _Program:
         self.columns: list[tuple] = []  # (relation, lhs, rhs) compiled forms
         self.forms: list[tuple] = []  # (lhs, rhs) of each column, as rational forms
         self.rows: dict[int, tuple] = {}  # exact rows of columns, made on first use
+        self.ids, self.atoms = [], catalog.atoms  # atom id of each column, and their table
         self.root = self._junction("and", [self._compile(spec.tree, catalog, False, {spec.name})])
 
     def _compile(self, tree: BoolNode, catalog, neg: bool, seen: set) -> _Node:
@@ -464,6 +468,7 @@ class _Program:
                     alts.append(self._comparison(rel, *sides))
                 return self._junction("and" if raises == (name == "tmax") else "or", alts)
         self.columns.append((rel, _compiled(lhs, self.dim), _compiled(rhs, self.dim)))
+        self.ids.append(self.atoms.setdefault(self.columns[-1], len(self.atoms)))
         self.forms.append((lhs, rhs))
         return _Node("col", arg=len(self.columns) - 1)
 
@@ -493,12 +498,13 @@ class _Program:
 
 class _Bound:
     """A program bound to a parameter point for one call: each column's
-    constant parts are computed when a live, undecided row first reaches
-    it, so a missing parameter raises only then."""
+    constant parts, shared by atom id with every bound of the call, are
+    computed when a live, undecided row first reaches it, so a missing
+    parameter raises only then.  `_hits` adds memo, read by `_recall`."""
 
-    def __init__(self, prog: _Program, params: dict[str, float]):
-        self.prog, self.params = prog, params
-        self.cols: dict[int, tuple] = {}
+    def __init__(self, prog: _Program, params: dict[str, float], cols=None, memo=None):
+        self.prog, self.params, self.ids, self.memo = prog, params, prog.ids, memo
+        self.cols: dict[int, tuple] = {} if cols is None else cols
         self.subs: dict[_Program, _Bound] = {}  # targets of in and splits nodes
 
     def base(self, form: tuple) -> float:
@@ -506,10 +512,10 @@ class _Bound:
 
     def column(self, c: int) -> tuple:
         """(relation, lhs base, lhs terms, rhs base, rhs terms)."""
-        col = self.cols.get(c)
+        col = self.cols.get(self.ids[c])
         if col is None:
             rel, lhs, rhs = self.prog.columns[c]
-            col = self.cols[c] = (rel, self.base(lhs), lhs[2], self.base(rhs), rhs[2])
+            col = self.cols[self.ids[c]] = (rel, self.base(lhs), lhs[2], self.base(rhs), rhs[2])
         return col
 
     # ----- membership of a batch of points -----
@@ -580,7 +586,7 @@ class _Bound:
         parameters, once for every row, box and bipartition."""
         out = self.subs.get(prog)
         if out is None:
-            out = self.subs[prog] = _Bound(prog, self.params)
+            out = self.subs[prog] = _Bound(prog, self.params, self.cols)
         return out
 
     def decide(self, lo, hi, ex=None):
@@ -603,8 +609,9 @@ class _Bound:
         kind = node.kind
         if kind == "and" or kind == "or":
             stop, items = kind == "or", []
+            judge = self._interval if self.memo is None or sub is not None else self._recall
             for c in node.cols:
-                v = self._interval(c, lo, hi) if ex is None else ex.decide(ex.row(self, c, sub))
+                v = judge(c, lo, hi) if ex is None else ex.decide(ex.row(self, c, sub))
                 if v is stop:
                     return v
                 items.append(v)
@@ -638,10 +645,19 @@ class _Bound:
             items.append(v)
         return _fold("or", items)
 
+    def _recall(self, c: int, lo: list[float], hi: list[float]):
+        """Column c at the walk's one point (lo is hi), judged once per atom,
+        by its sides' values as the batch walker judges it."""
+        v = self.memo.get(self.ids[c])
+        if v is None:
+            rel, lb, lt, rb, rt = self.column(c)
+            v = self.memo[self.ids[c]] = _OPS[rel](_values(lb, lt, lo), _values(rb, rt, lo))
+        return v
+
     def _interval(self, c: int, lo: list[float], hi: list[float]):
         """Column c by the float interval bounds of its sides: True or False
         where they decide it, None where they do not."""
-        rel, lbase, lterms, rbase, rterms = self.column(c)
+        rel, lbase, lterms, rbase, rterms = self.cols.get(self.ids[c]) or self.column(c)
         (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
         if rel in (">", ">="):  # as b < a, b <= a
             (la, lb), (ra, rb) = (ra, rb), (la, lb)
@@ -733,10 +749,10 @@ def _program(spec: RegionSpec, catalog, dim: int) -> _Program:
     return prog
 
 
-def _bound(region: RegionSpec, dim: int, params, catalog) -> _Bound:
+def _bound(region: RegionSpec, dim: int, params, catalog, cols=None, memo=None) -> _Bound:
     if region.dimension is not None and dim > region.dimension:
         raise RegionError(f"region {region.name} has dimension {region.dimension}, got {dim}")
-    return _Bound(_program(region, catalog, dim), params)
+    return _Bound(_program(region, catalog, dim), params, cols, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +838,19 @@ def contains(region: RegionSpec, point, params: dict[str, float], catalog) -> bo
     atom on it exactly, with the same arithmetic as batch evaluation, and
     without numpy (see the module docstring).  A NaN
     coordinate would leave atoms undecided, so non-finite points are
-    rejected.
+    rejected.  This is the one-region case of `_hits`.
     """
+    return next(_hits([region], point, params, catalog))
+
+
+def _hits(regions, point, params: dict[str, float], catalog):
+    """Whether each region holds the point, yielded in order (the point path
+    of `contains` and `params`).  The point is checked once; a region raises
+    what it raises tested alone, once reached.  The walks share verdicts."""
     x = _floats(point)
     if not all(map(math.isfinite, x)):
         raise RegionError(f"point {x} has a non-finite coordinate")
-    return _bound(region, len(x), params, catalog).decide(x, x)
+    cols, memo = {}, {}
+    for region in regions:
+        bound = _bound(region, len(x), params, catalog, cols, memo)
+        yield bound._walk(bound.prog.root, x, x, None, None)

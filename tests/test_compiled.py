@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from sievelab.catalog import default_catalog, loads
 from sievelab.exact import BoxTest
-from sievelab.params import ThetaParams
+from sievelab.params import ThetaParams, classify
 from sievelab.quadrature import _descending, rowwise
 from sievelab.regions import (
     MAX_SPLIT,
@@ -191,6 +191,10 @@ def test_point_walker_agrees_with_batch_walker(a, b):
         want = region.eval(row, vals, CAT).tolist()
         got = [contains(region, p, vals, CAT) for p in (point, tuple(point), row[0])]
         assert got == want * 3, name
+    # a group's one walk judges each member as the batch walker does
+    for group in ("a_catalog", "e_catalog", "master", "a_leaves", "e_leaves"):
+        want = [name for name in CAT.groups[group] if CAT.region(name).eval(row, vals, CAT)[0]]
+        assert classify(ThetaParams(t1, t2), group, CAT) == want, group
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -93,7 +93,7 @@ def test_l7_keeps_the_flag_its_parts_share(tmp_path):
     assert eval_L7(1 / 11, cat=cat).flag == ""
 
 
-I56_POINTS = [(0.32, 0.20), (0.33, 0.19)]
+I56_POINTS = [(0.32, 0.20), (0.33, 0.19), (0.33, 0.1902)]
 
 
 @pytest.mark.parametrize("point", I56_POINTS)

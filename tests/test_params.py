@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sievelab.catalog import default_catalog
+from sievelab import regions
+from sievelab.catalog import default_catalog, loads
 from sievelab.params import (
     AmbiguityError,
     ThetaParams,
@@ -128,6 +129,35 @@ def test_classify_point_from_three_exponents():
     assert 2 * 0.46 + 0.061 < 1 and 0.061 < 1 / 16
     got = classify(p, "master")
     assert "Z5" in got
+
+
+# M2's one column, t1 < 1/4, is also B's, which M1 reaches through in()
+# and S through splits(), at points of their own
+SHARED_ATOM = """
+region B dim=2
+  where t1 < 1/4
+end
+region M2 dim=2
+  where t1 < 1/4
+end
+region M1 dim=2
+  where in(B; t2, t1)
+end
+region S dim=2
+  where splits(B)
+end
+group g: M2 M1 S
+"""
+
+
+def test_classify_keeps_top_level_verdicts_out_of_nested_walks():
+    cat = loads(SHARED_ATOM)
+    p = ThetaParams(0.5, 0.1)
+    alone = [n for n in cat.groups["g"] if contains(cat.region(n), [0.5, 0.1], p.values(), cat)]
+    # t1 < 1/4 fails at (1/2, 1/10), and holds at B's points (1/10, 1/2)
+    # and, for the empty part, (0, 3/5)
+    assert classify(p, "g", cat) == alone == ["M1", "S"]
+    assert len({regions._program(cat.region(n), cat, 2).ids[0] for n in ("B", "M2")}) == 1
 
 
 def test_a_family_tiles_master_region():
@@ -272,6 +302,20 @@ def test_type_ii_errors():
     for params in (ThetaParams(0.28, 0.23), theta_only(0.52)):
         with pytest.raises(RegionError, match="unknown family 'x'"):
             type_ii_range(params, family="x")
+    # a group member that cannot be judged raises what contains raises for
+    # it alone, once the members before it are judged: X reads kappa, which
+    # theta = 0.8 leaves undefined, and Z's dimension is below the point's
+    bad = ("region X dim=2\n  where t1 < kappa\nend\nregion Y dim=2\n  where t1 < 1/4\nend\n"
+           "region Z dim=1\n  where t1 < 1/4\nend\n")
+    p = ThetaParams(0.7, 0.1)
+    for members, message in (("Y X Z", "missing parameter 'kappa'"),
+                             ("Y Z X", "region Z has dimension 1, got 2")):
+        cat = loads(bad + f"group g: {members}\n")
+        with pytest.raises(RegionError) as want:
+            [n for n in cat.groups["g"] if contains(cat.region(n), [0.7, 0.1], p.values(), cat)]
+        with pytest.raises(RegionError) as got:
+            classify(p, "g", cat)
+        assert str(got.value) == str(want.value) == message
 
 
 def test_type_ii_ambiguity_on_overlapping_catalog():

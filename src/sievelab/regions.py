@@ -609,7 +609,7 @@ class _Bound:
         kind = node.kind
         if kind == "and" or kind == "or":
             stop, items = kind == "or", []
-            judge = self._interval if self.memo is None or sub is not None else self._recall
+            judge = self._interval if self.memo is None else self._recall
             for c in node.cols:
                 v = judge(c, lo, hi) if ex is None else ex.decide(ex.row(self, c, sub))
                 if v is stop:
@@ -646,18 +646,16 @@ class _Bound:
         return _fold("or", items)
 
     def _recall(self, c: int, lo: list[float], hi: list[float]):
-        """Column c at the walk's one point (lo is hi), judged once per atom,
-        by its sides' values as the batch walker judges it."""
+        """Column c by `_interval`, judged once per atom in the call."""
         v = self.memo.get(self.ids[c])
         if v is None:
-            rel, lb, lt, rb, rt = self.column(c)
-            v = self.memo[self.ids[c]] = _OPS[rel](_values(lb, lt, lo), _values(rb, rt, lo))
+            v = self.memo[self.ids[c]] = self._interval(c, lo, hi)
         return v
 
     def _interval(self, c: int, lo: list[float], hi: list[float]):
         """Column c by the float interval bounds of its sides: True or False
         where they decide it, None where they do not."""
-        rel, lbase, lterms, rbase, rterms = self.cols.get(self.ids[c]) or self.column(c)
+        rel, lbase, lterms, rbase, rterms = self.column(c)
         (la, lb), (ra, rb) = _bounds(lbase, lterms, lo, hi), _bounds(rbase, rterms, lo, hi)
         if rel in (">", ">="):  # as b < a, b <= a
             (la, lb), (ra, rb) = (ra, rb), (la, lb)

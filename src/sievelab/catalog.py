@@ -22,8 +22,8 @@ data/catalog.txt).  Records:
 BOOLEXPR uses and/or/not, parentheses, comparison chains over affine
 expressions (variables t1, t2, ... numbered from 1, tsum/tmin/tmax,
 parameter names), and the atoms in(NAME), in(NAME; t1, t2+t3),
-splits(NAME), splits(NAME; append=EXPR) and descending.  Parsing and
-serialisation round-trip losslessly.
+splits(NAME) and descending.  Parsing and serialisation round-trip
+losslessly.
 """
 
 from __future__ import annotations
@@ -207,13 +207,8 @@ class _Parser:
         self.expect("splits")
         self.expect("(")
         name = self.next()
-        append = None
-        if self.accept(";"):
-            self.expect("append")
-            self.expect("=")
-            append = self.parse_affine()
         self.expect(")")
-        return BoolNode("atom", atom=Splits(name, append))
+        return BoolNode("atom", atom=Splits(name))
 
     def _parse_chain(self) -> BoolNode:
         first = self.parse_affine()
@@ -542,8 +537,6 @@ def _bool_str(node: BoolNode, parent: str = "or") -> str:
                 return f"in({a.region}; {grps})"
             return f"in({a.region})"
         if isinstance(a, Splits):
-            if a.append is not None:
-                return f"splits({a.region}; append={_affine_str(a.append)})"
             return f"splits({a.region})"
         if isinstance(a, Descending):
             return "descending"

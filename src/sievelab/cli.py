@@ -71,6 +71,8 @@ def _build_params(args, theta3=None):
 
     eps = args.epsilon or 0.0
     if args.theta is not None:
+        if args.theta1 is not None or args.theta2 is not None or theta3 is not None:
+            raise RegionError("give the point by --theta or by --theta1/--theta2, not both")
         return ThetaParams(args.theta, eps=eps)
     if args.theta1 is None:
         raise RegionError("supply --theta or --theta1/--theta2")

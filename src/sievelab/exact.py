@@ -10,10 +10,10 @@ tmin, tmax and descending), and `in(...)` and each bipartition of
 `splits(...)` substitute group and subset sums.  The arithmetic is in
 integers throughout: a column is its catalog coefficients over one
 denominator (`regions._Program.exact`), a parameter the ratio of integers
-its float is, a substituted sum an integer vector over one denominator,
-and a row is reduced by its gcd.  What is left is refuted, together with
-the box's bounds, by Fourier-Motzkin elimination that keeps strictness,
-and each refutation is a Motzkin transposition certificate.
+its float is, a substituted sum an integer vector, and a row is reduced
+by its gcd.  What is left is refuted, together with the box's bounds, by
+Fourier-Motzkin elimination that keeps strictness, and each refutation is
+a Motzkin transposition certificate.
 
 `BoxTest` is this test on one box at a time.  The quadrature builds one
 per integral whose sampling box is not empty, and every box question of
@@ -134,28 +134,22 @@ class BoxTest:
         return const * scale + sum(w * n * (scale // d) for w, n, d in terms), den * scale
 
     def vectors(self, sub) -> tuple:
-        """The variables of a program reached through sub as affine forms in
-        the box's coordinates, k coefficients then a constant, in integers
-        over one positive denominator: (forms, denominator)."""
+        """The variables of a program reached through sub as integer vectors
+        of coefficients of the box's coordinates: the unit vectors at the
+        root, then the sums of the groups of an `in` or of the two sides of
+        a `splits` mask."""
         out = self.subs.get(sub)
         if out is None:
-            zero = (0,) * (self.k + 1)
             if sub is None:
-                out = tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(self.k)), 1
-            elif sub[0] == "in":
-                parent, den = self.vectors(sub[2])
-                out = tuple(tuple(map(sum, zip(zero, *(parent[i] for i in g))))
-                            for g in sub[1].arg[0]), den
+                out = tuple(tuple(int(i == j) for j in range(self.k)) for i in range(self.k))
             else:
-                _, mask, node, parent = sub
-                parent, den = self.vectors(parent)
-                if node.arg[2] is not None:  # the appended value, over den times its own
-                    num, d = self.value(node.arg[2])
-                    parent = (*(tuple(x * d for x in v) for v in parent), zero[:-1] + (num * den,))
-                    den *= d
-                parts = ([v for i, v in enumerate(parent) if mask >> i & 1],
-                         [v for i, v in enumerate(parent) if not mask >> i & 1])
-                out = tuple(tuple(map(sum, zip(zero, *part))) for part in parts), den
+                kind, part, parent = sub
+                parent = self.vectors(parent)
+                groups = (part if kind == "in" else
+                          [[i for i in range(len(parent)) if (part >> i & 1) == side]
+                           for side in (1, 0)])
+                zero = (0,) * self.k
+                out = tuple(tuple(map(sum, zip(zero, *(parent[i] for i in g)))) for g in groups)
             self.subs[sub] = out
         return out
 
@@ -166,15 +160,14 @@ class BoxTest:
         out = self.rows.get(key)
         if out is None:
             rel, *form = bound.prog.exact(c)
-            (vec, vden), (num, den) = self.vectors(sub), self.value(form)
-            # lhs - rhs < 0, or <= 0 (rhs - lhs for > and >=), over den * vden
+            vec, (num, den) = self.vectors(sub), self.value(form)
+            # lhs - rhs < 0, or <= 0 (rhs - lhs for > and >=), over den
             sign = 1 if rel in ("<", "<=") else -1
-            lin = [0] * self.k + [sign * num * vden]
+            a, const = [0] * self.k, sign * num
             for i, w in form[3]:
                 w *= sign * den // form[0]
-                lin = [x + w * y for x, y in zip(lin, vec[i])]
-            *a, const = lin
-            strict, g = rel in ("<", ">"), math.gcd(*lin)
+                a = [x + w * y for x, y in zip(a, vec[i])]
+            strict, g = rel in ("<", ">"), math.gcd(*a, const)
             out = self.rows[key] = ((tuple(x // g for x in a), -const // g, strict) if any(a)
                                     else 0 < -const if strict else 0 <= -const)
         return out

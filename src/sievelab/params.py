@@ -3,6 +3,7 @@ functions, subregion classification and Type-II range assembly."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .catalog import Catalog, default_catalog
@@ -110,8 +111,8 @@ class ThetaParams:
             raise ValueError("total exponent must lie in (0, 1)")
         if self.theta2 is not None and self.theta3 is None and self.theta1 < self.theta2:
             raise ValueError("two-parameter mode requires theta1 >= theta2")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps must be finite and nonnegative")
 
     @property
     def arity(self) -> int:

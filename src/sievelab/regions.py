@@ -197,13 +197,10 @@ class Splits:
     """Exists-bipartition of the coordinates into a 2-dimensional region.
 
     True iff some subset I of the indices (taken with its complement J, either
-    of which may be empty) satisfies (sum_I, sum_J) in region.  An optional
-    appended coordinate (an affine scalar in the parameters) joins the
-    multiset before bipartitioning.
+    of which may be empty) satisfies (sum_I, sum_J) in region.
     """
 
     region: str
-    append: AffineForm | None = None
 
 
 @dataclass(frozen=True)
@@ -422,17 +419,10 @@ class _Program:
         if target.dimension is not None and width > target.dimension:
             raise RegionError(f"region {target.name} has dimension {target.dimension}, got {width}")
         if isinstance(atom, Splits):
-            k = self.dim + (atom.append is not None)
-            if k > MAX_SPLIT:
+            if self.dim > MAX_SPLIT:
                 raise RegionError(f"bipartition enumeration capped at {MAX_SPLIT} coordinates")
-            if atom.append is None:
-                append = ints = None
-            elif atom.append.vars or atom.append.specials:
-                raise RegionError("form references point variables; scalar context")
-            else:
-                append, ints = _compiled(atom.append, 0), _ints(atom.append)
             prog = _program(target, catalog, 2)
-            node = _Node("splits", (2 + prog.root.cost) * 2**k, arg=(prog, append, ints))
+            node = _Node("splits", (2 + prog.root.cost) * 2**self.dim, arg=prog)
         elif not atom.groups:
             if target.name in seen:
                 raise RegionError(f"region {target.name} refers to itself")
@@ -568,10 +558,7 @@ class _Bound:
                 for i in grp:
                     row += x[i]
             return self.sub(prog)._run(prog.root, sums)
-        prog, append, _ = node.arg
-        if append is not None:
-            x = np.concatenate([x, np.full((1, x.shape[1]), self.base(append))])
-        return _bipartition_hits(x, self.sub(prog))
+        return _bipartition_hits(x, self.sub(node.arg))
 
     @staticmethod
     def _undecided(out: np.ndarray, is_and: bool, live) -> np.ndarray:
@@ -627,11 +614,8 @@ class _Bound:
             groups, prog = node.arg
             glo = [_sum(lo[i] for i in g) for g in groups]
             ghi = [_sum(hi[i] for i in g) for g in groups]
-            return self.sub(prog)._walk(prog.root, glo, ghi, ("in", node, sub), ex)
-        prog, append, _ = node.arg
-        if append is not None:
-            extra = self.base(append)
-            lo, hi = lo + [extra], hi + [extra]
+            return self.sub(prog)._walk(prog.root, glo, ghi, ("in", groups, sub), ex)
+        prog = node.arg
         sums = [(0.0, 0.0)]  # every subset's (lo, hi), added as subset_sums adds them
         for a, b in zip(lo, hi):
             sums += [(s + a, t + b) for s, t in sums]
@@ -639,7 +623,7 @@ class _Bound:
         target, items = self.sub(prog), []
         for mask, (s_lo, s_hi) in enumerate(sums):
             v = target._walk(prog.root, [s_lo, total_lo - s_hi], [s_hi, total_hi - s_lo],
-                             ("splits", mask, node, sub), ex)
+                             ("splits", mask, sub), ex)
             if v is True:
                 return v
             items.append(v)

@@ -86,13 +86,35 @@ def test_typeii_extra_coordinates_rejected():
     assert out == ""
 
 
-@pytest.mark.parametrize("flags", [["--theta", "0.52"], ["--theta1", "0.36"],
-                                   ["--theta3", "0.01"]])
-def test_typeii_point_given_twice_rejected(flags):
-    # coordinates and --theta flags together name two points
-    code, out = run_cli(["typeii", "0.36", "0.141", *flags])
+@pytest.mark.parametrize("flags", [
+    ["typeii", "0.36", "0.141", "--theta", "0.52"],
+    ["typeii", "0.36", "0.141", "--theta1", "0.36"],
+    ["typeii", "0.36", "0.141", "--theta3", "0.01"],
+    ["typeii", "--theta", "0.52", "--theta1", "0.3"],
+    ["typeii", "--theta", "0.52", "--theta3", "0.01"],
+    ["integral", "S235", "--theta", "0.52", "--theta1", "0.3", "--theta2", "0.2"],
+    ["integral", "S235", "--theta", "0.52", "--theta2", "0.2"],
+])
+def test_typeii_point_given_twice_rejected(flags, capsys):
+    # coordinates and --theta flags, or --theta and --theta1/2/3, together
+    # name two points
+    code = cli.main(flags)
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
+    assert err.startswith("error:") and "not both" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.001"])
+@pytest.mark.parametrize("cmd", [["typeii", "0.36", "0.141"],
+                                 ["typeii", "--theta1", "0.36", "--theta2", "0.141"],
+                                 ["integral", "S235", "--theta", "0.52"]])
+def test_non_finite_or_negative_epsilon_rejected(cmd, eps, capsys):
+    code = cli.main([*cmd, "--epsilon", eps])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "eps must be finite and nonnegative" in err
 
 
 def test_typeii_boundary_point_matches_no_leaf():

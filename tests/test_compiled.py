@@ -451,12 +451,13 @@ def test_an_empty_part_sums_to_zero(dim):
     assert all(contains(region, p, {}, EMPTY_PART) for p in x[:300])
 
 
-# the regions of the catalog whose splits append a value, at a point each
+# the regions of the catalog whose splits search S shifted by a parameter
+# value, at a point each
 @pytest.mark.parametrize("name, point", [("Uprime", (0.52,)), ("Uj", (0.52,)),
                                          ("Udprime", (0.32, 0.20))])
-def test_appended_splits_agree_with_contains(name, point):
+def test_shifted_splits_agree_with_contains(name, point):
     # descending points in [0, tau) with sum(t) <= 1, where A_fam holds and
-    # the appended splits decides: at 3 coordinates Udprime holds at every
+    # the shifted splits decides: at 3 coordinates Udprime holds at every
     # one of them, so both verdicts are asked of the three dimensions together
     vals = ThetaParams(*point).values()
     region = CAT.region(name)
@@ -470,12 +471,64 @@ def test_appended_splits_agree_with_contains(name, point):
     assert verdicts == {False, True}
 
 
+# Uprime and Udprime by the paper's definition: A_fam holds and some
+# bipartition (I, J) of the point's coordinates, with a constant c appended,
+# has its pair of sums in S, that is (s_I + c, s_J) or (s_I, s_J + c) lies
+# in S; c = 2*theta - 1 + eps for Uprime and 2*theta1 + theta2 - 1 + eps
+# for Udprime.  The catalog writes the two shifted copies of S out by hand
+# (Sprime, Sdprime), so these fail if they drift from S.
+SHIFTED = {"Uprime": ("Sprime", [(0.505,), (0.52,), (0.54,), (0.56,)]),
+           "Udprime": ("Sdprime", [(0.32, 0.20), (0.30, 0.24), (0.36, 0.19)])}
+
+
+def _shifted_points(name):
+    """(parameter values, c) at each point of SHIFTED[name] and eps."""
+    for point, eps in itertools.product(SHIFTED[name][1], (0.0, 1e-3)):
+        p = ThetaParams(*point, eps=eps)
+        c = (2 * p.theta if name == "Uprime" else 2 * p.theta1 + p.theta2) - 1 + eps
+        yield p.values(), c
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", list(SHIFTED))
+def test_shifted_splits_match_the_definition(name, k):
+    region, s, a_fam = CAT.region(name), CAT.region("S"), CAT.region("A_fam")
+    verdicts = set()
+    for n, (vals, c) in enumerate(_shifted_points(name)):
+        rng = np.random.default_rng([k, n])
+        x = -np.sort(-rng.random((120, k)) * vals["tau"], axis=1)
+        x = x[x.sum(axis=1) <= 1]
+        want = []
+        for t in x.tolist():
+            sides = [(sum(t[i] for i in range(k) if m >> i & 1),
+                      sum(t[i] for i in range(k) if not m >> i & 1)) for m in range(1 << k)]
+            want.append(contains(a_fam, t, vals, CAT) and any(
+                contains(s, (u + c, v), vals, CAT) or contains(s, (u, v + c), vals, CAT)
+                for u, v in sides))
+        assert region.eval(x, vals, CAT).tolist() == want, (vals["theta"], vals["eps"])
+        assert [contains(region, t, vals, CAT) for t in x] == want, (vals["theta"], vals["eps"])
+        verdicts.update(want)
+    assert True in verdicts and (k < 4 or False in verdicts)
+
+
+@pytest.mark.parametrize("name", list(SHIFTED))
+def test_shifted_targets_match_s(name):
+    # Within A_fam the splits hold almost everywhere at 2 and 3 coordinates,
+    # so the targets are also compared with S itself, on points around it.
+    target, s = CAT.region(SHIFTED[name][0]), CAT.region("S")
+    for n, (vals, c) in enumerate(_shifted_points(name)):
+        uv = np.random.default_rng(n).random((20000, 2)) * 1.6 - 0.3
+        want = (s.eval(uv + [c, 0.0], vals, CAT) | s.eval(uv + [0.0, c], vals, CAT)).tolist()
+        assert 0.1 < np.mean(want) < 0.9
+        assert target.eval(uv, vals, CAT).tolist() == want
+        assert [contains(target, p, vals, CAT) for p in uv[:500]] == want[:500]
+
+
 # Faults of compiling, each alone in its region: (region, dimension, message)
 COMPILE_ERRORS = loads(
     "region S dim=2\n  where t1 < 1/2\nend\n"
     "region Wide dim=3\n  where in(S; t1, t2, t3)\nend\n"
     "region Many dim=any\n  where splits(S)\nend\n"
-    "region Append dim=2\n  where splits(S; append=t1)\nend\n"
     "region Self dim=2\n  where t1 < 1 and in(Self)\nend\n"
     "region Group dim=2\n  where in(S; t1, t3)\nend\n")
 COMPILE_ERRORS.regions.update(
@@ -489,7 +542,6 @@ COMPILE_ERRORS.regions.update(
     ("Atom", 2, "bad atom 't1'"),
     ("Wide", 3, "region S has dimension 2, got 3"),
     ("Many", MAX_SPLIT + 1, f"bipartition enumeration capped at {MAX_SPLIT} coordinates"),
-    ("Append", 2, "form references point variables; scalar context"),
     ("Self", 2, "region Self refers to itself"),
     ("Group", 2, "group index t3 out of range"),
 ])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -98,6 +99,14 @@ def test_theta_params_validation():
     q = p.reduce_to_two()
     assert q.arity == 2 and q.theta == pytest.approx(0.51)
     assert q.theta1 == pytest.approx(0.3) and q.theta2 == pytest.approx(0.21)
+
+
+@pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf, -math.inf])
+def test_theta_params_reject_a_non_finite_or_negative_eps(eps):
+    # NaN fails every comparison, so a check of eps < 0 alone lets it through
+    for point in ((0.52,), (0.32, 0.20)):
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            ThetaParams(*point, eps=eps)
 
 
 def test_values_carry_derived_parameters():

@@ -250,7 +250,7 @@ def _verify_I56(args):
 
 def _verify_calibration(args):
     # a check of the sampler: integrate would take these simplices by cubature
-    from .quadrature import sampled
+    from .quadrature import sampled, stop_target
 
     cat = _catalog(args)
     tol, rel_tol = 1e-9, 5e-4
@@ -260,7 +260,7 @@ def _verify_calibration(args):
         expected = 1.0 / math.factorial(k)
         detail = f"value {res.value:.6g} vs {expected:.6g}"
         # sampling stops short of the error it was asked for only when the budget runs out
-        target = max(tol, rel_tol * abs(res.value))
+        target = stop_target(tol, rel_tol, res.value)
         if res.est_error > target:
             detail += (f"; budget ran out at {res.samples} samples with est_error "
                        f"{res.est_error:.3g} above its target {target:.3g}")

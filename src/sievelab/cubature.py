@@ -59,6 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import BoxTest, _order
+from .quadrature import stop_target
 from .regions import _fold
 
 # The route's cap on a polytope's k-subsets of rows; past it the integral is
@@ -115,7 +116,7 @@ def integrate(spec, test: BoxTest, lo, hi, wfn, tol, rel_tol, budget):
     while True:
         value = _rule(corners, scales, wfn, n)
         err = abs(value - prev)
-        target = tol if rel_tol is None else max(tol, rel_tol * abs(value))
+        target = stop_target(tol, rel_tol, value)
         step = len(simplices) * (n + 2) ** k
         if err <= target or cost + step > budget:
             return value, err, cost

@@ -113,6 +113,9 @@ class ThetaParams:
             raise ValueError("two-parameter mode requires theta1 >= theta2")
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError("eps must be finite and nonnegative")
+        if 0.5 <= self.theta < 4 / 7 and not (k := kappa(self.theta, self.eps)) > 0:
+            raise ValueError(f"kappa(theta, eps) = {k:.3g} at theta = {self.theta:.6g}, "
+                             f"eps = {self.eps:.3g}; kappa must be positive")
 
     @property
     def arity(self) -> int:

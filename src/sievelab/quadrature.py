@@ -106,7 +106,8 @@ PROOF_CALLS = 128
 PROOF_BINS = 1 << 52
 # Points drawn and evaluated together.  Twice as many ran no faster and held
 # about 1 MB more (I3, I5, I6, U233, cal2-cal6): a block's points and their
-# copies grow with the rows, while regions.BLOCK_PAIRS caps the tables of `splits`.
+# copies grow with the rows, while a `splits` holds at most regions.BLOCK_PAIRS
+# subset sums at a time, whatever the rows.
 BLOCK_ROWS = 1 << 14
 
 
@@ -130,6 +131,12 @@ def _params_dict(params) -> dict[str, float]:
     if isinstance(params, ThetaParams):
         return params.values()
     return dict(params)
+
+
+def stop_target(tol: float, rel_tol: float | None, value: float) -> float:
+    """The error an estimate of value stops at: tol, or rel_tol times |value|
+    where rel_tol is given and that is larger."""
+    return tol if rel_tol is None else max(tol, rel_tol * abs(value))
 
 
 def rowwise(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -659,7 +666,7 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
         reps = vol * frac * np.cumsum(mean, axis=0)[-1]
         value = scale * float(reps.mean())
         err = scale * float(reps.std(ddof=1)) / math.sqrt(REPLICATES)
-        target = tol if rel_tol is None else max(tol, rel_tol * abs(value))
+        target = stop_target(tol, rel_tol, value)
         settled = total_n >= min(MIN_SAMPLES, budget)
         if settled and err <= target and not (value == 0.0 and err == 0.0):
             break

@@ -45,7 +45,9 @@ not the exact `exact.BoxTest`.  `subset_sums` serves the batch walker alone;
 Every sum over the coordinates of a point adds them left to right, at
 every width and in both walkers: tsum, the group sums of `in`, and the
 subset sums and totals of `splits`.  A bipartition's total is the sum over
-its full subset, so an empty part sums to exactly 0.
+its full subset, so an empty part sums to exactly 0.  A `splits` compiles
+over at most MAX_SPLIT coordinates, so no walker holds more than
+BLOCK_PAIRS subset sums of a point.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ PARAM_NAMES = (
 # AffineForm.make keeps them in.
 SPECIALS = ("tmax", "tmin", "tsum")
 
-MAX_SPLIT = 24  # bipartitions are enumerated over at most this many coordinates
-BLOCK_PAIRS = 1 << 14  # rows x masks per block of a bipartition search
+BLOCK_PAIRS = 1 << 14  # points x masks per chunk of a bipartition search
+MAX_SPLIT = BLOCK_PAIRS.bit_length() - 1  # the most coordinates whose masks fit one chunk
 
 
 @dataclass(frozen=True)
@@ -685,39 +687,24 @@ def _bipartition_hits(x: np.ndarray, target: _Bound) -> np.ndarray:
     """Points of a (k, n) x with a bipartition (I, J) of their coordinates
     such that (sum_I, sum_J) lies in the bound two-dimensional target.
 
-    Masks run in blocks of about BLOCK_PAIRS / points: the low bits of a
-    mask index a (2**j, n) subset-sum table, the high bits are added on top
-    in index order, and points that found a bipartition are dropped between
-    blocks.  The pairs (sum_I, sum_J) of a block are the columns of one
-    (2, 2**j * n) buffer, mask-major, which the target reads as its batch.
-    sum_J is the total less sum_I, and the total is the full mask's sum,
-    added the same way, so an empty J is exactly 0.
+    Points run in chunks of BLOCK_PAIRS >> k, so a chunk holds at most
+    BLOCK_PAIRS subset sums: its (2**k, m) table from `subset_sums`.  The
+    pairs (sum_I, sum_J) of a chunk are the columns of one (2, 2**k * m)
+    buffer, mask-major, which the target reads as its batch.  sum_J is the
+    total less sum_I, and the total is the full mask's sum, so an empty J
+    is exactly 0.
     """
     import numpy as np
 
     k, n = x.shape
-    hit, live = np.zeros(n, dtype=bool), np.arange(n)
-    j = min(k, max(0, (BLOCK_PAIRS // max(n, 1)).bit_length() - 1))
-    low, rest = subset_sums(x[:j]), x[j:]
-    total = low[-1]
-    for row in rest:
-        total = total + row  # not +=: low[-1] is a view of the table
-    for high in range(1 << (k - j)):
-        sums = low
-        for b in (b for b in range(k - j) if high >> b & 1):
-            sums = sums + rest[b]
+    step, hit = BLOCK_PAIRS >> k, np.empty(n, dtype=bool)
+    for start in range(0, n, step):
+        sums = subset_sums(x[:, start : start + step])
         pairs = np.empty((2,) + sums.shape)
         pairs[0] = sums
-        np.subtract(total, sums, out=pairs[1])
+        np.subtract(sums[-1], sums, out=pairs[1])
         v = target._run(target.prog.root, pairs.reshape(2, -1))
-        found = np.logical_or.reduce(v.reshape(sums.shape), axis=0)
-        if found.any():
-            hit[live[found]] = True
-            keep = np.flatnonzero(~found)
-            live, total = live[keep], total[keep]
-            low, rest = low.take(keep, axis=1), rest.take(keep, axis=1)
-            if not live.size:
-                break
+        hit[start : start + step] = np.logical_or.reduce(v.reshape(sums.shape), axis=0)
     return hit
 
 

@@ -117,6 +117,17 @@ def test_non_finite_or_negative_epsilon_rejected(cmd, eps, capsys):
     assert err.startswith("error:") and "eps must be finite and nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [["typeii", "0.52", "--epsilon", "1e6"],
+                                  ["typeii", "0.36", "0.141", "--epsilon", "1e6"],
+                                  ["integral", "U233", "--theta", "0.52", "--epsilon", "0.05"]])
+def test_epsilon_that_makes_kappa_nonpositive_rejected(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "kappa must be positive" in err
+
+
 def test_typeii_boundary_point_matches_no_leaf():
     # The printed sub-splits pair strict with non-strict bounds, so the
     # shared boundary belongs to neither side; the report falls through to

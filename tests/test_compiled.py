@@ -407,12 +407,13 @@ def test_float_and_exact_box_tests_agree(name, theta, seed, corner, width):
     pytest.param("GG", 5, 1 << 13, id="GG-5"),
     pytest.param("V_nofloor", 4, 1 << 13, id="V_nofloor-4"),
     *(("GG", dim, rows) for dim in (8, 9) for rows in (1, 100, 5000, 9000, 40000)),
+    pytest.param("GG", MAX_SPLIT, 3, id="GG-MAX_SPLIT"),
 ])
 def test_splits_matches_per_mask_reference(name, dim, rows):
-    # Enough rows that masks run in several blocks and rows are dropped
-    # between them; the reference tries every mask on every row.  The row
-    # counts from 1 to 40,000 take the first block's low-bit count from k
-    # down to 0.  The reference adds each subset sum
+    # The reference tries every mask on every row.  Points run in chunks of
+    # BLOCK_PAIRS >> k: the row counts from 1 to 40,000 at 8 and 9
+    # coordinates span 1 to 1,250 chunks, and at MAX_SPLIT coordinates each
+    # point is a chunk of its own.  The reference adds each subset sum
     # and the total left to right: from 8 coordinates on, two coordinates
     # summing to theta or just above and the rest a few ulps each put
     # t1 + t2 = theta, a boundary of g3, g4 and g5, within an ulp or two of

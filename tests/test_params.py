@@ -109,6 +109,15 @@ def test_theta_params_reject_a_non_finite_or_negative_eps(eps):
             ThetaParams(*point, eps=eps)
 
 
+def test_theta_params_reject_an_eps_that_makes_kappa_nonpositive():
+    # kappa(0.52, 0.05) = -0.043 would put a sampling box at negative
+    # coordinates; near 4/7, kappa is still 1/49 - 2 * eps > 0 at eps = 1e-3
+    for point, eps in (((0.52,), 0.05), ((0.36, 0.141), 1e6)):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            ThetaParams(*point, eps=eps)
+    assert kappa(ThetaParams(0.5714, eps=1e-3).theta, 1e-3) > 0
+
+
 def test_values_carry_derived_parameters():
     vals = theta_only(0.52).values()
     assert vals["kappa"] == pytest.approx(kappa(0.52))

@@ -51,14 +51,14 @@ only on the seed and that number.
 A stream is drawn in order and continues from its last point, which it
 keeps: in Gray-code order each point is the one before XOR one scrambled
 direction number.  One round draws every stream and evaluates the region
-and the weight over blocks of many streams' points.  It takes the streams
-in order of the number of points each draws, so that the streams of one
-length lie together in a block: their sums are row sums of the block's
-values reshaped to (streams, length).  A block is coordinate-major, one row
-per coordinate, so each stream's run of points is mapped into its cell by
-broadcasting the cell's bounds along it, and the region's program reads the
-block without copying it.  A stream's sums are taken over its own values in
-its own order, so neither the blocks nor their order change a result.
+and the weight over blocks of points: for each run length, shortest first,
+the streams of that length in blocks of whole runs, at most BLOCK_ROWS
+points, and a longer run alone in pieces.  Their sums are row sums of a
+block's values as a (streams, length) array.  A block is coordinate-major,
+one row per coordinate, so each stream's run of points is mapped into its
+cell by broadcasting the cell's bounds along it, and the region's program
+reads the block without copying it.  A stream's sums are taken over its own
+values in its own order, so neither the blocks nor their order change a result.
 """
 from __future__ import annotations
 
@@ -351,59 +351,35 @@ class _Streams:
         """Draw count[q] further points of every stream q and add them to its
         sums.
 
-        The streams are taken in stable order of their counts and sampled
-        together in blocks of at most BLOCK_ROWS rows, a longer stream alone
-        in pieces of BLOCK_ROWS.  A block x is coordinate-major, shape (dim,
-        rows), a point per column, and a list of groups, each of streams sid
-        that draw one length of points: u, shape (dim, len(sid), length),
-        holds them stream after stream, a view of x's columns.
-        sample(x, groups), groups the (sid, u) pairs, returns the integrand
-        values and the region indicator of the points of x, and may
-        overwrite x.  A group's sums are the row sums of its
-        values as a (len(sid), length) array, each the pairwise sum
-        g[a:b].sum() takes over one stream's whole run of values, so they
-        depend neither on the blocks nor on their order.
+        The streams of each run length, lengths ascending and streams in
+        index order, are sampled in blocks of whole runs, at most BLOCK_ROWS
+        rows, and a run longer than that alone in pieces of BLOCK_ROWS.  A
+        block x is coordinate-major, shape (dim, rows), a point per column,
+        and u, shape (dim, len(sid), length), holds the points of its streams
+        sid stream after stream, a view of x.  sample(x, sid, u) returns the
+        integrand values and the region indicator of the points of x, and
+        may overwrite x.  A stream's sums are the pairwise sums g.sum() takes
+        over its whole run of values, the pieces of a long run joined first,
+        so they depend neither on the blocks nor on their order.
         """
-        live = np.flatnonzero(count)
-        live = live[np.argsort(count[live], kind="stable")]
-        ends = np.cumsum(count[live])  # rows up to the end of each stream
-        first = 0
-        while first < len(live):
-            # the streams from the first on that end within BLOCK_ROWS rows
-            # of its start, or the first alone
-            limit = ends[first] - count[live[first]] + BLOCK_ROWS
-            last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
-            sid, first = live[first:last], last
-            m = count[sid]
-            if len(sid) == 1 and m[0] > BLOCK_ROWS:
-                cuts = range(0, int(m[0]), BLOCK_ROWS)
-                parts = [self._sample(sample, [(sid, min(int(m[0]) - a, BLOCK_ROWS))])
-                         for a in cuts]
-                g, inside = (np.concatenate(p) for p in zip(*parts))
-                groups = [(sid, int(m[0]))]
-            else:
-                bounds = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), len(sid)]
-                groups = [(sid[a:b], int(m[a])) for a, b in itertools.pairwise(bounds)]
-                g, inside = self._sample(sample, groups)
-            g_sq = g * g
-            a = 0
-            for q, length in groups:
-                rows = slice(a, a + len(q) * length)
-                a = rows.stop
-                self.total[q] += g[rows].reshape(-1, length).sum(axis=1)
-                self.total_sq[q] += g_sq[rows].reshape(-1, length).sum(axis=1)
-                self.hits[q] += np.count_nonzero(inside[rows].reshape(-1, length), axis=1)
+        for length in np.unique(count[count > 0]).tolist():
+            sid = np.flatnonzero(count == length)
+            runs = max(1, BLOCK_ROWS // length)
+            for q in (sid[a : a + runs] for a in range(0, len(sid), runs)):
+                parts = [self._sample(sample, q, min(length - a, BLOCK_ROWS))
+                         for a in range(0, length, BLOCK_ROWS)]
+                g, inside = parts[0] if len(parts) == 1 else map(np.hstack, zip(*parts))
+                self.total[q] += g.sum(axis=1)
+                self.total_sq[q] += (g * g).sum(axis=1)
+                self.hits[q] += np.count_nonzero(inside, axis=1)
 
-    def _sample(self, sample, groups):
-        """sample() of the next points of each group's streams, drawn into
-        one block."""
-        x = np.empty((self.dim, sum(len(q) * length for q, length in groups)))
-        views, a = [], 0
-        for q, length in groups:
-            u = x[:, a : a + len(q) * length].reshape(self.dim, len(q), length)
-            a += len(q) * length
-            views.append((q, self.points(q, length, out=u)))
-        return sample(x, views)
+    def _sample(self, sample, sid: np.ndarray, count: int):
+        """sample() of the next `count` points of each stream sid, drawn into
+        one block, as (len(sid), count) arrays."""
+        x = np.empty((self.dim, len(sid) * count))
+        u = self.points(sid, count, out=x.reshape(self.dim, len(sid), count))
+        g, inside = sample(x, sid, u)
+        return g.reshape(len(sid), count), inside.reshape(len(sid), count)
 
 
 def _bisect(test, lo: np.ndarray, hi: np.ndarray, bins: int, calls=math.inf):
@@ -614,14 +590,13 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
     value = 0.0
     err = float("inf")
 
-    def sample(x: np.ndarray, groups):
+    def sample(x: np.ndarray, sid: np.ndarray, u: np.ndarray):
         # each stream's points into its stratum's cell, in place: the
         # points are not used again.  A cell bound is broadcast along the
         # stream's run of points, numpy's contiguous inner loop.
-        for sid, u in groups:
-            stratum = sid // REPLICATES
-            u *= box_width[:, stratum, None]
-            u += box_lo[:, stratum, None]
+        stratum = sid // REPLICATES
+        u *= box_width[:, stratum, None]
+        u += box_lo[:, stratum, None]
         if spec.sorted:
             x = _descending(x)
         # x.T is (rows, k); its own transpose, the block, is not copied again
@@ -697,6 +672,8 @@ def named_integral(
     min_alpha_floor: bool = True,
 ) -> QuadratureResult:
     """Evaluate one of the catalogued loss integrals at a parameter point.
+    I5 and I6 take a two-exponent point, and every other integral a
+    one-exponent point with 1/2 <= theta < 4/7, where kappa is defined.
 
     min_alpha_floor selects whether the smallest-exponent floor participates
     in the covering predicate that the integration regions exclude; with
@@ -712,6 +689,9 @@ def named_integral(
             raise RegionError(f"{name} takes a two-exponent parameter point")
         if name not in ("I5", "I6") and arity != 1:
             raise RegionError(f"{name} takes a single-exponent parameter point")
+        if arity == 1 and not 0.5 <= params.theta < 4 / 7:
+            raise RegionError(f"{name} is defined for 1/2 <= theta < 4/7, "
+                              f"got theta = {params.theta!r}")
     if not min_alpha_floor:
         regions = dict(cat.regions)
         regions["G"] = cat.region("G_nofloor")

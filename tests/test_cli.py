@@ -128,6 +128,24 @@ def test_epsilon_that_makes_kappa_nonpositive_rejected(argv, capsys):
     assert err.startswith("error:") and "kappa must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [["integral", "I1", "--theta", "0.99"],
+                                  ["integral", "U233", "--theta", "0.58"],
+                                  ["integral", "S235", "--theta", "0.3"]])
+def test_integral_outside_the_kappa_domain_rejected(argv, capsys):
+    # every one-exponent named integral reads kappa, defined for
+    # 1/2 <= theta < 4/7
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1/2 <= theta < 4/7" in err
+
+
+def test_integral_at_the_kappa_domain_edge_runs():
+    code, out = run_cli(["integral", "I1", "--theta", "0.5", "--format", "csv"])
+    assert code == 0
+
+
 def test_typeii_boundary_point_matches_no_leaf():
     # The printed sub-splits pair strict with non-strict bounds, so the
     # shared boundary belongs to neither side; the report falls through to

@@ -168,6 +168,22 @@ def test_sampled_blocks_reach_the_region_uncopied(monkeypatch):
         assert np.ascontiguousarray(block, dtype=float) is block
 
 
+def test_sampled_results_do_not_depend_on_block_size(monkeypatch):
+    # S235 runs the sorting network, I3 the Buchstab weight and not in(G)'s
+    # splits chunks, and U233 its nested residual, each over blocks of
+    # other sizes than the default's
+    runs = [("S235", 0.52), ("I3", 0.5167), ("U233", 0.52)]
+
+    def results():
+        return [quadrature.sampled(CAT.integrals[name], theta_only(theta), budget=1 << 16,
+                                   seed=3) for name, theta in runs]
+
+    want = results()
+    for block_rows in (64, 1000):
+        monkeypatch.setattr(quadrature, "BLOCK_ROWS", block_rows)
+        assert results() == want
+
+
 def test_integral_beyond_direction_table_rejected():
     wide = dataclasses.replace(CAT.integrals["cal6"], name="wide", dim=25)
     with pytest.raises(SpecificationError, match="at most 24 allowed"):

@@ -139,9 +139,10 @@ def test_long_draw_equals_scipy_engine():
     np.testing.assert_array_equal(streams.points(sid, sizes[1])[:, 0], want[1].T)
 
 
-def row_streams(groups):
-    """The stream of each point of a block, from the groups run passes."""
-    return np.concatenate([np.repeat(sid, u.shape[2]) for sid, u in groups])
+def row_streams(sid, u):
+    """The stream of each point of a block, from the streams and points run
+    passes."""
+    return np.repeat(sid, u.shape[2])
 
 
 def integrand(x, sid):
@@ -154,8 +155,8 @@ def run_sums(dim, n, seed, rounds, block_rows, monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_ROWS", block_rows)
     streams = _Streams(dim, n, seed)
 
-    def sample(x, groups):
-        return integrand(x, row_streams(groups))
+    def sample(x, sid, u):
+        return integrand(x, row_streams(sid, u))
 
     for count in rounds:
         streams.run(np.array(count), sample)
@@ -212,11 +213,11 @@ def test_run_draws_and_sums_each_stream_in_its_own_order(dim, rounds, long, extr
         row[long] = block_rows + extra
     got = []
 
-    def sample(x, groups):
-        for sid, u in groups:
-            for q, pts in zip(sid.tolist(), u.transpose(1, 0, 2)):
-                got[q].append(pts.copy())
-        return integrand(x, row_streams(groups))
+    def sample(x, sid, u):
+        assert x.shape[1] <= block_rows  # a block holds at most BLOCK_ROWS points
+        for q, pts in zip(sid.tolist(), u.transpose(1, 0, 2)):
+            got[q].append(pts.copy())
+        return integrand(x, row_streams(sid, u))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "BLOCK_ROWS", block_rows)

@@ -14,6 +14,7 @@ __all__ = [
     "ThetaParams",
     "TypeIIRangeReport",
     "AmbiguityError",
+    "in_kappa_domain",
     "kappa",
     "kappa_prime",
     "tau",
@@ -30,9 +31,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def in_kappa_domain(theta: float) -> bool:
+    """Whether kappa, kappa', tau and tau' are defined at total exponent theta."""
+    return 0.5 <= theta < 4 / 7
+
+
 def kappa(theta: float, eps: float = 0.0) -> float:
     """Sieve starting point for a total modulus exponent theta."""
-    if not 0.5 <= theta < 4 / 7:
+    if not in_kappa_domain(theta):
         raise ValueError("kappa is defined for 1/2 <= theta < 4/7")
     if theta <= 17 / 32 - eps:
         return (5 - 8 * theta) / 6 - eps
@@ -42,7 +48,7 @@ def kappa(theta: float, eps: float = 0.0) -> float:
 
 
 def kappa_prime(theta: float, eps: float = 0.0) -> float:
-    if not 0.5 <= theta < 4 / 7:
+    if not in_kappa_domain(theta):
         raise ValueError("kappa_prime is defined for 1/2 <= theta < 4/7")
     if 7 / 13 - eps < theta <= 11 / 20 - eps:
         return (11 - 20 * theta) / 6 - 2 * eps
@@ -50,7 +56,7 @@ def kappa_prime(theta: float, eps: float = 0.0) -> float:
 
 
 def tau(theta: float, eps: float = 0.0) -> float:
-    if not 0.5 <= theta < 4 / 7:
+    if not in_kappa_domain(theta):
         raise ValueError("tau is defined for 1/2 <= theta < 4/7")
     if theta <= 11 / 21:
         return 3 * (1 - theta) / 5 - eps
@@ -60,7 +66,7 @@ def tau(theta: float, eps: float = 0.0) -> float:
 
 
 def tau_prime(theta: float, eps: float = 0.0) -> float:
-    if not 0.5 <= theta < 4 / 7:
+    if not in_kappa_domain(theta):
         raise ValueError("tau_prime is defined for 1/2 <= theta < 4/7")
     if 7 / 13 - eps < theta <= 11 / 20 - eps:
         return (5 - 6 * theta) / 7
@@ -113,7 +119,7 @@ class ThetaParams:
             raise ValueError("two-parameter mode requires theta1 >= theta2")
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError("eps must be finite and nonnegative")
-        if 0.5 <= self.theta < 4 / 7 and not (k := kappa(self.theta, self.eps)) > 0:
+        if in_kappa_domain(self.theta) and not (k := kappa(self.theta, self.eps)) > 0:
             raise ValueError(f"kappa(theta, eps) = {k:.3g} at theta = {self.theta:.6g}, "
                              f"eps = {self.eps:.3g}; kappa must be positive")
 
@@ -149,7 +155,7 @@ class ThetaParams:
             out["theta2"] = self.theta2
         if self.theta3 is not None:
             out["theta3"] = self.theta3
-        if 0.5 <= th < 4 / 7:
+        if in_kappa_domain(th):
             out["kappa"] = kappa(th, self.eps)
             out["kappap"] = kappa_prime(th, self.eps)
             out["tau"] = tau(th, self.eps)
@@ -260,5 +266,5 @@ def type_ii_range(
     pieces = union.evaluated(vals)
     raw = [RawRange(q.lo, q.hi, pc.src) for q, pc in zip(pieces, union.pieces)]
     merged = merge_numeric(pieces)
-    start = _climb(kappa(th, p.eps), merged) if 0.5 <= th < 4 / 7 else None
+    start = _climb(kappa(th, p.eps), merged) if in_kappa_domain(th) else None
     return TypeIIRangeReport(params, name, raw, merged, start)

@@ -72,7 +72,7 @@ import numpy as np
 from . import buchstab
 from .catalog import DEFAULT_BUDGET, DEFAULT_SEED, NAMED, Catalog, IntegralDef, default_catalog
 from .exact import BoxTest
-from .params import ThetaParams
+from .params import ThetaParams, in_kappa_domain
 from .regions import RegionError
 
 __all__ = [
@@ -348,19 +348,19 @@ class _Streams:
         return np.multiply(pts.transpose(2, 0, 1), 1.0 / (1 << SOBOL_BITS), out=out)
 
     def run(self, count: np.ndarray, sample) -> None:
-        """Draw count[q] further points of every stream q and add them to its
-        sums.
+        """Draw count[q] more points of each stream q and add them to its sums.
 
         The streams of each run length, lengths ascending and streams in
         index order, are sampled in blocks of whole runs, at most BLOCK_ROWS
-        rows, and a run longer than that alone in pieces of BLOCK_ROWS.  A
-        block x is coordinate-major, shape (dim, rows), a point per column,
-        and u, shape (dim, len(sid), length), holds the points of its streams
-        sid stream after stream, a view of x.  sample(x, sid, u) returns the
-        integrand values and the region indicator of the points of x, and
-        may overwrite x.  A stream's sums are the pairwise sums g.sum() takes
-        over its whole run of values, the pieces of a long run joined first,
-        so they depend neither on the blocks nor on their order.
+        rows; a longer run is sampled alone, in pieces of BLOCK_ROWS.  Each
+        block calls sample(x, sid, u): x is coordinate-major, shape (dim,
+        rows), a point per column, and its view u, shape (dim, len(sid), m),
+        holds the block's m points of each stream sid, m being the run
+        length or a piece's, so u need not hold a whole run.  sample returns
+        the integrand values and region indicator of x's points, and may
+        overwrite x.  A stream's sums are the pairwise sums g.sum() takes
+        over its whole run, its pieces joined first, so they depend neither
+        on the blocks nor on their order.
         """
         for length in np.unique(count[count > 0]).tolist():
             sid = np.flatnonzero(count == length)
@@ -689,7 +689,7 @@ def named_integral(
             raise RegionError(f"{name} takes a two-exponent parameter point")
         if name not in ("I5", "I6") and arity != 1:
             raise RegionError(f"{name} takes a single-exponent parameter point")
-        if arity == 1 and not 0.5 <= params.theta < 4 / 7:
+        if arity == 1 and not in_kappa_domain(params.theta):
             raise RegionError(f"{name} is defined for 1/2 <= theta < 4/7, "
                               f"got theta = {params.theta!r}")
     if not min_alpha_floor:

@@ -6,21 +6,24 @@ sqrt(n*P^-(d)), ...) is an inequality between subset sums of the alphas, so
 the subset enumeration decides it exactly at every scale.
 
 The signed count below sqrt(n) walks the subsets depth first in index
-order, in pure Python.  Each subset it reaches is summed left to right from
-0.0, as `regions.subset_sums` sums it, so its sum is bitwise the subset's
-row of the full (2^k, 1) table that `subset_sums` makes of the alphas as
-one (k, 1) column.  A branch is cut only where every subset below it is
+order, in pure Python, on an explicit stack of at most k branches.  Each
+subset it reaches is summed left to right from 0.0, as
+`regions.subset_sums` sums it, so its sum is bitwise the subset's row of
+the full (2^k, 1) table that `subset_sums` makes of the alphas as one
+(k, 1) column.  A branch is cut only where every subset below it is
 decided with no tie: its partial sum is already above 1/2, or every
 extension stays below 1/2 and their signs cancel.  Every subset within
 TIE_TOL of 1/2 is still reached, so the count and the DegeneracyError are
-those of the full table.  Nothing here imports numpy.
+those of the full table.  The mid-range triple count loops over the index
+triples in order and stops each loop once no triple left in it comes
+near 1/2.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import add
 
 __all__ = [
@@ -58,6 +61,8 @@ class FactorizationPattern:
             raise ValueError("pattern must be nonempty")
         if len(entries) > MAX_K:
             raise ValueError(f"pattern capped at {MAX_K} factors")
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("pattern entries must be finite")
         if any(a <= 0 for a in entries):
             raise ValueError("pattern entries must be positive")
         if abs(reduce(add, entries, 0.0) - 1.0) > SUM_TOL:  # left to right
@@ -75,13 +80,19 @@ def mobius_half_sum(pattern: FactorizationPattern) -> int:
     """Signed count of divisors below sqrt(n): sum over subsets S with
     sum_S alpha < 1/2 of (-1)^|S|.
 
-    Subsets are reached depth first, the choice of alpha_i made at depth i,
-    and s, the partial sum, is added in index order from 0.0, so a subset's
-    sum is the bitwise value the doubling table holds for it.  A branch at
-    depth i with partial sum s is cut in two cases:
+    A branch (i, s, sign) stands for the subsets that agree with one chosen
+    subset on alpha_0 .. alpha_(i-1); s is that subset's partial sum, added
+    in index order from 0.0, so a leaf's sum is the bitwise value the
+    doubling table holds for it, and sign is (-1) to its size.  A branch
+    popped from the stack follows "alpha_i left out" in place and pushes
+    "alpha_i taken" for later, so the subsets are reached in the order of
+    a recursion that explores the left-out branch first, and the stack's
+    depths rise from bottom to top: it never holds more than k branches.
+    A branch at depth i with partial sum s is cut in two cases:
 
-    - s >= 1/2 + 4*TIE_TOL.  Adding a positive float never lowers a sum, so
-      every subset below lies above 1/2 + TIE_TOL: none counts, none ties.
+    - s >= 1/2 + 4*TIE_TOL: it is never pushed.  Adding a positive float
+      never lowers a sum, so every subset below lies above 1/2 + TIE_TOL:
+      none counts, none ties.
     - s + rest[i] < 1/2 - 4*TIE_TOL, where rest[i] sums the alphas not yet
       chosen.  A subset below adds some of them to s in another order than
       rest[i] does; each of the at most 2 * MAX_K + 1 roundings in the two
@@ -99,27 +110,57 @@ def mobius_half_sum(pattern: FactorizationPattern) -> int:
     for i in range(k - 1, -1, -1):
         rest[i] = a[i] + rest[i + 1]
     above, below = 0.5 + 4 * TIE_TOL, 0.5 - 4 * TIE_TOL
-
-    def count(i: int, s: float) -> int:
-        """Signed count of the subsets below a branch, each sign taken
-        relative to the sign of the subset chosen so far."""
-        if s >= above:
-            return 0
+    total = 0
+    stack = [(0, 0.0, 1)]
+    while stack:
+        i, s, sign = stack.pop()
+        while i < k and s + rest[i] >= below:
+            t = s + a[i]
+            i += 1
+            if t < above:
+                stack.append((i, t, -sign))
         if i == k:
             if abs(s - 0.5) <= TIE_TOL:
                 raise DegeneracyError("subset sum at the sqrt(n) boundary")
-            return 1 if s < 0.5 else 0
-        if s + rest[i] < below:
-            return 0
-        return count(i + 1, s) - count(i + 1, s + a[i])
-
-    return count(0, 0.0)
+            if s < 0.5:
+                total += sign
+    return total
 
 
 def omega3_midrange_count(pattern: FactorizationPattern) -> int:
     """Twice the number of 3-factor divisors d with sqrt(n) < d <
-    sqrt(n * P^-(d))."""
-    return 2 * _midrange(combinations(pattern.alphas, 3))
+    sqrt(n * P^-(d)).
+
+    The index triples i < j < l are visited in order and each is summed
+    s = a_i + a_j + a_l in that order, as `_midrange` judges it.  A loop
+    stops as soon as the least sum left in it is below 1/2 - 4*TIE_TOL:
+    the l loop at s itself, the j loop at a_i + a_j + a_(j+1) and the i
+    loop at a_i + a_(i+1) + a_(i+2).  Correctly rounded addition is
+    monotone in each argument and the alphas descend, so every triple a
+    loop skips sums, in floats, to no more than the sum that stopped it:
+    below 1/2 - 4*TIE_TOL, 3*TIE_TOL clear of the tie band.  Such a triple
+    is not counted, and it ties neither 1/2 nor (1 + z)/2 > 1/2, so the
+    count and the DegeneracyError are those of all C(k, 3) triples.
+    """
+    a = pattern.alphas
+    k = len(a)
+    low = 0.5 - 4 * TIE_TOL
+    count = 0
+    for i in range(k - 2):
+        x = a[i]
+        if x + a[i + 1] + a[i + 2] < low:
+            break
+        for j in range(i + 1, k - 1):
+            y = a[j]
+            if x + y + a[j + 1] < low:
+                break
+            for l in range(j + 1, k):
+                z = a[l]
+                s = x + y + z
+                if s < low:
+                    break
+                count += _midrange(s, z)
+    return 2 * count
 
 
 def divisor_count_gap(pattern: FactorizationPattern) -> int:
@@ -140,19 +181,15 @@ def divisor_triple_verdict(ijk: tuple[int, int, int], pattern: FactorizationPatt
     i, j, l = ijk
     if len({i, j, l}) != 3 or not all(1 <= v <= 6 for v in (i, j, l)):
         raise ValueError("indices must be three distinct values in 1..6")
-    a = pattern.alphas
-    return _midrange([sorted((a[i - 1], a[j - 1], a[l - 1]), reverse=True)]) == 1
+    x, y, z = sorted((pattern.alphas[v - 1] for v in ijk), reverse=True)
+    return _midrange(x + y + z, z)
 
 
-def _midrange(triples) -> int:
-    """How many of the descending triples x > y > z, each summed in that
-    order, have 1/2 < x + y + z < (1 + z)/2."""
-    count = 0
-    for x, y, z in triples:
-        s = x + y + z
-        upper = (1.0 + z) / 2.0
-        if abs(s - 0.5) <= TIE_TOL or abs(s - upper) <= TIE_TOL:
-            raise DegeneracyError("triple sum at a comparison boundary")
-        if 0.5 < s < upper:
-            count += 1
-    return count
+def _midrange(s: float, z: float) -> bool:
+    """Whether a descending triple x > y > z, summed s = x + y + z in that
+    order, has 1/2 < s < (1 + z)/2; a sum within TIE_TOL of either
+    boundary raises."""
+    upper = (1.0 + z) / 2.0
+    if abs(s - 0.5) <= TIE_TOL or abs(s - upper) <= TIE_TOL:
+        raise DegeneracyError("triple sum at a comparison boundary")
+    return 0.5 < s < upper

@@ -10,6 +10,7 @@ import pytest
 import sievelab
 from sievelab.buchstab import (
     BuchstabTable,
+    _closed_form_23,
     _closed_form_34,
     default_table,
     omega,
@@ -46,11 +47,14 @@ def test_tail_constants():
 
 
 def test_domain_errors():
-    for fn in (omega, omega_lower, omega_upper):
-        with pytest.raises(ValueError):
-            fn(0.999)
-    with pytest.raises(ValueError):
-        omega_many(np.array([2.0, 0.999]))
+    # NaN compares False with everything: it must not slip past the check
+    for u in (0.999, math.nan):
+        for fn in (omega, omega_lower, omega_upper):
+            with pytest.raises(ValueError, match="omega is defined for u >= 1"):
+                fn(u)
+    for u in ([2.0, 0.999], [math.nan, 2.5], [2.5, math.nan]):
+        with pytest.raises(ValueError, match="omega is defined for u >= 1"):
+            omega_many(np.array(u))
 
 
 def test_table_invariants():
@@ -115,6 +119,21 @@ def test_scalar_table_lookup_equals_omega_many():
         table = BuchstabTable(grid_step=step)
         v = [rng.uniform(4.0, 64.0) for _ in range(2_000)]
         assert [table.omega(x) for x in v] == table.omega_many(np.array(v)).tolist()
+
+
+def test_scalar_closed_forms_equal_the_array_forms():
+    # on [2, 4] the scalar omega takes the closed forms on floats, bit for bit
+    # as the table takes them on arrays
+    rng = random.Random(13)
+    tab = default_table()
+    m = tab.per_unit
+    u = (1.0 + tab.grid_step * np.arange(m, 3 * m + 1)).tolist()
+    u += [rng.uniform(2.0, 4.0) for _ in range(20_000)]
+    u += [2.0, 3.0, 4.0, math.nextafter(2.0, 3.0), math.nextafter(3.0, 2.0),
+          math.nextafter(3.0, 4.0), math.nextafter(4.0, 3.0)]
+    for form, piece in ((_closed_form_23, [v for v in u if v <= 3.0]),
+                        (_closed_form_34, [v for v in u if v > 3.0])):
+        assert [omega(v) for v in piece] == form(np.array(piece)).tolist()
 
 
 def test_tail_is_exp_neg_gamma():

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -173,9 +175,72 @@ def test_degeneracy_error():
         mobius_half_sum(FactorizationPattern([0.5, 0.3, 0.2]))
 
 
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_pattern_rejects_nan(pos):
+    # every other entry check compares against the NaN and reads False
+    parts = [0.5, 0.3, 0.2]
+    parts[pos] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        FactorizationPattern(parts)
+
+
 # ---------------------------------------------------------------------------
 # omega3_midrange_count
 # ---------------------------------------------------------------------------
+
+
+def brute_midrange(alphas):
+    """Twice the number of the C(k, 3) triples x > y > z of the alphas, each
+    summed in that order, with 1/2 < x + y + z < (1 + z)/2.  None when a sum
+    lies within TIE_TOL of either boundary."""
+    count = 0
+    for x, y, z in combinations(alphas, 3):
+        s = x + y + z
+        upper = (1.0 + z) / 2.0
+        if abs(s - 0.5) <= TIE_TOL or abs(s - upper) <= TIE_TOL:
+            return None
+        count += 0.5 < s < upper
+    return 2 * count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, MAX_K).flatmap(
+           lambda k: st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)),
+       st.booleans(),
+       st.sampled_from([s * c for c in TIE_OFFSETS for s in (1, -1)]),
+       st.sampled_from((0, 100, -100)))
+def test_midrange_count_matches_enumeration(weights, upper, c, shift):
+    # Three alphas x, y, z sum to 1/2 + c*TIE_TOL, or with `upper` to
+    # (1 + z)/2 + c*TIE_TOL, z the least of them; the others make up the rest
+    # of 1, off by shift*TIE_TOL.  Three alphas alone sum to 1.
+    tri, rest = weights[:3], weights[3:]
+    scale = (0.5 + c * TIE_TOL) / (sum(tri) - upper * min(tri) / 2) if rest else 1 / sum(tri)
+    alphas = [w * scale for w in tri]
+    left = 1.0 - sum(alphas) + shift * TIE_TOL
+    alphas += [w * left / sum(rest) for w in rest]
+    try:
+        pat = FactorizationPattern(sorted(alphas, reverse=True))
+    except ValueError:
+        assume(False)
+    want = brute_midrange(pat.alphas)
+    if want is None:
+        with pytest.raises(DegeneracyError):
+            omega3_midrange_count(pat)
+    else:
+        assert omega3_midrange_count(pat) == want
+
+
+def test_midrange_count_is_twice_the_triple_verdicts():
+    rng = random.Random(110)
+    for _ in range(500):
+        pat = random_pattern(rng, 6)
+        try:
+            verdicts = sum(divisor_triple_verdict(ijk, pat) for ijk in combinations(range(1, 7), 3))
+        except DegeneracyError:
+            with pytest.raises(DegeneracyError):
+                omega3_midrange_count(pat)
+            continue
+        assert omega3_midrange_count(pat) == 2 * verdicts
 
 
 def test_midrange_small_patterns_zero():

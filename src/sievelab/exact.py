@@ -12,8 +12,8 @@ integers throughout: a column is its catalog coefficients over one
 denominator (`regions._Program.exact`), a parameter the ratio of integers
 its float is, a substituted sum an integer vector, and a row is reduced
 by its gcd.  What is left is refuted, together with the box's bounds, by
-Fourier-Motzkin elimination that keeps strictness, and each refutation is
-a Motzkin transposition certificate.
+an integer simplex (`_farkas`), which either finds a Motzkin transposition
+certificate or shows that the rows have a common real solution.
 
 `BoxTest` is this test on one box at a time.  The quadrature builds one
 per integral whose sampling box is not empty, and every box question of
@@ -32,12 +32,7 @@ from .regions import RegionError, RegionSpec, _Bound, _bound, _fold
 
 __all__ = ["BoxTest", "Certificate"]
 
-EXACT_ROWS = 400  # rows an elimination step may hold
 EXACT_BRANCHES = 64  # conjunctions one residual may branch into
-
-
-class _GaveUp(Exception):
-    """A cap of the exact test was reached."""
 
 
 @dataclass(frozen=True)
@@ -64,17 +59,17 @@ class BoxTest:
     """The exact box test of a k-dimensional region at one parameter point.
     Called on a closed box [lo, hi], it returns True when every point of the
     box lies in the region, False when no real point does, and None when it
-    cannot tell, also when a cap is reached.  The parameters are taken at
+    cannot tell: the residual has a real solution in the box, or it needs
+    more than EXACT_BRANCHES conjunctions.  The parameters are taken at
     their float values, exactly.
 
     It is the exact side of `_Bound.decide`, to which it supplies rows only:
     `row` writes an atom as its row in the box's coordinates, and `decide`
     judges that row on the box; the walk folds the verdicts into the box's
     residual (`regions._fold`, `regions._negate`).  The residual is refuted
-    once, together with the box's bounds; it branches into at most
-    EXACT_BRANCHES conjunctions and an elimination holds at most EXACT_ROWS
-    rows.  The certificates of the boxes refuted gather in `certificates`;
-    a box the exact mode decides empty needs none.
+    once, together with the box's bounds, and branches into at most
+    EXACT_BRANCHES conjunctions.  The certificates of the boxes refuted
+    gather in `certificates`; a box the exact mode decides empty needs none.
     """
 
     def __init__(self, region: RegionSpec, k: int, params: dict[str, float], catalog):
@@ -89,10 +84,7 @@ class BoxTest:
         f = self.residual(lo, hi)
         if f is True or f is False:
             return f
-        try:
-            found = _refute(f, self.box_rows(), [EXACT_BRANCHES])
-        except _GaveUp:
-            return None
+        found = _refute(f, self.box_rows(), [EXACT_BRANCHES])
         if found is None or not all(c.holds() for c in found):
             return None
         self.certificates += found
@@ -192,74 +184,72 @@ class BoxTest:
         return f
 
 
-def _prune(work):
-    """The tightest row of each direction, without the rows that hold
-    trivially; the weights of a contradiction if one is among them."""
-    best = {}
-    for row in work:
-        a, b, strict, y, _ = row
-        g = math.gcd(*a)
-        if not g:
-            if b < 0 or b == 0 and strict:
-                return [], y
-            continue
-        key = tuple(x // g for x in a)
-        old = best.get(key)
-        if old is not None:
-            (_, b0, s0, _, _), g0 = old
-            if b * g0 > b0 * g or b * g0 == b0 * g and (s0 or not strict):
-                continue
-        best[key] = row, g
-    return [row for row, _ in best.values()], None
-
-
 def _farkas(rows) -> dict | None:
     """Weights {row index: y > 0} proving that the rows have no common real
-    solution, or None when it finds none.  None is not a proof that they
-    have one: a row bounded tighter by another is dropped whatever rows
-    each is made from, and Chernikov's rule may then drop the only
-    contradiction (tests/test_regions.py, test_farkas_refutes_after_box_rows).
+    solution, or None when they have one.
 
-    Fourier-Motzkin elimination over the integers, keeping strictness (a
-    sum of rows is strict when a strict row has a positive weight; Dantzig &
-    Eaves 1973): each derived row carries the weights that make it from the
-    given rows.  A derived row with more weights than one plus the number of
-    variables eliminated is implied by others and dropped (Chernikov's rule),
-    as is a row bounded tighter by another of the same direction.  Raises
-    _GaveUp once a step holds more than EXACT_ROWS rows.
+    A simplex in integers on the dual of: maximise s subject to
+    a.x + s <= b on the strict rows, a.x <= b on the others, and s <= 1.
+    That dual is: minimise b.y + z over y, z >= 0 with sum y a = 0 and the
+    strict rows' weights plus z equal to 1.  Its point y = 0, z = 1 is
+    feasible, so no first phase is needed: each equation sum y a = 0 (its
+    right-hand side is 0) is pivoted on its first nonzero column, or dropped
+    once all zero, and z is made basic in the last.  An unbounded ray is a
+    Farkas certificate, an optimum <= 0 a Motzkin one, and an optimum > 0
+    means some x meets every row, the strict ones by s > 0.  Each tableau
+    row is an integer equation in lowest terms whose basic column is
+    positive; the objective row is the reduced costs times a positive
+    scale.  Bland's rule (lowest index, on ties too) ends every pivoting
+    sequence and makes the weights depend on the rows' order only.
     """
-    # (a, b, strict, weights, bit mask of the rows with a weight)
-    work = [(a, b, s, {i: 1}, 1 << i) for i, (a, b, s) in enumerate(rows)]
-    eliminated = 0
+    n = len(rows)  # columns: y_0 .. y_(n-1), z, the right-hand side
+    t = [[*col, 0, 0] for col in zip(*(a for a, _, _ in rows))]
+    t += [[*(int(s) for _, _, s in rows), 1, 1], [*(b for _, b, _ in rows), 1, 0]]
+    basis = []
+
+    def pivot(r, c):
+        if t[r][c] < 0:
+            t[r] = [-x for x in t[r]]
+        row, p = t[r], t[r][c]
+        for i, other in enumerate(t):
+            q = other[c]
+            if q and i != r:
+                new = [p * x - q * y for x, y in zip(other, row)]
+                g = math.gcd(*new) or 1
+                t[i] = [x // g for x in new]
+
+    while len(basis) < len(t) - 2:
+        r = len(basis)
+        c = next((j for j, x in enumerate(t[r]) if x), None)
+        if c is None:
+            del t[r]
+        else:
+            pivot(r, c)
+            basis.append(c)
+    pivot(len(basis), n)
+    basis.append(n)
     while True:
-        work, y = _prune(work)
-        if y is not None:
-            return y
-        if not work:
-            return None
-        if len(work) > EXACT_ROWS:
-            raise _GaveUp
-        signs = [([r for r in work if r[0][j] > 0], [r for r in work if r[0][j] < 0])
-                 for j in range(len(work[0][0]))]
-        j = min((j for j, (p, n) in enumerate(signs) if p or n),
-                key=lambda j: len(signs[j][0]) * len(signs[j][1]) - len(signs[j][0])
-                - len(signs[j][1]))
-        eliminated += 1
-        pos, neg = signs[j]
-        work = [r for r in work if not r[0][j]]
-        for a, b, s, y, m in pos:
-            for a2, b2, s2, y2, m2 in neg:
-                if (m | m2).bit_count() > eliminated + 1:
-                    continue
-                cp, cn = -a2[j], a[j]
-                ys = {i: cp * v for i, v in y.items()}
-                for i, v in y2.items():
-                    ys[i] = ys.get(i, 0) + cn * v
-                na = [cp * x + cn * z for x, z in zip(a, a2)]
-                nb = cp * b + cn * b2
-                g = math.gcd(*na, nb, *ys.values())
-                work.append((tuple(x // g for x in na), nb // g, s or s2,
-                             {i: v // g for i, v in ys.items()}, m | m2))
+        c = next((j for j in range(n + 1) if t[-1][j] < 0), None)
+        if c is None:  # optimal: the weights are the basic values
+            if t[-1][-1] < 0:
+                return None
+            parts = [(j, row[-1], row[j]) for j, row in zip(basis, t) if j < n and row[-1]]
+            break
+        r = None
+        for i, row in enumerate(t[:-1]):
+            if row[c] > 0 and (r is None or (d := row[-1] * t[r][c] - t[r][-1] * row[c]) < 0
+                               or d == 0 and basis[i] < basis[r]):
+                r = i
+        if r is None:  # an unbounded ray: y_c = 1 and the basics it lifts
+            parts = [(c, 1, 1)] + [(j, -row[c], row[j]) for j, row in zip(basis, t)
+                                   if j < n and row[c]]
+            break
+        pivot(r, c)
+        basis[r] = c
+    scale = math.lcm(*(d for _, _, d in parts))
+    y = {j: v * (scale // d) for j, v, d in parts}
+    g = math.gcd(*y.values())
+    return {j: v // g for j, v in y.items()}
 
 
 def _order(f):
@@ -272,11 +262,12 @@ def _order(f):
 
 def _refute(f, rows: tuple, branches: list) -> list | None:
     """Certificates that the residual f has no real solution together with
-    rows, one per conjunction it branches into, or None.  The rows outside
-    any disjunction are decided first; only then is a disjunction branched
-    on, the shortest first, and only while every choice of one alternative
-    per disjunction fits in the branches left (a one-item counter).  Past
-    that the test gives up.  Items are taken in `_order`."""
+    rows, one per conjunction it branches into, or None: a conjunction has
+    a real solution, or the branches would run out.  The rows outside any
+    disjunction are decided first; only then is a disjunction branched on,
+    the shortest first, and only while every choice of one alternative per
+    disjunction fits in the branches left (a one-item counter).  Items are
+    taken in `_order`."""
     rows, choices = list(rows), []
     for g in sorted(f[1], key=_order) if f[0] == "and" else (f,):
         if g[0] == "or":
@@ -294,7 +285,7 @@ def _refute(f, rows: tuple, branches: list) -> list | None:
     for alt in sorted(split, key=_order):
         branches[0] -= 1
         if branches[0] < 0:
-            raise _GaveUp
+            return None
         more = _refute(_fold("and", [alt, *rest]), tuple(rows), branches)
         if more is None:
             return None

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from sievelab import catalog, regions
 from sievelab.catalog import (Catalog, IntegralDef, default_catalog, dumps, loads,
                               parse_affine_expr, parse_bool_expr)
-from sievelab.exact import BoxTest, _farkas
+from sievelab.exact import BoxTest, Certificate, _farkas
 from sievelab.params import ThetaParams, _climb, theta_only
 from sievelab.regions import (
     PARAM_NAMES,
@@ -671,26 +672,75 @@ def test_integer_rows_match_fraction_rows(case, theta, theta1, eps, data):
     assert test.rows == oracle.rows
 
 
-# Eight rows (a, b, strict) for a . t < b, or <=, whose sixth, first and
-# fourth, weighted 14, 5 and 1, sum to 0 < 0, and the box rows of
-# [0, 1] x [-1, 1].  After t1 is eliminated three derived rows bound t2 by
-# the same 3/22; dominance keeps the first, which has two ancestors, and the
-# lower bound's two more make four after two eliminations, past Chernikov's
-# limit, so the contradiction is dropped.
+# Eight rows (a, b, strict) for a . t < b, or <=, whose first, second and
+# sixth sum to 0 < 0, and the box rows of [0, 1] x [-1, 1].  Fourier-Motzkin
+# elimination with dominance pruning and Chernikov's rule misses the
+# contradiction once the box rows come first.
 _MISSED = [((-8, -14), -5, True), ((2, 9), 2, True), ((5, 0), 2, False),
            ((-44, 0), -17, True), ((5, 0), 2, False), ((6, 5), 3, True),
            ((-44, 0), -17, True), ((-19, -20), -10, True)]
 _BOX_ROWS = [((-1, 0), 0, False), ((1, 0), 1, False), ((0, -1), 1, False), ((0, 1), 1, False)]
 
 
+def _certificate(rows, y):
+    return Certificate(tuple(rows[i] for i in sorted(y)), tuple(y[i] for i in sorted(y)))
+
+
 def test_farkas_refutes_the_rows_alone():
-    assert _farkas(_MISSED) == {5: 14, 0: 5, 3: 1}
+    y = _farkas(_MISSED)
+    assert y == {0: 1, 1: 1, 5: 1}
+    assert _certificate(_MISSED, y).holds()
 
 
-@pytest.mark.xfail(strict=True, reason="dominance pruning with Chernikov's rule drops the "
-                   "only contradiction: _farkas is incomplete")
 def test_farkas_refutes_after_box_rows():
     assert _farkas(_BOX_ROWS + _MISSED) is not None
+
+
+@st.composite
+def _systems(draw):
+    """Rows (a, b, strict) in 1-6 variables: 1-14 rows with entries in
+    [-9, 9], some repeated, with or without the rows of the unit box."""
+    k = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    row = st.tuples(st.tuples(*[entry] * k), entry, st.booleans())
+    rows = draw(st.lists(row, min_size=1, max_size=14))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    if draw(st.booleans()):
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        rows = [r for u in units for r in ((tuple(-x for x in u), 0, False), (u, 1, False))] + rows
+    return k, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_farkas_finds_every_refutation(system):
+    # the rows have no common real solution exactly when max s subject to
+    # a . x + s <= b on the strict rows, a . x <= b on the others and
+    # s <= 1 is at most 0 (or has no feasible point), by HiGHS
+    k, rows = system
+    lp = linprog([0] * k + [-1], A_ub=[[*a, int(s)] for a, _, s in rows] + [[0] * k + [1]],
+                 b_ub=[b for _, b, _ in rows] + [1], bounds=[(None, None)] * (k + 1),
+                 method="highs")
+    assert lp.status in (0, 2)
+    empty = lp.status == 2 or -lp.fun <= 1e-9
+    y = _farkas(rows)
+    assert (y is not None and _certificate(rows, y).holds()) == empty
+
+
+# Pairs of parameter-plane leaves that share no point, each refuted in one
+# exact box test on [0, 1] x [-1, 1]
+_DISJOINT_LEAVES = [("A0102", "A0104"), ("A0601", "A14"), ("E0202", "E0207"),
+                    ("E0202", "E0210"), ("E0203", "E0208"), ("E0902", "E0904"),
+                    ("E0902", "E1002"), ("E0903", "E1002")]
+
+
+def test_disjoint_leaves_are_refuted():
+    cat = loads(dumps(CAT) + "".join(f"region Q{i} dim=2\n  where in({x}) and in({y})\nend\n"
+                                     for i, (x, y) in enumerate(_DISJOINT_LEAVES)))
+    for i in range(len(_DISJOINT_LEAVES)):
+        test = BoxTest(cat.region(f"Q{i}"), 2, {}, cat)
+        assert test([0.0, -1.0], [1.0, 1.0]) is False
+        assert test.certificates and all(c.holds() for c in test.certificates)
 
 
 def test_definitely_agrees_with_sampling():

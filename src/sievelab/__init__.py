@@ -4,11 +4,11 @@ Submodules: buchstab (the delay-equation weight function and its
 envelopes), regions (parametric affine region algebra), catalog (the
 structured-text region catalog), params (piecewise sieve parameters,
 classification, Type-II assembly), quadrature (loss integrals), cubature
-(loss integrals over one convex polytope, for quadrature), exact (the exact
-box test and its emptiness certificates, for quadrature), divisors
-(squarefree factorization-pattern combinatorics), tables (divisor-triple
-example tables), shared (the error types and integral defaults, importing
-nothing), cli (command-line front end).
+(loss integrals over the convex cells a residual splits into, for
+quadrature), exact (the exact box test and its emptiness certificates, for
+quadrature), divisors (squarefree factorization-pattern combinatorics),
+tables (divisor-triple example tables), shared (the error types and
+integral defaults, importing nothing), cli (command-line front end).
 
 The names below are exported lazily, by a module ``__getattr__`` (PEP 562):
 each is imported from its submodule on first use.  So ``import sievelab``

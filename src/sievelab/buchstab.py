@@ -1,11 +1,12 @@
 """Buchstab function omega(u) and its explicit lower/upper envelopes.
 
 omega solves the delay differential equation (u*omega(u))' = omega(u-1) with
-omega(u) = 1/u on [1,2].  Closed forms give omega exactly on [1, 4]; a table
-continues the solution to u = 64 by cumulative trapezoidal integration of the
-integral form u*omega(u) = 4*omega(4) + int_4^u omega(t-1) dt, and beyond 64
-omega is its limit e^{-gamma} (omega - e^{-gamma} decays faster than
-exponentially, de Bruijn 1950).
+omega(u) = 1/u on [1,2].  Closed forms give omega exactly on [1, 4]; a table,
+built on the first read above u = 4, continues the solution to u = 64 by
+cumulative trapezoidal integration of the integral form
+u*omega(u) = 4*omega(4) + int_4^u omega(t-1) dt, and beyond 64 omega is its
+limit e^{-gamma} (omega - e^{-gamma} decays faster than exponentially,
+de Bruijn 1950).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ __all__ = [
     "omega_many",
 ]
 
-DEFAULT_GRID_STEP = 1e-4
-DEFAULT_U_MAX = 64.0
+GRID_STEP = 1e-4
+PER_UNIT = 10_000  # grid points per unit of u: 1 / GRID_STEP
+U_MAX = 64.0
 EXP_NEG_GAMMA = math.exp(-0.57721566490153286)
 
 # Envelope constants for the tail branches.
@@ -75,24 +77,17 @@ def _closed_form_34(u):
 
 
 class BuchstabTable:
-    """Sampled omega on a uniform grid over [1, DEFAULT_U_MAX], immutable
+    """Sampled omega on the grid 1 + GRID_STEP*i over [1, U_MAX], immutable
     once built."""
 
-    def __init__(self, grid_step: float = DEFAULT_GRID_STEP):
-        if grid_step <= 0:
-            raise ValueError("grid_step must be positive")
-        self.grid_step = float(grid_step)
-        self.per_unit = int(round(1.0 / grid_step))
-        if abs(self.per_unit * grid_step - 1.0) > 1e-12:
-            raise ValueError("grid_step must divide 1 exactly")
+    def __init__(self):
         self.values = self._build()
         self.values.flags.writeable = False
 
     def _build(self) -> np.ndarray:
-        h = self.grid_step
-        m = self.per_unit
-        top = int(DEFAULT_U_MAX)
-        u = 1.0 + h * np.arange((top - 1) * m + 1)
+        m = PER_UNIT
+        top = int(U_MAX)
+        u = 1.0 + GRID_STEP * np.arange((top - 1) * m + 1)
         vals = np.empty(len(u))
         # [1, 4]: the closed forms.
         vals[: m + 1] = 1.0 / u[: m + 1]
@@ -105,44 +100,23 @@ class BuchstabTable:
         for b in range(top - 4):
             lo = (2 + b) * m  # grid index of u-1 at the block start
             g = vals[lo : lo + m + 1]  # omega(t-1) across the block
-            cum = f + np.cumsum(0.5 * h * (g[:-1] + g[1:]))
+            cum = f + np.cumsum(0.5 * GRID_STEP * (g[:-1] + g[1:]))
             idx0 = (3 + b) * m + 1
             vals[idx0 : idx0 + m] = cum / u[idx0 : idx0 + m]
             f = cum[-1]
         return vals
 
-    def omega(self, u: float) -> float:
-        """Evaluate omega(u): closed forms below 4, table interpolation to
-        DEFAULT_U_MAX, e^{-gamma} beyond."""
-        if not u >= 1.0:
-            raise ValueError("omega is defined for u >= 1")
-        if u <= 2.0:
-            return 1.0 / u
-        if u <= 3.0:
-            return float(_closed_form_23(u))
-        if u <= 4.0:
-            return float(_closed_form_34(u))
-        if u > DEFAULT_U_MAX:
-            return EXP_NEG_GAMMA
-        # `_interp` in Python floats: the same operations in the same order
-        pos = (u - 1.0) / self.grid_step
-        idx = min(int(pos), len(self.values) - 2)
-        frac = pos - idx
-        return self.values.item(idx) * (1.0 - frac) + self.values.item(idx + 1) * frac
-
     def omega_many(self, u: np.ndarray) -> np.ndarray:
         """Vectorised omega for u >= 1: table interpolation, e^{-gamma}
-        beyond DEFAULT_U_MAX."""
+        beyond U_MAX."""
         u = np.asarray(u, dtype=float)
         if u.size and not float(u.min()) >= 1.0:
             raise ValueError("omega is defined for u >= 1")
-        return np.where(u > DEFAULT_U_MAX, EXP_NEG_GAMMA, self._interp(u))
-
-    def _interp(self, u: np.ndarray) -> np.ndarray:
-        pos = (u - 1.0) / self.grid_step
+        pos = (u - 1.0) / GRID_STEP
         idx = np.clip(pos.astype(np.int64), 0, len(self.values) - 2)
         frac = pos - idx
-        return self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac
+        inner = self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac
+        return np.where(u > U_MAX, EXP_NEG_GAMMA, inner)
 
 
 _DEFAULT: BuchstabTable | None = None
@@ -156,8 +130,23 @@ def default_table() -> BuchstabTable:
 
 
 def omega(u: float) -> float:
-    """Buchstab omega(u) via the shared default table."""
-    return default_table().omega(u)
+    """omega(u): closed forms on [1, 4], the default table to U_MAX, e^{-gamma} beyond."""
+    if not u >= 1.0:
+        raise ValueError("omega is defined for u >= 1")
+    if u <= 2.0:
+        return 1.0 / u
+    if u <= 3.0:
+        return float(_closed_form_23(u))
+    if u <= 4.0:
+        return float(_closed_form_34(u))
+    if u > U_MAX:
+        return EXP_NEG_GAMMA
+    # omega_many's interpolation in Python floats, the same operations in order
+    values = default_table().values
+    pos = (u - 1.0) / GRID_STEP
+    idx = min(int(pos), len(values) - 2)
+    frac = pos - idx
+    return values.item(idx) * (1.0 - frac) + values.item(idx + 1) * frac
 
 
 def omega_many(u: np.ndarray) -> np.ndarray:

@@ -432,6 +432,8 @@ def loads(text: str) -> Catalog:
                     idx = _var_index(var)
                     if dim is not None and idx > dim:
                         raise RegionError(f"bound t{idx} out of range for region {name} dim={dim}")
+                    if idx in bounds:
+                        raise RegionError(f"region {name} bounds t{idx} twice")
                     bounds[idx] = (endpoint(lo), endpoint(hi))
                 elif row.startswith("where "):
                     where.append(row[len("where ") :])
@@ -466,7 +468,11 @@ def loads(text: str) -> Catalog:
                  IntegralDef(name, int(dim), region, weight, mult, sorted=bool(tail)))
         elif line.startswith("group "):
             name, members = _match(r"group\s+(\S+)\s*:\s*(.*)", line, "group line")
-            _add(cat.groups, "group", name, members.split())
+            members = members.split()
+            for i, m in enumerate(members):
+                if m in members[:i]:
+                    raise RegionError(f"group {name} lists region {m!r} twice")
+            _add(cat.groups, "group", name, members)
         else:
             raise RegionError(f"unrecognised catalog line: {line!r}")
     cat.validate()

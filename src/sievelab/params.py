@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import Catalog, default_catalog
-from .regions import NumericPiece, _hits, merge_numeric
+from .regions import NumericPiece, _hits, interval_contains, merge_numeric
 from .shared import AmbiguityError, RegionError
 
 __all__ = [
@@ -208,12 +208,10 @@ def _climb(start: float, merged: list[NumericPiece]) -> float:
 
     The merged pieces are sorted and disjoint, and two that touch are both
     open at the junction, so no piece covers the end of the one that
-    lifted the point: one ascending pass finds the only lift.
+    lifted the point: one ascending pass finds the only lift.  A start on
+    a closed end is lifted to itself.
     """
-    for p in merged:
-        if (start > p.lo if p.lo_open else start >= p.lo) and start < p.hi:
-            return p.hi
-    return start
+    return next((p.hi for p in merged if interval_contains([p], start)), start)
 
 
 _FAMILIES = {"auto": ("a_leaves", "e_leaves"), "a": ("a_leaves",), "e": ("e_leaves",)}

@@ -587,8 +587,6 @@ def _sample(spec: IntegralDef, cat: Catalog, region, vals: dict[str, float], box
     total_n = 0
     round_total = FIRST_ROUND
     first = True
-    value = 0.0
-    err = float("inf")
 
     def sample(x: np.ndarray, sid: np.ndarray, u: np.ndarray):
         # each stream's points into its stratum's cell, in place: the

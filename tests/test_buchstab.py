@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import sievelab
+from sievelab import buchstab
 from sievelab.buchstab import (
-    BuchstabTable,
+    GRID_STEP,
+    PER_UNIT,
     _closed_form_23,
     _closed_form_34,
     default_table,
@@ -59,10 +61,9 @@ def test_domain_errors():
 
 def test_table_invariants():
     tab = default_table()
-    m = tab.per_unit
     # 1/u on the first unit block, to machine precision.
-    for idx in range(0, m + 1, 250):
-        u = 1.0 + idx * tab.grid_step
+    for idx in range(0, PER_UNIT + 1, 250):
+        u = 1.0 + idx * GRID_STEP
         assert abs(tab.values[idx] - 1.0 / u) <= 1e-12
 
 
@@ -76,8 +77,7 @@ def test_envelopes_bracket_omega():
 
 
 def test_delay_equation_residual():
-    tab = default_table()
-    h = tab.grid_step
+    h = GRID_STEP
     rng = random.Random(5)
     for _ in range(1000):
         u = rng.uniform(2.1, 19.9)
@@ -99,13 +99,26 @@ def test_continuity_at_joins():
     assert abs(omega(64.0 + eps) - EXP_NEG_GAMMA) <= 1e-11
 
 
-def test_grid_convergence():
-    coarse = BuchstabTable(grid_step=2e-4)
-    fine = BuchstabTable(grid_step=1e-4)
+def test_table_against_quadrature_on_45():
+    # on (4, 5] u*omega(u) = 4*omega(4) + int_4^u omega(t-1) dt, with the
+    # integrand the closed form on [3, 4]
+    from scipy.integrate import quad
+
     rng = random.Random(11)
     for _ in range(200):
-        u = rng.uniform(3.0, 7.9)
-        assert abs(coarse.omega(u) - fine.omega(u)) < 1e-5
+        u = rng.uniform(4.0, 5.0)
+        area = quad(lambda t: float(_closed_form_34(t - 1.0)), 4.0, u, epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(omega(u) - (4.0 * omega(4.0) + area) / u) <= 1e-10
+
+
+def test_omega_to_4_builds_no_table(monkeypatch):
+    monkeypatch.setattr(buchstab, "_DEFAULT", None)
+    for u in (1.5, 2.5, 3.5, 4.0):
+        for fn in (omega, omega_lower, omega_upper):
+            fn(u)
+    assert buchstab._DEFAULT is None
+    omega(4.5)
+    assert isinstance(buchstab._DEFAULT, buchstab.BuchstabTable)
 
 
 def test_scalar_table_lookup_equals_omega_many():
@@ -115,19 +128,13 @@ def test_scalar_table_lookup_equals_omega_many():
     u += [rng.uniform(4.0, 64.0) for _ in range(20_000)] + [math.nextafter(4.0, 5.0)]
     many = omega_many(np.array(u)).tolist()
     assert [omega(v) for v in u] == many
-    for step in (2e-4, 1e-3):
-        table = BuchstabTable(grid_step=step)
-        v = [rng.uniform(4.0, 64.0) for _ in range(2_000)]
-        assert [table.omega(x) for x in v] == table.omega_many(np.array(v)).tolist()
 
 
 def test_scalar_closed_forms_equal_the_array_forms():
     # on [2, 4] the scalar omega takes the closed forms on floats, bit for bit
     # as the table takes them on arrays
     rng = random.Random(13)
-    tab = default_table()
-    m = tab.per_unit
-    u = (1.0 + tab.grid_step * np.arange(m, 3 * m + 1)).tolist()
+    u = (1.0 + GRID_STEP * np.arange(PER_UNIT, 3 * PER_UNIT + 1)).tolist()
     u += [rng.uniform(2.0, 4.0) for _ in range(20_000)]
     u += [2.0, 3.0, 4.0, math.nextafter(2.0, 3.0), math.nextafter(3.0, 2.0),
           math.nextafter(3.0, 4.0), math.nextafter(4.0, 3.0)]

@@ -406,8 +406,9 @@ def test_catalog_roundtrip_lossless():
 
 
 # Random catalogs in the form loads builds: and/or nodes have at least two
-# children, none of their own kind (the parser merges those), and every
-# region, range and integral names regions of the catalog.
+# children, none of their own kind (the parser merges those), every
+# region, range and integral names regions of the catalog, and no group
+# lists a region twice.
 _NAMES = ("R0", "R1", "R2")
 _COEFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 _PARAM_FORMS = st.builds(AffineForm.make, _COEFS,
@@ -461,7 +462,8 @@ def _catalogs(draw):
             draw(st.sampled_from(["one", "reciprocal", "buchstab"])),
             draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 7))), draw(st.booleans()))
     groups = draw(st.dictionaries(st.sampled_from(["ga", "gb"]),
-                                  st.lists(st.sampled_from(_NAMES), max_size=3), max_size=2))
+                                  st.lists(st.sampled_from(_NAMES), max_size=3, unique=True),
+                                  max_size=2))
     return Catalog(regions, ranges, integrals, groups)
 
 
@@ -873,6 +875,10 @@ REGION_A = "region A dim=2\n  where t1 < 1/2\nend\n"
     (REGION_A + "integral I dim=2 region=A weight=bogus mult=1\n", "bad integral line"),
     (REGION_A + "integral I dim=2 region=A weight=one mult=1/0\n", "bad integral line"),
     (REGION_A + "group G A\n", "bad group line"),
+    # a second bound on one variable, and a region listed twice in a group
+    ("region A dim=2\n  bound t1 = [0, 1]\n  bound t1 = [0, 1/2]\n  where t1 < 1\nend\n",
+     "^region A bounds t1 twice$"),
+    (REGION_A + "group G: A A\n", "^group G lists region 'A' twice$"),
     ("region A dim=2\n  where t1 < 1/2\n", "record 'region A dim=2' has no end"),
     (REGION_A + "ranges A\n  piece (0, 1) src=x\n", "record 'ranges A' has no end"),
     (REGION_A + "regions B dim=2\n", "unrecognised catalog line"),
